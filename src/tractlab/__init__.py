@@ -2,20 +2,19 @@
 
 Library layout:
 
-- models: the map catalog, log lifts, normalization, JSON descriptors
+- models: the plane-map family table, log lifts, normalization, JSON descriptors
 - tracts: tract addresses, inverse branches, continuous path lifting
 - hypmetric: half-plane hyperbolic geometry and certified density bounds
 - orbits: iteration, membership certificates, external addresses,
   backward-orbit point construction
 - conjugacy: the pullback conjugacy near infinity with all its checks
 - semiconj: the hyperbolic-map semiconjugacy by curve lifting
-- gridkernel: escape-time grid classification (compiled core with a
-  NumPy fallback) and image output
+- gridkernel: escape-time grid classification (one NumPy kernel over
+  the models family table) and image output
 - cli: the `tractlab` command-line entry point
 """
 
 from .errors import TractlabError
-from .gridkernel import BACKEND as GRID_BACKEND
 from .models import (
     EntireMapSpec,
     KappaFamilyMember,
@@ -31,6 +30,9 @@ from .orbits import ExternalAddress, OrbitRecord, iterate, point_with_address
 from .tracts import TractAddress, inverse_branch, lift_path, tract_of
 
 __version__ = "0.1.0"
+
+# the only grid kernel; perfbench/worker.py records this name
+GRID_BACKEND = "numpy"
 
 __all__ = [
     "TractlabError",

@@ -1,41 +1,21 @@
-"""NumPy escape-time classification kernel (fallback for the compiled one).
+"""NumPy escape-time classification kernel.
 
-Must mirror tractlab._gridcore.classify: same pixel-center convention,
-same overflow guard, same classification codes.
+Each pixel center is iterated under the plane map, evaluated through its
+``PLANE_FAMILIES`` row with ``m = numpy``; the scalar ``EntireMapSpec``
+path over the same row is the kernel's reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-FAMILY_CODES = {
-    "exp_affine": 0,
-    "lambda_expm1": 1,
-    "zexp": 2,
-    "sinh": 3,
-    "exp_plus_kappa": 4,
-}
+from .models import EXP_OVERFLOW_GUARD, EntireMapSpec
 
-_GUARD = 700.0
 _HUGE = 1e300
 
 
-def _apply_map(family: int, a: complex, b: complex, z: np.ndarray) -> np.ndarray:
-    if family == 0:
-        return a * np.exp(z) + b
-    if family == 1:
-        return a * (np.exp(z) - 1.0)
-    if family == 2:
-        return (z + 1.0) * np.exp(z) - 1.0
-    if family == 3:
-        return a * np.sinh(z)
-    return np.exp(z) + b
-
-
 def classify(
-    family: int,
-    a: complex,
-    b: complex,
+    map_spec: EntireMapSpec,
     xmin: float,
     xmax: float,
     ymin: float,
@@ -45,6 +25,8 @@ def classify(
     escape_radius: float,
     horizon: int,
 ) -> np.ndarray:
+    row = map_spec.row
+    params = map_spec.params
     dx = (xmax - xmin) / width
     dy = (ymax - ymin) / height
     x = xmin + (np.arange(width) + 0.5) * dx
@@ -54,10 +36,10 @@ def classify(
     out = np.zeros((height, width), dtype=np.uint8)
     active = np.ones((height, width), dtype=bool)
     for _ in range(horizon):
-        if family == 3:
-            guarded = np.abs(z.real) > _GUARD
+        if row.two_sided:
+            guarded = np.abs(z.real) > EXP_OVERFLOW_GUARD
         else:
-            guarded = z.real > _GUARD
+            guarded = z.real > EXP_OVERFLOW_GUARD
         hit_guard = active & guarded
         out[hit_guard] = 2
         active &= ~guarded
@@ -66,7 +48,7 @@ def classify(
         if idx[0].size == 0:
             break
         with np.errstate(over="ignore", invalid="ignore"):
-            w = _apply_map(family, a, b, z[idx])
+            w = row.f(np, params, z[idx])
         mag = np.abs(w)
         bad = ~np.isfinite(w) | (mag > _HUGE)
         small = ~bad & (mag < escape_radius)

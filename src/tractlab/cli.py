@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import conjugacy, gridkernel, semiconj
 from .errors import ConfigError, TractlabError
@@ -28,19 +26,6 @@ EXIT_COMPUTE = 2
 EXIT_VERIFY = 3
 
 
-def _threads() -> int:
-    raw = os.environ.get("TRACTLAB_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"TRACTLAB_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ConfigError(f"TRACTLAB_THREADS must be >= 1, got {n}")
-    return n
-
-
 def _parse_complex(text: str, field: str) -> complex:
     try:
         return complex(text.replace("i", "j").replace(" ", ""))
@@ -48,16 +33,20 @@ def _parse_complex(text: str, field: str) -> complex:
         raise ConfigError(f"{field}: cannot parse complex value {text!r}") from exc
 
 
+def _read_json(path: str, field: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{field}: cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{field}: invalid JSON in {path}: {exc}") from exc
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"config: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
+    cfg = _read_json(path, "config")
     if not isinstance(cfg, dict):
         raise ConfigError("config: top level must be a JSON object")
     return cfg
@@ -75,7 +64,10 @@ def _cmd_render(args) -> int:
     cfg = _load_config(args.config)
     map_desc = cfg.get("map")
     if args.map is not None:
-        map_desc = json.loads(args.map)
+        try:
+            map_desc = json.loads(args.map)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"map: invalid JSON: {exc}") from exc
     if map_desc is None:
         raise ConfigError("map: no plane-map descriptor given")
     map_spec = plane_map_from_json(map_desc)
@@ -83,9 +75,15 @@ def _cmd_render(args) -> int:
     window_desc = _setting(args.window, cfg, "window")
     if window_desc is None:
         raise ConfigError("window: missing")
-    if isinstance(window_desc, str):
-        window_desc = [float(v) for v in window_desc.split(",")]
-    window = Window.from_json(window_desc)
+    try:
+        if isinstance(window_desc, str):
+            window_desc = [float(v) for v in window_desc.split(",")]
+        window = Window.from_json(window_desc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"window: expected xmin,xmax,ymin,ymax with xmin < xmax and "
+            f"ymin < ymax, got {window_desc!r}"
+        ) from exc
 
     res_desc = _setting(args.resolution, cfg, "resolution", [256, 256])
     if isinstance(res_desc, str):
@@ -100,10 +98,9 @@ def _cmd_render(args) -> int:
     horizon = int(_setting(args.horizon, cfg, "horizon", 30))
     if horizon < 1:
         raise ConfigError(f"horizon: must be >= 1, got {horizon}")
-    backend = _setting(args.backend, cfg, "backend", "auto")
 
     grid = gridkernel.classify_window(
-        map_spec, window, (width, height), escape_radius, horizon, backend=backend
+        map_spec, window, (width, height), escape_radius, horizon
     )
     out = args.out
     if out.endswith(".png"):
@@ -113,7 +110,7 @@ def _cmd_render(args) -> int:
     gridkernel.write_sidecar(
         out + ".json", map_spec, window, (width, height), escape_radius, horizon
     )
-    print(f"wrote {out} and {out}.json (backend: {gridkernel.BACKEND})")
+    print(f"wrote {out} and {out}.json")
     return EXIT_OK
 
 
@@ -124,8 +121,7 @@ def _load_samples(path: str | None, cfg: dict) -> tuple[LogLiftModel, list[compl
     points: list[complex] | None = None
     desc = cfg.get("samples")
     if path is not None:
-        with open(path) as fh:
-            desc = json.load(fh)
+        desc = _read_json(path, "samples")
     if desc is None:
         raise ConfigError("samples: no sample specification given")
     if isinstance(desc, dict):
@@ -160,10 +156,7 @@ def _cmd_conjugate(args) -> int:
         )
     model, points = _load_samples(args.samples, cfg)
 
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        samples = list(
-            pool.map(lambda z: conjugacy.theta_limit(model, kappa, z, tol, Q), points)
-        )
+    samples = [conjugacy.theta_limit(model, kappa, z, tol, Q) for z in points]
     crosscheck = conjugacy.uniqueness_crosscheck(
         model, kappa, points[: min(10, len(points))], tol, Q
     )
@@ -213,8 +206,7 @@ def _cmd_semiconj(args) -> int:
 
     raw_points = cfg.get("points")
     if args.samples is not None:
-        with open(args.samples) as fh:
-            raw_points = json.load(fh)
+        raw_points = _read_json(args.samples, "samples")
     if raw_points is None:
         # small imaginary parts keep the g-orbits escaping
         raw_points = [[25.0, 0.0], [40.0, 0.0], [30.0, 0.1], [35.0, -0.05]]
@@ -276,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--resolution", help="width,height")
     p_render.add_argument("--escape-radius", dest="escape_radius", type=float)
     p_render.add_argument("--horizon", type=int)
-    p_render.add_argument("--backend", choices=["auto", "compiled", "numpy"])
     p_render.add_argument("--out", required=True, help="output .pgm or .png path")
     p_render.set_defaults(func=_cmd_render)
 

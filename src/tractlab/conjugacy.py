@@ -67,29 +67,6 @@ class ConjugacySample:
         }
 
 
-@dataclass(frozen=True)
-class PullbackConfig:
-    Q: float
-    max_depth: int = DEFAULT_MAX_DEPTH
-    tol: float = 1e-9
-    mode: str = "kappa_family"  # or "general_pair"
-    G: Model | None = None
-    correspondence: Correspondence = None
-
-    def __post_init__(self):
-        if self.mode not in ("kappa_family", "general_pair"):
-            raise RangeError(f"unknown pullback mode {self.mode!r}")
-        if self.mode == "general_pair" and self.G is None:
-            raise RangeError("general_pair mode requires a second model G")
-
-    def check_kappa(self, kappa: complex) -> None:
-        if self.Q <= 2.0 * abs(kappa) + 1.0:
-            raise PreconditionError(
-                f"Q = {self.Q:g} must exceed 2|kappa|+1 = "
-                f"{2.0 * abs(kappa) + 1.0:g}"
-            )
-
-
 def _require_kappa_admissible(kappa: complex, Q: float) -> complex:
     kappa = require_finite(kappa, "kappa")
     if Q <= 2.0 * abs(kappa) + 1.0:
@@ -401,16 +378,6 @@ def uniqueness_crosscheck(
         a = theta_limit(base, kappa, z, tol, Q, orbit=orb).theta
         b = general_pullback(base, member, None, z, depth, Q, orbit=orb)
         worst = max(worst, abs(a - b))
-    return worst
-
-
-def displacement_bound_report(
-    samples: list[ConjugacySample], Q_prime: float
-) -> float:
-    """Max hyperbolic displacement dist(z, Theta(z)) in {Re > Q_prime}."""
-    worst = 0.0
-    for s in samples:
-        worst = max(worst, dist_half_plane(Q_prime, s.z, s.theta))
     return worst
 
 

@@ -1,8 +1,7 @@
-"""Escape-time grid classification with a compiled core when available.
+"""Escape-time grid classification and image output.
 
-At import time the Cython kernel is preferred; the NumPy kernel is the
-fallback.  Both implement the same contract; ``BACKEND`` names the one
-in use and ``classify_window`` is the single entry point.
+``classify_window`` is the single entry point; the NumPy kernel in
+``_gridpy`` does the iteration.
 """
 
 from __future__ import annotations
@@ -14,17 +13,9 @@ import numpy as np
 
 from . import _gridpy
 from .errors import RangeError
-from .models import EntireMapSpec, plane_map_from_json
+from .models import EntireMapSpec, plane_map_from_json, plane_map_to_json
 
-try:
-    from . import _gridcore
-
-    BACKEND = "compiled"
-except ImportError:  # pragma: no cover - depends on build environment
-    _gridcore = None
-    BACKEND = "numpy"
-
-# classification codes shared by both kernels
+# classification codes
 IN_JR_HORIZON = 0
 ESCAPED_SMALL = 1
 OVERFLOWED_LARGE = 2
@@ -52,25 +43,12 @@ class Window:
         return [self.xmin, self.xmax, self.ymin, self.ymax]
 
 
-def _kernel_args(map_spec: EntireMapSpec) -> tuple[int, complex, complex]:
-    fam = _gridpy.FAMILY_CODES[map_spec.family]
-    a, b = 1.0 + 0.0j, 0.0 + 0.0j
-    if map_spec.family == "exp_affine":
-        a, b = map_spec.params
-    elif map_spec.family in ("lambda_expm1", "sinh"):
-        (a,) = map_spec.params
-    elif map_spec.family == "exp_plus_kappa":
-        (b,) = map_spec.params
-    return fam, complex(a), complex(b)
-
-
 def classify_window(
     map_spec: EntireMapSpec,
     window: Window,
     resolution: tuple[int, int],
     escape_radius: float,
     horizon: int,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Per-pixel orbit classification; deterministic for a fixed config.
 
@@ -83,12 +61,8 @@ def classify_window(
         raise RangeError("horizon must be at least 1")
     if escape_radius <= 0:
         raise RangeError("escape_radius must be positive")
-    fam, a, b = _kernel_args(map_spec)
-    impl = _select(backend)
-    return impl.classify(
-        fam,
-        a,
-        b,
+    return _gridpy.classify(
+        map_spec,
         window.xmin,
         window.xmax,
         window.ymin,
@@ -100,16 +74,9 @@ def classify_window(
     )
 
 
-def _select(backend: str | None):
-    if backend in (None, "auto"):
-        return _gridcore if _gridcore is not None else _gridpy
-    if backend == "compiled":
-        if _gridcore is None:
-            raise RangeError("compiled grid kernel is not available")
-        return _gridcore
-    if backend == "numpy":
-        return _gridpy
-    raise RangeError(f"unknown backend {backend!r}")
+def _select(_backend=None):
+    # perfbench/worker.py records _select(None).__name__ as its grid kernel
+    return _gridpy
 
 
 def black_mask(grid: np.ndarray) -> np.ndarray:
@@ -160,32 +127,17 @@ def write_sidecar(
     horizon: int,
 ) -> None:
     """JSON sidecar sufficient to reproduce the image exactly."""
-    from .models import EntireMapSpec as _Spec  # noqa: F401
-
     meta = {
-        "map": _plane_map_to_json(map_spec),
+        "map": plane_map_to_json(map_spec),
         "window": window.to_json(),
         "resolution": list(resolution),
         "escape_radius": escape_radius,
         "horizon": horizon,
-        "backend": BACKEND,
         "finite_horizon_proxy": True,
     }
     with open(path, "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
-
-
-def _plane_map_to_json(map_spec: EntireMapSpec) -> dict:
-    desc: dict = {"family": map_spec.family}
-    if map_spec.family == "exp_affine":
-        desc["a"] = [map_spec.params[0].real, map_spec.params[0].imag]
-        desc["b"] = [map_spec.params[1].real, map_spec.params[1].imag]
-    elif map_spec.family in ("lambda_expm1", "sinh"):
-        desc["lambda"] = [map_spec.params[0].real, map_spec.params[0].imag]
-    elif map_spec.family == "exp_plus_kappa":
-        desc["kappa"] = [map_spec.params[0].real, map_spec.params[0].imag]
-    return desc
 
 
 def read_sidecar(path) -> dict:

@@ -2,27 +2,28 @@
 
 Two kinds of models are provided: the closed-form shifted exponential
 ``F(z) = e^z - R`` (the canonical explicit member of the class, already
-normalized and of disjoint type for ``R >= 2``) and lifts of a small
-catalog of entire plane maps, evaluated through the principal logarithm
-with an explicit branch integer.
+normalized and of disjoint type for ``R >= 2``) and lifts of entire
+plane maps, evaluated through the principal logarithm with an explicit
+branch integer.  The plane maps form one table, ``PLANE_FAMILIES``: every
+per-family formula (scalar and grid evaluation, derivative, asymptotic
+value, Newton seed, JSON parameter names) lives there and nowhere else.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, SearchFailed
+from .errors import ConfigError, DomainError, SearchFailed
 
 TWO_PI = 2.0 * math.pi
 
 # double-precision exp overflows near Re z = 709; stay clear of it
 EXP_OVERFLOW_GUARD = 700.0
-
-_PLANE_FAMILIES = ("exp_affine", "lambda_expm1", "zexp", "sinh", "exp_plus_kappa")
 
 
 def require_finite(z: complex, name: str = "z") -> complex:
@@ -33,17 +34,91 @@ def require_finite(z: complex, name: str = "z") -> complex:
 
 
 @dataclass(frozen=True)
+class PlaneFamily:
+    """One row of the plane-map table.
+
+    ``f(m, params, z)`` and ``df(m, params, z)`` are written once and
+    evaluated with ``m = cmath`` for scalars and ``m = numpy`` for grids.
+    ``newton_seed(params, ws, inner)`` returns u with exp(z) ~ u for the
+    preimage of exp(ws) in the tract with the given inner branch.
+    """
+
+    param_names: tuple[str, ...]
+    f: Callable
+    df: Callable
+    # limit of f(w) as Re w -> -infinity, or None where there is none
+    asymptotic_value: Callable[[tuple], complex | None]
+    newton_seed: Callable[[tuple, complex, int], complex]
+    # overflows toward Re z -> -infinity as well, with two tracts per
+    # period strip, toward Re exp(z) = +infinity and -infinity
+    two_sided: bool = False
+
+
+def _sinh_seed(p: tuple, ws: complex, inner: int) -> complex:
+    lam_half = cmath.log(p[0] / 2.0)
+    if inner == 0:
+        return ws - lam_half
+    return lam_half - ws + 1j * math.pi
+
+
+PLANE_FAMILIES: dict[str, PlaneFamily] = {
+    "exp_affine": PlaneFamily(
+        ("a", "b"),
+        f=lambda m, p, z: p[0] * m.exp(z) + p[1],
+        df=lambda m, p, z: p[0] * m.exp(z),
+        asymptotic_value=lambda p: p[1],
+        newton_seed=lambda p, ws, inner: ws - cmath.log(p[0]),
+    ),
+    "lambda_expm1": PlaneFamily(
+        ("lambda",),
+        f=lambda m, p, z: p[0] * (m.exp(z) - 1.0),
+        df=lambda m, p, z: p[0] * m.exp(z),
+        asymptotic_value=lambda p: -p[0],
+        newton_seed=lambda p, ws, inner: ws - cmath.log(p[0]),
+    ),
+    "zexp": PlaneFamily(
+        (),
+        f=lambda m, p, z: (z + 1.0) * m.exp(z) - 1.0,
+        df=lambda m, p, z: (z + 2.0) * m.exp(z),
+        asymptotic_value=lambda p: -1.0 + 0.0j,
+        newton_seed=lambda p, ws, inner: (ws - cmath.log(ws)) if ws != 0 else ws,
+    ),
+    "sinh": PlaneFamily(
+        ("lambda",),
+        f=lambda m, p, z: p[0] * m.sinh(z),
+        df=lambda m, p, z: p[0] * m.cosh(z),
+        asymptotic_value=lambda p: None,
+        newton_seed=_sinh_seed,
+        two_sided=True,
+    ),
+    "exp_plus_kappa": PlaneFamily(
+        ("kappa",),
+        f=lambda m, p, z: m.exp(z) + p[0],
+        df=lambda m, p, z: m.exp(z),
+        asymptotic_value=lambda p: p[0],
+        newton_seed=lambda p, ws, inner: ws,
+    ),
+}
+
+
+@dataclass(frozen=True)
 class EntireMapSpec:
-    """A member of the plane-map catalog, with closed-form derivative."""
+    """A member of the plane-map table, with closed-form derivative."""
 
     family: str
     params: tuple[complex, ...] = ()
+    # the family's table row, looked up once
+    row: PlaneFamily = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.family not in _PLANE_FAMILIES:
+        if self.family not in PLANE_FAMILIES:
             raise ValueError(f"unknown map family {self.family!r}")
+        row = PLANE_FAMILIES[self.family]
+        if len(self.params) != len(row.param_names):
+            raise ValueError(f"{self.family} takes parameters {row.param_names}")
         for p in self.params:
             require_finite(p, "parameter")
+        object.__setattr__(self, "row", row)
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -68,7 +143,7 @@ class EntireMapSpec:
 
     # -- evaluation ---------------------------------------------------
     def _guard(self, z: complex) -> None:
-        bound = abs(z.real) if self.family == "sinh" else z.real
+        bound = abs(z.real) if self.row.two_sided else z.real
         if bound > EXP_OVERFLOW_GUARD:
             raise OverflowError(
                 f"Re z = {z.real:g} exceeds the exponent-overflow guard"
@@ -77,47 +152,16 @@ class EntireMapSpec:
     def eval(self, z: complex) -> complex:
         z = require_finite(z)
         self._guard(z)
-        if self.family == "exp_affine":
-            a, b = self.params
-            return a * cmath.exp(z) + b
-        if self.family == "lambda_expm1":
-            (lam,) = self.params
-            return lam * (cmath.exp(z) - 1.0)
-        if self.family == "zexp":
-            return (z + 1.0) * cmath.exp(z) - 1.0
-        if self.family == "sinh":
-            (lam,) = self.params
-            return lam * cmath.sinh(z)
-        (kappa,) = self.params
-        return cmath.exp(z) + kappa
+        return self.row.f(cmath, self.params, z)
 
     def deriv(self, z: complex) -> complex:
         z = require_finite(z)
         self._guard(z)
-        if self.family == "exp_affine":
-            a, _ = self.params
-            return a * cmath.exp(z)
-        if self.family == "lambda_expm1":
-            (lam,) = self.params
-            return lam * cmath.exp(z)
-        if self.family == "zexp":
-            return (z + 2.0) * cmath.exp(z)
-        if self.family == "sinh":
-            (lam,) = self.params
-            return lam * cmath.cosh(z)
-        return cmath.exp(z)
+        return self.row.df(cmath, self.params, z)
 
     def asymptotic_value(self) -> complex | None:
         """Limit of f(w) as Re w -> -infinity, where one exists."""
-        if self.family == "exp_affine":
-            return self.params[1]
-        if self.family == "lambda_expm1":
-            return -self.params[0]
-        if self.family == "zexp":
-            return -1.0 + 0.0j
-        if self.family == "exp_plus_kappa":
-            return self.params[0]
-        return None  # sinh is unbounded in both real directions
+        return self.row.asymptotic_value(self.params)
 
 
 @dataclass(frozen=True)
@@ -242,6 +286,7 @@ def domain_contains(model: Model, z: complex) -> bool:
         return _overflowed_membership(model, z)
     return w.real > model.half_plane_Q
 
+
 def _contains_beyond_guard(model: LogLiftModel, zs: complex) -> bool:
     # Re exp(zs) = e^{Re zs} cos(Im zs) with e^{Re zs} astronomically large,
     # so only the sign structure of cos decides membership.
@@ -252,8 +297,8 @@ def _contains_beyond_guard(model: LogLiftModel, zs: complex) -> bool:
         # exp(zs) has a huge positive real part; every catalog map has
         # |f| -> infinity there, so log|f| certainly exceeds Q + offset.
         return True
-    if model.plane_map.family == "sinh":
-        return c < 0.0  # sinh also blows up toward -infinity
+    if model.plane_map.row.two_sided:
+        return c < 0.0  # the map also blows up toward -infinity
     limit = model.plane_map.asymptotic_value()
     if limit is None or limit == 0:
         return False
@@ -267,7 +312,7 @@ def _overflowed_membership(model: LogLiftModel, z: complex) -> bool:
         zeta = cmath.exp(z + model.offset)
     except OverflowError:
         return False
-    bound = abs(zeta.real) if model.plane_map.family == "sinh" else zeta.real
+    bound = abs(zeta.real) if model.plane_map.row.two_sided else zeta.real
     return bound > EXP_OVERFLOW_GUARD
 
 
@@ -348,24 +393,36 @@ def _complex_from_json(v) -> complex:
 
 
 def plane_map_from_json(desc: dict) -> EntireMapSpec:
-    family = desc["family"]
-    if family == "exp_affine":
-        return EntireMapSpec.exp_affine(
-            _complex_from_json(desc["a"]), _complex_from_json(desc["b"])
-        )
-    if family == "lambda_expm1":
-        return EntireMapSpec.lambda_expm1(_complex_from_json(desc["lambda"]))
-    if family == "zexp":
-        return EntireMapSpec.zexp()
-    if family == "sinh":
-        return EntireMapSpec.sinh(_complex_from_json(desc["lambda"]))
-    if family == "exp_plus_kappa":
-        return EntireMapSpec.exp_plus_kappa(_complex_from_json(desc["kappa"]))
-    raise ValueError(f"unknown map family {family!r}")
+    """Plane map from its descriptor; an error names the failing field."""
+    if not isinstance(desc, dict):
+        raise ConfigError("map: must be a JSON object")
+    family = desc.get("family")
+    if family not in PLANE_FAMILIES:
+        raise ConfigError(f"map.family: unknown map family {family!r}")
+    params = []
+    for name in PLANE_FAMILIES[family].param_names:
+        if name not in desc:
+            raise ConfigError(f"map.{name}: missing for family {family!r}")
+        try:
+            params.append(_complex_from_json(desc[name]))
+        except (TypeError, ValueError, IndexError) as exc:
+            raise ConfigError(
+                f"map.{name}: not a complex number: {desc[name]!r}"
+            ) from exc
+    return EntireMapSpec(family, tuple(params))
+
+
+def plane_map_to_json(spec: EntireMapSpec) -> dict:
+    desc: dict = {"family": spec.family}
+    for name, p in zip(spec.row.param_names, spec.params):
+        desc[name] = [p.real, p.imag]
+    return desc
 
 
 def model_from_json(desc: dict) -> LogLiftModel:
-    family = desc["family"]
+    if not isinstance(desc, dict):
+        raise ConfigError("model: must be a JSON object")
+    family = desc.get("family")
     if family == "shifted_exp":
         return LogLiftModel(
             "shifted_exp",
@@ -373,6 +430,8 @@ def model_from_json(desc: dict) -> LogLiftModel:
             half_plane_Q=float(desc.get("Q", 0.0)),
         )
     if family == "lifted_entire":
+        if "map" not in desc:
+            raise ConfigError("map: missing from the lifted_entire model")
         newton = desc.get("newton", {})
         return LogLiftModel(
             "lifted_entire",
@@ -381,24 +440,15 @@ def model_from_json(desc: dict) -> LogLiftModel:
             newton_max_iter=int(newton.get("max_iter", 50)),
             half_plane_Q=float(desc.get("Q", 0.0)),
         )
-    raise ValueError(f"unknown model family {family!r}")
+    raise ConfigError(f"model.family: unknown model family {family!r}")
 
 
 def model_to_json(model: LogLiftModel) -> dict:
     if model.family == "shifted_exp":
         return {"family": "shifted_exp", "R": model.R, "Q": model.half_plane_Q}
-    m = model.plane_map
-    desc: dict = {"family": m.family}
-    if m.family == "exp_affine":
-        desc["a"] = [m.params[0].real, m.params[0].imag]
-        desc["b"] = [m.params[1].real, m.params[1].imag]
-    elif m.family in ("lambda_expm1", "sinh"):
-        desc["lambda"] = [m.params[0].real, m.params[0].imag]
-    elif m.family == "exp_plus_kappa":
-        desc["kappa"] = [m.params[0].real, m.params[0].imag]
     return {
         "family": "lifted_entire",
-        "map": desc,
+        "map": plane_map_to_json(model.plane_map),
         "newton": {"tol": model.newton_tol, "max_iter": model.newton_max_iter},
         "Q": model.half_plane_Q,
     }

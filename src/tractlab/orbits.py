@@ -12,18 +12,13 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from .errors import (
     AddressMismatch,
     AddressUndefined,
     PullbackLeftDomain,
     RangeError,
 )
-from .gridkernel import Window, classify_window
 from .models import (
-    EXP_OVERFLOW_GUARD,
-    EntireMapSpec,
     Model,
     domain_contains,
     eval_F,
@@ -214,16 +209,3 @@ def periodic_orbit(
         cycle.append(point_with_address(model, rotated, Q, tol=tol))
     return [cycle[i % p] for i in range(length)]
 
-
-def classify_grid(
-    map_spec: EntireMapSpec,
-    window: Window,
-    resolution: tuple[int, int],
-    escape_radius: float,
-    horizon: int,
-    backend: str | None = None,
-) -> np.ndarray:
-    """Plane-coordinate escape classification of pixel-center orbits."""
-    return classify_window(
-        map_spec, window, resolution, escape_radius, horizon, backend=backend
-    )

@@ -39,11 +39,10 @@ from .errors import (
     SetupInvalid,
 )
 from .models import TWO_PI, EntireMapSpec, require_finite
+from .tracts import continuous_lift
 
 # polyline resolution of the level-1 segment; lifts refine adaptively
 SEGMENT_SAMPLES = 17
-MAX_LIFT_STEP = math.pi / 2
-MAX_BISECTION_DEPTH = 48
 POSTSINGULAR_ITERATES = 100
 
 
@@ -53,14 +52,15 @@ class HyperbolicSetup:
     r_U: float
     K: float
     R: float
+    # f = lambda (e^z - 1), built and validated once per setup
+    map_spec: EntireMapSpec = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "map_spec", EntireMapSpec.lambda_expm1(self.lam))
 
     @property
     def M(self) -> float:
         return self.R / self.K
-
-    @property
-    def map_spec(self) -> EntireMapSpec:
-        return EntireMapSpec.lambda_expm1(self.lam)
 
     def f(self, z: complex) -> complex:
         return self.map_spec.eval(z)
@@ -216,27 +216,13 @@ def _lift_polyline(
         raise ContinuationError(
             f"start {start!r} is not a preimage of the path head {path[0]!r}"
         )
-    lift = [start]
 
-    def step(z_cur: complex, w_from: complex, w_to: complex, depth: int) -> complex:
-        base = setup.inverse_branch_f(w_to, 0)
+    def step(z_cur: complex, w: complex) -> tuple[complex, int]:
+        base = setup.inverse_branch_f(w, 0)
         b = round((z_cur.imag - base.imag) / TWO_PI)
-        z_next = base + TWO_PI * 1j * b
-        if abs(z_next - z_cur) <= MAX_LIFT_STEP:
-            lift.append(z_next)
-            return z_next
-        if depth >= MAX_BISECTION_DEPTH:
-            raise ContinuationError(
-                f"cannot keep the preimage branch continuous near {w_to!r}"
-            )
-        mid = 0.5 * (w_from + w_to)
-        z_mid = step(z_cur, w_from, mid, depth + 1)
-        return step(z_mid, mid, w_to, depth + 1)
+        return base + TWO_PI * 1j * b, b
 
-    z_cur = start
-    for w_prev, w_next in zip(path, path[1:]):
-        z_cur = step(z_cur, complex(w_prev), complex(w_next), 0)
-    return lift
+    return continuous_lift(step, start, path).samples
 
 
 def _polyline_hyp_length(setup: HyperbolicSetup, path: list[complex]) -> float:

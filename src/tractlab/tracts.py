@@ -9,6 +9,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import ContinuationError, DomainError, NewtonDiverged, RangeError
@@ -28,6 +29,7 @@ __all__ = [
     "domain_contains",
     "tract_of",
     "inverse_branch",
+    "continuous_lift",
     "lift_path",
 ]
 
@@ -77,8 +79,8 @@ def tract_of(model: Model, z: complex) -> TractAddress:
     if model.family == "shifted_exp":
         return TractAddress(k)
     inner = 0
-    if model.plane_map.family == "sinh" and math.cos(z.imag) < 0.0:
-        # sinh has two tracts per period strip, toward Re exp(z) = +/-inf;
+    if model.plane_map.row.two_sided and math.cos(z.imag) < 0.0:
+        # two tracts per period strip, toward Re exp(z) = +/-inf;
         # sign(Re exp(z)) = sign(cos Im z) picks the one containing z
         inner = 1
     return TractAddress(k, inner)
@@ -116,21 +118,7 @@ def inverse_branch(
 def _asymptotic_seed(model: LogLiftModel, tract: TractAddress, w: complex) -> complex:
     """Approximate inverse from the exponential-dominated asymptotics."""
     pm = model.plane_map
-    ws = w + model.offset
-    if pm.family == "exp_affine":
-        u = ws - cmath.log(pm.params[0])
-    elif pm.family == "lambda_expm1":
-        u = ws - cmath.log(pm.params[0])
-    elif pm.family == "zexp":
-        u = ws - cmath.log(ws) if ws != 0 else ws
-    elif pm.family == "exp_plus_kappa":
-        u = ws
-    else:  # sinh
-        lam_half = cmath.log(pm.params[0] / 2.0)
-        if tract.inner_branch == 0:
-            u = ws - lam_half
-        else:
-            u = lam_half - ws + 1j * math.pi
+    u = pm.row.newton_seed(pm.params, w + model.offset, tract.inner_branch)
     if u == 0:
         u = 1.0
     zs = cmath.log(u) + TWO_PI * 1j * tract.branch_index
@@ -182,6 +170,44 @@ def _lift_step(model: Model, z_cur: complex, w: complex) -> tuple[complex, int]:
     return z, round(z.imag / TWO_PI)
 
 
+def continuous_lift(
+    step: Callable[[complex, complex], tuple[complex, int]],
+    z0: complex,
+    path: list[complex],
+    branch0: int = 0,
+) -> LiftedPath:
+    """Lift of a polyline from the known lift z0 of path[0].
+
+    ``step(z_cur, w)`` returns the lift of w chosen continuously from
+    z_cur, with its branch integer.  A step whose lift would move by more
+    than MAX_LIFT_STEP is bisected in the source plane, at most
+    MAX_BISECTION_DEPTH times; past that it raises ContinuationError.
+    """
+    samples = [z0]
+    sources = [complex(path[0])]
+    branches = [branch0]
+
+    def advance(z_cur: complex, w_from: complex, w_to: complex, depth: int):
+        z_next, b = step(z_cur, w_to)
+        if abs(z_next - z_cur) <= MAX_LIFT_STEP:
+            samples.append(z_next)
+            sources.append(w_to)
+            branches.append(b)
+            return z_next
+        if depth >= MAX_BISECTION_DEPTH:
+            raise ContinuationError(
+                f"cannot keep the branch continuous near w = {w_to!r}"
+            )
+        mid = 0.5 * (w_from + w_to)
+        z_mid = advance(z_cur, w_from, mid, depth + 1)
+        return advance(z_mid, mid, w_to, depth + 1)
+
+    z_cur = z0
+    for w_prev, w_next in zip(path, path[1:]):
+        z_cur = advance(z_cur, complex(w_prev), complex(w_next), 0)
+    return LiftedPath(samples, sources, branches)
+
+
 def lift_path(
     model: Model,
     tract_at_start: TractAddress,
@@ -200,26 +226,9 @@ def lift_path(
         if w.real <= Q:
             raise RangeError(f"path sample {w!r} lies outside the half-plane")
     z0 = inverse_branch(model, tract_at_start, path[0])
-    samples = [z0]
-    sources = [complex(path[0])]
-    branches = [tract_at_start.branch_index]
-
-    def advance(z_cur: complex, w_from: complex, w_to: complex, depth: int):
-        z_next, b = _lift_step(model, z_cur, w_to)
-        if abs(z_next - z_cur) <= MAX_LIFT_STEP:
-            samples.append(z_next)
-            sources.append(complex(w_to))
-            branches.append(b)
-            return z_next
-        if depth >= MAX_BISECTION_DEPTH:
-            raise ContinuationError(
-                f"cannot keep the branch continuous near w = {w_to!r}"
-            )
-        mid = 0.5 * (w_from + w_to)
-        z_mid = advance(z_cur, w_from, mid, depth + 1)
-        return advance(z_mid, mid, w_to, depth + 1)
-
-    z_cur = z0
-    for w_prev, w_next in zip(path, path[1:]):
-        z_cur = advance(z_cur, complex(w_prev), complex(w_next), 0)
-    return LiftedPath(samples, sources, branches)
+    return continuous_lift(
+        lambda z_cur, w: _lift_step(model, z_cur, w),
+        z0,
+        path,
+        tract_at_start.branch_index,
+    )

@@ -187,14 +187,45 @@ def _check_grid_determinism():
     assert (g1 == g2).all(), "grid classification is not deterministic"
 
 
-def _check_grid_backend_agreement():
-    if gridkernel.BACKEND != "compiled":
-        return  # only one backend available; nothing to compare
-    spec = EntireMapSpec.sinh(0.575)
-    win = gridkernel.Window(-4.0, 4.0, -4.0, 4.0)
-    a = gridkernel.classify_window(spec, win, (64, 64), 50.0, 15, backend="compiled")
-    b = gridkernel.classify_window(spec, win, (64, 64), 50.0, 15, backend="numpy")
-    assert (a == b).all(), "compiled and numpy kernels disagree"
+def _scalar_code(spec: EntireMapSpec, z: complex, radius: float, horizon: int) -> int:
+    """Pixel code of one orbit, iterated with the scalar map evaluation."""
+    for _ in range(horizon):
+        try:
+            w = spec.eval(z)  # raises past the family's overflow guard
+            mag = abs(w)
+        except OverflowError:
+            return gridkernel.OVERFLOWED_LARGE
+        if not mag <= 1e300:  # also true for inf and nan
+            return gridkernel.OVERFLOWED_LARGE
+        if mag < radius:
+            return gridkernel.ESCAPED_SMALL
+        z = w
+    return gridkernel.IN_JR_HORIZON
+
+
+def _check_grid_scalar_oracle():
+    specs = [
+        EntireMapSpec.exp_affine(2.0 + 0.5j, 1.0 - 0.25j),
+        EntireMapSpec.lambda_expm1(0.5),
+        EntireMapSpec.zexp(),
+        EntireMapSpec.sinh(0.575),
+        EntireMapSpec.exp_plus_kappa(1.0038 + 2.8999j),
+    ]
+    win = gridkernel.Window(-4.0, 4.0, -3.0, 3.0)
+    width, height, radius, horizon = 12, 9, 50.0, 15
+    dx = (win.xmax - win.xmin) / width
+    dy = (win.ymax - win.ymin) / height
+    for spec in specs:
+        grid = gridkernel.classify_window(spec, win, (width, height), radius, horizon)
+        for row in range(height):
+            for col in range(width):
+                # pixel centers, row 0 at the top of the window
+                z = complex(win.xmin + (col + 0.5) * dx, win.ymax - (row + 0.5) * dy)
+                code = _scalar_code(spec, z, radius, horizon)
+                assert grid[row, col] == code, (
+                    f"{spec.family} grid disagrees with scalar iteration "
+                    f"at pixel ({row}, {col})"
+                )
 
 
 SUITES: dict[str, list] = {
@@ -229,7 +260,7 @@ SUITES: dict[str, list] = {
     ],
     "grid": [
         _check_grid_determinism,
-        _check_grid_backend_agreement,
+        _check_grid_scalar_oracle,
     ],
 }
 

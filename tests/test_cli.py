@@ -132,15 +132,25 @@ def test_report_on_all_artifact_kinds(tmp_path, capsys):
 
 
 def test_verify_suite_exit_code():
-    assert main(["verify", "--suite", "hypmetric"]) == EXIT_OK
+    assert main(["verify", "--suite", "all"]) == EXIT_OK
 
 
-def test_threads_env_validation(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["render", "--map", '{"family": ', "--window=-4,4,-4,4"], "map"),
+        (["render", "--map", '{"family": "sinh"}', "--window=-4,4,-4,4"], "map.lambda"),
+        (["render", "--map", '{"family": "zexp"}', "--window=-4,4"], "window"),
+        (["conjugate", "--kappa", "0.3+0.2i", "--Q", "2", "--samples", "SAMPLES"], "map"),
+    ],
+    ids=["malformed_map_json", "map_missing_param", "short_window", "model_without_map"],
+)
+def test_config_errors_name_the_field(tmp_path, capsys, argv, field):
     samples = tmp_path / "samples.json"
-    samples.write_text(json.dumps({"points": [[3.5, 0.0]]}))
-    monkeypatch.setenv("TRACTLAB_THREADS", "zero")
-    code = main([
-        "conjugate", "--kappa", "0.3+0.2i", "--Q", "2",
-        "--samples", str(samples), "--out", str(tmp_path / "x.json"),
-    ])
+    samples.write_text(json.dumps({
+        "model": {"family": "lifted_entire"}, "points": [[3.5, 0.0]],
+    }))
+    argv = [str(samples) if a == "SAMPLES" else a for a in argv]
+    code = main(argv + ["--out", str(tmp_path / "out.pgm")])
     assert code == EXIT_CONFIG
+    assert f"config error: {field}: " in capsys.readouterr().err

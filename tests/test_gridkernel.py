@@ -1,4 +1,4 @@
-"""Unit tests for the escape-time grid kernels and image writers."""
+"""Unit tests for the escape-time grid kernel and image writers."""
 
 import json
 import struct
@@ -39,8 +39,6 @@ def test_classify_window_argument_checks():
         gridkernel.classify_window(spec, WIN, (8, 8), 50.0, 0)
     with pytest.raises(RangeError):
         gridkernel.classify_window(spec, WIN, (8, 8), -1.0, 10)
-    with pytest.raises(RangeError):
-        gridkernel.classify_window(spec, WIN, (8, 8), 50.0, 10, backend="cuda")
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
@@ -53,35 +51,30 @@ def test_codes_and_determinism(spec):
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
-@pytest.mark.skipif(
-    gridkernel.BACKEND != "compiled", reason="only one backend built"
-)
-def test_backends_agree(spec):
-    a = gridkernel.classify_window(spec, WIN, (48, 48), 50.0, 15, backend="compiled")
-    b = gridkernel.classify_window(spec, WIN, (48, 48), 50.0, 15, backend="numpy")
-    assert (a == b).all()
-
-
-def test_pixel_centers_and_row_order():
-    # tiny-grid oracle: iterate the plane map at the pixel centers directly
-    spec = EntireMapSpec.exp_plus_kappa(1.0038 + 2.8999j)
-    win = Window(-2.0, 2.0, -2.0, 2.0)
-    res, radius, horizon = (3, 3), 50.0, 12
-    grid = gridkernel.classify_window(spec, win, res, radius, horizon)
-    dx, dy = 4.0 / 3, 4.0 / 3
-    for row in range(3):
-        for col in range(3):
+def test_pixel_centers_and_row_order(spec):
+    # small-grid oracle: iterate the scalar map at the pixel centers directly
+    # asymmetric window: every family shows both codes and neither a row
+    # nor a column flip of the grid leaves it unchanged
+    win = Window(-5.5, 6.0, -2.0, 3.0)
+    (width, height), radius, horizon = (7, 5), 50.0, 12
+    grid = gridkernel.classify_window(spec, win, (width, height), radius, horizon)
+    dx = (win.xmax - win.xmin) / width
+    dy = (win.ymax - win.ymin) / height
+    for row in range(height):
+        for col in range(width):
             z = complex(
                 win.xmin + (col + 0.5) * dx,
                 win.ymax - (row + 0.5) * dy,  # row 0 is the window top
             )
             code = 0
             for _ in range(horizon):
-                if z.real > 700.0:
+                # sinh overflows toward Re z -> -infinity as well
+                guard = abs(z.real) if spec.family == "sinh" else z.real
+                if guard > 700.0:
                     code = 2
                     break
                 w = spec.eval(z)
-                if abs(w) > 1e300:
+                if not abs(w) <= 1e300:
                     code = 2
                     break
                 if abs(w) < radius:

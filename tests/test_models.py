@@ -133,10 +133,9 @@ def test_sample_domain_points_deterministic_and_valid():
     assert all(domain_contains(SHIFTED, z) for z in a)
 
 
-def test_model_json_roundtrip():
-    model = LogLiftModel(
-        "lifted_entire", plane_map=EntireMapSpec.sinh(0.575), half_plane_Q=1.0
-    )
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+def test_model_json_roundtrip(spec):
+    model = LogLiftModel("lifted_entire", plane_map=spec, half_plane_Q=1.0)
     back = model_from_json(model_to_json(model))
     assert back == model
     back2 = model_from_json(model_to_json(SHIFTED))
