@@ -10,6 +10,7 @@ with the failing field named.  Exit codes: 0 success, 1 config error,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -26,11 +27,65 @@ EXIT_COMPUTE = 2
 EXIT_VERIFY = 3
 
 
-def _parse_complex(text: str, field: str) -> complex:
+def _real(raw, field: str, kind=float):
+    """A finite number, or text that parses as one; ``kind=int`` wants an
+    integer (an integral float is accepted)."""
     try:
-        return complex(text.replace("i", "j").replace(" ", ""))
-    except ValueError as exc:
-        raise ConfigError(f"{field}: cannot parse complex value {text!r}") from exc
+        if isinstance(raw, (int, float, str)) and not isinstance(raw, bool):
+            x = kind(raw) if isinstance(raw, str) else raw
+            if math.isfinite(x) and kind(x) == x:
+                return kind(x)
+    except (ValueError, OverflowError):
+        pass
+    wanted = "an integer" if kind is int else "a finite number"
+    raise ConfigError(f"{field}: expected {wanted}, got {raw!r}")
+
+
+def _complex(raw, field: str) -> complex:
+    """Finite ``a+bi`` text, an ``[re, im]`` pair or a plain number."""
+    try:
+        if isinstance(raw, str):
+            z = complex(raw.replace("i", "j").replace(" ", ""))
+        elif isinstance(raw, list) and len(raw) == 2:
+            z = complex(_real(raw[0], field), _real(raw[1], field))
+        else:
+            z = complex(_real(raw, field))
+        if cmath.isfinite(z):
+            return z
+    except (ConfigError, ValueError):
+        pass
+    raise ConfigError(f"{field}: expected a+bi, [re, im] or a number, got {raw!r}")
+
+
+def _points(raw, field: str) -> list[complex]:
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(f"{field}: expected a non-empty list of points")
+    return [_complex(p, f"{field}[{i}]") for i, p in enumerate(raw)]
+
+
+def _resolution(raw) -> tuple[int, int]:
+    parts = raw.split(",") if isinstance(raw, str) else raw
+    if not isinstance(parts, list) or len(parts) != 2:
+        raise ConfigError(f"resolution: expected width,height, got {raw!r}")
+    width, height = (_real(v, "resolution", int) for v in parts)
+    if width <= 0 or height <= 0:
+        raise ConfigError(f"resolution: must be positive, got {width}x{height}")
+    return width, height
+
+
+def _window(raw) -> Window:
+    if isinstance(raw, str):
+        raw = [_real(v, "window") for v in raw.split(",")]
+    try:
+        window = Window.from_json(raw)
+        if all(map(math.isfinite, window.to_json())):
+            return window
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(
+        f"window: expected xmin,xmax,ymin,ymax with xmin < xmax and "
+        f"ymin < ymax, got {raw!r}"
+    )
 
 
 def _read_json(path: str, field: str):
@@ -75,27 +130,16 @@ def _cmd_render(args) -> int:
     window_desc = _setting(args.window, cfg, "window")
     if window_desc is None:
         raise ConfigError("window: missing")
-    try:
-        if isinstance(window_desc, str):
-            window_desc = [float(v) for v in window_desc.split(",")]
-        window = Window.from_json(window_desc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"window: expected xmin,xmax,ymin,ymax with xmin < xmax and "
-            f"ymin < ymax, got {window_desc!r}"
-        ) from exc
-
-    res_desc = _setting(args.resolution, cfg, "resolution", [256, 256])
-    if isinstance(res_desc, str):
-        res_desc = [int(v) for v in res_desc.split(",")]
-    width, height = int(res_desc[0]), int(res_desc[1])
-    if width <= 0 or height <= 0:
-        raise ConfigError(f"resolution: must be positive, got {width}x{height}")
-
-    escape_radius = float(_setting(args.escape_radius, cfg, "escape_radius", 50.0))
-    if escape_radius <= 0:
+    window = _window(window_desc)
+    width, height = _resolution(
+        _setting(args.resolution, cfg, "resolution", [256, 256])
+    )
+    escape_radius = _real(
+        _setting(args.escape_radius, cfg, "escape_radius", 50.0), "escape_radius"
+    )
+    if not escape_radius > 0:
         raise ConfigError(f"escape_radius: must be positive, got {escape_radius:g}")
-    horizon = int(_setting(args.horizon, cfg, "horizon", 30))
+    horizon = _real(_setting(args.horizon, cfg, "horizon", 30), "horizon", int)
     if horizon < 1:
         raise ConfigError(f"horizon: must be >= 1, got {horizon}")
 
@@ -118,7 +162,6 @@ def _cmd_render(args) -> int:
 
 def _load_samples(path: str | None, cfg: dict) -> tuple[LogLiftModel, list[complex]]:
     model = LogLiftModel("shifted_exp", R=10.0)
-    points: list[complex] | None = None
     desc = cfg.get("samples")
     if path is not None:
         desc = _read_json(path, "samples")
@@ -130,10 +173,7 @@ def _load_samples(path: str | None, cfg: dict) -> tuple[LogLiftModel, list[compl
         raw = desc.get("points")
     else:
         raw = desc
-    if not raw:
-        raise ConfigError("samples: empty point list")
-    points = [complex(p[0], p[1]) if isinstance(p, list) else complex(p) for p in raw]
-    return model, points
+    return model, _points(raw, "samples")
 
 
 def _cmd_conjugate(args) -> int:
@@ -141,16 +181,12 @@ def _cmd_conjugate(args) -> int:
     kappa_raw = _setting(args.kappa, cfg, "kappa")
     if kappa_raw is None:
         raise ConfigError("kappa: missing")
-    kappa = (
-        _parse_complex(kappa_raw, "kappa")
-        if isinstance(kappa_raw, str)
-        else complex(kappa_raw[0], kappa_raw[1])
-    )
-    Q = float(_setting(args.Q, cfg, "Q", 2.0))
-    tol = float(_setting(args.tol, cfg, "tol", 1e-9))
-    if tol <= 0:
+    kappa = _complex(kappa_raw, "kappa")
+    Q = _real(_setting(args.Q, cfg, "Q", 2.0), "Q")
+    tol = _real(_setting(args.tol, cfg, "tol", 1e-9), "tol")
+    if not tol > 0:
         raise ConfigError(f"tol: must be positive, got {tol:g}")
-    if Q <= 2.0 * abs(kappa) + 1.0:
+    if not Q > 2.0 * abs(kappa) + 1.0:
         raise ConfigError(
             f"Q: must exceed 2|kappa|+1 = {2.0 * abs(kappa) + 1.0:g}, got {Q:g}"
         )
@@ -191,26 +227,22 @@ def _cmd_conjugate(args) -> int:
 def _cmd_semiconj(args) -> int:
     cfg = _load_config(args.config)
     lam_raw = _setting(args.lam, cfg, "lambda", "0.5")
-    lam = (
-        _parse_complex(lam_raw, "lambda")
-        if isinstance(lam_raw, str)
-        else complex(lam_raw[0], lam_raw[1])
-    )
-    r_U = float(_setting(args.r_U, cfg, "r_U", 0.7))
-    K = float(_setting(args.K, cfg, "K", 2.0))
-    R = float(_setting(args.R, cfg, "R", 11.0))
-    tol = float(_setting(args.tol, cfg, "tol", 1e-6))
-    if tol <= 0:
+    lam = _complex(lam_raw, "lambda")
+    r_U = _real(_setting(args.r_U, cfg, "r_U", 0.7), "r_U")
+    K = _real(_setting(args.K, cfg, "K", 2.0), "K")
+    R = _real(_setting(args.R, cfg, "R", 11.0), "R")
+    tol = _real(_setting(args.tol, cfg, "tol", 1e-6), "tol")
+    if not tol > 0:
         raise ConfigError(f"tol: must be positive, got {tol:g}")
     setup = semiconj.build_setup(lam, r_U, K, R)
 
-    raw_points = cfg.get("points")
+    field, raw_points = "points", cfg.get("points")
     if args.samples is not None:
-        raw_points = _read_json(args.samples, "samples")
+        field, raw_points = "samples", _read_json(args.samples, "samples")
     if raw_points is None:
         # small imaginary parts keep the g-orbits escaping
         raw_points = [[25.0, 0.0], [40.0, 0.0], [30.0, 0.1], [35.0, -0.05]]
-    points = [complex(p[0], p[1]) if isinstance(p, list) else complex(p) for p in raw_points]
+    points = _points(raw_points, field)
 
     C = semiconj.expansion_certificate(setup)
     samples = [semiconj.semiconj_limit(setup, z, tol, C) for z in points]

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .errors import (
     CorrespondenceGap,
     DepthExceeded,
+    DomainError,
     OrbitLeftJQ,
     PreconditionError,
     RangeError,
@@ -69,7 +70,7 @@ class ConjugacySample:
 
 def _require_kappa_admissible(kappa: complex, Q: float) -> complex:
     kappa = require_finite(kappa, "kappa")
-    if Q <= 2.0 * abs(kappa) + 1.0:
+    if not Q > 2.0 * abs(kappa) + 1.0:
         raise PreconditionError(
             f"Q = {Q:g} must exceed 2|kappa|+1 = {2.0 * abs(kappa) + 1.0:g}"
         )
@@ -122,7 +123,7 @@ def _validate_orbit(
             raise OrbitLeftJQ(f"supplied orbit leaves {{Re > {Q:g}}} at step {i}")
         try:
             nxt = eval_F(base, pts[i])
-        except Exception as exc:
+        except (DomainError, OverflowError) as exc:
             raise OrbitLeftJQ(f"supplied orbit invalid at step {i}: {exc}") from exc
         if abs(nxt - pts[i + 1]) > 1e-6 * (1.0 + abs(nxt)):
             raise OrbitLeftJQ(f"supplied orbit inconsistent at step {i}")
@@ -181,7 +182,7 @@ def theta_n(
 
 def depth_for_tolerance(kappa: complex, tol: float) -> int:
     """Smallest n with 2|kappa| * 2^(1-n) <= tol."""
-    if tol <= 0:
+    if not tol > 0:
         raise RangeError("tol must be positive")
     scale = 2.0 * abs(kappa)
     if scale == 0.0:
@@ -211,8 +212,6 @@ def theta_limit(
         raise DepthExceeded(
             f"required depth {depth} exceeds max_depth = {max_depth}"
         )
-    if depth == 0:
-        return ConjugacySample(z, z, 0, 0.0, 0.0, ExternalAddress(()))
     pts = _certified_orbit(base, z, depth, Q, orbit)
     theta, trunc_err = _pullback_tower(base, kappa, pts, depth)
     tail = 2.0 * abs(kappa) * 2.0 ** (1 - depth) + trunc_err
@@ -397,7 +396,7 @@ def holomorphy_in_kappa(
     orbit serves all four.  For a kappa-holomorphic tower the quotient
     is O(h^2).
     """
-    if h <= 0:
+    if not h > 0:
         raise RangeError("h must be positive")
     kappa0 = require_finite(kappa0, "kappa0")
     for k in (kappa0, kappa0 + h, kappa0 - h, kappa0 + 1j * h, kappa0 - 1j * h):
@@ -419,7 +418,7 @@ def kappa_derivative(
     orbit: list[complex] | None = None,
 ) -> complex:
     """Central-difference holomorphic derivative dTheta/dkappa."""
-    if h <= 0:
+    if not h > 0:
         raise RangeError("h must be positive")
     tp = theta_n(base, kappa0 + h, z, depth, Q, orbit)
     tm = theta_n(base, kappa0 - h, z, depth, Q, orbit)
@@ -432,7 +431,7 @@ def motion_dilatation_ceiling(kappa: complex, Q_prime: float) -> float:
     """Reported dilatation ceiling 2|kappa|/(Q' - 1) for the holomorphic
     motion induced by the family; no coefficient is measured.
     """
-    if Q_prime <= 1.0:
+    if not Q_prime > 1.0:
         raise RangeError(f"Q' = {Q_prime:g} must exceed 1")
     return 2.0 * abs(require_finite(kappa, "kappa")) / (Q_prime - 1.0)
 

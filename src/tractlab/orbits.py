@@ -15,6 +15,7 @@ from enum import Enum
 from .errors import (
     AddressMismatch,
     AddressUndefined,
+    DomainError,
     PullbackLeftDomain,
     RangeError,
 )
@@ -74,7 +75,7 @@ def iterate(model: Model, z: complex, horizon: int, Q: float) -> OrbitRecord:
                 points, horizon, Q, EscapeFlag.OVERFLOWED,
                 exit_step=step, min_Re_after_first=min_re,
             )
-        except Exception:
+        except DomainError:
             return OrbitRecord(
                 points, horizon, Q, EscapeFlag.LEFT_DOMAIN,
                 exit_step=step, min_Re_after_first=min_re,

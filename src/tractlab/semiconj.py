@@ -102,19 +102,19 @@ def build_setup(
 ) -> HyperbolicSetup:
     """Validate the hyperbolic configuration; every failed check is named."""
     lam = require_finite(lam, "lambda")
-    if abs(lam) >= 1.0:
+    if not abs(lam) < 1.0:
         raise SetupInvalid(f"|lambda| = {abs(lam):g} must be < 1")
-    if r_U <= 0:
+    if not r_U > 0:
         raise SetupInvalid("r_U must be positive")
-    if K < 1.0:
+    if not K >= 1.0:
         raise SetupInvalid(f"K = {K:g} must be >= 1")
-    if r_U >= K / 2.0:
+    if not r_U < K / 2.0:
         raise SetupInvalid(
             f"cl U not inside D(0, K/2): r_U = {r_U:g} >= K/2 = {K / 2.0:g}"
         )
-    if R < K:
+    if not R >= K:
         raise SetupInvalid(f"R = {R:g} must be >= K = {K:g}")
-    if math.log(2.0 * R - 1.0) < K + 1.0:
+    if not math.log(2.0 * R - 1.0) >= K + 1.0:
         raise SetupInvalid(
             f"preimage condition log(2R-1) >= K+1 fails: "
             f"{math.log(2.0 * R - 1.0):g} < {K + 1.0:g}"
@@ -356,7 +356,7 @@ def semiconj_limit(
     remaining tail is then estimated from the last computed increment
     and the certified contraction and must itself be below tol.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise RangeError("tol must be positive")
     if certified_C is None:
         certified_C = expansion_certificate(setup)

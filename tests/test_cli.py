@@ -3,8 +3,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tractlab import cli
 from tractlab.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, main
+from tractlab.errors import ConfigError
+from tractlab.gridkernel import Window
 
 
 def test_render_writes_image_and_sidecar(tmp_path):
@@ -135,22 +140,83 @@ def test_verify_suite_exit_code():
     assert main(["verify", "--suite", "all"]) == EXIT_OK
 
 
+ZEXP = '{"family": "zexp"}'
+POINTS = "@" + json.dumps({"points": [[3.5, 0.0]]})
+
+
 @pytest.mark.parametrize(
     "argv, field",
     [
         (["render", "--map", '{"family": ', "--window=-4,4,-4,4"], "map"),
         (["render", "--map", '{"family": "sinh"}', "--window=-4,4,-4,4"], "map.lambda"),
-        (["render", "--map", '{"family": "zexp"}', "--window=-4,4"], "window"),
-        (["conjugate", "--kappa", "0.3+0.2i", "--Q", "2", "--samples", "SAMPLES"], "map"),
+        (["render", "--map", ZEXP, "--window=-4,4"], "window"),
+        (
+            ["conjugate", "--kappa", "0.3+0.2i", "--Q", "2", "--samples",
+             "@" + json.dumps({"model": {"family": "lifted_entire"},
+                               "points": [[3.5, 0.0]]})],
+            "map",
+        ),
+        (["render", "--map", ZEXP, "--window=-4,4,-4,4", "--resolution", "16"],
+         "resolution"),
+        (["render", "--map", ZEXP, "--window=-4,4,-4,4", "--resolution", "16,a"],
+         "resolution"),
+        (["conjugate", "--kappa", "0.3+0.2i", "--Q", "2", "--samples",
+          "@" + json.dumps({"points": [["a", 1]]})], "samples[0]"),
+        (["conjugate", "--config", "@" + json.dumps({"kappa": [0.3]}),
+          "--samples", POINTS], "kappa"),
+        (["conjugate", "--config", "@" + json.dumps({"kappa": "0.3+0.2i", "Q": "x"}),
+          "--samples", POINTS], "Q"),
+        (["conjugate", "--kappa", "0.3+0.2i", "--Q", "nan", "--samples", POINTS], "Q"),
+        (["render", "--map", ZEXP, "--window=-4,4,-4,4", "--escape-radius", "nan"],
+         "escape_radius"),
+        (["semiconj", "--tol", "nan"], "tol"),
     ],
-    ids=["malformed_map_json", "map_missing_param", "short_window", "model_without_map"],
+    ids=["malformed_map_json", "map_missing_param", "short_window", "model_without_map",
+         "resolution_one_value", "resolution_not_integer", "non_numeric_point",
+         "short_kappa", "text_Q", "nan_Q", "nan_escape_radius", "nan_semiconj_tol"],
 )
 def test_config_errors_name_the_field(tmp_path, capsys, argv, field):
-    samples = tmp_path / "samples.json"
-    samples.write_text(json.dumps({
-        "model": {"family": "lifted_entire"}, "points": [[3.5, 0.0]],
-    }))
-    argv = [str(samples) if a == "SAMPLES" else a for a in argv]
+    # an argument "@<json>" is written to a file and replaced by its path
+    for i, arg in enumerate(argv):
+        if arg.startswith("@"):
+            path = tmp_path / f"arg{i}.json"
+            path.write_text(arg[1:])
+            argv[i] = str(path)
     code = main(argv + ["--out", str(tmp_path / "out.pgm")])
     assert code == EXIT_CONFIG
     assert f"config error: {field}: " in capsys.readouterr().err
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text()
+    | st.sampled_from(["16,8", "0.3+0.2i", "-4,4,-4,4", "1e400", "nan", " 7 "]),
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(st.sampled_from(["xmin", "xmax", "ymin", "ymax", "x"]), children),
+    max_leaves=8,
+)
+
+READERS = [
+    (lambda v: cli._real(v, "Q"), "Q", float),
+    (lambda v: cli._real(v, "horizon", int), "horizon", int),
+    (lambda v: cli._complex(v, "kappa"), "kappa", complex),
+    (lambda v: cli._points(v, "samples"), "samples", list),
+    (cli._resolution, "resolution", tuple),
+    (cli._window, "window", Window),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=JSON_VALUES)
+def test_config_readers_parse_or_name_the_field(value):
+    # the readers themselves, not main: no fuzzed resolution allocates a grid
+    for read, field, kind in READERS:
+        try:
+            parsed = read(value)
+        except ConfigError as exc:
+            assert str(exc).startswith(field), (field, value, exc)
+        else:
+            assert isinstance(parsed, kind), (field, value, parsed)

@@ -5,14 +5,21 @@ import math
 
 import pytest
 
-from tractlab import conjugacy, orbits
+from tractlab import conjugacy, gridkernel, orbits, semiconj
 from tractlab.errors import (
     CorrespondenceGap,
     OrbitLeftJQ,
     PreconditionError,
     RangeError,
+    SetupInvalid,
 )
-from tractlab.models import TWO_PI, KappaFamilyMember, LogLiftModel, eval_F
+from tractlab.models import (
+    TWO_PI,
+    EntireMapSpec,
+    KappaFamilyMember,
+    LogLiftModel,
+    eval_F,
+)
 
 BASE = LogLiftModel("shifted_exp", R=10.0)
 KAPPA = 0.3 + 0.2j
@@ -29,6 +36,53 @@ def test_depth_for_tolerance_frozen_values():
     assert conjugacy.depth_for_tolerance(0.0, 1e-9) == 0
     with pytest.raises(RangeError):
         conjugacy.depth_for_tolerance(KAPPA, 0.0)
+
+
+def test_theta_limit_depth_zero_tail_bounds_the_error():
+    # tol >= 4|kappa| needs no tower level; theta = z is then off by up to
+    # the full a priori bound 4|kappa|, not by 0
+    orb = _orbit([0, 1], 60)
+    s = conjugacy.theta_limit(BASE, KAPPA, orb[0], 2.0, Q, orbit=orb)
+    exact = conjugacy.theta_limit(BASE, KAPPA, orb[0], 1e-12, Q, orbit=orb)
+    assert s.depth == 0
+    assert s.tail_bound == pytest.approx(4.0 * abs(KAPPA))
+    assert abs(s.theta - exact.theta) <= s.tail_bound <= 2.0
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: conjugacy.depth_for_tolerance(KAPPA, NAN), RangeError),
+        (lambda: conjugacy.theta_limit(BASE, KAPPA, 3.5, NAN, Q), RangeError),
+        (
+            lambda: conjugacy.theta_limit(BASE, KAPPA, 3.5, 1e-9, NAN),
+            PreconditionError,
+        ),
+        (
+            lambda: semiconj.semiconj_limit(
+                semiconj.build_setup(0.5, 0.7, 2.0, 11.0), 25.0, NAN, 2.0
+            ),
+            RangeError,
+        ),
+        (lambda: semiconj.build_setup(0.5, NAN, 2.0, 11.0), SetupInvalid),
+        (lambda: semiconj.build_setup(0.5, 0.7, NAN, 11.0), SetupInvalid),
+        (lambda: semiconj.build_setup(0.5, 0.7, 2.0, NAN), SetupInvalid),
+        (
+            lambda: gridkernel.classify_window(
+                EntireMapSpec.zexp(), gridkernel.Window(-1, 1, -1, 1), (4, 4), NAN, 5
+            ),
+            RangeError,
+        ),
+    ],
+    ids=["depth_tol", "theta_tol", "theta_Q", "semiconj_tol", "setup_r_U",
+         "setup_K", "setup_R", "grid_escape_radius"],
+)
+def test_nan_fails_range_checks(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_theta_n_base_cases():

@@ -32,6 +32,16 @@ def test_iterate_detects_domain_exit():
     assert not rec.certified
 
 
+def test_iterate_passes_on_errors_other_than_domain_exits(monkeypatch):
+    # only a DomainError means "left the domain"; any other error is a bug
+    def broken(model, z):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(orbits, "eval_F", broken)
+    with pytest.raises(ZeroDivisionError, match="injected"):
+        orbits.iterate(SHIFTED, 4.0 + 0.0j, 10, Q)
+
+
 def test_iterate_requires_positive_horizon():
     with pytest.raises(RangeError):
         orbits.iterate(SHIFTED, 4.0 + 0.0j, 0, Q)
