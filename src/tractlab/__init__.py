@@ -17,7 +17,6 @@ Library layout:
 from .errors import TractlabError
 from .models import (
     EntireMapSpec,
-    KappaFamilyMember,
     LogLiftModel,
     domain_contains,
     eval_dF,
@@ -38,7 +37,6 @@ __all__ = [
     "TractlabError",
     "GRID_BACKEND",
     "EntireMapSpec",
-    "KappaFamilyMember",
     "LogLiftModel",
     "domain_contains",
     "eval_dF",

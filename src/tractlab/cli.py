@@ -10,7 +10,6 @@ with the failing field named.  Exit codes: 0 success, 1 config error,
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
@@ -18,43 +17,13 @@ import sys
 from . import conjugacy, gridkernel, semiconj
 from .errors import ConfigError, TractlabError
 from .gridkernel import Window
-from .models import LogLiftModel, model_from_json, plane_map_from_json
+from .models import _complex, _positive, _real, model_from_json, plane_map_from_json
 from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_COMPUTE = 2
 EXIT_VERIFY = 3
-
-
-def _real(raw, field: str, kind=float):
-    """A finite number, or text that parses as one; ``kind=int`` wants an
-    integer (an integral float is accepted)."""
-    try:
-        if isinstance(raw, (int, float, str)) and not isinstance(raw, bool):
-            x = kind(raw) if isinstance(raw, str) else raw
-            if math.isfinite(x) and kind(x) == x:
-                return kind(x)
-    except (ValueError, OverflowError):
-        pass
-    wanted = "an integer" if kind is int else "a finite number"
-    raise ConfigError(f"{field}: expected {wanted}, got {raw!r}")
-
-
-def _complex(raw, field: str) -> complex:
-    """Finite ``a+bi`` text, an ``[re, im]`` pair or a plain number."""
-    try:
-        if isinstance(raw, str):
-            z = complex(raw.replace("i", "j").replace(" ", ""))
-        elif isinstance(raw, list) and len(raw) == 2:
-            z = complex(_real(raw[0], field), _real(raw[1], field))
-        else:
-            z = complex(_real(raw, field))
-        if cmath.isfinite(z):
-            return z
-    except (ConfigError, ValueError):
-        pass
-    raise ConfigError(f"{field}: expected a+bi, [re, im] or a number, got {raw!r}")
 
 
 def _points(raw, field: str) -> list[complex]:
@@ -67,10 +36,7 @@ def _resolution(raw) -> tuple[int, int]:
     parts = raw.split(",") if isinstance(raw, str) else raw
     if not isinstance(parts, list) or len(parts) != 2:
         raise ConfigError(f"resolution: expected width,height, got {raw!r}")
-    width, height = (_real(v, "resolution", int) for v in parts)
-    if width <= 0 or height <= 0:
-        raise ConfigError(f"resolution: must be positive, got {width}x{height}")
-    return width, height
+    return tuple(_positive(v, "resolution", int) for v in parts)
 
 
 def _window(raw) -> Window:
@@ -113,6 +79,21 @@ def _setting(args_value, cfg: dict, key: str, default=None):
     return cfg.get(key, default)
 
 
+def _load_samples(path: str | None, cfg: dict, key: str, default=None):
+    """(field, model descriptor or None, points) from the --samples file,
+    else config ``key``, else ``default``: a bare list of points or an
+    object with ``points`` and an optional ``model``."""
+    field, raw = key, cfg.get(key)
+    if path is not None:
+        field, raw = "samples", _read_json(path, "samples")
+    elif raw is None:
+        raw = default
+    model = None
+    if isinstance(raw, dict):
+        model, raw = raw.get("model"), raw.get("points")
+    return field, model, _points(raw, field)
+
+
 # -- render ------------------------------------------------------------
 
 def _cmd_render(args) -> int:
@@ -134,14 +115,10 @@ def _cmd_render(args) -> int:
     width, height = _resolution(
         _setting(args.resolution, cfg, "resolution", [256, 256])
     )
-    escape_radius = _real(
+    escape_radius = _positive(
         _setting(args.escape_radius, cfg, "escape_radius", 50.0), "escape_radius"
     )
-    if not escape_radius > 0:
-        raise ConfigError(f"escape_radius: must be positive, got {escape_radius:g}")
-    horizon = _real(_setting(args.horizon, cfg, "horizon", 30), "horizon", int)
-    if horizon < 1:
-        raise ConfigError(f"horizon: must be >= 1, got {horizon}")
+    horizon = _positive(_setting(args.horizon, cfg, "horizon", 30), "horizon", int)
 
     grid = gridkernel.classify_window(
         map_spec, window, (width, height), escape_radius, horizon
@@ -160,22 +137,6 @@ def _cmd_render(args) -> int:
 
 # -- conjugate ---------------------------------------------------------
 
-def _load_samples(path: str | None, cfg: dict) -> tuple[LogLiftModel, list[complex]]:
-    model = LogLiftModel("shifted_exp", R=10.0)
-    desc = cfg.get("samples")
-    if path is not None:
-        desc = _read_json(path, "samples")
-    if desc is None:
-        raise ConfigError("samples: no sample specification given")
-    if isinstance(desc, dict):
-        if "model" in desc:
-            model = model_from_json(desc["model"])
-        raw = desc.get("points")
-    else:
-        raw = desc
-    return model, _points(raw, "samples")
-
-
 def _cmd_conjugate(args) -> int:
     cfg = _load_config(args.config)
     kappa_raw = _setting(args.kappa, cfg, "kappa")
@@ -183,14 +144,15 @@ def _cmd_conjugate(args) -> int:
         raise ConfigError("kappa: missing")
     kappa = _complex(kappa_raw, "kappa")
     Q = _real(_setting(args.Q, cfg, "Q", 2.0), "Q")
-    tol = _real(_setting(args.tol, cfg, "tol", 1e-9), "tol")
-    if not tol > 0:
-        raise ConfigError(f"tol: must be positive, got {tol:g}")
+    tol = _positive(_setting(args.tol, cfg, "tol", 1e-9), "tol")
     if not Q > 2.0 * abs(kappa) + 1.0:
         raise ConfigError(
             f"Q: must exceed 2|kappa|+1 = {2.0 * abs(kappa) + 1.0:g}, got {Q:g}"
         )
-    model, points = _load_samples(args.samples, cfg)
+    _, model_desc, points = _load_samples(args.samples, cfg, "samples")
+    if model_desc is None:
+        model_desc = {"family": "shifted_exp"}  # F(z) = e^z - 10
+    model = model_from_json(model_desc)
 
     samples = [conjugacy.theta_limit(model, kappa, z, tol, Q) for z in points]
     crosscheck = conjugacy.uniqueness_crosscheck(
@@ -231,18 +193,14 @@ def _cmd_semiconj(args) -> int:
     r_U = _real(_setting(args.r_U, cfg, "r_U", 0.7), "r_U")
     K = _real(_setting(args.K, cfg, "K", 2.0), "K")
     R = _real(_setting(args.R, cfg, "R", 11.0), "R")
-    tol = _real(_setting(args.tol, cfg, "tol", 1e-6), "tol")
-    if not tol > 0:
-        raise ConfigError(f"tol: must be positive, got {tol:g}")
+    tol = _positive(_setting(args.tol, cfg, "tol", 1e-6), "tol")
     setup = semiconj.build_setup(lam, r_U, K, R)
 
-    field, raw_points = "points", cfg.get("points")
-    if args.samples is not None:
-        field, raw_points = "samples", _read_json(args.samples, "samples")
-    if raw_points is None:
-        # small imaginary parts keep the g-orbits escaping
-        raw_points = [[25.0, 0.0], [40.0, 0.0], [30.0, 0.1], [35.0, -0.05]]
-    points = _points(raw_points, field)
+    # small imaginary parts keep the g-orbits escaping
+    default = [[25.0, 0.0], [40.0, 0.0], [30.0, 0.1], [35.0, -0.05]]
+    field, model_desc, points = _load_samples(args.samples, cfg, "points", default)
+    if model_desc is not None:
+        raise ConfigError(f"{field}.model: semiconj takes no model")
 
     C = semiconj.expansion_certificate(setup)
     samples = [semiconj.semiconj_limit(setup, z, tol, C) for z in points]
@@ -262,8 +220,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.input) as fh:
-        payload = json.load(fh)
+    payload = _read_json(args.input, "input")
     if "summary" in payload:
         print("conjugacy report")
         for key, val in payload["summary"].items():

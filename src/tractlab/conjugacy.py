@@ -29,14 +29,8 @@ from .errors import (
     RangeError,
 )
 from .hypmetric import dist_half_plane
-from .models import (
-    KappaFamilyMember,
-    Model,
-    eval_dF,
-    eval_F,
-    require_finite,
-)
-from .orbits import EscapeFlag, ExternalAddress, iterate
+from .models import LogLiftModel, eval_dF, eval_F, require_finite
+from .orbits import EscapeFlag, ExternalAddress, iterate, periodic_orbit
 from .tracts import TractAddress, inverse_branch, tract_of
 
 DEFAULT_MAX_DEPTH = 400
@@ -78,7 +72,7 @@ def _require_kappa_admissible(kappa: complex, Q: float) -> complex:
 
 
 def _certified_orbit(
-    base: Model,
+    base: LogLiftModel,
     z: complex,
     n: int,
     Q: float,
@@ -111,7 +105,7 @@ def _certified_orbit(
 
 
 def _validate_orbit(
-    base: Model, z: complex, n: int, Q: float, orbit: list[complex]
+    base: LogLiftModel, z: complex, n: int, Q: float, orbit: list[complex]
 ) -> list[complex]:
     if len(orbit) < n + 1:
         raise RangeError(f"supplied orbit covers {len(orbit) - 1} < {n} steps")
@@ -133,7 +127,7 @@ def _validate_orbit(
 
 
 def _pullback_tower(
-    base: Model, kappa: complex, orbit: list[complex], n: int
+    base: LogLiftModel, kappa: complex, orbit: list[complex], n: int
 ) -> tuple[complex, float]:
     """Downward pass of the tower; returns (theta, truncation_error_bound).
 
@@ -154,7 +148,7 @@ def _pullback_tower(
 
 
 def theta_n(
-    base: Model,
+    base: LogLiftModel,
     kappa: complex,
     z: complex,
     n: int,
@@ -196,7 +190,7 @@ def depth_for_tolerance(kappa: complex, tol: float) -> int:
 
 
 def theta_limit(
-    base: Model,
+    base: LogLiftModel,
     kappa: complex,
     z: complex,
     tol: float,
@@ -223,7 +217,7 @@ def theta_limit(
 
 
 def _matched_residual(
-    base: Model,
+    base: LogLiftModel,
     kappa: complex,
     z: complex,
     n: int,
@@ -239,7 +233,7 @@ def _matched_residual(
 
 
 def conjugacy_residual(
-    base: Model,
+    base: LogLiftModel,
     kappa: complex,
     z: complex,
     n: int,
@@ -258,13 +252,13 @@ def conjugacy_residual(
         return 0.0
     fz = eval_F(base, z)
     lhs = theta_n(base, kappa, fz, n, Q, None if orbit is None else orbit[1:])
-    member = KappaFamilyMember(base, kappa)
+    member = base.translated(kappa)
     rhs = eval_F(member, theta_n(base, kappa, z, n + 1, Q, orbit))
     return abs(lhs - rhs)
 
 
 def inverse_theta_check(
-    base: Model,
+    base: LogLiftModel,
     kappa: complex,
     w: complex,
     tol: float,
@@ -279,9 +273,7 @@ def inverse_theta_check(
     transports w to the F_0-periodic point with the same address, so the
     forward orbit of Theta'(w) is that cycle up to the tower tolerance.
     """
-    from .orbits import periodic_orbit
-
-    member = KappaFamilyMember(base, kappa)
+    member = base.translated(kappa)
     if address is None:
         inner = theta_limit(member, -kappa, w, tol, Q)
         outer = theta_limit(base, kappa, inner.theta, tol, Q)
@@ -310,8 +302,8 @@ def _resolve(correspondence: Correspondence, tract: TractAddress) -> TractAddres
 
 
 def general_pullback(
-    F: Model,
-    G: Model,
+    F: LogLiftModel,
+    G: LogLiftModel,
     correspondence: Correspondence,
     z: complex,
     n: int,
@@ -358,7 +350,7 @@ def general_pullback(
 
 
 def uniqueness_crosscheck(
-    base: Model,
+    base: LogLiftModel,
     kappa: complex,
     samples: list[complex],
     tol: float,
@@ -369,7 +361,7 @@ def uniqueness_crosscheck(
     general two-map pullback with the branch-preserving correspondence.
     """
     kappa = _require_kappa_admissible(kappa, Q)
-    member = KappaFamilyMember(base, kappa)
+    member = base.translated(kappa)
     depth = depth_for_tolerance(kappa, tol)
     worst = 0.0
     for i, z in enumerate(samples):
@@ -380,8 +372,27 @@ def uniqueness_crosscheck(
     return worst
 
 
+def _kappa_stencil(
+    base: LogLiftModel,
+    z: complex,
+    kappa0: complex,
+    h: float,
+    Q: float,
+    depth: int,
+    orbit: list[complex] | None,
+) -> tuple[complex, complex, complex, complex]:
+    """Towers at kappa0 + h, - h, + ih and - ih; every kappa is checked first."""
+    if not h > 0:
+        raise RangeError("h must be positive")
+    kappa0 = require_finite(kappa0, "kappa0")
+    kappas = (kappa0 + h, kappa0 - h, kappa0 + 1j * h, kappa0 - 1j * h)
+    for k in kappas:
+        _require_kappa_admissible(k, Q)
+    return tuple(theta_n(base, k, z, depth, Q, orbit) for k in kappas)
+
+
 def holomorphy_in_kappa(
-    base: Model,
+    base: LogLiftModel,
     z: complex,
     kappa0: complex,
     h: float,
@@ -396,20 +407,12 @@ def holomorphy_in_kappa(
     orbit serves all four.  For a kappa-holomorphic tower the quotient
     is O(h^2).
     """
-    if not h > 0:
-        raise RangeError("h must be positive")
-    kappa0 = require_finite(kappa0, "kappa0")
-    for k in (kappa0, kappa0 + h, kappa0 - h, kappa0 + 1j * h, kappa0 - 1j * h):
-        _require_kappa_admissible(k, Q)
-    tp = theta_n(base, kappa0 + h, z, depth, Q, orbit)
-    tm = theta_n(base, kappa0 - h, z, depth, Q, orbit)
-    tip = theta_n(base, kappa0 + 1j * h, z, depth, Q, orbit)
-    tim = theta_n(base, kappa0 - 1j * h, z, depth, Q, orbit)
+    tp, tm, tip, tim = _kappa_stencil(base, z, kappa0, h, Q, depth, orbit)
     return abs((tp - tm) + 1j * (tip - tim)) / (4.0 * h)
 
 
 def kappa_derivative(
-    base: Model,
+    base: LogLiftModel,
     z: complex,
     kappa0: complex,
     h: float,
@@ -418,12 +421,7 @@ def kappa_derivative(
     orbit: list[complex] | None = None,
 ) -> complex:
     """Central-difference holomorphic derivative dTheta/dkappa."""
-    if not h > 0:
-        raise RangeError("h must be positive")
-    tp = theta_n(base, kappa0 + h, z, depth, Q, orbit)
-    tm = theta_n(base, kappa0 - h, z, depth, Q, orbit)
-    tip = theta_n(base, kappa0 + 1j * h, z, depth, Q, orbit)
-    tim = theta_n(base, kappa0 - 1j * h, z, depth, Q, orbit)
+    tp, tm, tip, tim = _kappa_stencil(base, z, kappa0, h, Q, depth, orbit)
     return ((tp - tm) - 1j * (tip - tim)) / (4.0 * h)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, RangeError
-from .models import Model, eval_dF, eval_F, require_finite
+from .models import LogLiftModel, eval_dF, eval_F, require_finite
 
 
 class BoundMethod(Enum):
@@ -151,7 +151,9 @@ def _first_with_modulus(ws: list[complex], floor: float) -> complex:
     )
 
 
-def hyperbolic_derivative(model: Model, z: complex, Q: float | None = None) -> float:
+def hyperbolic_derivative(
+    model: LogLiftModel, z: complex, Q: float | None = None
+) -> float:
     """Hyperbolic derivative of F at z, half-plane metric on both sides."""
     z = require_finite(z)
     if Q is None:

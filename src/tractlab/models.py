@@ -170,7 +170,8 @@ class LogLiftModel:
 
     ``offset`` records a normalization conjugation: the model evaluates
     F(z + offset) - offset, restricting the original domain to the part
-    mapped ``offset`` deep into the half plane.
+    mapped ``offset`` deep into the half plane.  ``kappa`` makes it the
+    member F(z + kappa) of the translation family, on the domain V - kappa.
     """
 
     family: str  # "shifted_exp" | "lifted_entire"
@@ -180,8 +181,10 @@ class LogLiftModel:
     newton_max_iter: int = 50
     half_plane_Q: float = 0.0
     offset: float = 0.0
+    kappa: complex = 0j
 
     def __post_init__(self):
+        require_finite(self.kappa, "kappa")
         if self.family == "shifted_exp":
             if not math.isfinite(self.R):
                 raise ValueError("R must be finite")
@@ -194,36 +197,20 @@ class LogLiftModel:
     def shifted(self, extra_offset: float) -> "LogLiftModel":
         return replace(self, offset=self.offset + extra_offset)
 
-
-@dataclass(frozen=True)
-class KappaFamilyMember:
-    """F_kappa(z) = F_0(z + kappa) on the translated domain V - kappa."""
-
-    base: LogLiftModel
-    kappa: complex
-
-    def __post_init__(self):
-        require_finite(self.kappa, "kappa")
-
-    @property
-    def half_plane_Q(self) -> float:
-        return self.base.half_plane_Q
+    def translated(self, kappa: complex) -> "LogLiftModel":
+        """The member F(z + kappa) of this model's translation family."""
+        return replace(self, kappa=self.kappa + kappa)
 
 
-Model = LogLiftModel | KappaFamilyMember
-
-
-def eval_F(model: Model, z: complex, branch: int = 0) -> complex:
+def eval_F(model: LogLiftModel, z: complex, branch: int = 0) -> complex:
     """Evaluate the log-coordinate map at z, checking domain membership.
 
     ``branch`` selects the 2*pi*i multiple added to the principal-log
     value of a lifted entire map; it is ignored for shifted_exp, whose
     value is single-valued and exact.
     """
-    if isinstance(model, KappaFamilyMember):
-        return eval_F(model.base, require_finite(z) + model.kappa, branch)
     z = require_finite(z)
-    w = _eval_raw(model, z, branch)
+    w = _eval_raw(model, z + model.kappa, branch)
     if w.real <= model.half_plane_Q:
         raise DomainError(
             f"z = {z!r} is outside the domain (Re F = {w.real:g} <= "
@@ -232,8 +219,9 @@ def eval_F(model: Model, z: complex, branch: int = 0) -> complex:
     return w
 
 
-def _eval_raw(model: LogLiftModel, z: complex, branch: int = 0) -> complex:
-    zs = z + model.offset
+def _eval_raw(model: LogLiftModel, zk: complex, branch: int = 0) -> complex:
+    # zk is in the coordinates of the untranslated map: z + kappa
+    zs = zk + model.offset
     if zs.real > EXP_OVERFLOW_GUARD:
         raise OverflowError(
             f"Re z = {zs.real:g} exceeds the exponent-overflow guard"
@@ -243,47 +231,49 @@ def _eval_raw(model: LogLiftModel, z: complex, branch: int = 0) -> complex:
     zeta = cmath.exp(zs)
     fv = model.plane_map.eval(zeta)
     if fv == 0:
-        raise DomainError(f"f(exp z) = 0 at z = {z!r}; log lift undefined")
+        raise DomainError(f"f(exp z) = 0 at z = {zk!r}; log lift undefined")
     w = cmath.log(fv) + TWO_PI * 1j * branch
     return w - model.offset
 
 
-def eval_dF(model: Model, z: complex) -> complex:
+def eval_dF(model: LogLiftModel, z: complex) -> complex:
     """Derivative of the log-coordinate map (branch independent)."""
-    if isinstance(model, KappaFamilyMember):
-        return eval_dF(model.base, require_finite(z) + model.kappa)
     z = require_finite(z)
-    if not domain_contains(model, z):
+    zk = z + model.kappa
+    if not _contains(model, zk):
         raise DomainError(f"z = {z!r} is outside the domain")
-    zs = z + model.offset
+    zs = zk + model.offset
     if zs.real > EXP_OVERFLOW_GUARD:
         raise OverflowError(
             f"Re z = {zs.real:g} exceeds the exponent-overflow guard"
         )
-    if model.family == "shifted_exp":
-        return cmath.exp(zs)
     zeta = cmath.exp(zs)
+    if model.family == "shifted_exp":
+        return zeta
     fv = model.plane_map.eval(zeta)
     return model.plane_map.deriv(zeta) * zeta / fv
 
 
-def domain_contains(model: Model, z: complex) -> bool:
+def domain_contains(model: LogLiftModel, z: complex) -> bool:
     """Membership in V = F^{-1}({Re > Q}); never raises."""
-    if isinstance(model, KappaFamilyMember):
-        return domain_contains(model.base, complex(z) + model.kappa)
     try:
         z = require_finite(z)
     except DomainError:
         return False
-    zs = z + model.offset
+    return _contains(model, z + model.kappa)
+
+
+def _contains(model: LogLiftModel, zk: complex) -> bool:
+    # membership of the finite point zk = z + kappa
+    zs = zk + model.offset
     if zs.real > EXP_OVERFLOW_GUARD:
         return _contains_beyond_guard(model, zs)
     try:
-        w = _eval_raw(model, z)
+        w = _eval_raw(model, zk)
     except DomainError:
         return False
     except OverflowError:
-        return _overflowed_membership(model, z)
+        return _overflowed_membership(model, zk)
     return w.real > model.half_plane_Q
 
 
@@ -305,11 +295,11 @@ def _contains_beyond_guard(model: LogLiftModel, zs: complex) -> bool:
     return math.log(abs(limit)) - model.offset > model.half_plane_Q
 
 
-def _overflowed_membership(model: LogLiftModel, z: complex) -> bool:
+def _overflowed_membership(model: LogLiftModel, zk: complex) -> bool:
     # f(exp z) overflowed inside the plane map; |f| is then certainly
     # larger than e^{Q + offset}, so the point is in the domain.
     try:
-        zeta = cmath.exp(z + model.offset)
+        zeta = cmath.exp(zk + model.offset)
     except OverflowError:
         return False
     bound = abs(zeta.real) if model.plane_map.row.two_sided else zeta.real
@@ -358,7 +348,7 @@ def _certify_expansion(model: LogLiftModel, samples: int, seed: int) -> bool:
 
 
 def sample_domain_points(
-    model: Model,
+    model: LogLiftModel,
     count: int,
     seed: int = 0,
     re_range: tuple[float, float] = (-3.0, 8.0),
@@ -386,10 +376,42 @@ def sample_domain_points(
 
 # -- JSON descriptors ------------------------------------------------
 
-def _complex_from_json(v) -> complex:
-    if isinstance(v, (list, tuple)):
-        return complex(v[0], v[1])
-    return complex(v)
+def _real(raw, field: str, kind=float):
+    """A finite number, or text that parses as one; ``kind=int`` wants an
+    integer (an integral float is accepted)."""
+    try:
+        if isinstance(raw, (int, float, str)) and not isinstance(raw, bool):
+            x = kind(raw) if isinstance(raw, str) else raw
+            if math.isfinite(x) and kind(x) == x:
+                return kind(x)
+    except (ValueError, OverflowError):
+        pass
+    wanted = "an integer" if kind is int else "a finite number"
+    raise ConfigError(f"{field}: expected {wanted}, got {raw!r}")
+
+
+def _positive(raw, field: str, kind=float):
+    """A number read by ``_real`` that is greater than zero."""
+    x = _real(raw, field, kind)
+    if not x > 0:
+        raise ConfigError(f"{field}: must be positive, got {x!r}")
+    return x
+
+
+def _complex(raw, field: str) -> complex:
+    """Finite ``a+bi`` text, an ``[re, im]`` pair or a plain number."""
+    try:
+        if isinstance(raw, str):
+            z = complex(raw.replace("i", "j").replace(" ", ""))
+        elif isinstance(raw, list) and len(raw) == 2:
+            z = complex(_real(raw[0], field), _real(raw[1], field))
+        else:
+            z = complex(_real(raw, field))
+        if cmath.isfinite(z):
+            return z
+    except (ConfigError, ValueError):
+        pass
+    raise ConfigError(f"{field}: expected a+bi, [re, im] or a number, got {raw!r}")
 
 
 def plane_map_from_json(desc: dict) -> EntireMapSpec:
@@ -403,12 +425,7 @@ def plane_map_from_json(desc: dict) -> EntireMapSpec:
     for name in PLANE_FAMILIES[family].param_names:
         if name not in desc:
             raise ConfigError(f"map.{name}: missing for family {family!r}")
-        try:
-            params.append(_complex_from_json(desc[name]))
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ConfigError(
-                f"map.{name}: not a complex number: {desc[name]!r}"
-            ) from exc
+        params.append(_complex(desc[name], f"map.{name}"))
     return EntireMapSpec(family, tuple(params))
 
 
@@ -420,30 +437,36 @@ def plane_map_to_json(spec: EntireMapSpec) -> dict:
 
 
 def model_from_json(desc: dict) -> LogLiftModel:
+    """Read a model descriptor; an error names the failing field."""
     if not isinstance(desc, dict):
         raise ConfigError("model: must be a JSON object")
     family = desc.get("family")
+    Q = _real(desc.get("Q", 0.0), "model.Q")
     if family == "shifted_exp":
-        return LogLiftModel(
-            "shifted_exp",
-            R=float(desc.get("R", 10.0)),
-            half_plane_Q=float(desc.get("Q", 0.0)),
-        )
+        R = _real(desc.get("R", 10.0), "model.R")
+        return LogLiftModel("shifted_exp", R=R, half_plane_Q=Q)
     if family == "lifted_entire":
         if "map" not in desc:
             raise ConfigError("map: missing from the lifted_entire model")
         newton = desc.get("newton", {})
+        if not isinstance(newton, dict):
+            raise ConfigError("model.newton: must be a JSON object")
         return LogLiftModel(
             "lifted_entire",
             plane_map=plane_map_from_json(desc["map"]),
-            newton_tol=float(newton.get("tol", 1e-12)),
-            newton_max_iter=int(newton.get("max_iter", 50)),
-            half_plane_Q=float(desc.get("Q", 0.0)),
+            newton_tol=_positive(newton.get("tol", 1e-12), "model.newton.tol"),
+            newton_max_iter=_positive(
+                newton.get("max_iter", 50), "model.newton.max_iter", int
+            ),
+            half_plane_Q=Q,
         )
     raise ConfigError(f"model.family: unknown model family {family!r}")
 
 
 def model_to_json(model: LogLiftModel) -> dict:
+    """Descriptor of a model; a translated or normalized model has none."""
+    if model.kappa or model.offset:
+        raise ValueError("no descriptor expresses a translated or normalized model")
     if model.family == "shifted_exp":
         return {"family": "shifted_exp", "R": model.R, "Q": model.half_plane_Q}
     return {

@@ -20,7 +20,7 @@ from .errors import (
     RangeError,
 )
 from .models import (
-    Model,
+    LogLiftModel,
     domain_contains,
     eval_F,
     require_finite,
@@ -49,7 +49,7 @@ class OrbitRecord:
         return self.escape_flag is EscapeFlag.STAYED_IN_JQ
 
 
-def iterate(model: Model, z: complex, horizon: int, Q: float) -> OrbitRecord:
+def iterate(model: LogLiftModel, z: complex, horizon: int, Q: float) -> OrbitRecord:
     """Iterate up to the horizon, a domain exit, or the overflow guard.
 
     An orbit point whose image overflows while the sign structure shows
@@ -107,7 +107,7 @@ class ExternalAddress:
         return ExternalAddress(tuple(TractAddress(k) for k in branch_indices))
 
 
-def external_address(model: Model, z: complex, n: int) -> ExternalAddress:
+def external_address(model: LogLiftModel, z: complex, n: int) -> ExternalAddress:
     """Tract itinerary of the first n orbit points."""
     record = iterate(model, z, n, Q=model.half_plane_Q)
     if len(record.points) < n:
@@ -119,7 +119,9 @@ def external_address(model: Model, z: complex, n: int) -> ExternalAddress:
     )
 
 
-def expansion_ratios(model: Model, z: complex, w: complex, n: int) -> list[float]:
+def expansion_ratios(
+    model: LogLiftModel, z: complex, w: complex, n: int
+) -> list[float]:
     """Separation ratios |F^k(z) - F^k(w)| / (2^k |z - w|) for k = 0..n."""
     z, w = require_finite(z), require_finite(w, "w")
     if z == w:
@@ -141,7 +143,7 @@ def expansion_ratios(model: Model, z: complex, w: complex, n: int) -> list[float
 
 
 def point_with_address(
-    model: Model,
+    model: LogLiftModel,
     address: ExternalAddress,
     Q: float,
     tol: float = 1e-12,
@@ -185,7 +187,7 @@ def point_with_address(
 
 
 def periodic_orbit(
-    model: Model,
+    model: LogLiftModel,
     address: ExternalAddress,
     Q: float,
     length: int,

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 from .errors import ContinuationError, DomainError, NewtonDiverged, RangeError
 from .models import (
     TWO_PI,
-    KappaFamilyMember,
     LogLiftModel,
-    Model,
-    domain_contains,
+    _contains,
     eval_F,
     require_finite,
 )
@@ -26,7 +24,6 @@ from .models import (
 __all__ = [
     "TractAddress",
     "LiftedPath",
-    "domain_contains",
     "tract_of",
     "inverse_branch",
     "continuous_lift",
@@ -68,18 +65,17 @@ class LiftedPath:
                 writer.writerow([t, src.real, src.imag, lift.real, lift.imag, b])
 
 
-def tract_of(model: Model, z: complex) -> TractAddress:
+def tract_of(model: LogLiftModel, z: complex) -> TractAddress:
     """Address of the unique tract containing z."""
-    if isinstance(model, KappaFamilyMember):
-        return tract_of(model.base, require_finite(z) + model.kappa)
     z = require_finite(z)
-    if not domain_contains(model, z):
+    zk = z + model.kappa
+    if not _contains(model, zk):
         raise DomainError(f"z = {z!r} is not in the domain")
-    k = round(z.imag / TWO_PI)
+    k = round(zk.imag / TWO_PI)
     if model.family == "shifted_exp":
         return TractAddress(k)
     inner = 0
-    if model.plane_map.row.two_sided and math.cos(z.imag) < 0.0:
+    if model.plane_map.row.two_sided and math.cos(zk.imag) < 0.0:
         # two tracts per period strip, toward Re exp(z) = +/-inf;
         # sign(Re exp(z)) = sign(cos Im z) picks the one containing z
         inner = 1
@@ -87,7 +83,7 @@ def tract_of(model: Model, z: complex) -> TractAddress:
 
 
 def inverse_branch(
-    model: Model,
+    model: LogLiftModel,
     tract: TractAddress,
     w: complex,
     seed: complex | None = None,
@@ -98,11 +94,6 @@ def inverse_branch(
     maps, seeded from ``seed`` when given and from the tract's asymptotic
     base point otherwise.
     """
-    if isinstance(model, KappaFamilyMember):
-        inner = inverse_branch(
-            model.base, tract, w, None if seed is None else seed + model.kappa
-        )
-        return inner - model.kappa
     w = require_finite(w, "w")
     if w.real <= model.half_plane_Q:
         raise RangeError(
@@ -111,8 +102,10 @@ def inverse_branch(
         )
     if model.family == "shifted_exp":
         base = cmath.log(w + model.R + model.offset)
-        return base + TWO_PI * 1j * tract.branch_index - model.offset
-    return _newton_inverse(model, tract, w, seed)
+        return base + TWO_PI * 1j * tract.branch_index - model.offset - model.kappa
+    # Newton runs in the coordinates of the untranslated map
+    seed_k = None if seed is None else seed + model.kappa
+    return _newton_inverse(model, tract, w, seed_k) - model.kappa
 
 
 def _asymptotic_seed(model: LogLiftModel, tract: TractAddress, w: complex) -> complex:
@@ -156,18 +149,18 @@ def _newton_inverse(
     )
 
 
-def _lift_step(model: Model, z_cur: complex, w: complex) -> tuple[complex, int]:
+def _lift_step(
+    model: LogLiftModel, z_cur: complex, w: complex
+) -> tuple[complex, int]:
     """Lift of w chosen continuously from the current lift value z_cur."""
-    if isinstance(model, KappaFamilyMember):
-        z, b = _lift_step(model.base, z_cur + model.kappa, w)
-        return z - model.kappa, b
+    zk_cur = z_cur + model.kappa
     if model.family == "shifted_exp":
         base = cmath.log(w + model.R + model.offset)
-        k = round((z_cur.imag - base.imag) / TWO_PI)
-        return base + TWO_PI * 1j * k - model.offset, k
-    tract = TractAddress(round(z_cur.imag / TWO_PI))
-    z = _newton_inverse(model, tract, w, seed=z_cur)
-    return z, round(z.imag / TWO_PI)
+        k = round((zk_cur.imag - base.imag) / TWO_PI)
+        return base + TWO_PI * 1j * k - model.offset - model.kappa, k
+    tract = TractAddress(round(zk_cur.imag / TWO_PI))
+    zk = _newton_inverse(model, tract, w, seed=zk_cur)
+    return zk - model.kappa, round(zk.imag / TWO_PI)
 
 
 def continuous_lift(
@@ -209,7 +202,7 @@ def continuous_lift(
 
 
 def lift_path(
-    model: Model,
+    model: LogLiftModel,
     tract_at_start: TractAddress,
     path: list[complex],
 ) -> LiftedPath:

@@ -187,20 +187,57 @@ def _check_grid_determinism():
     assert (g1 == g2).all(), "grid classification is not deterministic"
 
 
-def _scalar_code(spec: EntireMapSpec, z: complex, radius: float, horizon: int) -> int:
-    """Pixel code of one orbit, iterated with the scalar map evaluation."""
-    for _ in range(horizon):
+# (window, resolution, escape radius, horizon) of the grid oracle; between
+# them every exit of the kernel loop occurs at two or more steps
+_ORACLE_CASES = [
+    # asymmetric window: every family shows both codes and neither a row
+    # nor a column flip of the grid leaves it unchanged
+    (gridkernel.Window(-5.5, 6.0, -2.0, 3.0), (7, 5), 50.0, 12),
+    # short horizons: pixels still iterating when the horizon ends
+    (gridkernel.Window(-5.5, 6.0, -2.0, 3.0), (7, 5), 50.0, 1),
+    (gridkernel.Window(-5.5, 6.0, -2.0, 3.0), (7, 5), 50.0, 2),
+    # the overflow guard band: |F| > 1e300 or the guard at the first steps
+    (gridkernel.Window(680.0, 705.0, -2.0, 3.0), (7, 5), 50.0, 12),
+    # pixels whose first image lands in the band, so |F| > 1e300 one step later
+    (gridkernel.Window(4.5, 8.0, -0.3, 0.3), (401, 3), 50.0, 12),
+]
+
+
+def _scalar_exit(
+    spec: EntireMapSpec, z: complex, radius: float, horizon: int
+) -> tuple[int, str, int]:
+    """(code, exit, step) of one orbit, iterated with the scalar map."""
+    for step in range(horizon):
         try:
             w = spec.eval(z)  # raises past the family's overflow guard
-            mag = abs(w)
         except OverflowError:
-            return gridkernel.OVERFLOWED_LARGE
+            return gridkernel.OVERFLOWED_LARGE, "guard", step
+        mag = abs(w)
         if not mag <= 1e300:  # also true for inf and nan
-            return gridkernel.OVERFLOWED_LARGE
+            return gridkernel.OVERFLOWED_LARGE, "huge", step
         if mag < radius:
-            return gridkernel.ESCAPED_SMALL
+            return gridkernel.ESCAPED_SMALL, "small", step
         z = w
-    return gridkernel.IN_JR_HORIZON
+    return gridkernel.IN_JR_HORIZON, "horizon", horizon
+
+
+def _grid_exit_steps(spec: EntireMapSpec) -> dict[str, set[int]]:
+    """Steps of each exit over the oracle cases; every pixel must match."""
+    exit_steps: dict[str, set[int]] = {}
+    for win, (width, height), radius, horizon in _ORACLE_CASES:
+        grid = gridkernel.classify_window(spec, win, (width, height), radius, horizon)
+        dx = (win.xmax - win.xmin) / width
+        dy = (win.ymax - win.ymin) / height
+        for row, col in np.ndindex(height, width):
+            # pixel centers, row 0 at the top of the window
+            z = complex(win.xmin + (col + 0.5) * dx, win.ymax - (row + 0.5) * dy)
+            code, exit_, step = _scalar_exit(spec, z, radius, horizon)
+            exit_steps.setdefault(exit_, set()).add(step)
+            assert grid[row, col] == code, (
+                f"{spec.family} grid disagrees with scalar iteration "
+                f"on {win} at pixel ({row}, {col})"
+            )
+    return exit_steps
 
 
 def _check_grid_scalar_oracle():
@@ -211,21 +248,10 @@ def _check_grid_scalar_oracle():
         EntireMapSpec.sinh(0.575),
         EntireMapSpec.exp_plus_kappa(1.0038 + 2.8999j),
     ]
-    win = gridkernel.Window(-4.0, 4.0, -3.0, 3.0)
-    width, height, radius, horizon = 12, 9, 50.0, 15
-    dx = (win.xmax - win.xmin) / width
-    dy = (win.ymax - win.ymin) / height
-    for spec in specs:
-        grid = gridkernel.classify_window(spec, win, (width, height), radius, horizon)
-        for row in range(height):
-            for col in range(width):
-                # pixel centers, row 0 at the top of the window
-                z = complex(win.xmin + (col + 0.5) * dx, win.ymax - (row + 0.5) * dy)
-                code = _scalar_code(spec, z, radius, horizon)
-                assert grid[row, col] == code, (
-                    f"{spec.family} grid disagrees with scalar iteration "
-                    f"at pixel ({row}, {col})"
-                )
+    exits = {exit_ for spec in specs for exit_ in _grid_exit_steps(spec)}
+    assert exits == {"guard", "horizon", "huge", "small"}, (
+        f"the oracle cases reach only the exits {sorted(exits)}"
+    )
 
 
 SUITES: dict[str, list] = {

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from tractlab import conjugacy, gridkernel, hypmetric, orbits, semiconj
-from tractlab.models import EntireMapSpec, KappaFamilyMember, LogLiftModel, eval_F
+from tractlab.models import EntireMapSpec, LogLiftModel, eval_F
 
 BASE = LogLiftModel("shifted_exp", R=10.0)
 KAPPA = 0.3 + 0.2j
@@ -93,7 +93,7 @@ def test_criterion_03_conjugacy_residual(depth_sweeps):
 def test_criterion_04_inverse_image():
     # J_4 membership of the F_kappa samples requires every cycle point to
     # stay at Re >= 4; branch indices |k| >= 13 put the cycles there
-    member = KappaFamilyMember(BASE, KAPPA)
+    member = BASE.translated(KAPPA)
     rng = random.Random(202)
     worst = 0.0
     count = 0

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -133,7 +134,20 @@ def test_report_on_all_artifact_kinds(tmp_path, capsys):
     ])
     assert main(["report", "--input", str(out) + ".json"]) == EXIT_OK
     assert "finite_horizon_proxy" in capsys.readouterr().out
-    assert main(["report", "--input", str(tmp_path / "missing.json")]) == EXIT_COMPUTE
+    assert main(["report", "--input", str(tmp_path / "missing.json")]) == EXIT_CONFIG
+    assert "config error: input: " in capsys.readouterr().err
+
+
+def test_samples_object_runs_under_both_commands(tmp_path):
+    samples = tmp_path / "samples.json"
+    samples.write_text(json.dumps({"points": [[25, 0]]}))
+    assert main([
+        "conjugate", "--kappa", "0.3+0.2i", "--Q", "2",
+        "--samples", str(samples), "--out", str(tmp_path / "conj.json"),
+    ]) == EXIT_OK
+    assert main([
+        "semiconj", "--samples", str(samples), "--out", str(tmp_path / "semi.json"),
+    ]) == EXIT_OK
 
 
 def test_verify_suite_exit_code():
@@ -142,6 +156,14 @@ def test_verify_suite_exit_code():
 
 ZEXP = '{"family": "zexp"}'
 POINTS = "@" + json.dumps({"points": [[3.5, 0.0]]})
+WINDOW = "--window=-4,4,-4,4"
+SHIFTED = {"family": "shifted_exp"}
+LIFTED = {"family": "lifted_entire", "map": {"family": "zexp"}}
+
+
+def _conjugate_with_model(model):
+    return ["conjugate", "--kappa", "0.3+0.2i", "--Q", "2", "--samples",
+            "@" + json.dumps({"model": model, "points": [[3.5, 0.0]]})]
 
 
 @pytest.mark.parametrize(
@@ -170,10 +192,34 @@ POINTS = "@" + json.dumps({"points": [[3.5, 0.0]]})
         (["render", "--map", ZEXP, "--window=-4,4,-4,4", "--escape-radius", "nan"],
          "escape_radius"),
         (["semiconj", "--tol", "nan"], "tol"),
+        (["render", "--map", '{"family": "sinh", "lambda": [1, 2, 3]}', WINDOW],
+         "map.lambda"),
+        (["render", "--map", '{"family": "sinh", "lambda": true}', WINDOW],
+         "map.lambda"),
+        (["render", "--map", '{"family": "sinh", "lambda": [NaN, 0]}', WINDOW],
+         "map.lambda"),
+        (["render", "--map", '{"family": "sinh", "lambda": "1e999"}', WINDOW],
+         "map.lambda"),
+        (_conjugate_with_model({**SHIFTED, "R": "x"}), "model.R"),
+        (_conjugate_with_model({**SHIFTED, "R": math.nan}), "model.R"),
+        (_conjugate_with_model({**SHIFTED, "Q": "x"}), "model.Q"),
+        (_conjugate_with_model({**LIFTED, "newton": {"max_iter": "a"}}),
+         "model.newton.max_iter"),
+        (_conjugate_with_model({**LIFTED, "newton": {"max_iter": 0}}),
+         "model.newton.max_iter"),
+        (_conjugate_with_model({**LIFTED, "newton": {"tol": 0}}), "model.newton.tol"),
+        (_conjugate_with_model({**LIFTED, "newton": [1]}), "model.newton"),
+        (["semiconj", "--samples",
+          "@" + json.dumps({"model": SHIFTED, "points": [[25, 0]]})],
+         "samples.model"),
     ],
     ids=["malformed_map_json", "map_missing_param", "short_window", "model_without_map",
          "resolution_one_value", "resolution_not_integer", "non_numeric_point",
-         "short_kappa", "text_Q", "nan_Q", "nan_escape_radius", "nan_semiconj_tol"],
+         "short_kappa", "text_Q", "nan_Q", "nan_escape_radius", "nan_semiconj_tol",
+         "map_three_entries", "map_boolean", "map_nan_entry", "map_overflow_text",
+         "model_text_R", "model_nan_R", "model_text_Q", "newton_text_max_iter",
+         "newton_zero_max_iter", "newton_zero_tol", "newton_not_object",
+         "semiconj_samples_model"],
 )
 def test_config_errors_name_the_field(tmp_path, capsys, argv, field):
     # an argument "@<json>" is written to a file and replaced by its path

@@ -16,7 +16,6 @@ from tractlab.errors import (
 from tractlab.models import (
     TWO_PI,
     EntireMapSpec,
-    KappaFamilyMember,
     LogLiftModel,
     eval_F,
 )
@@ -133,7 +132,7 @@ def test_conjugacy_residual_is_float_noise():
 
 
 def test_inverse_theta_roundtrip_on_member_cycle():
-    member = KappaFamilyMember(BASE, KAPPA)
+    member = BASE.translated(KAPPA)
     addr = orbits.ExternalAddress.periodic([20])
     w = orbits.periodic_orbit(member, addr, Q, 1)[0]
     gap = conjugacy.inverse_theta_check(BASE, KAPPA, w, 1e-9, Q, addr)
@@ -150,7 +149,7 @@ def test_uniqueness_crosscheck_zero_on_cycles():
 
 
 def test_general_pullback_correspondence_gap():
-    member = KappaFamilyMember(BASE, KAPPA)
+    member = BASE.translated(KAPPA)
     orb = _orbit([0], 8)
     with pytest.raises(CorrespondenceGap):
         conjugacy.general_pullback(BASE, member, {}, orb[0], 6, Q, orbit=orb)
@@ -161,7 +160,7 @@ def test_general_pullback_correspondence_gap():
 
 
 def test_general_pullback_increment_contraction():
-    member = KappaFamilyMember(BASE, KAPPA)
+    member = BASE.translated(KAPPA)
     orb = _orbit([0, 1], 14)
     increments = []
     conjugacy.general_pullback(BASE, member, None, orb[0], 12, Q, increments, orb)

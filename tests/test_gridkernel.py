@@ -11,6 +11,7 @@ from tractlab import gridkernel
 from tractlab.errors import RangeError
 from tractlab.gridkernel import Window
 from tractlab.models import EntireMapSpec
+from tractlab.verify import _grid_exit_steps
 
 SPECS = [
     EntireMapSpec.exp_affine(2.0 + 0.5j, 1.0 - 0.25j),
@@ -50,55 +51,10 @@ def test_codes_and_determinism(spec):
     assert set(np.unique(g1)).issubset({0, 1, 2})
 
 
-# (window, resolution, escape radius, horizon) of the grid oracle; between
-# them every exit of the kernel loop occurs at two or more steps
-ORACLE_CASES = [
-    # asymmetric window: every family shows both codes and neither a row
-    # nor a column flip of the grid leaves it unchanged
-    (Window(-5.5, 6.0, -2.0, 3.0), (7, 5), 50.0, 12),
-    # short horizons: pixels still iterating when the horizon ends
-    (Window(-5.5, 6.0, -2.0, 3.0), (7, 5), 50.0, 1),
-    (Window(-5.5, 6.0, -2.0, 3.0), (7, 5), 50.0, 2),
-    # the overflow guard band: |F| > 1e300 or the guard at the first steps
-    (Window(680.0, 705.0, -2.0, 3.0), (7, 5), 50.0, 12),
-    # pixels whose first image lands in the band, so |F| > 1e300 one step later
-    (Window(4.5, 8.0, -0.3, 0.3), (401, 3), 50.0, 12),
-]
-
-
-def _oracle_exit(spec, z, radius, horizon):
-    """(code, exit, step) of one orbit, iterated with the scalar map."""
-    for step in range(horizon):
-        # sinh overflows toward Re z -> -infinity as well
-        guard = abs(z.real) if spec.family == "sinh" else z.real
-        if guard > 700.0:
-            return 2, "guard", step
-        w = spec.eval(z)
-        if not abs(w) <= 1e300:
-            return 2, "huge", step
-        if abs(w) < radius:
-            return 1, "small", step
-        z = w
-    return 0, "horizon", horizon
-
-
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
 def test_pixel_centers_and_row_order(spec):
     # small-grid oracle: iterate the scalar map at the pixel centers directly
-    exit_steps = {}
-    for win, (width, height), radius, horizon in ORACLE_CASES:
-        grid = gridkernel.classify_window(spec, win, (width, height), radius, horizon)
-        dx = (win.xmax - win.xmin) / width
-        dy = (win.ymax - win.ymin) / height
-        for row in range(height):
-            for col in range(width):
-                z = complex(
-                    win.xmin + (col + 0.5) * dx,
-                    win.ymax - (row + 0.5) * dy,  # row 0 is the window top
-                )
-                code, exit_, step = _oracle_exit(spec, z, radius, horizon)
-                exit_steps.setdefault(exit_, set()).add(step)
-                assert grid[row, col] == code, f"{win} pixel ({row}, {col})"
+    exit_steps = _grid_exit_steps(spec)
     assert sorted(exit_steps) == ["guard", "horizon", "huge", "small"]
     assert all(len(steps) >= 2 for steps in exit_steps.values()), exit_steps
 

@@ -11,7 +11,6 @@ from tractlab.errors import DomainError
 from tractlab.models import (
     TWO_PI,
     EntireMapSpec,
-    KappaFamilyMember,
     LogLiftModel,
     domain_contains,
     eval_dF,
@@ -23,6 +22,7 @@ from tractlab.models import (
     require_finite,
     sample_domain_points,
 )
+from tractlab.tracts import inverse_branch, tract_of
 
 SHIFTED = LogLiftModel("shifted_exp", R=10.0)
 
@@ -65,11 +65,39 @@ def test_lifted_branch_offsets_value():
 
 def test_kappa_member_translates():
     kappa = 0.3 + 0.2j
-    member = KappaFamilyMember(SHIFTED, kappa)
-    z = 3.0 + 0.2j
-    assert eval_F(member, z) == eval_F(SHIFTED, z + kappa)
-    assert eval_dF(member, z) == eval_dF(SHIFTED, z + kappa)
-    assert member.half_plane_Q == SHIFTED.half_plane_Q
+    sinh = LogLiftModel("lifted_entire", plane_map=EntireMapSpec.sinh(0.575))
+    # sinh has two tracts per period strip, meeting at Im = pi/2: Im z = 1.45
+    # lies in the outer one and Im(z + kappa) = 1.65 in the inner one
+    for model, z, inner in ((SHIFTED, 3.0 + 0.2j, 0), (sinh, 3.0 + 1.45j, 1)):
+        member = model.translated(kappa)
+        assert eval_F(member, z) == eval_F(model, z + kappa)
+        assert eval_dF(member, z) == eval_dF(model, z + kappa)
+        tract = tract_of(member, z)
+        assert tract == tract_of(model, z + kappa)
+        assert tract.inner_branch == inner
+        w = eval_F(member, z)
+        assert inverse_branch(member, tract, w) == (
+            inverse_branch(model, tract, w) - kappa
+        )
+        assert inverse_branch(member, tract, w, seed=z) == (
+            inverse_branch(model, tract, w, seed=z + kappa) - kappa
+        )
+        assert member.half_plane_Q == model.half_plane_Q
+        assert member.translated(-kappa) == model
+
+
+def test_kappa_must_be_finite():
+    with pytest.raises(DomainError):
+        SHIFTED.translated(complex(math.nan, 0.0))
+    with pytest.raises(DomainError):
+        LogLiftModel("shifted_exp", kappa=complex(0.0, math.inf))
+
+
+def test_model_to_json_refuses_what_no_descriptor_holds():
+    with pytest.raises(ValueError):
+        model_to_json(SHIFTED.translated(0.3 + 0.2j))
+    with pytest.raises(ValueError):
+        model_to_json(normalize(LogLiftModel("shifted_exp", R=1.5)))
 
 
 def test_domain_membership_and_errors():

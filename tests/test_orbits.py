@@ -6,7 +6,7 @@ import pytest
 
 from tractlab import orbits
 from tractlab.errors import AddressMismatch, AddressUndefined, RangeError
-from tractlab.models import KappaFamilyMember, LogLiftModel, eval_F
+from tractlab.models import LogLiftModel, eval_F
 
 SHIFTED = LogLiftModel("shifted_exp", R=10.0)
 Q = 2.0
@@ -104,7 +104,7 @@ def test_periodic_orbit_high_branch_cycle_closes():
 
 
 def test_periodic_orbit_on_kappa_member():
-    member = KappaFamilyMember(SHIFTED, 0.3 + 0.2j)
+    member = SHIFTED.translated(0.3 + 0.2j)
     addr = orbits.ExternalAddress.periodic([0, 1])
     orb = orbits.periodic_orbit(member, addr, Q, 4)
     for a, b in zip(orb, orb[1:]):

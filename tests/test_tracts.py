@@ -12,7 +12,6 @@ from tractlab.errors import DomainError, RangeError
 from tractlab.models import (
     TWO_PI,
     EntireMapSpec,
-    KappaFamilyMember,
     LogLiftModel,
     eval_F,
 )
@@ -86,7 +85,7 @@ def test_translate_equivariance_is_exact():
 
 def test_kappa_member_inverse_translates():
     kappa = 0.3 + 0.2j
-    member = KappaFamilyMember(SHIFTED, kappa)
+    member = SHIFTED.translated(kappa)
     w = 5.0 + 1.0j
     zk = inverse_branch(member, TractAddress(0), w)
     assert abs(eval_F(member, zk) - w) <= 1e-12 * (1.0 + abs(w))
