@@ -221,17 +221,23 @@ def _cmd_verify(args) -> int:
 
 def _cmd_report(args) -> int:
     payload = _read_json(args.input, "input")
-    if "summary" in payload:
-        print("conjugacy report")
-        for key, val in payload["summary"].items():
+    if not isinstance(payload, dict):
+        raise ConfigError("input: top level must be a JSON object")
+    reports = (("summary", "conjugacy report"), ("setup", "semiconjugacy report"))
+    for block, title in reports:
+        if block not in payload:
+            continue
+        if not isinstance(payload[block], dict):
+            raise ConfigError(f"input.{block}: must be a JSON object")
+        samples = payload.get("samples", [])
+        if not isinstance(samples, list):
+            raise ConfigError("input.samples: must be a JSON list")
+        print(title)
+        for key, val in payload[block].items():
             print(f"  {key}: {val}")
-        print(f"  samples: {len(payload.get('samples', []))}")
-    elif "setup" in payload:
-        print("semiconjugacy report")
-        for key, val in payload["setup"].items():
-            print(f"  {key}: {val}")
-        print(f"  samples: {len(payload.get('samples', []))}")
-    elif "map" in payload:
+        print(f"  samples: {len(samples)}")
+        return EXIT_OK
+    if "map" in payload:
         print("render sidecar")
         for key, val in payload.items():
             print(f"  {key}: {val}")

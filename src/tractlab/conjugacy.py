@@ -10,6 +10,13 @@ Depth is always selected from that explicit rate, never adaptively.  A
 general two-map pullback with a user-supplied tract correspondence is
 provided alongside, plus the displacement, inverse, uniqueness,
 holomorphy, and dilatation-ceiling checks the construction admits.
+
+Each tower certifies the forward orbit of z once, in ``_certified_orbit``,
+which returns the orbit and the tract address of every point the tower
+pulls back through.  A supplied orbit is checked in one array pass over
+all its steps; when that pass rejects a step, the scalar checks re-run
+from that step, so the error names the step and the reason.  The
+pullback levels then use those addresses and prove no membership again.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     CorrespondenceGap,
     DepthExceeded,
@@ -29,9 +38,9 @@ from .errors import (
     RangeError,
 )
 from .hypmetric import dist_half_plane
-from .models import LogLiftModel, eval_dF, eval_F, require_finite
+from .models import LogLiftModel, _eval_F_array, eval_dF, eval_F, require_finite
 from .orbits import EscapeFlag, ExternalAddress, iterate, periodic_orbit
-from .tracts import TractAddress, inverse_branch, tract_of
+from .tracts import TractAddress, _address, _addresses, inverse_branch, tract_of
 
 DEFAULT_MAX_DEPTH = 400
 
@@ -77,8 +86,9 @@ def _certified_orbit(
     n: int,
     Q: float,
     orbit: list[complex] | None = None,
-) -> list[complex]:
-    """Forward orbit of z to depth n with Re > Q after the first point.
+) -> tuple[list[complex], list[TractAddress]]:
+    """Forward orbit of z to depth n with Re > Q after the first point,
+    and the tract address of every point but the last.
 
     The list may be shorter than n+1 when the orbit escapes past the
     overflow guard while certifiably staying in the domain; deeper tower
@@ -87,12 +97,14 @@ def _certified_orbit(
 
     A caller-supplied ``orbit`` (e.g. the exact cycle of a periodic
     point, where plain forward iteration would drift off the repelling
-    cycle) is validated for consistency and membership instead.
+    cycle) is validated for consistency and membership instead.  Either
+    way every point but the last is proved in the domain, so its address
+    needs no second membership check.
     """
     if orbit is not None:
         return _validate_orbit(base, z, n, Q, orbit)
     if n == 0:
-        return [require_finite(z)]
+        return [require_finite(z)], []
     rec = iterate(base, z, n, Q)
     if rec.escape_flag is not EscapeFlag.STAYED_IN_JQ:
         raise OrbitLeftJQ(
@@ -101,18 +113,26 @@ def _certified_orbit(
     if rec.min_Re_after_first <= Q:
         # boundary contact: the tower is only defined on strict membership
         raise OrbitLeftJQ(f"orbit of {z!r} touches the half-plane boundary")
-    return rec.points
+    addresses = [_address(base, p + base.kappa) for p in rec.points[:-1]]
+    return rec.points, addresses
 
 
 def _validate_orbit(
     base: LogLiftModel, z: complex, n: int, Q: float, orbit: list[complex]
-) -> list[complex]:
+) -> tuple[list[complex], list[TractAddress]]:
+    # One array pass checks every step; the scalar checks below re-run
+    # from the first step it rejects, so a failure raises exactly what
+    # the step-by-step scalar validation raises.
     if len(orbit) < n + 1:
         raise RangeError(f"supplied orbit covers {len(orbit) - 1} < {n} steps")
-    pts = [require_finite(p, "orbit point") for p in orbit[: n + 1]]
+    arr = _orbit_array(orbit[: n + 1])
+    pts = arr.tolist()
     if abs(pts[0] - z) > 1e-9 * (1.0 + abs(z)):
         raise OrbitLeftJQ(f"supplied orbit does not start at {z!r}")
-    for i in range(n):
+    w, ok = _eval_F_array(base, arr[:n])
+    ok &= np.abs(w - arr[1:]) <= 1e-6 * (1.0 + np.abs(w))
+    ok[1:] &= arr[1:n].real > Q
+    for i in range(n if ok.all() else int(np.argmin(ok)), n):
         if i >= 1 and pts[i].real <= Q:
             raise OrbitLeftJQ(f"supplied orbit leaves {{Re > {Q:g}}} at step {i}")
         try:
@@ -123,11 +143,30 @@ def _validate_orbit(
             raise OrbitLeftJQ(f"supplied orbit inconsistent at step {i}")
     if n >= 1 and pts[n].real <= Q:
         raise OrbitLeftJQ(f"supplied orbit leaves {{Re > {Q:g}}} at step {n}")
-    return pts
+    return pts, _addresses(base, arr[:n])
+
+
+def _orbit_array(points: list[complex]) -> np.ndarray:
+    # numbers only: numpy would also parse text and bytes
+    try:
+        arr = np.array(points)
+        numeric = arr.ndim == 1 and arr.dtype.kind in "biufc"
+    except ValueError:  # ragged nesting
+        numeric = False
+    if numeric:
+        arr = arr.astype(np.complex128, copy=False)
+        if np.isfinite(arr).all():
+            return arr
+    # require_finite raises at the first point that is not a finite number
+    return np.array([require_finite(p, "orbit point") for p in points])
 
 
 def _pullback_tower(
-    base: LogLiftModel, kappa: complex, orbit: list[complex], n: int
+    base: LogLiftModel,
+    kappa: complex,
+    orbit: list[complex],
+    tracts: list[TractAddress],
+    n: int,
 ) -> tuple[complex, float]:
     """Downward pass of the tower; returns (theta, truncation_error_bound).
 
@@ -139,8 +178,7 @@ def _pullback_tower(
     theta = orbit[m]
     err = 0.0 if m >= n else 2.0 * abs(kappa)
     for j in range(m - 1, -1, -1):
-        tract = tract_of(base, orbit[j])
-        pre = inverse_branch(base, tract, theta, seed=orbit[j])
+        pre = inverse_branch(base, tracts[j], theta, seed=orbit[j])
         if err > 0.0:
             err /= max(abs(eval_dF(base, pre)), 1.0)
         theta = pre - kappa
@@ -169,8 +207,8 @@ def theta_n(
         if n > 0:
             _certified_orbit(base, z, n, Q, orbit)
         return z
-    pts = _certified_orbit(base, z, n, Q, orbit)
-    theta, _ = _pullback_tower(base, kappa, pts, n)
+    pts, tracts = _certified_orbit(base, z, n, Q, orbit)
+    theta, _ = _pullback_tower(base, kappa, pts, tracts, n)
     return theta
 
 
@@ -206,12 +244,10 @@ def theta_limit(
         raise DepthExceeded(
             f"required depth {depth} exceeds max_depth = {max_depth}"
         )
-    pts = _certified_orbit(base, z, depth, Q, orbit)
-    theta, trunc_err = _pullback_tower(base, kappa, pts, depth)
+    pts, tracts = _certified_orbit(base, z, depth, Q, orbit)
+    theta, trunc_err = _pullback_tower(base, kappa, pts, tracts, depth)
     tail = 2.0 * abs(kappa) * 2.0 ** (1 - depth) + trunc_err
-    prefix = ExternalAddress(
-        tuple(tract_of(base, p) for p in pts[:-1]) or (tract_of(base, z),)
-    )
+    prefix = ExternalAddress(tuple(tracts) or (tract_of(base, z),))
     residual = _matched_residual(base, kappa, z, depth, Q, orbit)
     return ConjugacySample(z, theta, depth, tail, residual, prefix)
 
@@ -321,13 +357,13 @@ def general_pullback(
     z = require_finite(z)
     if n < 0:
         raise RangeError("depth must be nonnegative")
-    orbit = _certified_orbit(F, z, n, Q, orbit)
+    orbit, tracts = _certified_orbit(F, z, n, Q, orbit)
     m = len(orbit) - 1
 
     def tower(depth: int) -> complex:
         v = orbit[depth]
         for j in range(depth - 1, -1, -1):
-            tract = _resolve(correspondence, tract_of(F, orbit[j]))
+            tract = _resolve(correspondence, tracts[j])
             v = inverse_branch(G, tract, v, seed=orbit[j])
         return v
 
@@ -339,7 +375,7 @@ def general_pullback(
     for j in range(m):
         v = orbit[j + 1]
         for i in range(j, 0, -1):
-            tract = _resolve(correspondence, tract_of(F, orbit[i]))
+            tract = _resolve(correspondence, tracts[i])
             v = inverse_branch(G, tract, v, seed=orbit[i])
         upstairs.append(v)
     for j in range(1, m):
@@ -381,14 +417,25 @@ def _kappa_stencil(
     depth: int,
     orbit: list[complex] | None,
 ) -> tuple[complex, complex, complex, complex]:
-    """Towers at kappa0 + h, - h, + ih and - ih; every kappa is checked first."""
+    """Towers at kappa0 + h, - h, + ih and - ih; every kappa is checked
+    first.  All four pull back along one certified orbit of z, and each
+    value equals ``theta_n`` at its kappa."""
     if not h > 0:
         raise RangeError("h must be positive")
     kappa0 = require_finite(kappa0, "kappa0")
     kappas = (kappa0 + h, kappa0 - h, kappa0 + 1j * h, kappa0 - 1j * h)
     for k in kappas:
         _require_kappa_admissible(k, Q)
-    return tuple(theta_n(base, k, z, depth, Q, orbit) for k in kappas)
+    z = require_finite(z)
+    if depth < 0:
+        raise RangeError("depth must be nonnegative")
+    if depth == 0:
+        return (z, z, z, z)
+    pts, tracts = _certified_orbit(base, z, depth, Q, orbit)
+    return tuple(
+        z if k == 0 else _pullback_tower(base, k, pts, tracts, depth)[0]
+        for k in kappas
+    )
 
 
 def holomorphy_in_kappa(

@@ -219,6 +219,35 @@ def eval_F(model: LogLiftModel, z: complex, branch: int = 0) -> complex:
     return w
 
 
+def _eval_F_array(
+    model: LogLiftModel, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``eval_F`` (branch 0) over a 1-D array, through the table row's
+    ``f`` with ``m = numpy``.
+
+    Returns the values and a mask that is true where the scalar call
+    succeeds with a finite value: a finite point inside the model's
+    overflow guard and the plane map's ``_guard``, f(exp z) != 0, a
+    finite value and Re F > Q.  Values may differ from the scalar call's
+    in the last bit, so they serve checks only; a caller that needs the
+    scalar call's outcome re-runs ``eval_F`` where the mask is false.
+    """
+    with np.errstate(all="ignore"):
+        zs = z + (model.kappa + model.offset)
+        ok = np.isfinite(zs) & (zs.real <= EXP_OVERFLOW_GUARD)
+        zeta = np.exp(zs)
+        if model.family == "shifted_exp":
+            w = zeta - (model.R + model.offset)
+        else:
+            pm = model.plane_map
+            bound = np.abs(zeta.real) if pm.row.two_sided else zeta.real
+            fv = pm.row.f(np, pm.params, zeta)
+            ok &= (bound <= EXP_OVERFLOW_GUARD) & (fv != 0)
+            w = np.log(fv) - model.offset
+        ok &= np.isfinite(w) & (w.real > model.half_plane_Q)
+    return w, ok
+
+
 def _eval_raw(model: LogLiftModel, zk: complex, branch: int = 0) -> complex:
     # zk is in the coordinates of the untranslated map: z + kappa
     zs = zk + model.offset
@@ -318,13 +347,14 @@ def normalize(
     the bound; otherwise bisects the extra offset and records it.
     """
     lo, hi = float(search[0]), float(search[1])
-    if _certify_expansion(model.shifted(lo), samples, seed) and lo == 0.0:
+    lo_certified = _certify_expansion(model.shifted(lo), samples, seed)
+    if lo_certified and lo == 0.0:
         return model
     if not _certify_expansion(model.shifted(hi), samples, seed):
         raise SearchFailed(
             f"no offset in [{lo:g}, {hi:g}] certifies |F'| >= 2 on the sample"
         )
-    if _certify_expansion(model.shifted(lo), samples, seed):
+    if lo_certified:
         return model.shifted(lo)
     for _ in range(60):
         mid = 0.5 * (lo + hi)

@@ -71,9 +71,6 @@ class HyperbolicSetup:
     def g(self, z: complex) -> complex:
         return self.f(complex(z) / self.M)
 
-    def in_W(self, z: complex) -> bool:
-        return abs(z) > self.r_U
-
     def inverse_branch_f(self, w: complex, branch: int) -> complex:
         """Solve f(z) = w: z = Log(w/lam + 1) + 2 pi i b, explicit."""
         u = complex(w) / self.lam + 1.0

@@ -11,6 +11,9 @@ import csv
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import ContinuationError, DomainError, NewtonDiverged, RangeError
 from .models import (
@@ -71,15 +74,37 @@ def tract_of(model: LogLiftModel, z: complex) -> TractAddress:
     zk = z + model.kappa
     if not _contains(model, zk):
         raise DomainError(f"z = {z!r} is not in the domain")
-    k = round(zk.imag / TWO_PI)
-    if model.family == "shifted_exp":
-        return TractAddress(k)
-    inner = 0
-    if model.plane_map.row.two_sided and math.cos(zk.imag) < 0.0:
-        # two tracts per period strip, toward Re exp(z) = +/-inf;
-        # sign(Re exp(z)) = sign(cos Im z) picks the one containing z
-        inner = 1
-    return TractAddress(k, inner)
+    return _address(model, zk)
+
+
+# The address of a domain point zk = z + kappa is (k, inner) with
+# k = round(Im zk / 2 pi).  A two-sided row has two tracts per period
+# strip, toward Re exp(z) = +/-inf; sign(Re exp(z)) = sign(cos Im z)
+# picks the one containing zk, inner = 1 where cos(Im zk) < 0.
+# ``_address`` is the scalar form and ``_addresses`` the array form.
+
+def _two_sided(model: LogLiftModel) -> bool:
+    return model.family != "shifted_exp" and model.plane_map.row.two_sided
+
+
+@lru_cache(maxsize=1024)
+def _interned(k: float, inner: bool) -> TractAddress:
+    # one shared instance per address; k may be an integral float
+    return TractAddress(int(k), int(inner))
+
+
+def _address(model: LogLiftModel, zk: complex) -> TractAddress:
+    inner = _two_sided(model) and math.cos(zk.imag) < 0.0
+    return _interned(round(zk.imag / TWO_PI), inner)
+
+
+def _addresses(model: LogLiftModel, z: np.ndarray) -> list[TractAddress]:
+    """Addresses of an array of points z already proved in the domain."""
+    im = (z + model.kappa).imag
+    ks = np.rint(im / TWO_PI).tolist()
+    if not _two_sided(model):
+        return [_interned(k, False) for k in ks]
+    return [_interned(k, c < 0.0) for k, c in zip(ks, np.cos(im).tolist())]
 
 
 def inverse_branch(

@@ -2,6 +2,8 @@
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,22 @@ def test_render_writes_image_and_sidecar(tmp_path):
     meta = json.loads((tmp_path / "img.pgm.json").read_text())
     assert meta["finite_horizon_proxy"] is True
     assert meta["resolution"] == [32, 32]
+
+
+def test_readme_render_example_has_black_pixels(tmp_path):
+    # |0.575 sinh z| <= 0.575 cosh(Re z), so the window must reach far
+    # enough in Re z for first images to pass the escape radius 50
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("tractlab render ")
+    end = readme.index("\n", readme.index("--out", start))
+    argv = shlex.split(readme[start:end].replace("\\\n", " "))
+    out = tmp_path / "sinh.pgm"
+    argv[argv.index("--out") + 1] = str(out)
+    assert main(argv[1:]) == EXIT_OK
+    data = out.read_bytes()
+    pixels = data[data.index(b"\n255\n") + 5:]
+    assert len(pixels) == 256 * 256
+    assert 0 < pixels.count(0) < len(pixels)
 
 
 def test_render_png_output(tmp_path):
@@ -212,6 +230,11 @@ def _conjugate_with_model(model):
         (["semiconj", "--samples",
           "@" + json.dumps({"model": SHIFTED, "points": [[25, 0]]})],
          "samples.model"),
+        (["report", "--input", "@1"], "input"),
+        (["report", "--input", "@" + json.dumps({"summary": 1})], "input.summary"),
+        (["report", "--input", "@" + json.dumps({"setup": [1]})], "input.setup"),
+        (["report", "--input", "@" + json.dumps({"summary": {}, "samples": 1})],
+         "input.samples"),
     ],
     ids=["malformed_map_json", "map_missing_param", "short_window", "model_without_map",
          "resolution_one_value", "resolution_not_integer", "non_numeric_point",
@@ -219,7 +242,8 @@ def _conjugate_with_model(model):
          "map_three_entries", "map_boolean", "map_nan_entry", "map_overflow_text",
          "model_text_R", "model_nan_R", "model_text_Q", "newton_text_max_iter",
          "newton_zero_max_iter", "newton_zero_tol", "newton_not_object",
-         "semiconj_samples_model"],
+         "semiconj_samples_model", "report_number", "report_summary_number",
+         "report_setup_list", "report_samples_number"],
 )
 def test_config_errors_name_the_field(tmp_path, capsys, argv, field):
     # an argument "@<json>" is written to a file and replaced by its path
@@ -228,7 +252,9 @@ def test_config_errors_name_the_field(tmp_path, capsys, argv, field):
             path = tmp_path / f"arg{i}.json"
             path.write_text(arg[1:])
             argv[i] = str(path)
-    code = main(argv + ["--out", str(tmp_path / "out.pgm")])
+    # every command but report writes an output file
+    out = [] if argv[0] == "report" else ["--out", str(tmp_path / "out.pgm")]
+    code = main(argv + out)
     assert code == EXIT_CONFIG
     assert f"config error: {field}: " in capsys.readouterr().err
 

@@ -1,13 +1,17 @@
 """Unit tests for the pullback conjugacy towers and their diagnostics."""
 
+import cmath
 import json
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from tractlab import conjugacy, gridkernel, orbits, semiconj
+from tractlab import conjugacy, gridkernel, models, orbits, semiconj, tracts
 from tractlab.errors import (
     CorrespondenceGap,
+    DomainError,
     OrbitLeftJQ,
     PreconditionError,
     RangeError,
@@ -19,6 +23,7 @@ from tractlab.models import (
     LogLiftModel,
     eval_F,
 )
+from tractlab.tracts import TractAddress, inverse_branch, tract_of
 
 BASE = LogLiftModel("shifted_exp", R=10.0)
 KAPPA = 0.3 + 0.2j
@@ -216,3 +221,129 @@ def test_report_writers(tmp_path):
     assert payload["summary"]["kappa"] == [0.3, 0.2]
     assert len(payload["samples"]) == 1
     assert cpath.read_text().count("\n") >= 2
+
+
+def _lifted(spec):
+    return LogLiftModel("lifted_entire", plane_map=spec)
+
+
+# the six model families of the conjugacy_escaping benchmark, and a member
+ESCAPING_MODELS = [
+    BASE,
+    _lifted(EntireMapSpec.lambda_expm1(0.5)),
+    _lifted(EntireMapSpec.sinh(0.575)),
+    _lifted(EntireMapSpec.exp_plus_kappa(1.0038 + 2.8999j)),
+    _lifted(EntireMapSpec.exp_affine(1.0, 0.5)),
+    _lifted(EntireMapSpec.zexp()),
+    _lifted(EntireMapSpec.sinh(0.575)).translated(0.2 + 3.0j),
+]
+
+
+@pytest.mark.parametrize("model", ESCAPING_MODELS, ids=[
+    "shifted_exp", "lambda_expm1", "sinh", "exp_plus_kappa", "exp_affine",
+    "zexp", "sinh_member"])
+def test_certified_tracts_match_tract_of(model):
+    # Im z = 2 pi k + pi puts the points of a two-sided row in inner branch 1
+    rng = np.random.default_rng(11)
+    inner_seen = set()
+    checked = 0
+    for _ in range(80):
+        k = int(rng.integers(-3, 4))
+        shift = math.pi if rng.random() < 0.5 else 0.0
+        re = rng.uniform(3.0, 8.0)
+        z = complex(re, TWO_PI * k + shift + rng.uniform(-0.5, 0.5))
+        try:
+            pts, addresses = conjugacy._certified_orbit(model, z, 4, Q)
+        except OrbitLeftJQ:
+            continue
+        expected = [tract_of(model, p) for p in pts[:-1]]
+        assert addresses == expected
+        # the same orbit, supplied, gives the same addresses
+        n = len(pts) - 1
+        assert conjugacy._certified_orbit(model, z, n, Q, pts) == (pts, expected)
+        inner_seen.update(t.inner_branch for t in expected)
+        checked += 1
+    assert checked >= 10
+    if model.plane_map is not None and model.plane_map.row.two_sided:
+        assert inner_seen == {0, 1}
+
+
+def _ending_at(model, w, steps):
+    """An orbit of ``steps`` steps ending at w, from tract-0 preimages."""
+    pts = [complex(w)]
+    for _ in range(steps):
+        pts.insert(0, inverse_branch(model, TractAddress(0), pts[0]))
+    return pts
+
+
+def _rejected_orbits():
+    # (model, z, orbit, depth, Q, error class, message); the messages are
+    # those of the step-by-step scalar validation
+    cyc = _orbit([0, 1], 8)
+    sinh = _lifted(EntireMapSpec.sinh(0.575))
+    # exp(z_sinh) = -701: past the guard on the negative side only
+    z_sinh = complex(math.log(701.0), math.pi)
+    beyond = cmath.log(0.575 * cmath.sinh(cmath.exp(z_sinh)))
+    zexp = _lifted(EntireMapSpec.zexp())
+    off_domain = 3.0 + math.pi * 1j
+    return {
+        "short": (BASE, None, cyc[:5], 7, Q, RangeError,
+                  "supplied orbit covers 4 < 7 steps"),
+        "non_finite": (BASE, None, cyc[:3] + [complex(math.nan, 0.0)] + cyc[4:],
+                       7, Q, DomainError,
+                       "orbit point must have finite components, got (nan+0j)"),
+        "wrong_start": (BASE, cyc[0] + 0.5, cyc, 7, Q, OrbitLeftJQ,
+                        f"supplied orbit does not start at {cyc[0] + 0.5!r}"),
+        # 2.9 is in the domain and maps to Re 8.17 > Q
+        "re_at_step": (BASE, None, [cmath.log(12.9), 2.9 + 0j, cmath.exp(2.9) - 10],
+                       2, 3.0, OrbitLeftJQ,
+                       "supplied orbit leaves {Re > 3} at step 1"),
+        "re_at_last_step": (BASE, None, _ending_at(BASE, 1.5, 3), 3, Q, OrbitLeftJQ,
+                            "supplied orbit leaves {Re > 2} at step 3"),
+        "outside_domain": (BASE, None, _ending_at(BASE, off_domain, 2)
+                           + [cmath.exp(off_domain) - 10], 3, Q, OrbitLeftJQ,
+                           "supplied orbit invalid at step 2: z = (3+3.1415926"
+                           "53589793j) is outside the domain (Re F = -30.0855 <= 0)"),
+        "past_guard": (BASE, None, _ending_at(BASE, 701.0, 2) + [cmath.exp(701) - 10],
+                       3, Q, OrbitLeftJQ,
+                       "supplied orbit invalid at step 2: Re z = 701 exceeds the"
+                       " exponent-overflow guard"),
+        "past_two_sided_guard": (sinh, None, [z_sinh, beyond], 1, Q, OrbitLeftJQ,
+                                 "supplied orbit invalid at step 0: Re z = -701"
+                                 " exceeds the exponent-overflow guard"),
+        "f_zero": (zexp, None, [-800.0 + 0j, 5.0 + 0j], 1, Q, OrbitLeftJQ,
+                   "supplied orbit invalid at step 0: f(exp z) = 0 at z = (-800+0j);"
+                   " log lift undefined"),
+        "inconsistent": (BASE, None, cyc[:4] + [cyc[4] + 1e-3] + cyc[5:], 7, Q,
+                         OrbitLeftJQ, "supplied orbit inconsistent at step 3"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_rejected_orbits()))
+def test_rejected_orbit_names_the_failing_step(case):
+    model, z, orbit, n, Q_, error, message = _rejected_orbits()[case]
+    with pytest.raises(error) as info:
+        conjugacy.theta_n(model, KAPPA, orbit[0] if z is None else z, n, Q_, orbit)
+    assert str(info.value) == message
+
+
+def test_supplied_orbit_tower_makes_no_scalar_membership_calls(monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, fn in (("tract_of", tract_of), ("eval_F", eval_F)):
+        for module in (models, tracts, orbits, conjugacy):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counting(name, fn))
+    orb = _orbit([0, 1], 42)
+    theta = conjugacy.theta_n(BASE, KAPPA, orb[0], 40, Q, orb)
+    assert abs(theta - orb[0]) <= 2.0 * abs(KAPPA)
+    assert calls == {}
+    # the wrappers do count: the residual evaluates F twice
+    conjugacy.theta_limit(BASE, KAPPA, orb[0], 1e-9, Q, orbit=orb)
+    assert calls == {"eval_F": 2}

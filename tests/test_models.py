@@ -3,10 +3,12 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tractlab import models
 from tractlab.errors import DomainError
 from tractlab.models import (
     TWO_PI,
@@ -50,6 +52,42 @@ def test_asymptotic_value(spec):
         assert spec.family == "sinh"
         return
     assert abs(spec.eval(-40.0 + 0.3j) - limit) <= 1e-15 + abs(limit) * 1e-12
+
+
+ARRAY_MODELS = [
+    SHIFTED,
+    SHIFTED.translated(0.3 + 0.2j).shifted(1.5),
+    *(LogLiftModel("lifted_entire", plane_map=s, half_plane_Q=2.0) for s in ALL_SPECS),
+    LogLiftModel("lifted_entire", plane_map=EntireMapSpec.sinh(0.575)).translated(3j),
+]
+
+
+@pytest.mark.parametrize("model", ARRAY_MODELS, ids=[
+    "shifted_exp", "shifted_member", *(s.family for s in ALL_SPECS), "sinh_member"])
+def test_eval_F_array_matches_scalar(model):
+    # scalar eval_F is the reference: the mask is true exactly where it
+    # returns a finite value, and the values agree to rounding
+    rng = np.random.default_rng(5)
+    special = [
+        math.log(701.0), complex(math.log(701.0), math.pi),  # plane-map guard
+        699.0, 701.0, -800.0, complex(math.nan, 0.0), complex(0.0, math.inf),
+    ]
+    z = np.concatenate([
+        rng.uniform(-5.0, 8.0, 400) + 1j * rng.uniform(-10.0, 10.0, 400),
+        np.array(special, dtype=complex),
+    ])
+    w, ok = models._eval_F_array(model, z)
+    for zi, wi, oki in zip(z.tolist(), w.tolist(), ok.tolist()):
+        try:
+            ref = eval_F(model, zi)
+        except (DomainError, OverflowError):
+            ref = None
+        if ref is None or not cmath.isfinite(ref):
+            assert not oki, zi
+        else:
+            assert oki, zi
+            assert abs(wi - ref) <= 1e-12 * (1.0 + abs(ref)), zi
+    assert 0 < ok.sum() < ok.size
 
 
 def test_shifted_exp_is_exact():
@@ -152,6 +190,24 @@ def test_normalize_certifies_expansion(model):
 def test_normalize_small_R_records_positive_offset():
     out = normalize(LogLiftModel("shifted_exp", R=1.5))
     assert out.offset > 0.0
+
+
+def test_normalize_certifies_each_offset_once(monkeypatch):
+    calls = []
+    certify = models._certify_expansion
+
+    def counting(model, samples, seed):
+        ok = certify(model, samples, seed)
+        calls.append((model.offset, ok))
+        return ok
+
+    monkeypatch.setattr(models, "_certify_expansion", counting)
+    out = normalize(LogLiftModel("shifted_exp", R=1.5))
+    offsets = [offset for offset, _ in calls]
+    assert len(calls) == 38
+    assert len(set(offsets)) == len(offsets)
+    # bisection returns the smallest offset that certified
+    assert out.offset == min(offset for offset, ok in calls if ok)
 
 
 def test_sample_domain_points_deterministic_and_valid():
