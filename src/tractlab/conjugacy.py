@@ -417,25 +417,14 @@ def _kappa_stencil(
     depth: int,
     orbit: list[complex] | None,
 ) -> tuple[complex, complex, complex, complex]:
-    """Towers at kappa0 + h, - h, + ih and - ih; every kappa is checked
-    first.  All four pull back along one certified orbit of z, and each
-    value equals ``theta_n`` at its kappa."""
+    """Towers at kappa0 + h, - h, + ih and - ih; every kappa is checked first."""
     if not h > 0:
         raise RangeError("h must be positive")
     kappa0 = require_finite(kappa0, "kappa0")
     kappas = (kappa0 + h, kappa0 - h, kappa0 + 1j * h, kappa0 - 1j * h)
     for k in kappas:
         _require_kappa_admissible(k, Q)
-    z = require_finite(z)
-    if depth < 0:
-        raise RangeError("depth must be nonnegative")
-    if depth == 0:
-        return (z, z, z, z)
-    pts, tracts = _certified_orbit(base, z, depth, Q, orbit)
-    return tuple(
-        z if k == 0 else _pullback_tower(base, k, pts, tracts, depth)[0]
-        for k in kappas
-    )
+    return tuple(theta_n(base, k, z, depth, Q, orbit) for k in kappas)
 
 
 def holomorphy_in_kappa(

@@ -233,7 +233,8 @@ def _eval_F_array(
     scalar call's outcome re-runs ``eval_F`` where the mask is false.
     """
     with np.errstate(all="ignore"):
-        zs = z + (model.kappa + model.offset)
+        # the scalar call's order, so the guard sees the same zs
+        zs = (z + model.kappa) + model.offset
         ok = np.isfinite(zs) & (zs.real <= EXP_OVERFLOW_GUARD)
         zeta = np.exp(zs)
         if model.family == "shifted_exp":

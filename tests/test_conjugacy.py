@@ -285,6 +285,8 @@ def _rejected_orbits():
     z_sinh = complex(math.log(701.0), math.pi)
     beyond = cmath.log(0.575 * cmath.sinh(cmath.exp(z_sinh)))
     zexp = _lifted(EntireMapSpec.zexp())
+    # (699.7 + 0.1) + 0.2 is past the guard, 699.7 + (0.1 + 0.2) is not
+    nudged = BASE.translated(0.1).shifted(0.2)
     off_domain = 3.0 + math.pi * 1j
     return {
         "short": (BASE, None, cyc[:5], 7, Q, RangeError,
@@ -308,6 +310,10 @@ def _rejected_orbits():
                        3, Q, OrbitLeftJQ,
                        "supplied orbit invalid at step 2: Re z = 701 exceeds the"
                        " exponent-overflow guard"),
+        "past_guard_by_rounding": (nudged, None, _ending_at(nudged, 699.7, 1)
+                                   + [cmath.exp(700.0) - 10.2], 2, Q, OrbitLeftJQ,
+                                   "supplied orbit invalid at step 1: Re z = 700"
+                                   " exceeds the exponent-overflow guard"),
         "past_two_sided_guard": (sinh, None, [z_sinh, beyond], 1, Q, OrbitLeftJQ,
                                  "supplied orbit invalid at step 0: Re z = -701"
                                  " exceeds the exponent-overflow guard"),

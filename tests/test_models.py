@@ -57,20 +57,23 @@ def test_asymptotic_value(spec):
 ARRAY_MODELS = [
     SHIFTED,
     SHIFTED.translated(0.3 + 0.2j).shifted(1.5),
+    # Re z = 699.7 passes the guard as 699.7 + (0.1 + 0.2), not as
+    # (699.7 + 0.1) + 0.2, the scalar call's order
+    SHIFTED.translated(0.1).shifted(0.2),
     *(LogLiftModel("lifted_entire", plane_map=s, half_plane_Q=2.0) for s in ALL_SPECS),
     LogLiftModel("lifted_entire", plane_map=EntireMapSpec.sinh(0.575)).translated(3j),
 ]
 
 
 @pytest.mark.parametrize("model", ARRAY_MODELS, ids=[
-    "shifted_exp", "shifted_member", *(s.family for s in ALL_SPECS), "sinh_member"])
+    "shifted_exp", "shifted_member", "guard_rounding", *(s.family for s in ALL_SPECS), "sinh_member"])
 def test_eval_F_array_matches_scalar(model):
     # scalar eval_F is the reference: the mask is true exactly where it
     # returns a finite value, and the values agree to rounding
     rng = np.random.default_rng(5)
     special = [
         math.log(701.0), complex(math.log(701.0), math.pi),  # plane-map guard
-        699.0, 701.0, -800.0, complex(math.nan, 0.0), complex(0.0, math.inf),
+        699.0, 699.7, 701.0, -800.0, complex(math.nan, 0.0), complex(0.0, math.inf),
     ]
     z = np.concatenate([
         rng.uniform(-5.0, 8.0, 400) + 1j * rng.uniform(-10.0, 10.0, 400),
