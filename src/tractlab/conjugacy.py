@@ -42,7 +42,10 @@ from .models import LogLiftModel, _eval_F_array, eval_dF, eval_F, require_finite
 from .orbits import EscapeFlag, ExternalAddress, iterate, periodic_orbit
 from .tracts import TractAddress, _address, _addresses, inverse_branch, tract_of
 
+# theta_limit refuses a tolerance that needs a deeper tower
 DEFAULT_MAX_DEPTH = 400
+# the common tower depth of the four kappa-stencil towers
+KAPPA_STENCIL_DEPTH = 40
 
 Correspondence = Mapping[int, int] | Callable[[TractAddress], TractAddress] | None
 
@@ -233,16 +236,18 @@ def theta_limit(
     z: complex,
     tol: float,
     Q: float,
-    max_depth: int = DEFAULT_MAX_DEPTH,
     orbit: list[complex] | None = None,
 ) -> ConjugacySample:
-    """Converged conjugacy value with the a priori tail bound <= tol."""
+    """Converged conjugacy value with the a priori tail bound <= tol.
+
+    Raises DepthExceeded when tol needs more than DEFAULT_MAX_DEPTH levels.
+    """
     kappa = _require_kappa_admissible(kappa, Q)
     z = require_finite(z)
     depth = depth_for_tolerance(kappa, tol)
-    if depth > max_depth:
+    if depth > DEFAULT_MAX_DEPTH:
         raise DepthExceeded(
-            f"required depth {depth} exceeds max_depth = {max_depth}"
+            f"required depth {depth} exceeds the maximum {DEFAULT_MAX_DEPTH}"
         )
     pts, tracts = _certified_orbit(base, z, depth, Q, orbit)
     theta, trunc_err = _pullback_tower(base, kappa, pts, tracts, depth)
@@ -414,17 +419,17 @@ def _kappa_stencil(
     kappa0: complex,
     h: float,
     Q: float,
-    depth: int,
     orbit: list[complex] | None,
 ) -> tuple[complex, complex, complex, complex]:
-    """Towers at kappa0 + h, - h, + ih and - ih; every kappa is checked first."""
+    """Towers of depth KAPPA_STENCIL_DEPTH at kappa0 + h, - h, + ih and - ih;
+    every kappa is checked first."""
     if not h > 0:
         raise RangeError("h must be positive")
     kappa0 = require_finite(kappa0, "kappa0")
     kappas = (kappa0 + h, kappa0 - h, kappa0 + 1j * h, kappa0 - 1j * h)
     for k in kappas:
         _require_kappa_admissible(k, Q)
-    return tuple(theta_n(base, k, z, depth, Q, orbit) for k in kappas)
+    return tuple(theta_n(base, k, z, KAPPA_STENCIL_DEPTH, Q, orbit) for k in kappas)
 
 
 def holomorphy_in_kappa(
@@ -433,17 +438,16 @@ def holomorphy_in_kappa(
     kappa0: complex,
     h: float,
     Q: float,
-    depth: int = 40,
     orbit: list[complex] | None = None,
 ) -> float:
     """Central-difference Wirtinger quotient |dTheta/d(conj kappa)|.
 
-    Four towers at kappa0 +/- h and kappa0 +/- ih at a common fixed
-    depth; the tower orbit is always the base-map orbit of z, so one
-    orbit serves all four.  For a kappa-holomorphic tower the quotient
-    is O(h^2).
+    Four towers at kappa0 +/- h and kappa0 +/- ih at the common fixed
+    depth KAPPA_STENCIL_DEPTH; the tower orbit is always the base-map
+    orbit of z, so one orbit serves all four.  For a kappa-holomorphic
+    tower the quotient is O(h^2).
     """
-    tp, tm, tip, tim = _kappa_stencil(base, z, kappa0, h, Q, depth, orbit)
+    tp, tm, tip, tim = _kappa_stencil(base, z, kappa0, h, Q, orbit)
     return abs((tp - tm) + 1j * (tip - tim)) / (4.0 * h)
 
 
@@ -453,11 +457,11 @@ def kappa_derivative(
     kappa0: complex,
     h: float,
     Q: float,
-    depth: int = 40,
     orbit: list[complex] | None = None,
 ) -> complex:
-    """Central-difference holomorphic derivative dTheta/dkappa."""
-    tp, tm, tip, tim = _kappa_stencil(base, z, kappa0, h, Q, depth, orbit)
+    """Central-difference holomorphic derivative dTheta/dkappa, from towers
+    of depth KAPPA_STENCIL_DEPTH."""
+    tp, tm, tip, tim = _kappa_stencil(base, z, kappa0, h, Q, orbit)
     return ((tp - tm) - 1j * (tip - tim)) / (4.0 * h)
 
 

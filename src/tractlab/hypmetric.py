@@ -18,11 +18,8 @@ from .models import LogLiftModel, eval_dF, eval_F, require_finite
 
 
 class BoundMethod(Enum):
-    HALF_PLANE_EXACT = "half_plane_exact"
     STANDARD_ESTIMATE = "standard_estimate"
-    TWO_PUNCTURE = "two_puncture"
     INSCRIBED_DISK = "inscribed_disk"
-    PUNCTURED_SEQUENCE = "punctured_sequence"
 
 
 @dataclass(frozen=True)
@@ -151,13 +148,11 @@ def _first_with_modulus(ws: list[complex], floor: float) -> complex:
     )
 
 
-def hyperbolic_derivative(
-    model: LogLiftModel, z: complex, Q: float | None = None
-) -> float:
-    """Hyperbolic derivative of F at z, half-plane metric on both sides."""
+def hyperbolic_derivative(model: LogLiftModel, z: complex) -> float:
+    """Hyperbolic derivative of F at z, metric of {Re > model.half_plane_Q}
+    on both sides."""
     z = require_finite(z)
-    if Q is None:
-        Q = model.half_plane_Q
+    Q = model.half_plane_Q
     if z.real <= Q:
         raise RangeError(f"Re z = {z.real:g} <= Q = {Q:g}")
     w = eval_F(model, z)

@@ -101,6 +101,14 @@ PLANE_FAMILIES: dict[str, PlaneFamily] = {
 }
 
 
+def _finite_value(v: complex) -> complex:
+    # complex multiplication overflows to inf or nan without raising, as
+    # in a e^z for a large multiplier a inside the exp guard
+    if not cmath.isfinite(v):
+        raise OverflowError("the plane map's value overflows double range")
+    return v
+
+
 @dataclass(frozen=True)
 class EntireMapSpec:
     """A member of the plane-map table, with closed-form derivative."""
@@ -152,12 +160,12 @@ class EntireMapSpec:
     def eval(self, z: complex) -> complex:
         z = require_finite(z)
         self._guard(z)
-        return self.row.f(cmath, self.params, z)
+        return _finite_value(self.row.f(cmath, self.params, z))
 
     def deriv(self, z: complex) -> complex:
         z = require_finite(z)
         self._guard(z)
-        return self.row.df(cmath, self.params, z)
+        return _finite_value(self.row.df(cmath, self.params, z))
 
     def asymptotic_value(self) -> complex | None:
         """Limit of f(w) as Re w -> -infinity, where one exists."""
@@ -177,8 +185,6 @@ class LogLiftModel:
     family: str  # "shifted_exp" | "lifted_entire"
     R: float = 10.0
     plane_map: EntireMapSpec | None = None
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 50
     half_plane_Q: float = 0.0
     offset: float = 0.0
     kappa: complex = 0j
@@ -303,7 +309,9 @@ def _contains(model: LogLiftModel, zk: complex) -> bool:
     except DomainError:
         return False
     except OverflowError:
-        return _overflowed_membership(model, zk)
+        # f(exp z) overflowed inside the plane map, so |f| is certainly
+        # larger than e^{Q + offset}: the point is in the domain
+        return True
     return w.real > model.half_plane_Q
 
 
@@ -325,41 +333,29 @@ def _contains_beyond_guard(model: LogLiftModel, zs: complex) -> bool:
     return math.log(abs(limit)) - model.offset > model.half_plane_Q
 
 
-def _overflowed_membership(model: LogLiftModel, zk: complex) -> bool:
-    # f(exp z) overflowed inside the plane map; |f| is then certainly
-    # larger than e^{Q + offset}, so the point is in the domain.
-    try:
-        zeta = cmath.exp(zk + model.offset)
-    except OverflowError:
-        return False
-    bound = abs(zeta.real) if model.plane_map.row.two_sided else zeta.real
-    return bound > EXP_OVERFLOW_GUARD
+# ``normalize`` bisects the extra offset in [0, NORMALIZE_MAX_OFFSET] and
+# checks |F'| >= 2 on NORMALIZE_SAMPLES domain points drawn with seed 0
+NORMALIZE_MAX_OFFSET = 64.0
+NORMALIZE_SAMPLES = 1000
 
 
-def normalize(
-    model: LogLiftModel,
-    search: tuple[float, float] = (0.0, 64.0),
-    samples: int = 1000,
-    seed: int = 0,
-) -> LogLiftModel:
+def normalize(model: LogLiftModel) -> LogLiftModel:
     """Restrict-and-conjugate until |F'| >= 2 holds on a verification sample.
 
     Returns the model unchanged when its current sample already certifies
-    the bound; otherwise bisects the extra offset and records it.
+    the bound; otherwise bisects the extra offset in
+    [0, NORMALIZE_MAX_OFFSET] and records it.
     """
-    lo, hi = float(search[0]), float(search[1])
-    lo_certified = _certify_expansion(model.shifted(lo), samples, seed)
-    if lo_certified and lo == 0.0:
+    if _certify_expansion(model):
         return model
-    if not _certify_expansion(model.shifted(hi), samples, seed):
+    lo, hi = 0.0, NORMALIZE_MAX_OFFSET
+    if not _certify_expansion(model.shifted(hi)):
         raise SearchFailed(
             f"no offset in [{lo:g}, {hi:g}] certifies |F'| >= 2 on the sample"
         )
-    if lo_certified:
-        return model.shifted(lo)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _certify_expansion(model.shifted(mid), samples, seed):
+        if _certify_expansion(model.shifted(mid)):
             hi = mid
         else:
             lo = mid
@@ -368,8 +364,8 @@ def normalize(
     return model.shifted(hi)
 
 
-def _certify_expansion(model: LogLiftModel, samples: int, seed: int) -> bool:
-    for z in sample_domain_points(model, samples, seed=seed):
+def _certify_expansion(model: LogLiftModel) -> bool:
+    for z in sample_domain_points(model, NORMALIZE_SAMPLES):
         try:
             if abs(eval_dF(model, z)) < 2.0:
                 return False
@@ -378,23 +374,24 @@ def _certify_expansion(model: LogLiftModel, samples: int, seed: int) -> bool:
     return True
 
 
+# ``sample_domain_points`` draws from -3 <= Re z <= 8 and the tracts
+# with branch index -2 .. 2: |Im z| <= 2 pi (2 + 1/2)
+SAMPLE_RE_RANGE = (-3.0, 8.0)
+SAMPLE_IM_SPAN = TWO_PI * 2.5
+
+
 def sample_domain_points(
-    model: LogLiftModel,
-    count: int,
-    seed: int = 0,
-    re_range: tuple[float, float] = (-3.0, 8.0),
-    tract_indices: int = 2,
+    model: LogLiftModel, count: int, seed: int = 0
 ) -> list[complex]:
     """Draw ``count`` domain points by rejection sampling; deterministic."""
     rng = np.random.default_rng(seed)
     points: list[complex] = []
     attempts = 0
-    span = TWO_PI * (tract_indices + 0.5)
     while len(points) < count and attempts < 1000 * count:
         attempts += 1
         z = complex(
-            rng.uniform(*re_range),
-            rng.uniform(-span, span),
+            rng.uniform(*SAMPLE_RE_RANGE),
+            rng.uniform(-SAMPLE_IM_SPAN, SAMPLE_IM_SPAN),
         )
         if domain_contains(model, z):
             points.append(z)
@@ -479,17 +476,8 @@ def model_from_json(desc: dict) -> LogLiftModel:
     if family == "lifted_entire":
         if "map" not in desc:
             raise ConfigError("map: missing from the lifted_entire model")
-        newton = desc.get("newton", {})
-        if not isinstance(newton, dict):
-            raise ConfigError("model.newton: must be a JSON object")
         return LogLiftModel(
-            "lifted_entire",
-            plane_map=plane_map_from_json(desc["map"]),
-            newton_tol=_positive(newton.get("tol", 1e-12), "model.newton.tol"),
-            newton_max_iter=_positive(
-                newton.get("max_iter", 50), "model.newton.max_iter", int
-            ),
-            half_plane_Q=Q,
+            "lifted_entire", plane_map=plane_map_from_json(desc["map"]), half_plane_Q=Q
         )
     raise ConfigError(f"model.family: unknown model family {family!r}")
 
@@ -503,6 +491,5 @@ def model_to_json(model: LogLiftModel) -> dict:
     return {
         "family": "lifted_entire",
         "map": plane_map_to_json(model.plane_map),
-        "newton": {"tol": model.newton_tol, "max_iter": model.newton_max_iter},
         "Q": model.half_plane_Q,
     }

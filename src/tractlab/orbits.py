@@ -142,25 +142,28 @@ def expansion_ratios(
     ]
 
 
+# backward iteration stops once one period moves the point by at most
+# BACKWARD_TOL / 2, after at most BACKWARD_MAX_CYCLES periods; the point
+# must then reproduce itself over one more period to within BACKWARD_TOL
+BACKWARD_TOL = 1e-12
+BACKWARD_MAX_CYCLES = 200
+
+
 def point_with_address(
-    model: LogLiftModel,
-    address: ExternalAddress,
-    Q: float,
-    tol: float = 1e-12,
-    max_cycles: int = 200,
+    model: LogLiftModel, address: ExternalAddress, Q: float
 ) -> complex:
     """Backward iteration along a periodic address.
 
     The composite of one period of inverse branches contracts by at least
     2^-period, so iterating it from the half-plane base point converges to
-    the unique point realizing the address.
+    the unique point realizing the address, to within BACKWARD_TOL.
     """
     p = len(address)
     if p < 1:
         raise RangeError("address must have period at least 1")
     z = complex(Q + 1.0, 0.0)
     prev_step = math.inf
-    for _ in range(max_cycles):
+    for _ in range(BACKWARD_MAX_CYCLES):
         z_next = z
         for tract in reversed(address.entries):
             z_next = inverse_branch(model, tract, z_next)
@@ -170,7 +173,7 @@ def point_with_address(
                 )
         step = abs(z_next - z)
         z = z_next
-        if step <= tol * 0.5:
+        if step <= BACKWARD_TOL * 0.5:
             break
         if not math.isinf(prev_step) and step > 0.5 * prev_step + 1e-12:
             # the 2^-p contraction failed; should not happen for p >= 1
@@ -179,9 +182,9 @@ def point_with_address(
     residual = z
     for tract in reversed(address.entries):
         residual = inverse_branch(model, tract, residual)
-    if abs(residual - z) > tol:
+    if abs(residual - z) > BACKWARD_TOL:
         raise PullbackLeftDomain(
-            f"backward iteration residual {abs(residual - z):g} > {tol:g}"
+            f"backward iteration residual {abs(residual - z):g} > {BACKWARD_TOL:g}"
         )
     return z
 
@@ -191,7 +194,6 @@ def periodic_orbit(
     address: ExternalAddress,
     Q: float,
     length: int,
-    tol: float = 1e-12,
 ) -> list[complex]:
     """Exact forward orbit of the point realizing a periodic address.
 
@@ -209,6 +211,6 @@ def periodic_orbit(
     cycle = []
     for i in range(p):
         rotated = ExternalAddress(tuple(entries[i:] + entries[:i]))
-        cycle.append(point_with_address(model, rotated, Q, tol=tol))
+        cycle.append(point_with_address(model, rotated, Q))
     return [cycle[i % p] for i in range(length)]
 

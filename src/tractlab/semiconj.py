@@ -44,6 +44,12 @@ from .tracts import continuous_lift
 # polyline resolution of the level-1 segment; lifts refine adaptively
 SEGMENT_SAMPLES = 17
 POSTSINGULAR_ITERATES = 100
+# points of the circle |z| = r_U on which f(cl U) inside U is checked
+BOUNDARY_SAMPLES = 256
+# the expansion certificate minimizes over CERTIFICATE_SAMPLES points of V
+# in r_U < |z| <= CERTIFICATE_RADIUS, drawn with seed 0
+CERTIFICATE_SAMPLES = 400
+CERTIFICATE_RADIUS = 1e3
 
 
 @dataclass(frozen=True)
@@ -94,9 +100,7 @@ def hyperbolic_derivative_W(setup: HyperbolicSetup, z: complex) -> float:
     return abs(setup.df(z)) * rho_W(setup, w) / rho_W(setup, z)
 
 
-def build_setup(
-    lam: complex, r_U: float, K: float, R: float, boundary_samples: int = 256
-) -> HyperbolicSetup:
+def build_setup(lam: complex, r_U: float, K: float, R: float) -> HyperbolicSetup:
     """Validate the hyperbolic configuration; every failed check is named."""
     lam = require_finite(lam, "lambda")
     if not abs(lam) < 1.0:
@@ -118,8 +122,8 @@ def build_setup(
         )
     setup = HyperbolicSetup(lam, float(r_U), float(K), float(R))
     # compact containment f(cl U) inside U, on a boundary sample
-    for i in range(boundary_samples):
-        zb = r_U * cmath.exp(2j * math.pi * i / boundary_samples)
+    for i in range(BOUNDARY_SAMPLES):
+        zb = r_U * cmath.exp(2j * math.pi * i / BOUNDARY_SAMPLES)
         if abs(setup.f(zb)) >= r_U:
             raise SetupInvalid(
                 f"containment |f| < r_U fails on the boundary at {zb!r}"
@@ -185,8 +189,6 @@ def _g_positions(setup: HyperbolicSetup, z: complex, needed: int) -> list[comple
             nxt = setup.g(pos[-1])
         except OverflowError:
             break  # orbit is escaping faster than doubles represent
-        if not (math.isfinite(nxt.real) and math.isfinite(nxt.imag)):
-            break
         if abs(nxt) > 1e250:
             # the next lift would need log|w| past the exp guard; the
             # remaining levels contract by 1/|f'| ~ 1/|w| and are dropped
@@ -272,28 +274,24 @@ def theta_level(setup: HyperbolicSetup, z: complex, k: int) -> SemiconjSample:
     )
 
 
-def expansion_certificate(
-    setup: HyperbolicSetup,
-    samples: int = 400,
-    radius: float = 1e3,
-    seed: int = 0,
-) -> float:
+def expansion_certificate(setup: HyperbolicSetup) -> float:
     """Certified lower bound C > 1 for ||Df||_W over V = f^{-1}(W) ∩ W.
 
-    Samples the region {r_U < |z| <= radius}, keeps the points that lie
-    in V, and minimizes the exact hyperbolic derivative over them.
-    Fails loudly instead of returning a useless C <= 1.
+    Samples the region {r_U < |z| <= CERTIFICATE_RADIUS}, keeps the first
+    CERTIFICATE_SAMPLES points that lie in V, and minimizes the exact
+    hyperbolic derivative over them.  Fails loudly instead of returning a
+    useless C <= 1.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst = math.inf
     worst_z = None
     counted = 0
     attempts = 0
-    while counted < samples and attempts < 200 * samples:
+    while counted < CERTIFICATE_SAMPLES and attempts < 200 * CERTIFICATE_SAMPLES:
         attempts += 1
         # log-uniform modulus reaches both ends of the annulus
         r = setup.r_U * math.exp(
-            rng.uniform(0.0, math.log(radius / setup.r_U))
+            rng.uniform(0.0, math.log(CERTIFICATE_RADIUS / setup.r_U))
         )
         zs = r * cmath.exp(2j * math.pi * rng.uniform(0.0, 1.0))
         try:
@@ -306,9 +304,9 @@ def expansion_certificate(
         val = hyperbolic_derivative_W(setup, zs)
         if val < worst:
             worst, worst_z = val, zs
-    if counted < samples:
+    if counted < CERTIFICATE_SAMPLES:
         raise CertificateFailed(
-            f"could only place {counted}/{samples} samples inside V"
+            f"could only place {counted}/{CERTIFICATE_SAMPLES} samples inside V"
         )
     if worst <= 1.0:
         raise CertificateFailed(
@@ -342,12 +340,10 @@ def _truncation_tail(
 
 
 def semiconj_limit(
-    setup: HyperbolicSetup,
-    z: complex,
-    tol: float,
-    certified_C: float | None = None,
+    setup: HyperbolicSetup, z: complex, tol: float, certified_C: float
 ) -> SemiconjSample:
-    """Converged theta(z) with depth chosen from mu / C^k <= tol.
+    """Converged theta(z) with depth chosen from mu / C^k <= tol, where
+    ``certified_C`` is the constant of ``expansion_certificate(setup)``.
 
     Escaping orbits usually saturate the representable range first; the
     remaining tail is then estimated from the last computed increment
@@ -355,8 +351,6 @@ def semiconj_limit(
     """
     if not tol > 0:
         raise RangeError("tol must be positive")
-    if certified_C is None:
-        certified_C = expansion_certificate(setup)
     if not (certified_C > 1.0):
         raise CertificateMissing(
             f"no expansion constant C > 1 available (got {certified_C!r})"
@@ -382,14 +376,9 @@ def semiconj_limit(
 
 
 def functional_residual(
-    setup: HyperbolicSetup,
-    z: complex,
-    tol: float,
-    certified_C: float | None = None,
+    setup: HyperbolicSetup, z: complex, tol: float, certified_C: float
 ) -> float:
     """|f(theta(z)) - theta(g(z))| at convergence."""
-    if certified_C is None:
-        certified_C = expansion_certificate(setup)
     s_z = semiconj_limit(setup, z, tol, certified_C)
     s_gz = semiconj_limit(setup, setup.g(z), tol, certified_C)
     return abs(setup.f(s_z.theta) - s_gz.theta)

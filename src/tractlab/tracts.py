@@ -143,6 +143,12 @@ def _asymptotic_seed(model: LogLiftModel, tract: TractAddress, w: complex) -> co
     return zs - model.offset
 
 
+# Newton stops once |f(exp z) - exp(w)| <= NEWTON_TOL (1 + |exp(w)|), and
+# raises NewtonDiverged after NEWTON_MAX_ITER steps
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
+
+
 def _newton_inverse(
     model: LogLiftModel,
     tract: TractAddress,
@@ -155,8 +161,8 @@ def _newton_inverse(
     target = cmath.exp(ws)
     z = seed if seed is not None else _asymptotic_seed(model, tract, w)
     pm = model.plane_map
-    tol = model.newton_tol * (1.0 + abs(target))
-    for _ in range(model.newton_max_iter):
+    tol = NEWTON_TOL * (1.0 + abs(target))
+    for _ in range(NEWTON_MAX_ITER):
         zeta = cmath.exp(z + model.offset)
         g = pm.eval(zeta) - target
         if abs(g) <= tol:

@@ -152,9 +152,9 @@ def test_criterion_07_holomorphy_in_kappa():
         for addr in addrs:
             orbit = orbits.periodic_orbit(BASE, addr, Q, 42)
             r1 = conjugacy.holomorphy_in_kappa(BASE, orbit[0], kappa0, 1e-3, Q,
-                                               depth=40, orbit=orbit)
+                                               orbit=orbit)
             r2 = conjugacy.holomorphy_in_kappa(BASE, orbit[0], kappa0, 5e-4, Q,
-                                               depth=40, orbit=orbit)
+                                               orbit=orbit)
             ratio = r1 / r2
             worst_lo, worst_hi = min(worst_lo, ratio), max(worst_hi, ratio)
     ok = 3.0 <= worst_lo and worst_hi <= 5.0

@@ -176,7 +176,6 @@ ZEXP = '{"family": "zexp"}'
 POINTS = "@" + json.dumps({"points": [[3.5, 0.0]]})
 WINDOW = "--window=-4,4,-4,4"
 SHIFTED = {"family": "shifted_exp"}
-LIFTED = {"family": "lifted_entire", "map": {"family": "zexp"}}
 
 
 def _conjugate_with_model(model):
@@ -221,12 +220,6 @@ def _conjugate_with_model(model):
         (_conjugate_with_model({**SHIFTED, "R": "x"}), "model.R"),
         (_conjugate_with_model({**SHIFTED, "R": math.nan}), "model.R"),
         (_conjugate_with_model({**SHIFTED, "Q": "x"}), "model.Q"),
-        (_conjugate_with_model({**LIFTED, "newton": {"max_iter": "a"}}),
-         "model.newton.max_iter"),
-        (_conjugate_with_model({**LIFTED, "newton": {"max_iter": 0}}),
-         "model.newton.max_iter"),
-        (_conjugate_with_model({**LIFTED, "newton": {"tol": 0}}), "model.newton.tol"),
-        (_conjugate_with_model({**LIFTED, "newton": [1]}), "model.newton"),
         (["semiconj", "--samples",
           "@" + json.dumps({"model": SHIFTED, "points": [[25, 0]]})],
          "samples.model"),
@@ -240,10 +233,9 @@ def _conjugate_with_model(model):
          "resolution_one_value", "resolution_not_integer", "non_numeric_point",
          "short_kappa", "text_Q", "nan_Q", "nan_escape_radius", "nan_semiconj_tol",
          "map_three_entries", "map_boolean", "map_nan_entry", "map_overflow_text",
-         "model_text_R", "model_nan_R", "model_text_Q", "newton_text_max_iter",
-         "newton_zero_max_iter", "newton_zero_tol", "newton_not_object",
-         "semiconj_samples_model", "report_number", "report_summary_number",
-         "report_setup_list", "report_samples_number"],
+         "model_text_R", "model_nan_R", "model_text_Q", "semiconj_samples_model",
+         "report_number", "report_summary_number", "report_setup_list",
+         "report_samples_number"],
 )
 def test_config_errors_name_the_field(tmp_path, capsys, argv, field):
     # an argument "@<json>" is written to a file and replaced by its path

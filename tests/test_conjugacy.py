@@ -11,6 +11,7 @@ import pytest
 from tractlab import conjugacy, gridkernel, models, orbits, semiconj, tracts
 from tractlab.errors import (
     CorrespondenceGap,
+    DepthExceeded,
     DomainError,
     OrbitLeftJQ,
     PreconditionError,
@@ -51,6 +52,12 @@ def test_theta_limit_depth_zero_tail_bounds_the_error():
     assert s.depth == 0
     assert s.tail_bound == pytest.approx(4.0 * abs(KAPPA))
     assert abs(s.theta - exact.theta) <= s.tail_bound <= 2.0
+
+
+def test_theta_limit_refuses_a_tolerance_past_the_depth_cap():
+    assert conjugacy.depth_for_tolerance(KAPPA, 1e-200) > conjugacy.DEFAULT_MAX_DEPTH
+    with pytest.raises(DepthExceeded):
+        conjugacy.theta_limit(BASE, KAPPA, 4.5 + 0.0j, 1e-200, Q)
 
 
 NAN = math.nan
@@ -176,14 +183,14 @@ def test_general_pullback_increment_contraction():
 
 def test_holomorphy_quotient_shrinks_quadratically():
     orb = _orbit([0, 1], 42)
-    r1 = conjugacy.holomorphy_in_kappa(BASE, orb[0], 0.2 + 0j, 1e-3, Q, 40, orb)
-    r2 = conjugacy.holomorphy_in_kappa(BASE, orb[0], 0.2 + 0j, 5e-4, Q, 40, orb)
+    r1 = conjugacy.holomorphy_in_kappa(BASE, orb[0], 0.2 + 0j, 1e-3, Q, orb)
+    r2 = conjugacy.holomorphy_in_kappa(BASE, orb[0], 0.2 + 0j, 5e-4, Q, orb)
     assert 3.0 <= r1 / r2 <= 5.0
 
 
 def test_kappa_derivative_near_deep_tract_asymptotic():
     orb = _orbit([0, 1], 42)
-    d = conjugacy.kappa_derivative(BASE, orb[0], 0.0 + 0j, 1e-3, Q, 40, orb)
+    d = conjugacy.kappa_derivative(BASE, orb[0], 0.0 + 0j, 1e-3, Q, orb)
     assert abs(d + 1.0) < 0.3
 
 

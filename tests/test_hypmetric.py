@@ -95,4 +95,4 @@ def test_punctured_sequence_validates_hypotheses():
 def test_hyperbolic_derivative_expands_on_samples():
     # disjoint-type half-plane dynamics expand the hyperbolic metric
     for z in (3.0 + 0.2j, 4.0 - 1.0j, 5.0 + 6.5j):
-        assert hypmetric.hyperbolic_derivative(SHIFTED, z, Q=0.0) > 1.0
+        assert hypmetric.hyperbolic_derivative(SHIFTED, z) > 1.0

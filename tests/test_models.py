@@ -153,6 +153,20 @@ def test_domain_membership_and_errors():
     assert not domain_contains(SHIFTED, 800.0 + math.pi * 1j)
 
 
+@pytest.mark.parametrize("im", [0.0, math.pi], ids=["im0", "im_pi"])
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+def test_membership_past_the_guard(spec, im):
+    # Re exp(z) = e^750 cos(Im z): at Im z = 0 every map blows up; at
+    # Im z = pi, f(exp z) is at its asymptotic value b, so z is in the
+    # domain iff log|b| > Q, unless a two-sided row blows up there too
+    model = LogLiftModel("lifted_entire", plane_map=spec)
+    if im == 0.0 or spec.row.two_sided:
+        expected = True
+    else:
+        expected = math.log(abs(spec.asymptotic_value())) > model.half_plane_Q
+    assert domain_contains(model, complex(750.0, im)) is expected
+
+
 def test_overflow_guard():
     with pytest.raises(OverflowError):
         eval_F(SHIFTED, 701.0 + 0.0j)
@@ -199,8 +213,8 @@ def test_normalize_certifies_each_offset_once(monkeypatch):
     calls = []
     certify = models._certify_expansion
 
-    def counting(model, samples, seed):
-        ok = certify(model, samples, seed)
+    def counting(model):
+        ok = certify(model)
         calls.append((model.offset, ok))
         return ok
 
@@ -225,6 +239,9 @@ def test_model_json_roundtrip(spec):
     model = LogLiftModel("lifted_entire", plane_map=spec, half_plane_Q=1.0)
     back = model_from_json(model_to_json(model))
     assert back == model
+    # an old descriptor's "newton" block is ignored, like any unknown key
+    old = {**model_to_json(model), "newton": {"tol": 0, "max_iter": "a"}}
+    assert model_from_json(old) == model
     back2 = model_from_json(model_to_json(SHIFTED))
     assert back2 == SHIFTED
 

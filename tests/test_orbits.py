@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from tractlab import orbits
+from tractlab import conjugacy, orbits
 from tractlab.errors import AddressMismatch, AddressUndefined, RangeError
-from tractlab.models import LogLiftModel, eval_F
+from tractlab.models import EntireMapSpec, LogLiftModel, eval_F
 
 SHIFTED = LogLiftModel("shifted_exp", R=10.0)
 Q = 2.0
@@ -23,6 +23,21 @@ def test_iterate_saturates_on_fast_escape():
     assert rec.escape_flag is orbits.EscapeFlag.STAYED_IN_JQ
     assert rec.certified and rec.saturated
     assert rec.points[1] == pytest.approx(math.e**4 - 10.0)
+
+
+def test_iterate_saturates_when_the_plane_map_overflows():
+    # 1e10 e^zeta overflows to inf inside the map, below the exp guard;
+    # that is an escape past double range, not an orbit point at Re = inf
+    big = LogLiftModel(
+        "lifted_entire", plane_map=EntireMapSpec.exp_affine(1e10, 0)
+    )
+    z = math.log(700.0) + 0.01j
+    rec = orbits.iterate(big, z, 5, Q)
+    assert rec.escape_flag is orbits.EscapeFlag.STAYED_IN_JQ and rec.saturated
+    assert rec.points == [z]
+    kappa = 0.3 + 0.2j
+    s = conjugacy.theta_limit(big, kappa, z, 1e-9, Q)
+    assert s.depth == 31 and abs(s.theta - z) <= 2.0 * abs(kappa)
 
 
 def test_iterate_detects_domain_exit():

@@ -15,7 +15,13 @@ from tractlab.models import (
     LogLiftModel,
     eval_F,
 )
-from tractlab.tracts import TractAddress, inverse_branch, lift_path, tract_of
+from tractlab.tracts import (
+    MAX_LIFT_STEP,
+    TractAddress,
+    inverse_branch,
+    lift_path,
+    tract_of,
+)
 
 SHIFTED = LogLiftModel("shifted_exp", R=10.0)
 
@@ -103,6 +109,31 @@ def test_lift_path_consistency_and_continuity():
     assert max(steps) <= math.pi / 2 + 1e-12
     # w + R never winds around 0 inside the half-plane: branch constant
     assert set(lifted.branch_log) == {0}
+
+
+def _check_lift(model, path, lifted):
+    for a, b in zip(lifted.samples, lifted.samples[1:]):
+        assert abs(b - a) <= MAX_LIFT_STEP
+    for src, z in zip(lifted.source_samples, lifted.samples):
+        assert abs(eval_F(model, z) - src) <= 1e-9 * (1.0 + abs(src))
+    assert set(path) <= set(lifted.source_samples)
+
+
+def test_lift_path_bisects_long_steps():
+    # long source steps, whose lifts move by more than MAX_LIFT_STEP
+    path = [10.0 + 0j, 10.0 + 400j, 300.0 + 400j, 5.0 - 300j, 6.0 + 0j]
+    lifted = lift_path(SHIFTED, TractAddress(1), path)
+    assert len(lifted.samples) > len(path)
+    _check_lift(SHIFTED, path, lifted)
+
+
+def test_lift_path_on_a_lifted_family():
+    # Newton lift steps; |Im w| < pi, so F's principal value is w itself
+    model = LogLiftModel("lifted_entire", plane_map=EntireMapSpec.lambda_expm1(0.5))
+    path = [complex(6.0, 0.25 * t) for t in range(-12, 13)]
+    lifted = lift_path(model, TractAddress(1), path)
+    assert set(lifted.branch_log) == {1}
+    _check_lift(model, path, lifted)
 
 
 def test_lift_path_rejects_bad_input():
