@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,7 @@ from .errors import (
     RangeError,
     SetupInvalid,
 )
-from .models import TWO_PI, EntireMapSpec, require_finite
+from .models import EXP_OVERFLOW_GUARD, TWO_PI, EntireMapSpec, require_finite
 from .tracts import continuous_lift
 
 # polyline resolution of the level-1 segment; lifts refine adaptively
@@ -47,9 +48,16 @@ POSTSINGULAR_ITERATES = 100
 # points of the circle |z| = r_U on which f(cl U) inside U is checked
 BOUNDARY_SAMPLES = 256
 # the expansion certificate minimizes over CERTIFICATE_SAMPLES points of V
-# in r_U < |z| <= CERTIFICATE_RADIUS, drawn with seed 0
+# in r_U < |z| <= CERTIFICATE_RADIUS, drawn with seed 0 in blocks of
+# CERTIFICATE_BLOCK attempts, CERTIFICATE_MAX_ATTEMPTS at most
 CERTIFICATE_SAMPLES = 400
 CERTIFICATE_RADIUS = 1e3
+CERTIFICATE_BLOCK = 4 * CERTIFICATE_SAMPLES
+CERTIFICATE_MAX_ATTEMPTS = 200 * CERTIFICATE_SAMPLES
+# an array value this close (relative) to a threshold or to the minimum
+# is recomputed in scalar arithmetic, whose result is the one reported;
+# array and scalar |f| differ by up to ~1e-13 at |z| ~ CERTIFICATE_RADIUS
+CONFIRM_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -100,6 +108,26 @@ def hyperbolic_derivative_W(setup: HyperbolicSetup, z: complex) -> float:
     return abs(setup.df(z)) * rho_W(setup, w) / rho_W(setup, z)
 
 
+def _rho_W_array(setup: HyperbolicSetup, z: np.ndarray) -> np.ndarray:
+    # rho_W over an array, in the scalar formula's order; no range check
+    r = np.abs(z)
+    return 1.0 / (r * np.log(r / setup.r_U))
+
+
+def _above(
+    approx: np.ndarray, threshold: float, exact: Callable[[int], bool]
+) -> np.ndarray:
+    """approx > threshold, for array values that may differ from their
+    scalar computation in the last bits: where approx is within
+    CONFIRM_MARGIN of the positive threshold, or nan, the scalar test
+    ``exact(i)`` decides."""
+    above = approx > threshold * (1.0 + CONFIRM_MARGIN)
+    undecided = ~above & ~(approx <= threshold * (1.0 - CONFIRM_MARGIN))
+    for i in np.flatnonzero(undecided):
+        above[i] = exact(int(i))
+    return above
+
+
 def build_setup(lam: complex, r_U: float, K: float, R: float) -> HyperbolicSetup:
     """Validate the hyperbolic configuration; every failed check is named."""
     lam = require_finite(lam, "lambda")
@@ -121,13 +149,20 @@ def build_setup(lam: complex, r_U: float, K: float, R: float) -> HyperbolicSetup
             f"{math.log(2.0 * R - 1.0):g} < {K + 1.0:g}"
         )
     setup = HyperbolicSetup(lam, float(r_U), float(K), float(R))
-    # compact containment f(cl U) inside U, on a boundary sample
-    for i in range(BOUNDARY_SAMPLES):
-        zb = r_U * cmath.exp(2j * math.pi * i / BOUNDARY_SAMPLES)
-        if abs(setup.f(zb)) >= r_U:
-            raise SetupInvalid(
-                f"containment |f| < r_U fails on the boundary at {zb!r}"
-            )
+    # compact containment f(cl U) inside U, on a boundary sample, in one
+    # array pass confirmed in scalar near |f| = r_U
+
+    def boundary_point(i: int) -> complex:
+        return r_U * cmath.exp(2j * math.pi * i / BOUNDARY_SAMPLES)
+
+    pm = setup.map_spec
+    angles = 2j * np.pi * np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES
+    with np.errstate(all="ignore"):
+        fb = np.abs(pm.row.f(np, pm.params, r_U * np.exp(angles)))
+    fails = _above(fb, r_U, lambda i: abs(setup.f(boundary_point(i))) >= r_U)
+    if fails.any():
+        zb = boundary_point(int(np.argmax(fails)))
+        raise SetupInvalid(f"containment |f| < r_U fails on the boundary at {zb!r}")
     # postsingular orbit: forward iterates of the asymptotic value -lambda
     p = -lam
     for step in range(POSTSINGULAR_ITERATES):
@@ -274,40 +309,85 @@ def theta_level(setup: HyperbolicSetup, z: complex, k: int) -> SemiconjSample:
     )
 
 
-def expansion_certificate(setup: HyperbolicSetup) -> float:
-    """Certified lower bound C > 1 for ||Df||_W over V = f^{-1}(W) ∩ W.
+def _certificate_point(
+    setup: HyperbolicSetup, log_span: float, u: np.ndarray
+) -> complex:
+    # the scalar form of an attempt's point; log-uniform modulus reaches
+    # both ends of the annulus
+    r = setup.r_U * math.exp(log_span * float(u[0]))
+    return r * cmath.exp(2j * math.pi * float(u[1]))
 
-    Samples the region {r_U < |z| <= CERTIFICATE_RADIUS}, keeps the first
-    CERTIFICATE_SAMPLES points that lie in V, and minimizes the exact
-    hyperbolic derivative over them.  Fails loudly instead of returning a
-    useless C <= 1.
+
+def _attempts_in_V(
+    setup: HyperbolicSetup, log_span: float, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Points of a block of attempts and the mask of those in V: the
+    scalar ``setup.f`` returns |f| > r_U there without overflowing."""
+    pm = setup.map_spec
+    with np.errstate(all="ignore"):
+        zs = setup.r_U * np.exp(log_span * u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+        fz = np.abs(pm.row.f(np, pm.params, zs))
+    # past the guard the scalar call overflows: outside (0); near the
+    # guard it may fall on either side: undecided (nan)
+    approx = np.where(zs.real <= EXP_OVERFLOW_GUARD, fz, 0.0)
+    guard_gap = np.abs(zs.real - EXP_OVERFLOW_GUARD)
+    approx[guard_gap <= CONFIRM_MARGIN * EXP_OVERFLOW_GUARD] = np.nan
+
+    def exact(i: int) -> bool:
+        try:
+            return abs(setup.f(_certificate_point(setup, log_span, u[i]))) > setup.r_U
+        except OverflowError:
+            return False
+
+    return zs, _above(approx, setup.r_U, exact)
+
+
+def expansion_certificate(setup: HyperbolicSetup) -> float:
+    """Sampled lower bound C > 1 for ||Df||_W over V = f^{-1}(W) ∩ W.
+
+    Draws points of the annulus {r_U < |z| <= CERTIFICATE_RADIUS} with
+    seed 0, keeps the first CERTIFICATE_SAMPLES that lie in V, and
+    returns the least exact hyperbolic derivative over them.  C is a
+    sampled minimum, not a proof.  The points are drawn and evaluated in
+    one array pass per block of attempts; membership within
+    CONFIRM_MARGIN of |f| = r_U or of the overflow guard, and every value
+    within CONFIRM_MARGIN of the minimum, are recomputed in scalar
+    arithmetic, so C is the scalar minimum over the scalar sample.
+    Fails loudly instead of returning a useless C <= 1.
     """
     rng = np.random.default_rng(0)
-    worst = math.inf
-    worst_z = None
-    counted = 0
-    attempts = 0
-    while counted < CERTIFICATE_SAMPLES and attempts < 200 * CERTIFICATE_SAMPLES:
-        attempts += 1
-        # log-uniform modulus reaches both ends of the annulus
-        r = setup.r_U * math.exp(
-            rng.uniform(0.0, math.log(CERTIFICATE_RADIUS / setup.r_U))
-        )
-        zs = r * cmath.exp(2j * math.pi * rng.uniform(0.0, 1.0))
-        try:
-            fz = setup.f(zs)
-        except OverflowError:
-            continue
-        if abs(fz) <= setup.r_U:
-            continue  # outside V; not counted
-        counted += 1
-        val = hyperbolic_derivative_W(setup, zs)
-        if val < worst:
-            worst, worst_z = val, zs
+    log_span = math.log(CERTIFICATE_RADIUS / setup.r_U)
+    kept_z, kept_u = [], []
+    counted = attempts = 0
+    while counted < CERTIFICATE_SAMPLES and attempts < CERTIFICATE_MAX_ATTEMPTS:
+        # attempt i draws (log modulus, angle) = (log_span u[i, 0], u[i, 1]),
+        # the doubles of successive rng.uniform calls
+        u = rng.random((min(CERTIFICATE_BLOCK, CERTIFICATE_MAX_ATTEMPTS - attempts), 2))
+        attempts += len(u)
+        zs, in_V = _attempts_in_V(setup, log_span, u)
+        kept_z.append(zs[in_V])
+        kept_u.append(u[in_V])
+        counted += int(np.count_nonzero(in_V))
     if counted < CERTIFICATE_SAMPLES:
         raise CertificateFailed(
             f"could only place {counted}/{CERTIFICATE_SAMPLES} samples inside V"
         )
+    z = np.concatenate(kept_z)[:CERTIFICATE_SAMPLES]
+    u = np.concatenate(kept_u)[:CERTIFICATE_SAMPLES]
+    pm = setup.map_spec
+    with np.errstate(all="ignore"):
+        vals = (
+            np.abs(pm.row.df(np, pm.params, z))
+            * _rho_W_array(setup, pm.row.f(np, pm.params, z))
+            / _rho_W_array(setup, z)
+        )
+        low = vals.min()
+        # a nan anywhere makes low nan and sends every sample to scalar
+        near = np.flatnonzero(~(vals > low + CONFIRM_MARGIN * abs(low)))
+    points = [_certificate_point(setup, log_span, u[i]) for i in near]
+    values = [hyperbolic_derivative_W(setup, zi) for zi in points]
+    k = min(range(len(values)), key=values.__getitem__)
+    worst, worst_z = values[k], points[k]
     if worst <= 1.0:
         raise CertificateFailed(
             f"||Df||_W = {worst:g} <= 1 at sample {worst_z!r}"

@@ -204,24 +204,30 @@ def continuous_lift(
 
     ``step(z_cur, w)`` returns the lift of w chosen continuously from
     z_cur, with its branch integer.  A step whose lift would move by more
-    than MAX_LIFT_STEP is bisected in the source plane, at most
-    MAX_BISECTION_DEPTH times; past that it raises ContinuationError.
+    than MAX_LIFT_STEP, or whose Newton solve diverges, is bisected in the
+    source plane, at most MAX_BISECTION_DEPTH times; past that it raises
+    ContinuationError.
     """
     samples = [z0]
     sources = [complex(path[0])]
     branches = [branch0]
 
     def advance(z_cur: complex, w_from: complex, w_to: complex, depth: int):
-        z_next, b = step(z_cur, w_to)
-        if abs(z_next - z_cur) <= MAX_LIFT_STEP:
-            samples.append(z_next)
-            sources.append(w_to)
-            branches.append(b)
-            return z_next
+        diverged = None
+        try:
+            z_next, b = step(z_cur, w_to)
+        except NewtonDiverged as exc:
+            diverged = exc
+        else:
+            if abs(z_next - z_cur) <= MAX_LIFT_STEP:
+                samples.append(z_next)
+                sources.append(w_to)
+                branches.append(b)
+                return z_next
         if depth >= MAX_BISECTION_DEPTH:
             raise ContinuationError(
                 f"cannot keep the branch continuous near w = {w_to!r}"
-            )
+            ) from diverged
         mid = 0.5 * (w_from + w_to)
         z_mid = advance(z_cur, w_from, mid, depth + 1)
         return advance(z_mid, mid, w_to, depth + 1)
@@ -239,8 +245,9 @@ def lift_path(
 ) -> LiftedPath:
     """Continuous lift of a half-plane curve under the inverse of F.
 
-    Steps whose lift would jump by more than pi/2 are bisected in the
-    source plane; refinement failure raises ContinuationError.
+    Steps whose lift would jump by more than pi/2, or whose Newton solve
+    diverges, are bisected in the source plane; refinement failure raises
+    ContinuationError.
     """
     if not path:
         raise RangeError("path must contain at least one sample")

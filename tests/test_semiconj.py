@@ -1,12 +1,19 @@
 """Unit tests for the hyperbolic-map semiconjugacy construction."""
 
+import cmath
 import json
 import math
 
+import numpy as np
 import pytest
 
 from tractlab import semiconj
-from tractlab.errors import CertificateMissing, HorizonError, SetupInvalid
+from tractlab.errors import (
+    CertificateFailed,
+    CertificateMissing,
+    HorizonError,
+    SetupInvalid,
+)
 
 SETUP = semiconj.build_setup(0.5, 0.7, 2.0, 11.0)
 
@@ -74,6 +81,99 @@ def test_expansion_certificate_exceeds_one_and_is_deterministic():
     c2 = semiconj.expansion_certificate(SETUP)
     assert c1 == c2
     assert c1 > 1.0
+
+
+def _scalar_certificate(setup):
+    # the certificate as one scalar rejection-sampling loop: the oracle
+    # for the array pass, which must return the same double
+    rng = np.random.default_rng(0)
+    worst = math.inf
+    worst_z = None
+    counted = 0
+    attempts = 0
+    while (
+        counted < semiconj.CERTIFICATE_SAMPLES
+        and attempts < 200 * semiconj.CERTIFICATE_SAMPLES
+    ):
+        attempts += 1
+        r = setup.r_U * math.exp(
+            rng.uniform(0.0, math.log(semiconj.CERTIFICATE_RADIUS / setup.r_U))
+        )
+        zs = r * cmath.exp(2j * math.pi * rng.uniform(0.0, 1.0))
+        try:
+            fz = setup.f(zs)
+        except OverflowError:
+            continue
+        if abs(fz) <= setup.r_U:
+            continue
+        counted += 1
+        val = semiconj.hyperbolic_derivative_W(setup, zs)
+        if val < worst:
+            worst, worst_z = val, zs
+    if counted < semiconj.CERTIFICATE_SAMPLES:
+        raise CertificateFailed(
+            f"could only place {counted}/{semiconj.CERTIFICATE_SAMPLES} "
+            f"samples inside V"
+        )
+    if worst <= 1.0:
+        raise CertificateFailed(f"||Df||_W = {worst:g} <= 1 at sample {worst_z!r}")
+    return worst
+
+
+# the semiconj benchmark's lambdas, then seeded complex ones in |lambda| < 0.55
+_RNG = np.random.default_rng(8)
+ORACLE_LAMBDAS = [0.5, 0.3, 0.6, 0.4 + 0.1j] + [
+    complex(cmath.rect(0.55 * math.sqrt(a), math.tau * b))
+    for a, b in _RNG.random((20, 2))
+]
+
+
+@pytest.mark.parametrize("lam", ORACLE_LAMBDAS)
+def test_expansion_certificate_matches_scalar_oracle(lam):
+    setup = semiconj.build_setup(lam, 0.7, 2.0, 11.0)
+    assert semiconj.expansion_certificate(setup) == _scalar_certificate(setup)
+
+
+def _failure(certificate, setup) -> str:
+    with pytest.raises(CertificateFailed) as info:
+        certificate(setup)
+    return str(info.value)
+
+
+def test_expansion_certificate_fails_like_the_oracle_at_the_attempt_cap(monkeypatch):
+    # a hair-thin annulus next to cl U: f maps all of it into U
+    monkeypatch.setattr(semiconj, "CERTIFICATE_RADIUS", SETUP.r_U * (1.0 + 1e-9))
+    message = _failure(semiconj.expansion_certificate, SETUP)
+    assert message.startswith("could only place 0/")
+    assert message == _failure(_scalar_certificate, SETUP)
+
+
+def test_expansion_certificate_fails_like_the_oracle_without_expansion():
+    # r_U past K/2: build_setup refuses it, and f does not expand on V
+    setup = semiconj.HyperbolicSetup(0.5, 2.0, 2.0, 11.0)
+    message = _failure(semiconj.expansion_certificate, setup)
+    assert "<= 1 at sample" in message
+    assert message == _failure(_scalar_certificate, setup)
+
+
+def test_boundary_check_names_the_first_failing_point():
+    # |f| = |lambda| |e^z - 1| peaks on |z| = r_U at z = r_U, the first
+    # boundary point, where 0.7 (e^0.7 - 1) = 0.71 > r_U
+    with pytest.raises(SetupInvalid, match=r"boundary at \(0\.7\+0j\)"):
+        semiconj.build_setup(0.7, 0.7, 2.0, 11.0)
+
+
+@pytest.mark.parametrize("ulps", range(-3, 4))
+def test_boundary_check_at_the_threshold_agrees_with_scalar(ulps):
+    # |f(r_U)| = r_U to within a few ulps, inside the array pass's margin,
+    # so the scalar evaluation decides
+    lam = 0.7 / math.expm1(0.7) * (1.0 + ulps * 2.0**-52)
+    fails = abs(semiconj.HyperbolicSetup(lam, 0.7, 2.0, 11.0).f(0.7 + 0j)) >= 0.7
+    if fails:
+        with pytest.raises(SetupInvalid, match="boundary"):
+            semiconj.build_setup(lam, 0.7, 2.0, 11.0)
+    else:
+        semiconj.build_setup(lam, 0.7, 2.0, 11.0)
 
 
 def test_semiconj_limit_converges_with_tiny_tail():

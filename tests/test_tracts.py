@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tractlab.errors import DomainError, RangeError
+from tractlab.errors import (
+    ContinuationError,
+    DomainError,
+    NewtonDiverged,
+    RangeError,
+)
 from tractlab.models import (
     TWO_PI,
     EntireMapSpec,
@@ -18,6 +23,7 @@ from tractlab.models import (
 from tractlab.tracts import (
     MAX_LIFT_STEP,
     TractAddress,
+    continuous_lift,
     inverse_branch,
     lift_path,
     tract_of,
@@ -134,6 +140,25 @@ def test_lift_path_on_a_lifted_family():
     lifted = lift_path(model, TractAddress(1), path)
     assert set(lifted.branch_log) == {1}
     _check_lift(model, path, lifted)
+
+
+def test_lift_path_bisects_where_newton_diverges():
+    # Newton from the current lift diverges on this whole step; its
+    # halves lift, so the step is bisected like one that moves too far
+    model = LogLiftModel("lifted_entire", plane_map=EntireMapSpec.lambda_expm1(0.5))
+    path = [4.0 - 0.5j, 9.5 + 0.5j]
+    lifted = lift_path(model, TractAddress(0), path)
+    assert len(lifted.samples) > len(path)
+    _check_lift(model, path, lifted)
+
+
+def test_continuous_lift_gives_up_on_a_step_that_always_diverges():
+    def step(z_cur, w):
+        raise NewtonDiverged(f"no preimage of {w!r}")
+
+    with pytest.raises(ContinuationError) as info:
+        continuous_lift(step, 0j, [1.0 + 0j, 2.0 + 0j])
+    assert isinstance(info.value.__cause__, NewtonDiverged)
 
 
 def test_lift_path_rejects_bad_input():
