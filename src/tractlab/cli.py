@@ -14,11 +14,10 @@ import json
 import math
 import sys
 
-from . import conjugacy, gridkernel, semiconj
+from . import conjugacy, gridkernel, semiconj, verify
 from .errors import ConfigError, TractlabError
 from .gridkernel import Window
 from .models import _complex, _positive, _real, model_from_json, plane_map_from_json
-from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -215,7 +214,7 @@ def _cmd_semiconj(args) -> int:
 # -- verify / report ---------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    failures = run_suite(args.suite, verbose=True)
+    failures = verify.run_suite(args.suite)
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
@@ -291,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--suite",
         default="all",
-        choices=["all", "models", "tracts", "hypmetric", "orbits", "conjugacy",
-                 "semiconj", "grid"],
+        choices=["all", *verify.SUITES],
     )
     p_ver.set_defaults(func=_cmd_verify)
 

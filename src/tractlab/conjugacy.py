@@ -7,9 +7,10 @@ the limit of the tower
 
 which is Cauchy at the a priori rate 2|kappa| / 2^n once Q > 2|kappa| + 1.
 Depth is always selected from that explicit rate, never adaptively.  A
-general two-map pullback with a user-supplied tract correspondence is
-provided alongside, plus the displacement, inverse, uniqueness,
-holomorphy, and dilatation-ceiling checks the construction admits.
+general two-map pullback is provided alongside: it follows a tract
+correspondence given as a mapping of branch indices, the form a JSON
+descriptor can carry.  The displacement, inverse, uniqueness, holomorphy
+and dilatation-ceiling checks the construction admits complete the module.
 
 Each tower certifies the forward orbit of z once, in ``_certified_orbit``,
 which returns the orbit and the tract address of every point the tower
@@ -24,7 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,9 @@ DEFAULT_MAX_DEPTH = 400
 # the common tower depth of the four kappa-stencil towers
 KAPPA_STENCIL_DEPTH = 40
 
-Correspondence = Mapping[int, int] | Callable[[TractAddress], TractAddress] | None
+# branch index of an F-tract -> branch index of its G-tract; None is the
+# identity
+Correspondence = Mapping[int, int] | None
 
 
 @dataclass
@@ -216,18 +219,20 @@ def theta_n(
 
 
 def depth_for_tolerance(kappa: complex, tol: float) -> int:
-    """Smallest n with 2|kappa| * 2^(1-n) <= tol."""
+    """Smallest n with 2|kappa| * 2^(1-n) <= tol.
+
+    With 2|kappa| = ms 2^es and tol = mt 2^et, mantissas in [1/2, 1), the
+    product is exact and the condition reads ms 2^(es+1-n-et) <= mt, which
+    holds exactly when es+1-n-et < 0, or = 0 with ms <= mt.
+    """
     if not tol > 0:
         raise RangeError("tol must be positive")
     scale = 2.0 * abs(kappa)
-    if scale == 0.0:
+    if scale == 0.0 or tol == math.inf:
         return 0
-    n = 0
-    while scale * 2.0 ** (1 - n) > tol:
-        n += 1
-        if n > 4000:  # pragma: no cover - tol would have to underflow
-            raise DepthExceeded("tolerance unreachable at double precision")
-    return n
+    ms, es = math.frexp(scale)
+    mt, et = math.frexp(tol)
+    return max(0, es - et + 1 + (ms > mt))
 
 
 def theta_limit(
@@ -304,21 +309,17 @@ def inverse_theta_check(
     w: complex,
     tol: float,
     Q: float,
-    address: ExternalAddress | None = None,
+    address: ExternalAddress,
 ) -> float:
     """|Theta(Theta'(w)) - w| where Theta' is built over base F_kappa
     with translation parameter -kappa (so that (F_kappa)_{-kappa} = F_0).
 
-    When w is the periodic point of F_kappa with the given periodic
-    ``address``, exact cycle orbits are used for both towers: Theta'
-    transports w to the F_0-periodic point with the same address, so the
-    forward orbit of Theta'(w) is that cycle up to the tower tolerance.
+    w is the periodic point of F_kappa with the periodic ``address``, and
+    exact cycle orbits are used for both towers: Theta' transports w to
+    the F_0-periodic point with the same address, so the forward orbit of
+    Theta'(w) is that cycle up to the tower tolerance.
     """
     member = base.translated(kappa)
-    if address is None:
-        inner = theta_limit(member, -kappa, w, tol, Q)
-        outer = theta_limit(base, kappa, inner.theta, tol, Q)
-        return abs(outer.theta - require_finite(w, "w"))
     depth = depth_for_tolerance(kappa, tol)
     w_orbit = periodic_orbit(member, address, Q, depth + 2)
     inner = theta_limit(member, -kappa, w, tol, Q, orbit=w_orbit)
@@ -331,11 +332,6 @@ def inverse_theta_check(
 def _resolve(correspondence: Correspondence, tract: TractAddress) -> TractAddress:
     if correspondence is None:
         return tract
-    if callable(correspondence):
-        out = correspondence(tract)
-        if out is None:
-            raise CorrespondenceGap(f"no image for tract {tract}")
-        return out
     try:
         return TractAddress(correspondence[tract.branch_index], tract.inner_branch)
     except KeyError as exc:
@@ -354,7 +350,9 @@ def general_pullback(
 ) -> complex:
     """Depth-n tower Theta_{j+1}(z) = G_corr(T)^{-1}(Theta_j(F(z))).
 
-    When ``increments`` is given it receives, per level j >= 1, the pair
+    ``correspondence`` maps the branch index of each F-tract to that of
+    its G-tract (None: the same index).  When ``increments`` is given it
+    receives, per level j >= 1, the pair
     (dist_half_plane(Theta_{j+1}(z), Theta_j(z)),
      dist_half_plane(Theta_j(F(z)), Theta_{j-1}(F(z)))) so the measured
     contraction constant of the pullback step can be extracted.
@@ -365,24 +363,19 @@ def general_pullback(
     orbit, tracts = _certified_orbit(F, z, n, Q, orbit)
     m = len(orbit) - 1
 
-    def tower(depth: int) -> complex:
-        v = orbit[depth]
-        for j in range(depth - 1, -1, -1):
+    def pull(v: complex, top: int, bottom: int = 0) -> complex:
+        # pull v, a value at orbit position top, down to position bottom
+        for j in range(top - 1, bottom - 1, -1):
             tract = _resolve(correspondence, tracts[j])
             v = inverse_branch(G, tract, v, seed=orbit[j])
         return v
 
     if increments is None:
-        return tower(m)
-    values = [tower(j) for j in range(m + 1)]
-    # the towers over F(z) are the suffixes of the same orbit, shifted
-    upstairs = []
-    for j in range(m):
-        v = orbit[j + 1]
-        for i in range(j, 0, -1):
-            tract = _resolve(correspondence, tracts[i])
-            v = inverse_branch(G, tract, v, seed=orbit[i])
-        upstairs.append(v)
+        return pull(orbit[m], m)
+    # Theta_j(F(z)) is the tower over orbit[j + 1] stopped one level above
+    # z, and one more level gives Theta_{j+1}(z)
+    upstairs = [pull(orbit[j + 1], j + 1, 1) for j in range(m)]
+    values = [orbit[0]] + [pull(u, 1) for u in upstairs]
     for j in range(1, m):
         d_new = dist_half_plane(Q, values[j + 1], values[j])
         d_arg = dist_half_plane(Q, upstairs[j], upstairs[j - 1])

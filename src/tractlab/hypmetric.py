@@ -2,9 +2,9 @@
 
 The half-plane values are exact (curvature -1 normalization, density
 1/(Re z - Q)).  For general plane domains only one-sided bounds are
-produced; each bound records the estimate it came from.  The constant K
-in the two-puncture estimate is a configuration parameter (default 1);
-results involving it are only meaningful up to that constant.
+produced; each bound records the estimate it came from.  The constant
+of the two-puncture estimate is ``TWO_PUNCTURE_K``; results involving it
+are only meaningful up to that constant.
 """
 
 from __future__ import annotations
@@ -15,6 +15,9 @@ from enum import Enum
 
 from .errors import DomainError, RangeError
 from .models import LogLiftModel, eval_dF, eval_F, require_finite
+
+# the unspecified constant of the two-puncture estimate
+TWO_PUNCTURE_K = 1.0
 
 
 class BoundMethod(Enum):
@@ -27,11 +30,15 @@ class DensityBound:
     lower: float
     upper: float
     method: BoundMethod
-    simply_connected_only: bool = False  # lower bound valid only then
 
     def __post_init__(self):
         if self.lower < 0 or self.lower > self.upper:
             raise RangeError(f"invalid density interval [{self.lower}, {self.upper}]")
+
+    @property
+    def simply_connected_only(self) -> bool:
+        """The lower bound is valid only for a simply connected domain."""
+        return self.method is BoundMethod.STANDARD_ESTIMATE
 
     def contains(self, rho: float) -> bool:
         return self.lower <= rho <= self.upper
@@ -65,9 +72,7 @@ def standard_estimate_bound(dist_to_boundary: float) -> DensityBound:
     d = float(dist_to_boundary)
     if d <= 0:
         raise RangeError(f"dist_to_boundary must be positive, got {d:g}")
-    return DensityBound(
-        0.5 / d, 2.0 / d, BoundMethod.STANDARD_ESTIMATE, simply_connected_only=True
-    )
+    return DensityBound(0.5 / d, 2.0 / d, BoundMethod.STANDARD_ESTIMATE)
 
 
 def inscribed_disk_upper(dist_to_boundary: float) -> DensityBound:
@@ -78,32 +83,30 @@ def inscribed_disk_upper(dist_to_boundary: float) -> DensityBound:
     return DensityBound(0.0, 2.0 / d, BoundMethod.INSCRIBED_DISK)
 
 
-def two_puncture_upper(a: complex, b: complex, z: complex, K: float = 1.0) -> float:
+def two_puncture_upper(a: complex, b: complex, z: complex) -> float:
     """Upper bound for 1/rho of the twice-punctured plane C minus {a, b}.
 
     By monotonicity the same value bounds 1/rho of every subdomain.
-    Valid up to the configured constant K.
+    Meaningful up to the constant TWO_PUNCTURE_K.
     """
     a, b, z = require_finite(a, "a"), require_finite(b, "b"), require_finite(z)
-    if K <= 0:
-        raise RangeError("K must be positive")
     if z == a or z == b or a == b:
         raise RangeError("z must be distinct from the two punctures")
     da, db = abs(z - a), abs(z - b)
     if da > db:
         a, b = b, a
         da, db = db, da
-    return K * da * (1.0 + abs(math.log(abs(b - a) / da)))
+    return TWO_PUNCTURE_K * da * (1.0 + abs(math.log(abs(b - a) / da)))
 
 
 def punctured_sequence_upper(
     punctures: list[complex],
     ratio: float,
     z: complex,
-    K: float = 1.0,
 ) -> float:
     """Upper bound for 1/rho of the plane punctured at 0 and a geometric
-    sequence, following the three-case nearest/companion puncture choice.
+    sequence, following the three-case nearest/companion puncture choice;
+    meaningful up to the constant TWO_PUNCTURE_K.
 
     ``punctures`` must contain 0 and the w_j in increasing modulus with
     |w_{j+1}| <= ratio * |w_j|.  The list must reach past max(|z|, 3|z-a|)
@@ -136,7 +139,7 @@ def punctured_sequence_upper(
         b = _first_with_modulus(ws, 3.0 * da)
     else:
         b = 0.0 + 0.0j
-    return two_puncture_upper(a, b, z, K)
+    return two_puncture_upper(a, b, z)
 
 
 def _first_with_modulus(ws: list[complex], floor: float) -> complex:

@@ -3,10 +3,11 @@
 Two kinds of models are provided: the closed-form shifted exponential
 ``F(z) = e^z - R`` (the canonical explicit member of the class, already
 normalized and of disjoint type for ``R >= 2``) and lifts of entire
-plane maps, evaluated through the principal logarithm with an explicit
-branch integer.  The plane maps form one table, ``PLANE_FAMILIES``: every
-per-family formula (scalar and grid evaluation, derivative, asymptotic
-value, Newton seed, JSON parameter names) lives there and nowhere else.
+plane maps, evaluated through the principal logarithm; inverse branches
+carry their tract integers explicitly (see ``tracts``).  The plane maps
+form one table, ``PLANE_FAMILIES``: every per-family formula (scalar and
+grid evaluation, derivative, asymptotic value, Newton seed, JSON
+parameter names) lives there and nowhere else.
 """
 
 from __future__ import annotations
@@ -208,15 +209,13 @@ class LogLiftModel:
         return replace(self, kappa=self.kappa + kappa)
 
 
-def eval_F(model: LogLiftModel, z: complex, branch: int = 0) -> complex:
+def eval_F(model: LogLiftModel, z: complex) -> complex:
     """Evaluate the log-coordinate map at z, checking domain membership.
 
-    ``branch`` selects the 2*pi*i multiple added to the principal-log
-    value of a lifted entire map; it is ignored for shifted_exp, whose
-    value is single-valued and exact.
+    A lifted entire map takes the principal logarithm of f(exp z).
     """
     z = require_finite(z)
-    w = _eval_raw(model, z + model.kappa, branch)
+    w = _eval_raw(model, z + model.kappa)
     if w.real <= model.half_plane_Q:
         raise DomainError(
             f"z = {z!r} is outside the domain (Re F = {w.real:g} <= "
@@ -228,7 +227,7 @@ def eval_F(model: LogLiftModel, z: complex, branch: int = 0) -> complex:
 def _eval_F_array(
     model: LogLiftModel, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``eval_F`` (branch 0) over a 1-D array, through the table row's
+    """``eval_F`` over a 1-D array, through the table row's
     ``f`` with ``m = numpy``.
 
     Returns the values and a mask that is true where the scalar call
@@ -255,7 +254,7 @@ def _eval_F_array(
     return w, ok
 
 
-def _eval_raw(model: LogLiftModel, zk: complex, branch: int = 0) -> complex:
+def _eval_raw(model: LogLiftModel, zk: complex) -> complex:
     # zk is in the coordinates of the untranslated map: z + kappa
     zs = zk + model.offset
     if zs.real > EXP_OVERFLOW_GUARD:
@@ -268,8 +267,10 @@ def _eval_raw(model: LogLiftModel, zk: complex, branch: int = 0) -> complex:
     fv = model.plane_map.eval(zeta)
     if fv == 0:
         raise DomainError(f"f(exp z) = 0 at z = {zk!r}; log lift undefined")
-    w = cmath.log(fv) + TWO_PI * 1j * branch
-    return w - model.offset
+    # + 0j turns a -0.0 imaginary part of the log into +0.0: a parameter
+    # with a signed zero, as in exp_affine(-1 - 0j, 100 - 0j), gives
+    # f(exp z) = x - 0j, and the reported value has kept +0.0
+    return (cmath.log(fv) + 0j) - model.offset
 
 
 def eval_dF(model: LogLiftModel, z: complex) -> complex:

@@ -51,9 +51,6 @@ class LiftedPath:
     source_samples: list[complex]
     branch_log: list[int]
 
-    def endpoint(self) -> complex:
-        return self.samples[-1]
-
     def write_csv(self, path) -> None:
         n = len(self.samples)
         with open(path, "w", newline="") as fh:

@@ -291,8 +291,9 @@ SUITES: dict[str, list] = {
 }
 
 
-def run_suite(name: str, verbose: bool = False) -> int:
-    """Run a named suite (or "all"); returns the number of failures."""
+def run_suite(name: str) -> int:
+    """Run a named suite (or "all"), printing PASS or FAIL per check and
+    the traceback of each failure; returns the number of failures."""
     if name == "all":
         checks = [(s, fn) for s in SUITES for fn in SUITES[s]]
     elif name in SUITES:
@@ -307,8 +308,7 @@ def run_suite(name: str, verbose: bool = False) -> int:
         except Exception:
             failures += 1
             print(f"FAIL {label}")
-            if verbose:
-                traceback.print_exc()
+            traceback.print_exc()
         else:
             print(f"PASS {label}")
     return failures

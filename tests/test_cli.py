@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tractlab import cli
-from tractlab.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, main
+from tractlab import cli, verify
+from tractlab.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
 from tractlab.errors import ConfigError
 from tractlab.gridkernel import Window
 
@@ -156,6 +156,30 @@ def test_report_on_all_artifact_kinds(tmp_path, capsys):
     assert "config error: input: " in capsys.readouterr().err
 
 
+def test_report_on_conjugacy_and_semiconj_reports(tmp_path, capsys):
+    samples = tmp_path / "samples.json"
+    samples.write_text(json.dumps({"points": [[25, 0]]}))
+    conj, semi = tmp_path / "conj.json", tmp_path / "semi.json"
+    assert main([
+        "conjugate", "--kappa", "0.3+0.2i", "--Q", "2",
+        "--samples", str(samples), "--out", str(conj),
+    ]) == EXIT_OK
+    assert main(["semiconj", "--out", str(semi)]) == EXIT_OK
+    capsys.readouterr()
+    for path, title, key, count in ((conj, "conjugacy report", "kappa", 1),
+                                    (semi, "semiconjugacy report", "mu", 4)):
+        assert main(["report", "--input", str(path)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == title
+        assert any(line.startswith(f"  {key}: ") for line in lines)
+        assert lines[-1] == f"  samples: {count}"
+    # any other JSON object is printed back
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"note": [1, 2]}))
+    assert main(["report", "--input", str(other)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {"note": [1, 2]}
+
+
 def test_samples_object_runs_under_both_commands(tmp_path):
     samples = tmp_path / "samples.json"
     samples.write_text(json.dumps({"points": [[25, 0]]}))
@@ -170,6 +194,18 @@ def test_samples_object_runs_under_both_commands(tmp_path):
 
 def test_verify_suite_exit_code():
     assert main(["verify", "--suite", "all"]) == EXIT_OK
+
+
+def test_verify_reports_a_failing_check(monkeypatch, capsys):
+    def _check_broken():
+        raise AssertionError("injected failure")
+
+    monkeypatch.setitem(verify.SUITES, "models", [_check_broken])
+    assert main(["verify", "--suite", "models"]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["FAIL models.broken"]
+    assert "Traceback" in captured.err
+    assert "AssertionError: injected failure" in captured.err
 
 
 ZEXP = '{"family": "zexp"}'

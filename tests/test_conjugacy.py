@@ -17,7 +17,9 @@ from tractlab.errors import (
     PreconditionError,
     RangeError,
     SetupInvalid,
+    TractlabError,
 )
+from tractlab.hypmetric import dist_half_plane
 from tractlab.models import (
     TWO_PI,
     EntireMapSpec,
@@ -41,6 +43,35 @@ def test_depth_for_tolerance_frozen_values():
     assert conjugacy.depth_for_tolerance(0.0, 1e-9) == 0
     with pytest.raises(RangeError):
         conjugacy.depth_for_tolerance(KAPPA, 0.0)
+
+
+def _depth_by_halving(kappa, tol):
+    # the reference: halve the a priori bound until it is within tol
+    n = 0
+    while 2.0 * abs(kappa) * 2.0 ** (1 - n) > tol:
+        n += 1
+    return n
+
+
+def test_depth_for_tolerance_matches_halving_oracle():
+    rng = np.random.default_rng(3)
+    checked = 0
+    for _ in range(2000):
+        kappa = complex(*rng.uniform(-1.0, 1.0, 2)) * 10.0 ** rng.uniform(-12, 3)
+        tol = 10.0 ** rng.uniform(-300, 5)
+        power = math.ldexp(1.0, math.frexp(tol)[1])
+        # exact powers of two and the bound itself after k halvings, with
+        # their neighbours, are where a closed form could be off by one
+        exact = 2.0 * abs(kappa) * 2.0 ** -int(rng.integers(-3, 200))
+        for t in (tol, power, exact):
+            for u in (math.nextafter(t, 0.0), t, math.nextafter(t, math.inf)):
+                if u >= 1e-300:
+                    assert conjugacy.depth_for_tolerance(kappa, u) == (
+                        _depth_by_halving(kappa, u)
+                    ), (kappa, u)
+                    checked += 1
+    assert checked >= 15000
+    assert conjugacy.depth_for_tolerance(KAPPA, math.inf) == 0
 
 
 def test_theta_limit_depth_zero_tail_bounds_the_error():
@@ -165,10 +196,85 @@ def test_general_pullback_correspondence_gap():
     orb = _orbit([0], 8)
     with pytest.raises(CorrespondenceGap):
         conjugacy.general_pullback(BASE, member, {}, orb[0], 6, Q, orbit=orb)
-    with pytest.raises(CorrespondenceGap):
-        conjugacy.general_pullback(
-            BASE, member, lambda t: None, orb[0], 6, Q, orbit=orb
+
+
+def _two_loop_pullback(F, G, correspondence, z, n, Q, increments=None, orbit=None):
+    """general_pullback with one loop per tower and a second loop for the
+    towers over F(z): the reference for the single pullback helper."""
+    orbit, tracts = conjugacy._certified_orbit(F, z, n, Q, orbit)
+    m = len(orbit) - 1
+
+    def tower(depth):
+        v = orbit[depth]
+        for j in range(depth - 1, -1, -1):
+            tract = conjugacy._resolve(correspondence, tracts[j])
+            v = inverse_branch(G, tract, v, seed=orbit[j])
+        return v
+
+    if increments is None:
+        return tower(m)
+    values = [tower(j) for j in range(m + 1)]
+    upstairs = []
+    for j in range(m):
+        v = orbit[j + 1]
+        for i in range(j, 0, -1):
+            tract = conjugacy._resolve(correspondence, tracts[i])
+            v = inverse_branch(G, tract, v, seed=orbit[i])
+        upstairs.append(v)
+    for j in range(1, m):
+        increments.append((
+            dist_half_plane(Q, values[j + 1], values[j]),
+            dist_half_plane(Q, upstairs[j], upstairs[j - 1]),
+        ))
+    return values[m]
+
+
+def _pullback_cases():
+    # (F, G, correspondence, z, depth, orbit): exact cycles of shifted_exp,
+    # and escaping points of lifted families whose orbits may stop short
+    shift = {k: k + 1 for k in range(-8, 9)}
+    for branches, corr in (([0], None), ([0, 1], None), ([1, -1, 2], shift)):
+        orb = _orbit(branches, 14)
+        yield BASE, BASE.translated(KAPPA), corr, orb[0], 12, orb
+    rng = np.random.default_rng(5)
+    identity = {i: i for i in range(-3, 4)}
+    lam, sinh, zexp = (_lifted(s) for s in (
+        EntireMapSpec.lambda_expm1(0.5), EntireMapSpec.sinh(0.575), EntireMapSpec.zexp()
+    ))
+    for F in (lam, sinh, zexp):
+        for _ in range(8):
+            # points of the conjugacy_escaping benchmark, in tracts -3 .. 3
+            k = int(rng.integers(-3, 4))
+            z = complex(rng.uniform(3.0, 8.0), TWO_PI * k + rng.uniform(-0.5, 0.5))
+            yield F, F.translated(KAPPA), identity, z, 6, None
+    # orbits that stay in {Re > Q} for three or four steps before they
+    # saturate, so their pullbacks measure increments too
+    for F, z in ((sinh, 2.15 - 2.05j), (sinh, 2.3 + 0.9j), (zexp, 3.35 - 1.6j)):
+        yield F, F.translated(KAPPA), identity, z, 6, None
+
+
+def test_general_pullback_matches_the_two_loop_version():
+    checked = measured = 0
+    for F, G, corr, z, depth, orb in _pullback_cases():
+        expected_inc, got_inc = [], []
+        try:
+            expected = _two_loop_pullback(F, G, corr, z, depth, Q, expected_inc, orb)
+        except (TractlabError, OverflowError) as exc:
+            # an orbit that leaves {Re > Q}, or a preimage out of reach
+            with pytest.raises(type(exc)):
+                conjugacy.general_pullback(F, G, corr, z, depth, Q, got_inc, orb)
+            continue
+        assert conjugacy.general_pullback(F, G, corr, z, depth, Q, got_inc, orb) == (
+            expected
         )
+        assert got_inc == expected_inc
+        measured += len(got_inc) if F.plane_map is not None else 0
+        assert conjugacy.general_pullback(F, G, corr, z, depth, Q, orbit=orb) == (
+            _two_loop_pullback(F, G, corr, z, depth, Q, orbit=orb)
+        )
+        checked += 1
+    assert checked >= 15, checked
+    assert measured >= 5, measured
 
 
 def test_general_pullback_increment_contraction():

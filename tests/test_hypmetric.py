@@ -64,10 +64,7 @@ def test_inscribed_disk_upper_dominates_exact():
     assert not bound.simply_connected_only
 
 
-def test_two_puncture_upper_scales_with_K():
-    v1 = hypmetric.two_puncture_upper(0.0, 1.0, 5.0 + 1.0j, K=1.0)
-    v2 = hypmetric.two_puncture_upper(0.0, 1.0, 5.0 + 1.0j, K=2.0)
-    assert v2 == pytest.approx(2.0 * v1)
+def test_two_puncture_upper_rejects_coincident_points():
     with pytest.raises(RangeError):
         hypmetric.two_puncture_upper(0.0, 0.0, 1.0 + 0.0j)
     with pytest.raises(RangeError):

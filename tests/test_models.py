@@ -98,10 +98,11 @@ def test_shifted_exp_is_exact():
         assert eval_F(SHIFTED, z) == cmath.exp(z) - 10.0
 
 
-def test_lifted_branch_offsets_value():
-    model = LogLiftModel("lifted_entire", plane_map=EntireMapSpec.lambda_expm1(0.5))
-    z = 2.5 + 0.3j
-    assert abs(eval_F(model, z, branch=1) - eval_F(model, z) - TWO_PI * 1j) < 1e-12
+def test_lifted_value_has_no_negative_zero_imaginary_part():
+    # f(exp 1) = 100 - e^e - 0j; its log is reported with Im = +0.0
+    spec = EntireMapSpec.exp_affine(complex(-1.0, -0.0), complex(100.0, -0.0))
+    w = eval_F(LogLiftModel("lifted_entire", plane_map=spec), 1.0 + 0j)
+    assert w.imag == 0.0 and math.copysign(1.0, w.imag) == 1.0
 
 
 def test_kappa_member_translates():

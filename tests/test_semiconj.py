@@ -176,6 +176,49 @@ def test_boundary_check_at_the_threshold_agrees_with_scalar(ulps):
         semiconj.build_setup(lam, 0.7, 2.0, 11.0)
 
 
+def _in_V_scalar(setup, log_span, row) -> bool:
+    try:
+        point = semiconj._certificate_point(setup, log_span, row)
+        return abs(setup.f(point)) > setup.r_U
+    except OverflowError:
+        return False
+
+
+def test_attempts_near_the_thresholds_are_decided_in_scalar(monkeypatch):
+    log_span = math.log(semiconj.CERTIFICATE_RADIUS / SETUP.r_U)
+    # real attempts at Re z = 700, the overflow guard, and at
+    # z = log(r_U / lambda + 1), where |f| = r_U; a few ulps either side
+    rows = []
+    for r in (700.0, math.log(SETUP.r_U / SETUP.lam.real + 1.0)):
+        u0 = math.log(r / SETUP.r_U) / log_span
+        for k in range(-3, 4):
+            rows.append([u0 * (1.0 + k * 2.0**-52), 0.0])
+    far = np.random.default_rng(2).random((20, 2))
+    u = np.vstack([rows, far])
+    confirmed = []
+    point = semiconj._certificate_point
+
+    def counting(setup, span, row):
+        confirmed.append(tuple(row))
+        return point(setup, span, row)
+
+    monkeypatch.setattr(semiconj, "_certificate_point", counting)
+    _, in_V = semiconj._attempts_in_V(SETUP, log_span, u)
+    monkeypatch.undo()
+    assert in_V.tolist() == [_in_V_scalar(SETUP, log_span, row) for row in u]
+    assert set(map(tuple, rows)) <= set(confirmed)
+    # each threshold is met from both sides
+    assert set(in_V[:7]) == set(in_V[7:14]) == {False, True}
+
+
+def test_semiconj_limit_untruncated_tail_is_mu_over_C():
+    C = semiconj.expansion_certificate(SETUP)
+    mu = semiconj.mu_constant(SETUP)
+    s = semiconj.semiconj_limit(SETUP, 25.0 + 0j, mu / C * (1.0 + 1e-12), C)
+    assert len(s.thetas) == 2
+    assert s.tail_estimate == mu / C
+
+
 def test_semiconj_limit_converges_with_tiny_tail():
     C = semiconj.expansion_certificate(SETUP)
     s = semiconj.semiconj_limit(SETUP, 25.0 + 0j, 1e-6, C)
