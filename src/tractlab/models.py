@@ -302,23 +302,23 @@ def domain_contains(model: LogLiftModel, z: complex) -> bool:
 
 def _contains(model: LogLiftModel, zk: complex) -> bool:
     # membership of the finite point zk = z + kappa
-    zs = zk + model.offset
-    if zs.real > EXP_OVERFLOW_GUARD:
-        return _contains_beyond_guard(model, zs)
     try:
         w = _eval_raw(model, zk)
     except DomainError:
         return False
     except OverflowError:
-        # f(exp z) overflowed inside the plane map, so |f| is certainly
-        # larger than e^{Q + offset}: the point is in the domain
-        return True
+        return _member_past_overflow(model, zk)
     return w.real > model.half_plane_Q
 
 
-def _contains_beyond_guard(model: LogLiftModel, zs: complex) -> bool:
-    # Re exp(zs) = e^{Re zs} cos(Im zs) with e^{Re zs} astronomically large,
-    # so only the sign structure of cos decides membership.
+def _member_past_overflow(model: LogLiftModel, zk: complex) -> bool:
+    # the one rule turning an OverflowError of _eval_raw(model, zk) into
+    # membership: inside the exp guard f(exp z) overflowed in the plane
+    # map, so |f| > e^{Q + offset}; past it Re exp(zs) = e^{Re zs} cos(Im zs)
+    # with e^{Re zs} astronomically large, so the sign of cos decides
+    zs = zk + model.offset
+    if zs.real <= EXP_OVERFLOW_GUARD:
+        return True
     c = math.cos(zs.imag)
     if model.family == "shifted_exp":
         return c > 0.0

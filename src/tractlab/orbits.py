@@ -3,7 +3,8 @@ addresses, the doubling expansion check, and backward-orbit construction
 of points with prescribed itineraries.
 
 Membership in J_Q is only ever certified up to a finite horizon; every
-record carries the horizon it was checked at.
+record carries the horizon it was checked at.  Addresses are read off
+the points ``iterate`` proved in V, with no second membership test.
 """
 
 from __future__ import annotations
@@ -19,13 +20,8 @@ from .errors import (
     PullbackLeftDomain,
     RangeError,
 )
-from .models import (
-    LogLiftModel,
-    domain_contains,
-    eval_F,
-    require_finite,
-)
-from .tracts import TractAddress, inverse_branch, tract_of
+from .models import LogLiftModel, _member_past_overflow, eval_F, require_finite
+from .tracts import TractAddress, _address, inverse_branch
 
 
 class EscapeFlag(Enum):
@@ -55,40 +51,34 @@ def iterate(model: LogLiftModel, z: complex, horizon: int, Q: float) -> OrbitRec
     An orbit point whose image overflows while the sign structure shows
     Re F is hugely positive counts as certified (the orbit is escaping
     faster than doubles can represent); the record is marked saturated.
+    Every point but the last is proved in V, the last too if saturated.
     """
     if horizon < 1:
         raise RangeError("horizon must be at least 1")
     z = require_finite(z)
     points = [z]
     min_re = math.inf
+    flag, exit_step, saturated = EscapeFlag.STAYED_IN_JQ, None, False
     for step in range(horizon):
         cur = points[-1]
         try:
             w = eval_F(model, cur)
         except OverflowError:
-            if domain_contains(model, cur):
-                return OrbitRecord(
-                    points, horizon, Q, EscapeFlag.STAYED_IN_JQ,
-                    exit_step=step, saturated=True, min_Re_after_first=min_re,
-                )
-            return OrbitRecord(
-                points, horizon, Q, EscapeFlag.OVERFLOWED,
-                exit_step=step, min_Re_after_first=min_re,
-            )
+            saturated = _member_past_overflow(model, cur + model.kappa)
+            flag = EscapeFlag.STAYED_IN_JQ if saturated else EscapeFlag.OVERFLOWED
         except DomainError:
-            return OrbitRecord(
-                points, horizon, Q, EscapeFlag.LEFT_DOMAIN,
-                exit_step=step, min_Re_after_first=min_re,
-            )
-        if w.real < Q:
-            return OrbitRecord(
-                points, horizon, Q, EscapeFlag.LEFT_DOMAIN,
-                exit_step=step, min_Re_after_first=min(min_re, w.real),
-            )
-        points.append(w)
-        min_re = min(min_re, w.real)
+            flag = EscapeFlag.LEFT_DOMAIN
+        else:
+            min_re = min(min_re, w.real)
+            if not w.real < Q:
+                points.append(w)
+                continue
+            flag = EscapeFlag.LEFT_DOMAIN
+        exit_step = step
+        break
     return OrbitRecord(
-        points, horizon, Q, EscapeFlag.STAYED_IN_JQ, min_Re_after_first=min_re
+        points, horizon, Q, flag,
+        exit_step=exit_step, saturated=saturated, min_Re_after_first=min_re,
     )
 
 
@@ -110,12 +100,12 @@ class ExternalAddress:
 def external_address(model: LogLiftModel, z: complex, n: int) -> ExternalAddress:
     """Tract itinerary of the first n orbit points."""
     record = iterate(model, z, n, Q=model.half_plane_Q)
-    if len(record.points) < n:
+    if len(record.points) - 1 + record.saturated < n:  # points proved in V
         raise AddressUndefined(
             f"orbit leaves the domain at step {record.exit_step} < {n}"
         )
     return ExternalAddress(
-        tuple(tract_of(model, record.points[i]) for i in range(n))
+        tuple(_address(model, p + model.kappa) for p in record.points[:n])
     )
 
 
@@ -134,7 +124,8 @@ def expansion_ratios(
             f"orbits only representable to depth {depth - 1} < {n}"
         )
     for k in range(n):
-        if tract_of(model, oz.points[k]) != tract_of(model, ow.points[k]):
+        a = _address(model, oz.points[k] + model.kappa)
+        if a != _address(model, ow.points[k] + model.kappa):
             raise AddressMismatch(f"itineraries diverge at step {k}")
     d0 = abs(z - w)
     return [
@@ -157,6 +148,10 @@ def point_with_address(
     The composite of one period of inverse branches contracts by at least
     2^-period, so iterating it from the half-plane base point converges to
     the unique point realizing the address, to within BACKWARD_TOL.
+
+    On a lifted model ``eval_F`` takes the principal log, so every image
+    has |Im| <= pi; a converged point past that is on no ``eval_F`` cycle
+    and raises RangeError.
     """
     p = len(address)
     if p < 1:
@@ -186,6 +181,13 @@ def point_with_address(
         raise PullbackLeftDomain(
             f"backward iteration residual {abs(residual - z):g} > {BACKWARD_TOL:g}"
         )
+    if model.plane_map is not None and abs(z.imag) > math.pi:
+        # eval_F takes the principal log, so no image leaves |Im| <= pi
+        raise RangeError(
+            f"{model.plane_map.family}: no eval_F cycle realizes the address "
+            f"{[t.branch_index for t in address.entries]}; its point {z!r} "
+            f"has |Im z| > pi"
+        )
     return z
 
 
@@ -202,7 +204,9 @@ def periodic_orbit(
     plain iteration.  Each cycle point is solved independently from the
     rotated address (forward evals would amplify the backward-solve
     error by the derivative product around the cycle); the cycle values
-    are then repeated to the requested length.
+    are then repeated to the requested length.  On a lifted model an
+    address that no ``eval_F`` cycle realizes raises RangeError (see
+    ``point_with_address``).
     """
     if length < 1:
         raise RangeError("orbit length must be at least 1")

@@ -11,7 +11,8 @@ levels
     theta_{j+1}(z) = endpoint of the f-lift of gamma_j(g(z))
                      starting at theta_j(z)
 
-converge geometrically.  W is the complement of a closed disk, so its
+converge geometrically; the tower stops early where the g-orbit leaves
+double range.  W is the complement of a closed disk, so its
 hyperbolic density is known in closed form,
 
     rho_W(z) = 1 / (|z| log(|z| / r_U)),
@@ -271,18 +272,14 @@ def _polyline_hyp_length(setup: HyperbolicSetup, path: list[complex]) -> float:
 
 
 def theta_level(setup: HyperbolicSetup, z: complex, k: int) -> SemiconjSample:
-    """Levels theta_0 .. theta_k at z via the triangular curve tower."""
+    """Levels theta_0 .. theta_j at z via the triangular curve tower, with
+    j = min(k, number of g-orbit positions inside double range)."""
     if k < 0:
         raise RangeError("level must be nonnegative")
     z = require_finite(z)
     if k == 0:
         return SemiconjSample(z, [z], mu=mu_constant(setup))
     pos = _g_positions(setup, z, k)
-    if len(pos) < k:
-        raise HorizonError(
-            f"g-orbit of {z!r} leaves the representable range after "
-            f"{len(pos)} positions; level {k} needs {k}"
-        )
     M = setup.M
     # level 1: straight segments from each position to its rescale
     curves = [
@@ -293,7 +290,7 @@ def theta_level(setup: HyperbolicSetup, z: complex, k: int) -> SemiconjSample:
     increments = [abs(z / M - z)]
     lengths = [_polyline_hyp_length(setup, curves[0])]
     tops = [c[-1] for c in curves]
-    for level in range(2, k + 1):
+    for level in range(2, min(k, len(pos)) + 1):
         lifted = [
             _lift_polyline(setup, curves[i][-1], curves[i + 1])
             for i in range(len(curves) - 1)
@@ -425,9 +422,10 @@ def semiconj_limit(
     """Converged theta(z) with depth chosen from mu / C^k <= tol, where
     ``certified_C`` is the constant of ``expansion_certificate(setup)``.
 
-    Escaping orbits usually saturate the representable range first; the
-    remaining tail is then estimated from the last computed increment
-    and the certified contraction and must itself be below tol.
+    Escaping orbits usually saturate the representable range first, so
+    ``theta_level`` stops short; the remaining tail is then estimated
+    from the last computed increment and the certified contraction and
+    must itself be below tol.
     """
     if not tol > 0:
         raise RangeError("tol must be positive")
@@ -437,9 +435,8 @@ def semiconj_limit(
         )
     mu = mu_constant(setup)
     depth = max(1, math.ceil(math.log(mu / tol) / math.log(certified_C)))
-    pos = _g_positions(setup, z, depth)
-    usable = min(depth, len(pos))
-    sample = theta_level(setup, z, usable)
+    sample = theta_level(setup, z, depth)
+    usable = len(sample.thetas) - 1
     sample.certified_C = certified_C
     sample.displacement_bound = mu * certified_C / (certified_C - 1.0)
     if usable >= depth:

@@ -114,7 +114,9 @@ def inverse_branch(
 
     Closed form for shifted_exp; Newton continuation for lifted entire
     maps, seeded from ``seed`` when given and from the tract's asymptotic
-    base point otherwise.
+    base point otherwise.  F is 2 pi i periodic, so a seed in another
+    period strip is first moved into the tract's strip by whole periods;
+    a Newton solution outside the tract raises NewtonDiverged.
     """
     w = require_finite(w, "w")
     if w.real <= model.half_plane_Q:
@@ -127,7 +129,16 @@ def inverse_branch(
         return base + TWO_PI * 1j * tract.branch_index - model.offset - model.kappa
     # Newton runs in the coordinates of the untranslated map
     seed_k = None if seed is None else seed + model.kappa
-    return _newton_inverse(model, tract, w, seed_k) - model.kappa
+    if seed_k is not None:
+        shift = tract.branch_index - round(seed_k.imag / TWO_PI)
+        if shift:
+            seed_k += TWO_PI * 1j * shift
+    zk = _newton_inverse(model, tract, w, seed_k)
+    if _address(model, zk) != tract:
+        raise NewtonDiverged(
+            f"Newton inverse of w = {w!r} left tract {tract} for {zk - model.kappa!r}"
+        )
+    return zk - model.kappa
 
 
 def _asymptotic_seed(model: LogLiftModel, tract: TractAddress, w: complex) -> complex:

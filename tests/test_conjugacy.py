@@ -247,9 +247,9 @@ def _pullback_cases():
             k = int(rng.integers(-3, 4))
             z = complex(rng.uniform(3.0, 8.0), TWO_PI * k + rng.uniform(-0.5, 0.5))
             yield F, F.translated(KAPPA), identity, z, 6, None
-    # orbits that stay in {Re > Q} for three or four steps before they
-    # saturate, so their pullbacks measure increments too
-    for F, z in ((sinh, 2.15 - 2.05j), (sinh, 2.3 + 0.9j), (zexp, 3.35 - 1.6j)):
+    # orbits that stay in {Re > Q} for three steps before they saturate,
+    # and whose pullbacks stay in their tracts, so they measure increments
+    for F, z in ((sinh, 3.186 - 1.722j), (sinh, 3.031 + 1.784j), (zexp, 3.35 - 1.6j)):
         yield F, F.translated(KAPPA), identity, z, 6, None
 
 
@@ -275,6 +275,18 @@ def test_general_pullback_matches_the_two_loop_version():
         checked += 1
     assert checked >= 15, checked
     assert measured >= 5, measured
+
+
+@pytest.mark.parametrize(
+    "model",
+    [BASE, LogLiftModel("lifted_entire", plane_map=EntireMapSpec.lambda_expm1(0.5))],
+    ids=["shifted_exp", "lambda_expm1"],
+)
+def test_general_pullback_follows_a_shifted_correspondence(model):
+    # F is 2 pi i periodic, so tract 0 -> tract 1 moves z by one period
+    z = 3.0 + 0.01j
+    theta = conjugacy.general_pullback(model, model, {0: 1}, z, 1, Q)
+    assert abs(theta - (z + TWO_PI * 1j)) <= 1e-9
 
 
 def test_general_pullback_increment_contraction():

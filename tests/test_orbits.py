@@ -1,5 +1,6 @@
 """Unit tests for orbit certificates, addresses, and backward solving."""
 
+import cmath
 import math
 
 import pytest
@@ -87,6 +88,36 @@ def test_external_address_undefined_past_saturation():
         orbits.external_address(SHIFTED, 4.0 + 0.0j, 8)
 
 
+def test_external_address_needs_each_point_proved_in_the_domain():
+    model = LogLiftModel("shifted_exp", R=10.0, half_plane_Q=2.0)
+    # F(z) = 3 + pi i is in the half plane, but not in V: cos(pi) < 0
+    z = cmath.log(13.0 + math.pi * 1j)
+    assert abs(eval_F(model, z) - (3.0 + math.pi * 1j)) < 1e-12
+    assert [t.branch_index for t in orbits.external_address(model, z, 1)] == [0]
+    with pytest.raises(AddressUndefined):
+        orbits.external_address(model, z, 2)
+    # a point outside V has no address at all
+    with pytest.raises(AddressUndefined):
+        orbits.external_address(model, 10.36152439957624 - 16.827016068829987j, 1)
+
+
+def test_iterate_evaluates_the_map_once_per_step(monkeypatch):
+    # the image of the second point overflows past the plane map's guard;
+    # that overflow decides membership without another evaluation
+    model = LogLiftModel("lifted_entire", plane_map=EntireMapSpec.lambda_expm1(0.5))
+    calls = []
+    real = EntireMapSpec.eval
+
+    def counted(self, z):
+        calls.append(z)
+        return real(self, z)
+
+    monkeypatch.setattr(EntireMapSpec, "eval", counted)
+    rec = orbits.iterate(model, 5.0 + 0j, 10, Q)
+    assert rec.saturated and rec.exit_step == 1 and len(rec.points) == 2
+    assert len(calls) == 2
+
+
 def test_expansion_ratios_equal_points_and_mismatch():
     z = orbits.point_with_address(SHIFTED, orbits.ExternalAddress.periodic([0]), Q)
     assert orbits.expansion_ratios(SHIFTED, z, z, 4) == [1.0] * 5
@@ -124,6 +155,15 @@ def test_periodic_orbit_on_kappa_member():
     orb = orbits.periodic_orbit(member, addr, Q, 4)
     for a, b in zip(orb, orb[1:]):
         assert abs(eval_F(member, a) - b) <= 1e-8 * (1.0 + abs(b))
+
+
+@pytest.mark.parametrize("branches", [[3], [2, -3]])
+def test_periodic_orbit_refuses_an_address_no_lifted_cycle_realizes(branches):
+    # eval_F takes the principal log: no image has |Im| > pi
+    model = LogLiftModel("lifted_entire", plane_map=EntireMapSpec.lambda_expm1(0.5))
+    addr = orbits.ExternalAddress.periodic(branches)
+    with pytest.raises(RangeError, match=r"lambda_expm1.*\[" + str(branches[0])):
+        orbits.periodic_orbit(model, addr, Q, 10)
 
 
 def test_address_container_protocol():

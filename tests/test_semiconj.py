@@ -240,6 +240,31 @@ def test_semiconj_limit_rejects_uncertifiable_orbits():
         semiconj.semiconj_limit(SETUP, 25.0 + 0j, 1e-6, 0.9)
 
 
+def test_theta_level_stops_where_the_g_orbit_leaves_double_range():
+    # 25 has 4 representable g-orbit positions: levels 0 .. 4, no HorizonError
+    pos = semiconj._g_positions(SETUP, 25.0 + 0j, 30)
+    assert len(pos) == 4
+    s = semiconj.theta_level(SETUP, 25.0 + 0j, 30)
+    assert len(s.thetas) == len(pos) + 1
+    assert s.thetas == semiconj.theta_level(SETUP, 25.0 + 0j, len(pos)).thetas
+    assert len(s.tops) == len(pos)
+
+
+def test_semiconj_limit_computes_each_g_orbit_once(monkeypatch):
+    C = semiconj.expansion_certificate(SETUP)
+    calls = []
+    real = semiconj._g_positions
+
+    def counted(setup, z, needed):
+        calls.append(z)
+        return real(setup, z, needed)
+
+    monkeypatch.setattr(semiconj, "_g_positions", counted)
+    for z in (25.0 + 0j, 40.0 + 0j, 30.0 + 0.1j):
+        semiconj.semiconj_limit(SETUP, z, 1e-6, C)
+    assert calls == [25.0 + 0j, 40.0 + 0j, 30.0 + 0.1j]
+
+
 def test_displacement_stays_below_mu_geometric_bound():
     C = semiconj.expansion_certificate(SETUP)
     mu = semiconj.mu_constant(SETUP)

@@ -88,6 +88,26 @@ def test_sinh_has_two_tracts_per_strip():
     assert tract_of(model, z1).inner_branch == 1
 
 
+def test_seeded_inverse_branch_keeps_its_tract():
+    # a seed in another period strip is moved by whole periods first
+    model = LogLiftModel("lifted_entire", plane_map=EntireMapSpec.lambda_expm1(0.5))
+    z = 3.0 + 0.01j
+    w = eval_F(model, z)
+    seeded = inverse_branch(model, TractAddress(1), w, seed=z)
+    assert tract_of(model, seeded) == TractAddress(1)
+    assert abs(seeded - inverse_branch(model, TractAddress(1), w)) <= 1e-9
+    assert abs(seeded - (z + TWO_PI * 1j)) <= 1e-9
+
+
+def test_seeded_inverse_branch_refuses_a_preimage_in_another_tract():
+    # Newton from the inner-0 preimage stays there; that is not tract (0, 1)
+    model = LogLiftModel("lifted_entire", plane_map=EntireMapSpec.sinh(0.575))
+    w = 8.0 + 0.5j
+    z0 = inverse_branch(model, TractAddress(0, 0), w)
+    with pytest.raises(NewtonDiverged, match="inner_branch=1"):
+        inverse_branch(model, TractAddress(0, 1), w, seed=z0)
+
+
 def test_translate_equivariance_is_exact():
     w = 7.5 + 1.25j
     z0 = inverse_branch(SHIFTED, TractAddress(0), w)
