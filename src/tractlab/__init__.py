@@ -2,12 +2,12 @@
 
 Library layout:
 
-- models: the plane-map family table, log lifts, normalization, JSON descriptors
+- models: the plane-map family table, log lifts, JSON descriptors
 - tracts: tract addresses, inverse branches, continuous path lifting
-- hypmetric: half-plane hyperbolic geometry and certified density bounds
 - orbits: iteration, membership certificates, external addresses,
   backward-orbit point construction
-- conjugacy: the pullback conjugacy near infinity with all its checks
+- conjugacy: the pullback conjugacy near infinity with all its checks,
+  and the half-plane hyperbolic distance they measure increments in
 - semiconj: the hyperbolic-map semiconjugacy by curve lifting
 - gridkernel: escape-time grid classification (one NumPy kernel over
   the models family table) and image output
@@ -23,7 +23,6 @@ from .models import (
     eval_F,
     model_from_json,
     model_to_json,
-    normalize,
 )
 from .orbits import ExternalAddress, OrbitRecord, iterate, point_with_address
 from .tracts import TractAddress, inverse_branch, lift_path, tract_of
@@ -43,7 +42,6 @@ __all__ = [
     "eval_F",
     "model_from_json",
     "model_to_json",
-    "normalize",
     "ExternalAddress",
     "OrbitRecord",
     "iterate",

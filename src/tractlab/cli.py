@@ -172,9 +172,7 @@ def _cmd_conjugate(args) -> int:
         "displacement_bound": 2.0 * abs(kappa),
         "uniqueness_crosscheck": crosscheck,
         "holomorphy_residuals_h1e-3": holo,
-        "dilatation_ceiling": None
-        if Q <= 1.0
-        else conjugacy.motion_dilatation_ceiling(kappa, Q),
+        "dilatation_ceiling": conjugacy.motion_dilatation_ceiling(kappa, Q),
     }
     conjugacy.write_sample_report(args.out, samples, summary)
     if args.csv:

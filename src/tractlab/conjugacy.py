@@ -9,8 +9,10 @@ which is Cauchy at the a priori rate 2|kappa| / 2^n once Q > 2|kappa| + 1.
 Depth is always selected from that explicit rate, never adaptively.  A
 general two-map pullback is provided alongside: it follows a tract
 correspondence given as a mapping of branch indices, the form a JSON
-descriptor can carry.  The displacement, inverse, uniqueness, holomorphy
-and dilatation-ceiling checks the construction admits complete the module.
+descriptor can carry, and measures its increments in the exact
+hyperbolic distance of {Re > Q}.  The displacement, inverse, crosscheck,
+holomorphy and dilatation-ceiling checks the construction admits
+complete the module.
 
 Each tower certifies the forward orbit of z once, in ``_certified_orbit``,
 which returns the orbit and the tract address of every point the tower
@@ -38,7 +40,6 @@ from .errors import (
     PreconditionError,
     RangeError,
 )
-from .hypmetric import dist_half_plane
 from .models import LogLiftModel, _eval_F_array, eval_dF, eval_F, require_finite
 from .orbits import EscapeFlag, ExternalAddress, iterate, periodic_orbit
 from .tracts import TractAddress, _address, _addresses, inverse_branch, tract_of
@@ -75,6 +76,17 @@ class ConjugacySample:
             "displacement": self.displacement(),
             "address_prefix": [t.branch_index for t in self.address_prefix.entries],
         }
+
+
+def dist_half_plane(Q: float, z: complex, w: complex) -> float:
+    """Exact hyperbolic distance in {Re > Q}."""
+    z, w = require_finite(z), require_finite(w, "w")
+    x, y = z.real - Q, w.real - Q
+    if x <= 0 or y <= 0:
+        raise RangeError("both points must lie inside the half-plane")
+    if z == w:
+        return 0.0
+    return math.acosh(1.0 + abs(z - w) ** 2 / (2.0 * x * y))
 
 
 def _require_kappa_admissible(kappa: complex, Q: float) -> complex:
@@ -351,8 +363,9 @@ def general_pullback(
     """Depth-n tower Theta_{j+1}(z) = G_corr(T)^{-1}(Theta_j(F(z))).
 
     ``correspondence`` maps the branch index of each F-tract to that of
-    its G-tract (None: the same index).  When ``increments`` is given it
-    receives, per level j >= 1, the pair
+    its G-tract (None: the same index).  Each Newton inverse is seeded at
+    the F-orbit point moved into G's coordinates.  When ``increments`` is
+    given it receives, per level j >= 1, the pair
     (dist_half_plane(Theta_{j+1}(z), Theta_j(z)),
      dist_half_plane(Theta_j(F(z)), Theta_{j-1}(F(z)))) so the measured
     contraction constant of the pullback step can be extracted.
@@ -367,7 +380,7 @@ def general_pullback(
         # pull v, a value at orbit position top, down to position bottom
         for j in range(top - 1, bottom - 1, -1):
             tract = _resolve(correspondence, tracts[j])
-            v = inverse_branch(G, tract, v, seed=orbit[j])
+            v = inverse_branch(G, tract, v, seed=orbit[j] + F.kappa - G.kappa)
         return v
 
     if increments is None:
@@ -393,6 +406,10 @@ def uniqueness_crosscheck(
 ) -> float:
     """Max discrepancy between the translation-family tower and the
     general two-map pullback with the branch-preserving correspondence.
+
+    On G = F(. + kappa) both towers run the same inverse branches from
+    seeds that agree up to rounding, so the result is 0.0: this checks two
+    code paths against each other, not the uniqueness of the conjugacy.
     """
     kappa = _require_kappa_admissible(kappa, Q)
     member = base.translated(kappa)
@@ -404,25 +421,6 @@ def uniqueness_crosscheck(
         b = general_pullback(base, member, None, z, depth, Q, orbit=orb)
         worst = max(worst, abs(a - b))
     return worst
-
-
-def _kappa_stencil(
-    base: LogLiftModel,
-    z: complex,
-    kappa0: complex,
-    h: float,
-    Q: float,
-    orbit: list[complex] | None,
-) -> tuple[complex, complex, complex, complex]:
-    """Towers of depth KAPPA_STENCIL_DEPTH at kappa0 + h, - h, + ih and - ih;
-    every kappa is checked first."""
-    if not h > 0:
-        raise RangeError("h must be positive")
-    kappa0 = require_finite(kappa0, "kappa0")
-    kappas = (kappa0 + h, kappa0 - h, kappa0 + 1j * h, kappa0 - 1j * h)
-    for k in kappas:
-        _require_kappa_admissible(k, Q)
-    return tuple(theta_n(base, k, z, KAPPA_STENCIL_DEPTH, Q, orbit) for k in kappas)
 
 
 def holomorphy_in_kappa(
@@ -440,22 +438,16 @@ def holomorphy_in_kappa(
     orbit of z, so one orbit serves all four.  For a kappa-holomorphic
     tower the quotient is O(h^2).
     """
-    tp, tm, tip, tim = _kappa_stencil(base, z, kappa0, h, Q, orbit)
+    if not h > 0:
+        raise RangeError("h must be positive")
+    kappa0 = require_finite(kappa0, "kappa0")
+    kappas = (kappa0 + h, kappa0 - h, kappa0 + 1j * h, kappa0 - 1j * h)
+    for k in kappas:
+        _require_kappa_admissible(k, Q)
+    tp, tm, tip, tim = (
+        theta_n(base, k, z, KAPPA_STENCIL_DEPTH, Q, orbit) for k in kappas
+    )
     return abs((tp - tm) + 1j * (tip - tim)) / (4.0 * h)
-
-
-def kappa_derivative(
-    base: LogLiftModel,
-    z: complex,
-    kappa0: complex,
-    h: float,
-    Q: float,
-    orbit: list[complex] | None = None,
-) -> complex:
-    """Central-difference holomorphic derivative dTheta/dkappa, from towers
-    of depth KAPPA_STENCIL_DEPTH."""
-    tp, tm, tip, tim = _kappa_stencil(base, z, kappa0, h, Q, orbit)
-    return ((tp - tm) - 1j * (tip - tim)) / (4.0 * h)
 
 
 def motion_dilatation_ceiling(kappa: complex, Q_prime: float) -> float:

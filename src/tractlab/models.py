@@ -1,13 +1,13 @@
 """Catalog of model maps and their logarithmic lifts.
 
 Two kinds of models are provided: the closed-form shifted exponential
-``F(z) = e^z - R`` (the canonical explicit member of the class, already
-normalized and of disjoint type for ``R >= 2``) and lifts of entire
-plane maps, evaluated through the principal logarithm; inverse branches
-carry their tract integers explicitly (see ``tracts``).  The plane maps
-form one table, ``PLANE_FAMILIES``: every per-family formula (scalar and
-grid evaluation, derivative, asymptotic value, Newton seed, JSON
-parameter names) lives there and nowhere else.
+``F(z) = e^z - R`` (the canonical explicit member of the class, with
+|F'| >= 2 on its domain and of disjoint type for ``R >= 2``) and lifts
+of entire plane maps, evaluated through the principal logarithm; inverse
+branches carry their tract integers explicitly (see ``tracts``).  The
+plane maps form one table, ``PLANE_FAMILIES``: every per-family formula
+(scalar and grid evaluation, derivative, asymptotic value, Newton seed,
+JSON parameter names) lives there and nowhere else.
 """
 
 from __future__ import annotations
@@ -177,17 +177,14 @@ class EntireMapSpec:
 class LogLiftModel:
     """A log-coordinate model F: V -> {Re > Q} with V = F^{-1}({Re > Q}).
 
-    ``offset`` records a normalization conjugation: the model evaluates
-    F(z + offset) - offset, restricting the original domain to the part
-    mapped ``offset`` deep into the half plane.  ``kappa`` makes it the
-    member F(z + kappa) of the translation family, on the domain V - kappa.
+    ``kappa`` makes it the member F(z + kappa) of the translation family,
+    on the domain V - kappa.
     """
 
     family: str  # "shifted_exp" | "lifted_entire"
     R: float = 10.0
     plane_map: EntireMapSpec | None = None
     half_plane_Q: float = 0.0
-    offset: float = 0.0
     kappa: complex = 0j
 
     def __post_init__(self):
@@ -200,9 +197,6 @@ class LogLiftModel:
                 raise ValueError("lifted_entire requires a plane_map")
         else:
             raise ValueError(f"unknown model family {self.family!r}")
-
-    def shifted(self, extra_offset: float) -> "LogLiftModel":
-        return replace(self, offset=self.offset + extra_offset)
 
     def translated(self, kappa: complex) -> "LogLiftModel":
         """The member F(z + kappa) of this model's translation family."""
@@ -238,39 +232,37 @@ def _eval_F_array(
     scalar call's outcome re-runs ``eval_F`` where the mask is false.
     """
     with np.errstate(all="ignore"):
-        # the scalar call's order, so the guard sees the same zs
-        zs = (z + model.kappa) + model.offset
-        ok = np.isfinite(zs) & (zs.real <= EXP_OVERFLOW_GUARD)
-        zeta = np.exp(zs)
+        zk = z + model.kappa
+        ok = np.isfinite(zk) & (zk.real <= EXP_OVERFLOW_GUARD)
+        zeta = np.exp(zk)
         if model.family == "shifted_exp":
-            w = zeta - (model.R + model.offset)
+            w = zeta - model.R
         else:
             pm = model.plane_map
             bound = np.abs(zeta.real) if pm.row.two_sided else zeta.real
             fv = pm.row.f(np, pm.params, zeta)
             ok &= (bound <= EXP_OVERFLOW_GUARD) & (fv != 0)
-            w = np.log(fv) - model.offset
+            w = np.log(fv)
         ok &= np.isfinite(w) & (w.real > model.half_plane_Q)
     return w, ok
 
 
 def _eval_raw(model: LogLiftModel, zk: complex) -> complex:
     # zk is in the coordinates of the untranslated map: z + kappa
-    zs = zk + model.offset
-    if zs.real > EXP_OVERFLOW_GUARD:
+    if zk.real > EXP_OVERFLOW_GUARD:
         raise OverflowError(
-            f"Re z = {zs.real:g} exceeds the exponent-overflow guard"
+            f"Re z = {zk.real:g} exceeds the exponent-overflow guard"
         )
     if model.family == "shifted_exp":
-        return cmath.exp(zs) - model.R - model.offset
-    zeta = cmath.exp(zs)
+        return cmath.exp(zk) - model.R
+    zeta = cmath.exp(zk)
     fv = model.plane_map.eval(zeta)
     if fv == 0:
         raise DomainError(f"f(exp z) = 0 at z = {zk!r}; log lift undefined")
     # + 0j turns a -0.0 imaginary part of the log into +0.0: a parameter
     # with a signed zero, as in exp_affine(-1 - 0j, 100 - 0j), gives
     # f(exp z) = x - 0j, and the reported value has kept +0.0
-    return (cmath.log(fv) + 0j) - model.offset
+    return cmath.log(fv) + 0j
 
 
 def eval_dF(model: LogLiftModel, z: complex) -> complex:
@@ -279,12 +271,11 @@ def eval_dF(model: LogLiftModel, z: complex) -> complex:
     zk = z + model.kappa
     if not _contains(model, zk):
         raise DomainError(f"z = {z!r} is outside the domain")
-    zs = zk + model.offset
-    if zs.real > EXP_OVERFLOW_GUARD:
+    if zk.real > EXP_OVERFLOW_GUARD:
         raise OverflowError(
-            f"Re z = {zs.real:g} exceeds the exponent-overflow guard"
+            f"Re z = {zk.real:g} exceeds the exponent-overflow guard"
         )
-    zeta = cmath.exp(zs)
+    zeta = cmath.exp(zk)
     if model.family == "shifted_exp":
         return zeta
     fv = model.plane_map.eval(zeta)
@@ -314,65 +305,23 @@ def _contains(model: LogLiftModel, zk: complex) -> bool:
 def _member_past_overflow(model: LogLiftModel, zk: complex) -> bool:
     # the one rule turning an OverflowError of _eval_raw(model, zk) into
     # membership: inside the exp guard f(exp z) overflowed in the plane
-    # map, so |f| > e^{Q + offset}; past it Re exp(zs) = e^{Re zs} cos(Im zs)
-    # with e^{Re zs} astronomically large, so the sign of cos decides
-    zs = zk + model.offset
-    if zs.real <= EXP_OVERFLOW_GUARD:
+    # map, so |f| > e^Q; past it Re exp(zk) = e^{Re zk} cos(Im zk) with
+    # e^{Re zk} astronomically large, so the sign of cos decides
+    if zk.real <= EXP_OVERFLOW_GUARD:
         return True
-    c = math.cos(zs.imag)
+    c = math.cos(zk.imag)
     if model.family == "shifted_exp":
         return c > 0.0
     if c > 0.0:
-        # exp(zs) has a huge positive real part; every catalog map has
-        # |f| -> infinity there, so log|f| certainly exceeds Q + offset.
+        # exp(zk) has a huge positive real part; every catalog map has
+        # |f| -> infinity there, so log|f| certainly exceeds Q.
         return True
     if model.plane_map.row.two_sided:
         return c < 0.0  # the map also blows up toward -infinity
     limit = model.plane_map.asymptotic_value()
     if limit is None or limit == 0:
         return False
-    return math.log(abs(limit)) - model.offset > model.half_plane_Q
-
-
-# ``normalize`` bisects the extra offset in [0, NORMALIZE_MAX_OFFSET] and
-# checks |F'| >= 2 on NORMALIZE_SAMPLES domain points drawn with seed 0
-NORMALIZE_MAX_OFFSET = 64.0
-NORMALIZE_SAMPLES = 1000
-
-
-def normalize(model: LogLiftModel) -> LogLiftModel:
-    """Restrict-and-conjugate until |F'| >= 2 holds on a verification sample.
-
-    Returns the model unchanged when its current sample already certifies
-    the bound; otherwise bisects the extra offset in
-    [0, NORMALIZE_MAX_OFFSET] and records it.
-    """
-    if _certify_expansion(model):
-        return model
-    lo, hi = 0.0, NORMALIZE_MAX_OFFSET
-    if not _certify_expansion(model.shifted(hi)):
-        raise SearchFailed(
-            f"no offset in [{lo:g}, {hi:g}] certifies |F'| >= 2 on the sample"
-        )
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _certify_expansion(model.shifted(mid)):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-9:
-            break
-    return model.shifted(hi)
-
-
-def _certify_expansion(model: LogLiftModel) -> bool:
-    for z in sample_domain_points(model, NORMALIZE_SAMPLES):
-        try:
-            if abs(eval_dF(model, z)) < 2.0:
-                return False
-        except OverflowError:
-            continue
-    return True
+    return math.log(abs(limit)) > model.half_plane_Q
 
 
 # ``sample_domain_points`` draws from -3 <= Re z <= 8 and the tracts
@@ -484,9 +433,9 @@ def model_from_json(desc: dict) -> LogLiftModel:
 
 
 def model_to_json(model: LogLiftModel) -> dict:
-    """Descriptor of a model; a translated or normalized model has none."""
-    if model.kappa or model.offset:
-        raise ValueError("no descriptor expresses a translated or normalized model")
+    """Descriptor of a model; a translated model has none."""
+    if model.kappa:
+        raise ValueError("no descriptor expresses a translated model")
     if model.family == "shifted_exp":
         return {"family": "shifted_exp", "R": model.R, "Q": model.half_plane_Q}
     return {

@@ -7,7 +7,6 @@ they are never inferred from the principal argument after the fact.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -50,19 +49,6 @@ class LiftedPath:
     samples: list[complex]
     source_samples: list[complex]
     branch_log: list[int]
-
-    def write_csv(self, path) -> None:
-        n = len(self.samples)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["t", "source_re", "source_im", "lift_re", "lift_im", "branch"]
-            )
-            for i, (src, lift, b) in enumerate(
-                zip(self.source_samples, self.samples, self.branch_log)
-            ):
-                t = i / (n - 1) if n > 1 else 0.0
-                writer.writerow([t, src.real, src.imag, lift.real, lift.imag, b])
 
 
 def tract_of(model: LogLiftModel, z: complex) -> TractAddress:
@@ -125,8 +111,8 @@ def inverse_branch(
             f"{{Re > {model.half_plane_Q:g}}}"
         )
     if model.family == "shifted_exp":
-        base = cmath.log(w + model.R + model.offset)
-        return base + TWO_PI * 1j * tract.branch_index - model.offset - model.kappa
+        base = cmath.log(w + model.R)
+        return base + TWO_PI * 1j * tract.branch_index - model.kappa
     # Newton runs in the coordinates of the untranslated map
     seed_k = None if seed is None else seed + model.kappa
     if seed_k is not None:
@@ -144,11 +130,10 @@ def inverse_branch(
 def _asymptotic_seed(model: LogLiftModel, tract: TractAddress, w: complex) -> complex:
     """Approximate inverse from the exponential-dominated asymptotics."""
     pm = model.plane_map
-    u = pm.row.newton_seed(pm.params, w + model.offset, tract.inner_branch)
+    u = pm.row.newton_seed(pm.params, w, tract.inner_branch)
     if u == 0:
         u = 1.0
-    zs = cmath.log(u) + TWO_PI * 1j * tract.branch_index
-    return zs - model.offset
+    return cmath.log(u) + TWO_PI * 1j * tract.branch_index
 
 
 # Newton stops once |f(exp z) - exp(w)| <= NEWTON_TOL (1 + |exp(w)|), and
@@ -163,15 +148,18 @@ def _newton_inverse(
     w: complex,
     seed: complex | None,
 ) -> complex:
-    ws = w + model.offset
+    # + 0j turns a -0.0 imaginary part of w into +0.0: w and w - 0j are
+    # equal, and a real w must get one seed, not one per side of the cut
+    # of the principal log in _asymptotic_seed
+    ws = w + 0j
     if ws.real > 690.0:
         raise OverflowError("exp(w) overflows; cannot form the Newton target")
     target = cmath.exp(ws)
-    z = seed if seed is not None else _asymptotic_seed(model, tract, w)
+    z = seed if seed is not None else _asymptotic_seed(model, tract, ws)
     pm = model.plane_map
     tol = NEWTON_TOL * (1.0 + abs(target))
     for _ in range(NEWTON_MAX_ITER):
-        zeta = cmath.exp(z + model.offset)
+        zeta = cmath.exp(z)
         g = pm.eval(zeta) - target
         if abs(g) <= tol:
             return z
@@ -194,9 +182,9 @@ def _lift_step(
     """Lift of w chosen continuously from the current lift value z_cur."""
     zk_cur = z_cur + model.kappa
     if model.family == "shifted_exp":
-        base = cmath.log(w + model.R + model.offset)
+        base = cmath.log(w + model.R)
         k = round((zk_cur.imag - base.imag) / TWO_PI)
-        return base + TWO_PI * 1j * k - model.offset - model.kappa, k
+        return base + TWO_PI * 1j * k - model.kappa, k
     tract = TractAddress(round(zk_cur.imag / TWO_PI))
     zk = _newton_inverse(model, tract, w, seed=zk_cur)
     return zk - model.kappa, round(zk.imag / TWO_PI)

@@ -14,7 +14,7 @@ import traceback
 
 import numpy as np
 
-from . import conjugacy, gridkernel, hypmetric, orbits, semiconj, tracts
+from . import conjugacy, gridkernel, orbits, semiconj, tracts
 from .models import (
     TWO_PI,
     EntireMapSpec,
@@ -75,36 +75,6 @@ def _check_tracts_lift_consistency():
         assert abs(eval_F(_MODEL, z) - src) <= 1e-9, "lift consistency fails"
 
 
-def _check_hyp_sandwich():
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        d = rng.uniform(0.01, 100.0)
-        bound = hypmetric.standard_estimate_bound(d)
-        assert bound.contains(1.0 / d), "half-plane density escapes the sandwich"
-
-
-def _check_hyp_linear_ceiling():
-    punctures = [0j] + [complex(2.0**j) for j in range(0, 22)]
-    ceiling = 1.0 + math.log(6.0)
-    rng = np.random.default_rng(6)
-    for _ in range(200):
-        z = complex(rng.uniform(1.0, 1e6), rng.uniform(-1.0, 1.0))
-        if any(z == p for p in punctures):
-            continue
-        bound = hypmetric.punctured_sequence_upper(punctures, 2.0, z)
-        assert bound / abs(z) <= ceiling + 1e-12, f"ceiling fails at {z!r}"
-
-
-def _check_hyp_symmetry():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        z = complex(rng.uniform(0.1, 50.0), rng.uniform(-50.0, 50.0))
-        w = complex(rng.uniform(0.1, 50.0), rng.uniform(-50.0, 50.0))
-        d1 = hypmetric.dist_half_plane(0.0, z, w)
-        d2 = hypmetric.dist_half_plane(0.0, w, z)
-        assert abs(d1 - d2) <= 1e-12, "distance symmetry fails"
-
-
 def _check_orbits_expansion():
     rng = np.random.default_rng(8)
     addr = orbits.ExternalAddress.periodic([0])
@@ -156,6 +126,26 @@ def _check_conj_equivariance():
     assert abs(b - (a + TWO_PI * 1j)) <= 1e-9, "equivariance fails"
 
 
+def _check_conj_distance_symmetry():
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        z = complex(rng.uniform(0.1, 50.0), rng.uniform(-50.0, 50.0))
+        w = complex(rng.uniform(0.1, 50.0), rng.uniform(-50.0, 50.0))
+        d1 = conjugacy.dist_half_plane(0.0, z, w)
+        d2 = conjugacy.dist_half_plane(0.0, w, z)
+        assert abs(d1 - d2) <= 1e-12, "distance symmetry fails"
+
+
+def _check_conj_inverse_roundtrip():
+    # Theta'(w) carries the F_kappa cycle point w to the F_0 cycle point with
+    # the same address, and Theta carries it back
+    member = _MODEL.translated(_KAPPA)
+    addr = orbits.ExternalAddress.periodic([20])
+    w = orbits.periodic_orbit(member, addr, _Q, 1)[0]
+    gap = conjugacy.inverse_theta_check(_MODEL, _KAPPA, w, 1e-9, _Q, addr)
+    assert gap <= 4e-9, f"Theta(Theta'(w)) misses w by {gap:.3e}"
+
+
 def _check_semiconj_default_setup():
     setup = semiconj.build_setup(0.5, 0.7, 2.0, 11.0)
     assert abs(setup.M - 5.5) < 1e-15
@@ -177,6 +167,14 @@ def _check_semiconj_functional_eq():
     lhs = setup.f(s.thetas[2])
     rhs = setup.g(z) / setup.M
     assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(rhs)), "functional equation fails"
+
+
+def _check_semiconj_functional_limit():
+    # the converged semiconjugacy satisfies f(theta(z)) = theta(g(z))
+    setup = semiconj.build_setup(0.5, 0.7, 2.0, 11.0)
+    C = semiconj.expansion_certificate(setup)
+    residual = semiconj.functional_residual(setup, 25.0 + 0j, 1e-6, C)
+    assert residual <= 1e-9, f"functional equation misses by {residual:.3e}"
 
 
 def _check_grid_determinism():
@@ -265,11 +263,6 @@ SUITES: dict[str, list] = {
         _check_tracts_equivariance,
         _check_tracts_lift_consistency,
     ],
-    "hypmetric": [
-        _check_hyp_sandwich,
-        _check_hyp_linear_ceiling,
-        _check_hyp_symmetry,
-    ],
     "orbits": [
         _check_orbits_expansion,
         _check_orbits_backward_contraction,
@@ -278,11 +271,14 @@ SUITES: dict[str, list] = {
         _check_conj_distance_bound,
         _check_conj_cauchy_rate,
         _check_conj_equivariance,
+        _check_conj_distance_symmetry,
+        _check_conj_inverse_roundtrip,
     ],
     "semiconj": [
         _check_semiconj_default_setup,
         _check_semiconj_level1,
         _check_semiconj_functional_eq,
+        _check_semiconj_functional_limit,
     ],
     "grid": [
         _check_grid_determinism,

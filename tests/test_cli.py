@@ -104,6 +104,26 @@ def test_conjugate_roundtrip(tmp_path):
     assert csv_out.exists()
 
 
+def test_conjugate_crosscheck_on_lifted_sinh(tmp_path):
+    # the uniqueness crosscheck pulls back under G = F(. + kappa); Newton
+    # seeded at the F-orbit point, off by kappa in G's coordinates, diverges
+    # at 6 - 0.2i and misses the tower's value by about 0.3 at the others
+    samples = tmp_path / "samples.json"
+    model = {"family": "lifted_entire", "map": {"family": "sinh", "lambda": 0.575}}
+    samples.write_text(json.dumps({
+        "model": model, "points": [[5.1, 0.3], [6.0, -0.2], [4.4, 6.4]],
+    }))
+    out = tmp_path / "conj.json"
+    code = main([
+        "conjugate", "--kappa", "0.3+0.2i", "--Q", "2", "--tol", "1e-9",
+        "--samples", str(samples), "--out", str(out),
+    ])
+    assert code == EXIT_OK
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["uniqueness_crosscheck"] == 0.0
+    assert summary["dilatation_ceiling"] == pytest.approx(2.0 * abs(0.3 + 0.2j))
+
+
 def test_conjugate_validates_kappa_against_Q(tmp_path):
     samples = tmp_path / "samples.json"
     samples.write_text(json.dumps({"points": [[3.5, 0.0]]}))
@@ -194,6 +214,11 @@ def test_samples_object_runs_under_both_commands(tmp_path):
 
 def test_verify_suite_exit_code():
     assert main(["verify", "--suite", "all"]) == EXIT_OK
+
+
+def test_verify_has_no_hypmetric_suite():
+    assert "hypmetric" not in verify.SUITES
+    assert main(["verify", "--suite", "hypmetric"]) == EXIT_CONFIG
 
 
 def test_verify_reports_a_failing_check(monkeypatch, capsys):

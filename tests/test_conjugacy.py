@@ -7,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tractlab import conjugacy, gridkernel, models, orbits, semiconj, tracts
 from tractlab.errors import (
@@ -19,7 +21,7 @@ from tractlab.errors import (
     SetupInvalid,
     TractlabError,
 )
-from tractlab.hypmetric import dist_half_plane
+from tractlab.conjugacy import dist_half_plane
 from tractlab.models import (
     TWO_PI,
     EntireMapSpec,
@@ -191,6 +193,29 @@ def test_uniqueness_crosscheck_zero_on_cycles():
     assert worst <= 1e-10
 
 
+def test_uniqueness_crosscheck_seeds_newton_in_the_target_coordinates():
+    # points of the conjugacy_escaping benchmark (seed 7) that theta_limit
+    # certifies; a Newton seed at the F-orbit point itself, kappa away from
+    # it in the coordinates of G = F(. + kappa), diverges on about a third
+    # of them, while the seed moved into G's coordinates agrees exactly
+    # with the translation-family tower
+    for spec in (EntireMapSpec.lambda_expm1(0.5), EntireMapSpec.sinh(0.575),
+                 EntireMapSpec.zexp()):
+        F = _lifted(spec)
+        rng = np.random.default_rng(7)
+        re = rng.uniform(3.0, 8.0, 200)
+        im = TWO_PI * rng.integers(-3, 4, 200) + rng.uniform(-0.5, 0.5, 200)
+        certified = []
+        for z in (complex(a, b) for a, b in zip(re, im)):
+            try:
+                conjugacy.theta_limit(F, KAPPA, z, 1e-9, Q)
+            except (TractlabError, OverflowError):
+                continue
+            certified.append(z)
+        assert len(certified) >= 100, spec.family
+        assert conjugacy.uniqueness_crosscheck(F, KAPPA, certified, 1e-9, Q) == 0.0
+
+
 def test_general_pullback_correspondence_gap():
     member = BASE.translated(KAPPA)
     orb = _orbit([0], 8)
@@ -208,7 +233,7 @@ def _two_loop_pullback(F, G, correspondence, z, n, Q, increments=None, orbit=Non
         v = orbit[depth]
         for j in range(depth - 1, -1, -1):
             tract = conjugacy._resolve(correspondence, tracts[j])
-            v = inverse_branch(G, tract, v, seed=orbit[j])
+            v = inverse_branch(G, tract, v, seed=orbit[j] + F.kappa - G.kappa)
         return v
 
     if increments is None:
@@ -219,7 +244,7 @@ def _two_loop_pullback(F, G, correspondence, z, n, Q, increments=None, orbit=Non
         v = orbit[j + 1]
         for i in range(j, 0, -1):
             tract = conjugacy._resolve(correspondence, tracts[i])
-            v = inverse_branch(G, tract, v, seed=orbit[i])
+            v = inverse_branch(G, tract, v, seed=orbit[i] + F.kappa - G.kappa)
         upstairs.append(v)
     for j in range(1, m):
         increments.append((
@@ -289,6 +314,37 @@ def test_general_pullback_follows_a_shifted_correspondence(model):
     assert abs(theta - (z + TWO_PI * 1j)) <= 1e-9
 
 
+def test_distance_on_real_axis_is_log_ratio():
+    # along the geodesic orthogonal to the boundary the distance is exact
+    assert abs(dist_half_plane(0.0, 1.0, 2.0) - math.log(2.0)) < 1e-12
+    assert abs(dist_half_plane(0.0, 0.5, 8.0) - math.log(16.0)) < 1e-12
+
+
+def test_distance_invariances():
+    z, w = 3.0 + 1.0j, 7.0 - 2.0j
+    d = dist_half_plane(0.0, z, w)
+    # vertical translation and dilation about the boundary are isometries
+    assert abs(dist_half_plane(0.0, z + 5j, w + 5j) - d) < 1e-12
+    assert abs(dist_half_plane(0.0, 3.0 * z, 3.0 * w) - d) < 1e-12
+    assert abs(dist_half_plane(2.0, z + 2.0, w + 2.0) - d) < 1e-12
+
+
+_pos = st.floats(min_value=0.05, max_value=50.0)
+_im = st.floats(min_value=-50.0, max_value=50.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(x1=_pos, y1=_im, x2=_pos, y2=_im, x3=_pos, y3=_im)
+def test_distance_metric_axioms(x1, y1, x2, y2, x3, y3):
+    a, b, c = complex(x1, y1), complex(x2, y2), complex(x3, y3)
+    dab = dist_half_plane(0.0, a, b)
+    assert abs(dab - dist_half_plane(0.0, b, a)) <= 1e-10
+    assert dab >= 0.0
+    dac = dist_half_plane(0.0, a, c)
+    dcb = dist_half_plane(0.0, c, b)
+    assert dab <= dac + dcb + 1e-10
+
+
 def test_general_pullback_increment_contraction():
     member = BASE.translated(KAPPA)
     orb = _orbit([0, 1], 14)
@@ -304,12 +360,6 @@ def test_holomorphy_quotient_shrinks_quadratically():
     r1 = conjugacy.holomorphy_in_kappa(BASE, orb[0], 0.2 + 0j, 1e-3, Q, orb)
     r2 = conjugacy.holomorphy_in_kappa(BASE, orb[0], 0.2 + 0j, 5e-4, Q, orb)
     assert 3.0 <= r1 / r2 <= 5.0
-
-
-def test_kappa_derivative_near_deep_tract_asymptotic():
-    orb = _orbit([0, 1], 42)
-    d = conjugacy.kappa_derivative(BASE, orb[0], 0.0 + 0j, 1e-3, Q, orb)
-    assert abs(d + 1.0) < 0.3
 
 
 def test_motion_dilatation_ceiling():
@@ -410,8 +460,8 @@ def _rejected_orbits():
     z_sinh = complex(math.log(701.0), math.pi)
     beyond = cmath.log(0.575 * cmath.sinh(cmath.exp(z_sinh)))
     zexp = _lifted(EntireMapSpec.zexp())
-    # (699.7 + 0.1) + 0.2 is past the guard, 699.7 + (0.1 + 0.2) is not
-    nudged = BASE.translated(0.1).shifted(0.2)
+    # 699.7 + kappa rounds to the double just past the guard at 700
+    nudged = BASE.translated(0.3000000000000682)
     off_domain = 3.0 + math.pi * 1j
     return {
         "short": (BASE, None, cyc[:5], 7, Q, RangeError,
@@ -436,7 +486,7 @@ def _rejected_orbits():
                        "supplied orbit invalid at step 2: Re z = 701 exceeds the"
                        " exponent-overflow guard"),
         "past_guard_by_rounding": (nudged, None, _ending_at(nudged, 699.7, 1)
-                                   + [cmath.exp(700.0) - 10.2], 2, Q, OrbitLeftJQ,
+                                   + [cmath.exp(700.0) - 10], 2, Q, OrbitLeftJQ,
                                    "supplied orbit invalid at step 1: Re z = 700"
                                    " exceeds the exponent-overflow guard"),
         "past_two_sided_guard": (sinh, None, [z_sinh, beyond], 1, Q, OrbitLeftJQ,

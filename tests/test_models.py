@@ -19,7 +19,6 @@ from tractlab.models import (
     eval_F,
     model_from_json,
     model_to_json,
-    normalize,
     plane_map_from_json,
     require_finite,
     sample_domain_points,
@@ -56,10 +55,9 @@ def test_asymptotic_value(spec):
 
 ARRAY_MODELS = [
     SHIFTED,
-    SHIFTED.translated(0.3 + 0.2j).shifted(1.5),
-    # Re z = 699.7 passes the guard as 699.7 + (0.1 + 0.2), not as
-    # (699.7 + 0.1) + 0.2, the scalar call's order
-    SHIFTED.translated(0.1).shifted(0.2),
+    SHIFTED.translated(0.3 + 0.2j),
+    # Re z = 699.7 lands exactly on the guard at 700, which it passes
+    SHIFTED.translated(0.3),
     *(LogLiftModel("lifted_entire", plane_map=s, half_plane_Q=2.0) for s in ALL_SPECS),
     LogLiftModel("lifted_entire", plane_map=EntireMapSpec.sinh(0.575)).translated(3j),
 ]
@@ -138,8 +136,6 @@ def test_kappa_must_be_finite():
 def test_model_to_json_refuses_what_no_descriptor_holds():
     with pytest.raises(ValueError):
         model_to_json(SHIFTED.translated(0.3 + 0.2j))
-    with pytest.raises(ValueError):
-        model_to_json(normalize(LogLiftModel("shifted_exp", R=1.5)))
 
 
 def test_domain_membership_and_errors():
@@ -178,54 +174,6 @@ def test_require_finite_rejects_nonfinite():
         require_finite(complex(math.nan, 0.0))
     with pytest.raises(DomainError):
         require_finite(complex(0.0, math.inf))
-
-
-def test_normalize_keeps_certified_model():
-    assert normalize(SHIFTED) == SHIFTED
-
-
-@pytest.mark.parametrize(
-    "model",
-    [
-        LogLiftModel("shifted_exp", R=1.5),
-        LogLiftModel("lifted_entire", plane_map=EntireMapSpec.lambda_expm1(0.5)),
-        LogLiftModel("lifted_entire", plane_map=EntireMapSpec.zexp()),
-    ],
-    ids=["shifted_R1.5", "lambda_expm1", "zexp"],
-)
-def test_normalize_certifies_expansion(model):
-    # the certificate is sample-based: it holds on the verification
-    # sample normalize itself draws (seed 0), not on every domain point
-    out = normalize(model)
-    assert out.offset >= 0.0
-    for z in sample_domain_points(out, 1000, seed=0):
-        try:
-            assert abs(eval_dF(out, z)) >= 2.0
-        except OverflowError:
-            continue
-
-
-def test_normalize_small_R_records_positive_offset():
-    out = normalize(LogLiftModel("shifted_exp", R=1.5))
-    assert out.offset > 0.0
-
-
-def test_normalize_certifies_each_offset_once(monkeypatch):
-    calls = []
-    certify = models._certify_expansion
-
-    def counting(model):
-        ok = certify(model)
-        calls.append((model.offset, ok))
-        return ok
-
-    monkeypatch.setattr(models, "_certify_expansion", counting)
-    out = normalize(LogLiftModel("shifted_exp", R=1.5))
-    offsets = [offset for offset, _ in calls]
-    assert len(calls) == 38
-    assert len(set(offsets)) == len(offsets)
-    # bisection returns the smallest offset that certified
-    assert out.offset == min(offset for offset, ok in calls if ok)
 
 
 def test_sample_domain_points_deterministic_and_valid():
