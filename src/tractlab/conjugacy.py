@@ -17,7 +17,10 @@ complete the module.
 Each tower certifies the forward orbit of z once, in ``_certified_orbit``,
 which returns the orbit and the tract address of every point the tower
 pulls back through.  A supplied orbit is checked in one array pass over
-all its steps; when that pass rejects a step, the scalar checks re-run
+all its steps, and that proof is remembered for each distinct orbit
+content (``ORBIT_MEMO_SIZE`` of them), so towers of every depth on one
+orbit share it.  A depth the proof does not cover re-runs the pass on
+its prefix; when that pass rejects a step, the scalar checks re-run
 from that step, so the error names the step and the reason.  The
 pullback levels then use those addresses and prove no membership again.
 """
@@ -29,6 +32,7 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +52,9 @@ from .tracts import TractAddress, _address, _addresses, inverse_branch, tract_of
 DEFAULT_MAX_DEPTH = 400
 # the common tower depth of the four kappa-stencil towers
 KAPPA_STENCIL_DEPTH = 40
+# distinct supplied orbits whose proof is remembered; a sweep over the
+# depths of one orbit with theta_limit needs two, the orbit and orbit[1:]
+ORBIT_MEMO_SIZE = 16
 
 # branch index of an F-tract -> branch index of its G-tract; None is the
 # identity
@@ -138,19 +145,30 @@ def _certified_orbit(
 def _validate_orbit(
     base: LogLiftModel, z: complex, n: int, Q: float, orbit: list[complex]
 ) -> tuple[list[complex], list[TractAddress]]:
-    # One array pass checks every step; the scalar checks below re-run
-    # from the first step it rejects, so a failure raises exactly what
-    # the step-by-step scalar validation raises.
+    # An orbit of numbers is proved once per content by _orbit_proof, and
+    # a depth its proof covers is answered from it.  Otherwise one array
+    # pass checks every step; the scalar checks below re-run from the
+    # first step it rejects, so a failure raises exactly what the
+    # step-by-step scalar validation raises.
     if len(orbit) < n + 1:
         raise RangeError(f"supplied orbit covers {len(orbit) - 1} < {n} steps")
+    whole = _numeric_array(orbit)
+    if whole is not None:
+        # repr tells apart models that compare equal but differ in the
+        # sign of a zero in kappa or a parameter, which can move the log
+        # lift by 2 pi i
+        pts, proved, addresses = _orbit_proof(base, repr(base), Q, whole.tobytes())
+        if (
+            proved >= n
+            and abs(pts[0] - z) <= 1e-9 * (1.0 + abs(z))
+            and (n == 0 or pts[n].real > Q)
+        ):
+            return pts[: n + 1], addresses[:n]
     arr = _orbit_array(orbit[: n + 1])
     pts = arr.tolist()
     if abs(pts[0] - z) > 1e-9 * (1.0 + abs(z)):
         raise OrbitLeftJQ(f"supplied orbit does not start at {z!r}")
-    w, ok = _eval_F_array(base, arr[:n])
-    ok &= np.abs(w - arr[1:]) <= 1e-6 * (1.0 + np.abs(w))
-    ok[1:] &= arr[1:n].real > Q
-    for i in range(n if ok.all() else int(np.argmin(ok)), n):
+    for i in range(_first_rejected(base, Q, arr), n):
         if i >= 1 and pts[i].real <= Q:
             raise OrbitLeftJQ(f"supplied orbit leaves {{Re > {Q:g}}} at step {i}")
         try:
@@ -164,17 +182,46 @@ def _validate_orbit(
     return pts, _addresses(base, arr[:n])
 
 
-def _orbit_array(points: list[complex]) -> np.ndarray:
+@lru_cache(maxsize=ORBIT_MEMO_SIZE)
+def _orbit_proof(
+    base: LogLiftModel, base_repr: str, Q: float, data: bytes
+) -> tuple[list[complex], int, list[TractAddress]]:
+    """The array pass over a whole supplied orbit, given as the bytes of
+    its complex128 array: its points, the first step the pass rejects
+    (the number of steps if none) and the addresses of the points before
+    that step.  A point that is not finite fails the step that reaches
+    it (the first point fails the caller's start check), so no proof
+    covers it."""
+    arr = np.frombuffer(data, dtype=np.complex128)
+    proved = _first_rejected(base, Q, arr)
+    return arr.tolist(), proved, _addresses(base, arr[:proved])
+
+
+def _first_rejected(base: LogLiftModel, Q: float, arr: np.ndarray) -> int:
+    # step i is F(arr[i]) ~ arr[i + 1], with Re arr[i] > Q for i >= 1
+    n = len(arr) - 1
+    w, ok = _eval_F_array(base, arr[:n])
+    with np.errstate(invalid="ignore"):  # inf - inf fails the step as nan
+        ok &= np.abs(w - arr[1:]) <= 1e-6 * (1.0 + np.abs(w))
+    ok[1:] &= arr[1:n].real > Q
+    return n if ok.all() else int(np.argmin(ok))
+
+
+def _numeric_array(points: list[complex]) -> np.ndarray | None:
     # numbers only: numpy would also parse text and bytes
     try:
         arr = np.array(points)
-        numeric = arr.ndim == 1 and arr.dtype.kind in "biufc"
     except ValueError:  # ragged nesting
-        numeric = False
-    if numeric:
-        arr = arr.astype(np.complex128, copy=False)
-        if np.isfinite(arr).all():
-            return arr
+        return None
+    if arr.ndim == 1 and arr.dtype.kind in "biufc":
+        return arr.astype(np.complex128, copy=False)
+    return None
+
+
+def _orbit_array(points: list[complex]) -> np.ndarray:
+    arr = _numeric_array(points)
+    if arr is not None and np.isfinite(arr).all():
+        return arr
     # require_finite raises at the first point that is not a finite number
     return np.array([require_finite(p, "orbit point") for p in points])
 

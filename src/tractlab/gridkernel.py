@@ -19,7 +19,6 @@ from .errors import RangeError
 from .models import (
     EXP_OVERFLOW_GUARD,
     EntireMapSpec,
-    plane_map_from_json,
     plane_map_to_json,
 )
 
@@ -163,11 +162,3 @@ def write_sidecar(
     with open(path, "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
-
-
-def read_sidecar(path) -> dict:
-    with open(path) as fh:
-        meta = json.load(fh)
-    meta["map_spec"] = plane_map_from_json(meta["map"])
-    meta["window_obj"] = Window.from_json(meta["window"])
-    return meta

@@ -7,7 +7,8 @@ of entire plane maps, evaluated through the principal logarithm; inverse
 branches carry their tract integers explicitly (see ``tracts``).  The
 plane maps form one table, ``PLANE_FAMILIES``: every per-family formula
 (scalar and grid evaluation, derivative, asymptotic value, Newton seed,
-JSON parameter names) lives there and nowhere else.
+lower bound for log|f|, JSON parameter names) lives there and nowhere
+else.
 """
 
 from __future__ import annotations
@@ -42,17 +43,57 @@ class PlaneFamily:
     evaluated with ``m = cmath`` for scalars and ``m = numpy`` for grids.
     ``newton_seed(params, ws, inner)`` returns u with exp(z) ~ u for the
     preimage of exp(ws) in the tract with the given inner branch.
+    ``log_abs_floor(log_moduli, zeta)``, given log|p| of every parameter
+    p, is a lower bound for log|f(zeta)| that holds under rounding at
+    every finite zeta, also where f(zeta) itself overflows; it is -inf
+    where the bound proves nothing.
     """
 
     param_names: tuple[str, ...]
     f: Callable
     df: Callable
+    log_abs_floor: Callable[[tuple, complex], float]
     # limit of f(w) as Re w -> -infinity, or None where there is none
     asymptotic_value: Callable[[tuple], complex | None]
     newton_seed: Callable[[tuple, complex, int], complex]
     # overflows toward Re z -> -infinity as well, with two tracts per
     # period strip, toward Re exp(z) = +infinity and -infinity
     two_sided: bool = False
+
+
+# relative slack for the rounding of the few operations in _log_floor,
+# far above their error of a few units in the last place
+LOG_FLOOR_SLACK = 1e-12
+
+
+def _log_abs(c: complex) -> float:
+    """log|c| for a finite c, also where |c| overflows; -inf at 0."""
+    r = abs(c)
+    if r == math.inf:
+        return math.log(abs(c * 0.5)) + math.log(2.0)
+    return math.log(r) if r else -math.inf
+
+
+def _log_floor(lead: float, tail: float) -> float:
+    """A lower bound, holding under rounding, for log|u + v| with
+    |u| >= e^lead and |v| <= e^tail: log(e^lead - e^tail), or -inf
+    where e^tail >= e^lead."""
+    d = tail - lead
+    if d < -40.0:
+        # log1p(-e^d) > -5e-18 is far inside the slack (also for tail = -inf)
+        return lead - LOG_FLOOR_SLACK * (1.0 + abs(lead))
+    d += LOG_FLOOR_SLACK * (1.0 + abs(lead) + abs(tail))
+    if not d < 0.0:
+        return -math.inf
+    g = math.log1p(-math.exp(d))
+    return lead + g - LOG_FLOOR_SLACK * (1.0 + abs(lead) + abs(g))
+
+
+def _sinh_floor(lp: tuple, zeta: complex) -> float:
+    # lambda sinh(zeta) = (lambda/2) e^zeta - (lambda/2) e^-zeta
+    half = lp[0] - math.log(2.0)
+    x = abs(zeta.real)
+    return _log_floor(half + x, half - x)
 
 
 def _sinh_seed(p: tuple, ws: complex, inner: int) -> complex:
@@ -67,6 +108,7 @@ PLANE_FAMILIES: dict[str, PlaneFamily] = {
         ("a", "b"),
         f=lambda m, p, z: p[0] * m.exp(z) + p[1],
         df=lambda m, p, z: p[0] * m.exp(z),
+        log_abs_floor=lambda lp, zeta: _log_floor(lp[0] + zeta.real, lp[1]),
         asymptotic_value=lambda p: p[1],
         newton_seed=lambda p, ws, inner: ws - cmath.log(p[0]),
     ),
@@ -74,6 +116,7 @@ PLANE_FAMILIES: dict[str, PlaneFamily] = {
         ("lambda",),
         f=lambda m, p, z: p[0] * (m.exp(z) - 1.0),
         df=lambda m, p, z: p[0] * m.exp(z),
+        log_abs_floor=lambda lp, zeta: _log_floor(lp[0] + zeta.real, lp[0]),
         asymptotic_value=lambda p: -p[0],
         newton_seed=lambda p, ws, inner: ws - cmath.log(p[0]),
     ),
@@ -81,6 +124,9 @@ PLANE_FAMILIES: dict[str, PlaneFamily] = {
         (),
         f=lambda m, p, z: (z + 1.0) * m.exp(z) - 1.0,
         df=lambda m, p, z: (z + 2.0) * m.exp(z),
+        log_abs_floor=lambda lp, zeta: _log_floor(
+            _log_abs(zeta + 1.0) + zeta.real, 0.0
+        ),
         asymptotic_value=lambda p: -1.0 + 0.0j,
         newton_seed=lambda p, ws, inner: (ws - cmath.log(ws)) if ws != 0 else ws,
     ),
@@ -88,6 +134,7 @@ PLANE_FAMILIES: dict[str, PlaneFamily] = {
         ("lambda",),
         f=lambda m, p, z: p[0] * m.sinh(z),
         df=lambda m, p, z: p[0] * m.cosh(z),
+        log_abs_floor=_sinh_floor,
         asymptotic_value=lambda p: None,
         newton_seed=_sinh_seed,
         two_sided=True,
@@ -96,6 +143,7 @@ PLANE_FAMILIES: dict[str, PlaneFamily] = {
         ("kappa",),
         f=lambda m, p, z: m.exp(z) + p[0],
         df=lambda m, p, z: m.exp(z),
+        log_abs_floor=lambda lp, zeta: _log_floor(zeta.real, lp[0]),
         asymptotic_value=lambda p: p[0],
         newton_seed=lambda p, ws, inner: ws,
     ),
@@ -118,6 +166,8 @@ class EntireMapSpec:
     params: tuple[complex, ...] = ()
     # the family's table row, looked up once
     row: PlaneFamily = field(init=False, repr=False, compare=False)
+    # log|p| of every parameter, for the row's log_abs_floor
+    log_moduli: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in PLANE_FAMILIES:
@@ -128,6 +178,7 @@ class EntireMapSpec:
         for p in self.params:
             require_finite(p, "parameter")
         object.__setattr__(self, "row", row)
+        object.__setattr__(self, "log_moduli", tuple(map(_log_abs, self.params)))
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -298,17 +349,19 @@ def _contains(model: LogLiftModel, zk: complex) -> bool:
     except DomainError:
         return False
     except OverflowError:
-        return _member_past_overflow(model, zk)
+        return _member_past_overflow(model, zk, model.half_plane_Q)
     return w.real > model.half_plane_Q
 
 
-def _member_past_overflow(model: LogLiftModel, zk: complex) -> bool:
-    # the one rule turning an OverflowError of _eval_raw(model, zk) into
-    # membership: inside the exp guard f(exp z) overflowed in the plane
-    # map, so |f| > e^Q; past it Re exp(zk) = e^{Re zk} cos(Im zk) with
-    # e^{Re zk} astronomically large, so the sign of cos decides
+def _member_past_overflow(model: LogLiftModel, zk: complex, Q: float) -> bool:
+    # the one rule turning an OverflowError of _eval_raw(model, zk) into a
+    # proof of Re F > Q: inside the exp guard the plane map overflowed
+    # (only a lifted model's can), and its row's floor for log|f| decides;
+    # past it Re exp(zk) = e^{Re zk} cos(Im zk) with e^{Re zk}
+    # astronomically large, so the sign of cos decides
     if zk.real <= EXP_OVERFLOW_GUARD:
-        return True
+        pm = model.plane_map
+        return pm.row.log_abs_floor(pm.log_moduli, cmath.exp(zk)) > Q
     c = math.cos(zk.imag)
     if model.family == "shifted_exp":
         return c > 0.0
@@ -321,7 +374,7 @@ def _member_past_overflow(model: LogLiftModel, zk: complex) -> bool:
     limit = model.plane_map.asymptotic_value()
     if limit is None or limit == 0:
         return False
-    return math.log(abs(limit)) > model.half_plane_Q
+    return math.log(abs(limit)) > Q
 
 
 # ``sample_domain_points`` draws from -3 <= Re z <= 8 and the tracts

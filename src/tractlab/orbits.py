@@ -48,9 +48,9 @@ class OrbitRecord:
 def iterate(model: LogLiftModel, z: complex, horizon: int, Q: float) -> OrbitRecord:
     """Iterate up to the horizon, a domain exit, or the overflow guard.
 
-    An orbit point whose image overflows while the sign structure shows
-    Re F is hugely positive counts as certified (the orbit is escaping
-    faster than doubles can represent); the record is marked saturated.
+    An orbit point whose image overflows while a proved bound shows
+    Re F > Q counts as certified (the orbit is escaping faster than
+    doubles can represent); the record is marked saturated.
     Every point but the last is proved in V, the last too if saturated.
     """
     if horizon < 1:
@@ -64,7 +64,9 @@ def iterate(model: LogLiftModel, z: complex, horizon: int, Q: float) -> OrbitRec
         try:
             w = eval_F(model, cur)
         except OverflowError:
-            saturated = _member_past_overflow(model, cur + model.kappa)
+            # the image must be proved past both this Q and the model's
+            threshold = max(Q, model.half_plane_Q)
+            saturated = _member_past_overflow(model, cur + model.kappa, threshold)
             flag = EscapeFlag.STAYED_IN_JQ if saturated else EscapeFlag.OVERFLOWED
         except DomainError:
             flag = EscapeFlag.LEFT_DOMAIN

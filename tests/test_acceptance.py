@@ -5,6 +5,7 @@ sample construction uses exact periodic orbits where forward float
 iteration from repelling points would destroy the certificates.
 """
 
+import json
 import math
 import random
 import time
@@ -13,7 +14,12 @@ import numpy as np
 import pytest
 
 from tractlab import conjugacy, gridkernel, orbits, semiconj
-from tractlab.models import EntireMapSpec, LogLiftModel, eval_F
+from tractlab.models import (
+    EntireMapSpec,
+    LogLiftModel,
+    eval_F,
+    plane_map_from_json,
+)
 
 BASE = LogLiftModel("shifted_exp", R=10.0)
 KAPPA = 0.3 + 0.2j
@@ -268,7 +274,11 @@ def test_criterion_12_finite_horizon_only(tmp_path):
     win = gridkernel.Window(-4.0, 4.0, -4.0, 4.0)
     side = tmp_path / "render.json"
     gridkernel.write_sidecar(side, spec, win, (64, 64), 50.0, 10)
-    meta = gridkernel.read_sidecar(side)
-    ok = meta["finite_horizon_proxy"] is True and "horizon" in meta
+    meta = json.loads(side.read_text())
+    ok = (
+        meta["finite_horizon_proxy"] is True and "horizon" in meta
+        and plane_map_from_json(meta["map"]) == spec
+        and gridkernel.Window.from_json(meta["window"]) == win
+    )
     _report(12, ok, "renders declare finite_horizon_proxy = true with the "
                     "horizon recorded; no full-plane set is claimed")

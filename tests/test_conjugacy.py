@@ -502,10 +502,173 @@ def _rejected_orbits():
 
 @pytest.mark.parametrize("case", list(_rejected_orbits()))
 def test_rejected_orbit_names_the_failing_step(case):
+    conjugacy._orbit_proof.cache_clear()
     model, z, orbit, n, Q_, error, message = _rejected_orbits()[case]
-    with pytest.raises(error) as info:
-        conjugacy.theta_n(model, KAPPA, orbit[0] if z is None else z, n, Q_, orbit)
-    assert str(info.value) == message
+    for _ in range(2):  # the second run meets the orbit's remembered proof
+        with pytest.raises(error) as info:
+            conjugacy.theta_n(model, KAPPA, orbit[0] if z is None else z, n, Q_, orbit)
+        assert str(info.value) == message
+
+
+def test_a_changed_orbit_is_proved_again():
+    conjugacy._orbit_proof.cache_clear()
+    orb = _orbit([0, 1], 10)
+    conjugacy.theta_n(BASE, KAPPA, orb[0], 8, Q, orb)
+    orb[5] += 1e-3
+    with pytest.raises(OrbitLeftJQ) as info:
+        conjugacy.theta_n(BASE, KAPPA, orb[0], 8, Q, orb)
+    assert str(info.value) == "supplied orbit inconsistent at step 4"
+
+
+def test_orbits_differing_in_a_signed_zero_keep_their_own_points():
+    # the real fixed point of e^z - 10; the orbits compare equal point by
+    # point but differ in the sign of every imaginary part
+    conjugacy._orbit_proof.cache_clear()
+    x = _orbit([0], 1)[0].real
+    for sign in (0.0, -0.0, 0.0):  # +0.0 again, after -0.0 was proved
+        orb = [complex(x, sign)] * 6
+        pts, addresses = conjugacy._certified_orbit(BASE, orb[0], 5, Q, orb)
+        assert repr(pts) == repr(orb)
+        assert addresses == [TractAddress(0)] * 5
+
+
+def test_models_differing_in_a_signed_zero_keep_their_own_proofs():
+    # the models compare equal, but at z = 5 f(exp z) is a negative real
+    # whose imaginary zero takes the parameters' sign, so Im F = -pi for
+    # one and +pi for the other
+    conjugacy._orbit_proof.cache_clear()
+    neg, pos = (
+        _lifted(EntireMapSpec.exp_affine(complex(-1.0, s), complex(100.0, s)))
+        for s in (-0.0, 0.0)
+    )
+    assert neg == pos
+    orb = [5.0 + 0j, eval_F(neg, 5.0 + 0j)]
+    assert conjugacy._certified_orbit(neg, orb[0], 1, Q, orb)[0] == orb
+    with pytest.raises(OrbitLeftJQ) as info:
+        conjugacy._certified_orbit(pos, orb[0], 1, Q, orb)
+    assert str(info.value) == "supplied orbit inconsistent at step 0"
+
+
+def test_a_fault_past_the_depth_does_not_reach_it():
+    # each faulty orbit first differs from the cycle at point 7
+    conjugacy._orbit_proof.cache_clear()
+    clean = _orbit([0, 1], 10)
+    faults = [
+        (clean[:7] + [clean[7] + 1e-3] + clean[8:], OrbitLeftJQ,
+         "supplied orbit inconsistent at step 6"),
+        (clean[:7] + [complex(math.nan, 0.0)] + clean[8:], DomainError,
+         "orbit point must have finite components, got (nan+0j)"),
+        (clean[:7] + [complex(math.inf, 0.0)] * 2 + clean[9:], DomainError,
+         "orbit point must have finite components, got (inf+0j)"),
+    ]
+    for orbit, error, message in faults:
+        for n in range(len(clean)):
+            if n < 7:
+                got = conjugacy.theta_n(BASE, KAPPA, clean[0], n, Q, orbit)
+                assert got == conjugacy.theta_n(BASE, KAPPA, clean[0], n, Q, clean)
+                continue
+            with pytest.raises(error) as info:
+                conjugacy.theta_n(BASE, KAPPA, clean[0], n, Q, orbit)
+            assert str(info.value) == message
+
+
+def _validate_orbit_reference(base, z, n, Q_, orbit):
+    # the supplied-orbit validation as it stood before proofs were
+    # remembered: one array pass over the first n steps, every call
+    if len(orbit) < n + 1:
+        raise RangeError(f"supplied orbit covers {len(orbit) - 1} < {n} steps")
+    head = orbit[: n + 1]
+    try:
+        arr = np.array(head)
+        numeric = arr.ndim == 1 and arr.dtype.kind in "biufc"
+    except ValueError:
+        numeric = False
+    if numeric:
+        arr = arr.astype(np.complex128, copy=False)
+    if not (numeric and np.isfinite(arr).all()):
+        arr = np.array([models.require_finite(p, "orbit point") for p in head])
+    pts = arr.tolist()
+    if abs(pts[0] - z) > 1e-9 * (1.0 + abs(z)):
+        raise OrbitLeftJQ(f"supplied orbit does not start at {z!r}")
+    w, ok = models._eval_F_array(base, arr[:n])
+    ok &= np.abs(w - arr[1:]) <= 1e-6 * (1.0 + np.abs(w))
+    ok[1:] &= arr[1:n].real > Q_
+    for i in range(n if ok.all() else int(np.argmin(ok)), n):
+        if i >= 1 and pts[i].real <= Q_:
+            raise OrbitLeftJQ(f"supplied orbit leaves {{Re > {Q_:g}}} at step {i}")
+        try:
+            nxt = eval_F(base, pts[i])
+        except (DomainError, OverflowError) as exc:
+            raise OrbitLeftJQ(f"supplied orbit invalid at step {i}: {exc}") from exc
+        if abs(nxt - pts[i + 1]) > 1e-6 * (1.0 + abs(nxt)):
+            raise OrbitLeftJQ(f"supplied orbit inconsistent at step {i}")
+    if n >= 1 and pts[n].real <= Q_:
+        raise OrbitLeftJQ(f"supplied orbit leaves {{Re > {Q_:g}}} at step {n}")
+    return pts, tracts._addresses(base, arr[:n])
+
+
+def _outcome(fn, *args):
+    try:
+        pts, addresses = fn(*args)
+    except TractlabError as exc:
+        return type(exc), str(exc)
+    return repr(pts), addresses
+
+
+SINH = _lifted(EntireMapSpec.sinh(0.575))
+# (model, branch indices, Q) of exact cycles to perturb
+PERTURBED_CYCLES = [
+    (BASE, [0, 1], Q),
+    (BASE, [-2, 0, 3], Q),
+    (BASE.translated(KAPPA), [1], Q),
+    (SINH, [0], 0.5),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.integers(0, len(PERTURBED_CYCLES) - 1),
+    where=st.integers(0, 11),
+    delta=st.sampled_from([0.0, -0.0, 1e-12, 1e-7j, 1e-5, -1e-3j, 0.5, -3.0,
+                           10.0 + 2.0j, math.inf]),
+    depths=st.lists(st.integers(0, 11), min_size=1, max_size=6),
+)
+def test_remembered_proofs_match_the_validation_they_replace(
+    case, where, delta, depths
+):
+    conjugacy._orbit_proof.cache_clear()
+    model, branches, Q_ = PERTURBED_CYCLES[case]
+    address = orbits.ExternalAddress.periodic(branches)
+    orbit = orbits.periodic_orbit(model, address, Q_, 12)
+    if delta == 0.0 and math.copysign(1.0, delta) < 0.0:
+        # the same point with the sign of its imaginary zero flipped
+        orbit[where] = complex(orbit[where].real, -orbit[where].imag)
+    else:
+        orbit[where] += delta
+    z = orbit[0]
+    for n in depths + depths:  # each depth again, against a warm memo
+        expected = _outcome(_validate_orbit_reference, model, z, n, Q_, orbit)
+        got = _outcome(conjugacy._certified_orbit, model, z, n, Q_, orbit)
+        assert got == expected
+
+
+def test_depth_sweep_proves_each_supplied_orbit_once(monkeypatch):
+    # a tower_periodic job: 41 depths and theta_limit on one exact cycle
+    # run the array pass once on the orbit and once on its tail orbit[1:]
+    conjugacy._orbit_proof.cache_clear()
+    lengths = []
+    array_pass = conjugacy._eval_F_array
+
+    def counting(model, z):
+        lengths.append(len(z))
+        return array_pass(model, z)
+
+    monkeypatch.setattr(conjugacy, "_eval_F_array", counting)
+    orb = _orbit([0, 1], 43)
+    for n in range(41):
+        conjugacy.theta_n(BASE, KAPPA, orb[0], n, Q, orb)
+    conjugacy.theta_limit(BASE, KAPPA, orb[0], 1e-9, Q, orbit=orb)
+    assert lengths == [42, 41]
 
 
 def test_supplied_orbit_tower_makes_no_scalar_membership_calls(monkeypatch):

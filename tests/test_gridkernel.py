@@ -10,7 +10,7 @@ import pytest
 from tractlab import gridkernel
 from tractlab.errors import RangeError
 from tractlab.gridkernel import Window
-from tractlab.models import EntireMapSpec
+from tractlab.models import EntireMapSpec, plane_map_from_json
 from tractlab.verify import _grid_exit_steps
 
 SPECS = [
@@ -99,15 +99,17 @@ def test_png_roundtrip(tmp_path):
 def test_sidecar_roundtrip(tmp_path):
     out = tmp_path / "img.json"
     gridkernel.write_sidecar(out, SPECS[3], WIN, (64, 32), 50.0, 20)
-    meta = gridkernel.read_sidecar(out)
+    meta = json.loads(out.read_text())
+    spec = plane_map_from_json(meta["map"])
+    window = Window.from_json(meta["window"])
     assert meta["finite_horizon_proxy"] is True
-    assert meta["map_spec"] == SPECS[3]
-    assert meta["window_obj"] == WIN
+    assert spec == SPECS[3]
+    assert window == WIN
     assert meta["resolution"] == [64, 32]
     # the sidecar is enough to reproduce the classification exactly
     again = gridkernel.classify_window(
-        meta["map_spec"],
-        meta["window_obj"],
+        spec,
+        window,
         tuple(meta["resolution"]),
         meta["escape_radius"],
         meta["horizon"],

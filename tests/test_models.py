@@ -164,6 +164,56 @@ def test_membership_past_the_guard(spec, im):
     assert domain_contains(model, complex(750.0, im)) is expected
 
 
+def test_membership_inside_the_guard_needs_a_proved_modulus():
+    # exp(z) = 701 trips the plane map's guard, yet |1e-300 e^701| = e^10.2
+    # is below e^Q; with a multiplier 1e-290 it is e^33.2, above it
+    z = complex(math.log(701.0))
+    for a, member in ((1e-300, False), (1e-290, True)):
+        spec = EntireMapSpec.exp_affine(a, 0)
+        model = LogLiftModel("lifted_entire", plane_map=spec, half_plane_Q=20.0)
+        assert domain_contains(model, z) is member
+
+
+def _mp_log_abs_f(spec, zeta):
+    # log|f(zeta)| in 50-digit arithmetic, where doubles overflow
+    import mpmath
+
+    with mpmath.workdps(50):
+        z = mpmath.mpc(zeta.real, zeta.imag)
+        p = [mpmath.mpc(c.real, c.imag) for c in spec.params]
+        e = mpmath.exp(z)
+        value = {
+            "exp_affine": lambda: p[0] * e + p[1],
+            "lambda_expm1": lambda: p[0] * (e - 1),
+            "zexp": lambda: (z + 1) * e - 1,
+            "sinh": lambda: p[0] * mpmath.sinh(z),
+            "exp_plus_kappa": lambda: e + p[0],
+        }[spec.family]()
+        return float(mpmath.log(abs(value)))
+
+
+FLOOR_SPECS = ALL_SPECS + [
+    EntireMapSpec.exp_affine(1e-300, 0),
+    EntireMapSpec.exp_affine(-1e300 - 1e300j, 1e300),
+    EntireMapSpec.lambda_expm1(1e-200j),
+    EntireMapSpec.sinh(1e-300),
+]
+
+
+@pytest.mark.parametrize("spec", FLOOR_SPECS, ids=lambda s: f"{s.family}{s.params}")
+def test_log_abs_floor_bounds_the_modulus(spec):
+    floor = spec.row.log_abs_floor
+    for x in (-800.0, -60.0, -1.0, 0.0, 0.5, 3.0, 60.0, 701.0, 1e3, 1e5):
+        for y in (0.0, 1.0, math.pi / 2, 3.0, -2.0, 1e3):
+            zeta = complex(x, y)
+            exact = _mp_log_abs_f(spec, zeta)
+            bound = floor(spec.log_moduli, zeta)
+            assert bound <= exact, (zeta, bound, exact)
+            if abs(x) >= 60.0 and (x > 0.0 or spec.row.two_sided):
+                # far out the leading term dominates: the floor is tight
+                assert bound >= exact - 1e-9 * (1.0 + abs(exact)), (zeta, bound)
+
+
 def test_overflow_guard():
     with pytest.raises(OverflowError):
         eval_F(SHIFTED, 701.0 + 0.0j)

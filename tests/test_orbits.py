@@ -6,7 +6,12 @@ import math
 import pytest
 
 from tractlab import conjugacy, orbits
-from tractlab.errors import AddressMismatch, AddressUndefined, RangeError
+from tractlab.errors import (
+    AddressMismatch,
+    AddressUndefined,
+    OrbitLeftJQ,
+    RangeError,
+)
 from tractlab.models import EntireMapSpec, LogLiftModel, eval_F
 
 SHIFTED = LogLiftModel("shifted_exp", R=10.0)
@@ -39,6 +44,22 @@ def test_iterate_saturates_when_the_plane_map_overflows():
     kappa = 0.3 + 0.2j
     s = conjugacy.theta_limit(big, kappa, z, 1e-9, Q)
     assert s.depth == 31 and abs(s.theta - z) <= 2.0 * abs(kappa)
+
+
+def test_iterate_saturates_only_past_a_proved_modulus():
+    # exp(z) = 701 trips the plane map's guard, but Re F = log|1e-300 e^701|
+    # = 10.2: an overflow is an escape only where log|f| is proved > Q
+    spec = EntireMapSpec.exp_affine(1e-300, 0)
+    z = complex(math.log(701.0))
+    for model_Q, Q_, saturated in ((20.0, 20.0, False), (0.0, 20.0, False),
+                                   (0.0, 10.0, True)):
+        model = LogLiftModel("lifted_entire", plane_map=spec, half_plane_Q=model_Q)
+        rec = orbits.iterate(model, z, 5, Q_)
+        assert rec.saturated is saturated and rec.points == [z]
+        assert rec.certified is saturated
+    model = LogLiftModel("lifted_entire", plane_map=spec)
+    with pytest.raises(OrbitLeftJQ, match="fails the J_Q certificate at step 0"):
+        conjugacy.theta_limit(model, 0.3 + 0.2j, z, 1e-9, 20.0)
 
 
 def test_iterate_detects_domain_exit():
