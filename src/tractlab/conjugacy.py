@@ -7,22 +7,21 @@ the limit of the tower
 
 which is Cauchy at the a priori rate 2|kappa| / 2^n once Q > 2|kappa| + 1.
 Depth is always selected from that explicit rate, never adaptively.  A
-general two-map pullback is provided alongside: it follows a tract
-correspondence given as a mapping of branch indices, the form a JSON
-descriptor can carry, and measures its increments in the exact
-hyperbolic distance of {Re > Q}.  The displacement, inverse, crosscheck,
-holomorphy and dilatation-ceiling checks the construction admits
-complete the module.
+general two-map pullback ``general_pullback(F, G, ...)`` runs the same
+tower for any G in F's parameter space, pulling back through the G-tract
+with the branch index of each F-orbit point.  The displacement, inverse,
+crosscheck, holomorphy and dilatation-ceiling checks the construction
+admits complete the module.
 
 Each tower certifies the forward orbit of z once, in ``_certified_orbit``,
 which returns the orbit and the tract address of every point the tower
 pulls back through.  A supplied orbit is checked in one array pass over
 all its steps, and that proof is remembered for each distinct orbit
 content (``ORBIT_MEMO_SIZE`` of them), so towers of every depth on one
-orbit share it.  A depth the proof does not cover re-runs the pass on
-its prefix; when that pass rejects a step, the scalar checks re-run
-from that step, so the error names the step and the reason.  The
-pullback levels then use those addresses and prove no membership again.
+orbit share it.  When the proof stops short of a depth, the scalar checks
+run from the first step it rejects, so the error names the step and the
+reason.  The pullback levels then use those addresses and prove no
+membership again.
 """
 
 from __future__ import annotations
@@ -30,14 +29,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import (
-    CorrespondenceGap,
     DepthExceeded,
     DomainError,
     OrbitLeftJQ,
@@ -55,10 +52,6 @@ KAPPA_STENCIL_DEPTH = 40
 # distinct supplied orbits whose proof is remembered; a sweep over the
 # depths of one orbit with theta_limit needs two, the orbit and orbit[1:]
 ORBIT_MEMO_SIZE = 16
-
-# branch index of an F-tract -> branch index of its G-tract; None is the
-# identity
-Correspondence = Mapping[int, int] | None
 
 
 @dataclass
@@ -79,21 +72,11 @@ class ConjugacySample:
             "theta": [self.theta.real, self.theta.imag],
             "depth": self.depth,
             "tail_bound": self.tail_bound,
-            "residual": self.residual,
+            # null where the residual could not be formed
+            "residual": None if math.isnan(self.residual) else self.residual,
             "displacement": self.displacement(),
             "address_prefix": [t.branch_index for t in self.address_prefix.entries],
         }
-
-
-def dist_half_plane(Q: float, z: complex, w: complex) -> float:
-    """Exact hyperbolic distance in {Re > Q}."""
-    z, w = require_finite(z), require_finite(w, "w")
-    x, y = z.real - Q, w.real - Q
-    if x <= 0 or y <= 0:
-        raise RangeError("both points must lie inside the half-plane")
-    if z == w:
-        return 0.0
-    return math.acosh(1.0 + abs(z - w) ** 2 / (2.0 * x * y))
 
 
 def _require_kappa_admissible(kappa: complex, Q: float) -> complex:
@@ -145,30 +128,31 @@ def _certified_orbit(
 def _validate_orbit(
     base: LogLiftModel, z: complex, n: int, Q: float, orbit: list[complex]
 ) -> tuple[list[complex], list[TractAddress]]:
-    # An orbit of numbers is proved once per content by _orbit_proof, and
-    # a depth its proof covers is answered from it.  Otherwise one array
-    # pass checks every step; the scalar checks below re-run from the
-    # first step it rejects, so a failure raises exactly what the
-    # step-by-step scalar validation raises.
+    # Every supplied orbit is proved by _orbit_proof, once per content, and
+    # a depth its proof covers is answered from it.  Otherwise the scalar
+    # checks run from the first step the proof rejects, so a failure
+    # raises exactly what the step-by-step scalar validation raises.
     if len(orbit) < n + 1:
         raise RangeError(f"supplied orbit covers {len(orbit) - 1} < {n} steps")
-    whole = _numeric_array(orbit)
-    if whole is not None:
-        # repr tells apart models that compare equal but differ in the
-        # sign of a zero in kappa or a parameter, which can move the log
-        # lift by 2 pi i
-        pts, proved, addresses = _orbit_proof(base, repr(base), Q, whole.tobytes())
-        if (
-            proved >= n
-            and abs(pts[0] - z) <= 1e-9 * (1.0 + abs(z))
-            and (n == 0 or pts[n].real > Q)
-        ):
-            return pts[: n + 1], addresses[:n]
-    arr = _orbit_array(orbit[: n + 1])
-    pts = arr.tolist()
+    arr = _numeric_array(orbit)
+    if arr is None:
+        # text or ragged input: convert the points the depth needs
+        arr = np.array([require_finite(p, "orbit point") for p in orbit[: n + 1]])
+    # repr tells apart models that compare equal but differ in the sign of
+    # a zero in kappa or a parameter, which can move the log lift by 2 pi i
+    pts, proved, addresses = _orbit_proof(base, repr(base), Q, arr.tobytes())
+    if (
+        proved >= n
+        and abs(pts[0] - z) <= 1e-9 * (1.0 + abs(z))
+        and (n == 0 or pts[n].real > Q)
+    ):
+        return pts[: n + 1], addresses[:n]
+    pts = pts[: n + 1]
+    for p in pts:  # raises at the first point that is not finite
+        require_finite(p, "orbit point")
     if abs(pts[0] - z) > 1e-9 * (1.0 + abs(z)):
         raise OrbitLeftJQ(f"supplied orbit does not start at {z!r}")
-    for i in range(_first_rejected(base, Q, arr), n):
+    for i in range(min(proved, n), n):
         if i >= 1 and pts[i].real <= Q:
             raise OrbitLeftJQ(f"supplied orbit leaves {{Re > {Q:g}}} at step {i}")
         try:
@@ -179,7 +163,8 @@ def _validate_orbit(
             raise OrbitLeftJQ(f"supplied orbit inconsistent at step {i}")
     if n >= 1 and pts[n].real <= Q:
         raise OrbitLeftJQ(f"supplied orbit leaves {{Re > {Q:g}}} at step {n}")
-    return pts, _addresses(base, arr[:n])
+    # a proof that covers the depth returned above, so proved < n here
+    return pts, addresses + _addresses(base, arr[proved:n])
 
 
 @lru_cache(maxsize=ORBIT_MEMO_SIZE)
@@ -190,8 +175,7 @@ def _orbit_proof(
     its complex128 array: its points, the first step the pass rejects
     (the number of steps if none) and the addresses of the points before
     that step.  A point that is not finite fails the step that reaches
-    it (the first point fails the caller's start check), so no proof
-    covers it."""
+    it, so no proof covers it."""
     arr = np.frombuffer(data, dtype=np.complex128)
     proved = _first_rejected(base, Q, arr)
     return arr.tolist(), proved, _addresses(base, arr[:proved])
@@ -216,14 +200,6 @@ def _numeric_array(points: list[complex]) -> np.ndarray | None:
     if arr.ndim == 1 and arr.dtype.kind in "biufc":
         return arr.astype(np.complex128, copy=False)
     return None
-
-
-def _orbit_array(points: list[complex]) -> np.ndarray:
-    arr = _numeric_array(points)
-    if arr is not None and np.isfinite(arr).all():
-        return arr
-    # require_finite raises at the first point that is not a finite number
-    return np.array([require_finite(p, "orbit point") for p in points])
 
 
 def _pullback_tower(
@@ -317,24 +293,13 @@ def theta_limit(
     theta, trunc_err = _pullback_tower(base, kappa, pts, tracts, depth)
     tail = 2.0 * abs(kappa) * 2.0 ** (1 - depth) + trunc_err
     prefix = ExternalAddress(tuple(tracts) or (tract_of(base, z),))
-    residual = _matched_residual(base, kappa, z, depth, Q, orbit)
-    return ConjugacySample(z, theta, depth, tail, residual, prefix)
-
-
-def _matched_residual(
-    base: LogLiftModel,
-    kappa: complex,
-    z: complex,
-    n: int,
-    Q: float,
-    orbit: list[complex] | None = None,
-) -> float:
     try:
-        return conjugacy_residual(base, kappa, z, n, Q, orbit)
+        residual = conjugacy_residual(base, kappa, z, depth, Q, orbit)
     except (OverflowError, OrbitLeftJQ, RangeError):
         # F(z) or its one-deeper certificate is out of reach; the value
         # itself is fine but the residual cannot be formed at this z
-        return math.nan
+        residual = math.nan
+    return ConjugacySample(z, theta, depth, tail, residual, prefix)
 
 
 def conjugacy_residual(
@@ -388,59 +353,28 @@ def inverse_theta_check(
     return abs(outer.theta - require_finite(w, "w"))
 
 
-def _resolve(correspondence: Correspondence, tract: TractAddress) -> TractAddress:
-    if correspondence is None:
-        return tract
-    try:
-        return TractAddress(correspondence[tract.branch_index], tract.inner_branch)
-    except KeyError as exc:
-        raise CorrespondenceGap(f"no image for tract {tract}") from exc
-
-
 def general_pullback(
     F: LogLiftModel,
     G: LogLiftModel,
-    correspondence: Correspondence,
     z: complex,
     n: int,
     Q: float,
-    increments: list[tuple[float, float]] | None = None,
     orbit: list[complex] | None = None,
 ) -> complex:
-    """Depth-n tower Theta_{j+1}(z) = G_corr(T)^{-1}(Theta_j(F(z))).
+    """Depth-n tower Theta_{j+1}(z) = G_T^{-1}(Theta_j(F(z))), T the
+    G-tract with the address of z's F-tract.
 
-    ``correspondence`` maps the branch index of each F-tract to that of
-    its G-tract (None: the same index).  Each Newton inverse is seeded at
-    the F-orbit point moved into G's coordinates.  When ``increments`` is
-    given it receives, per level j >= 1, the pair
-    (dist_half_plane(Theta_{j+1}(z), Theta_j(z)),
-     dist_half_plane(Theta_j(F(z)), Theta_{j-1}(F(z)))) so the measured
-    contraction constant of the pullback step can be extracted.
+    Each Newton inverse is seeded at the F-orbit point moved into G's
+    coordinates.
     """
     z = require_finite(z)
     if n < 0:
         raise RangeError("depth must be nonnegative")
     orbit, tracts = _certified_orbit(F, z, n, Q, orbit)
-    m = len(orbit) - 1
-
-    def pull(v: complex, top: int, bottom: int = 0) -> complex:
-        # pull v, a value at orbit position top, down to position bottom
-        for j in range(top - 1, bottom - 1, -1):
-            tract = _resolve(correspondence, tracts[j])
-            v = inverse_branch(G, tract, v, seed=orbit[j] + F.kappa - G.kappa)
-        return v
-
-    if increments is None:
-        return pull(orbit[m], m)
-    # Theta_j(F(z)) is the tower over orbit[j + 1] stopped one level above
-    # z, and one more level gives Theta_{j+1}(z)
-    upstairs = [pull(orbit[j + 1], j + 1, 1) for j in range(m)]
-    values = [orbit[0]] + [pull(u, 1) for u in upstairs]
-    for j in range(1, m):
-        d_new = dist_half_plane(Q, values[j + 1], values[j])
-        d_arg = dist_half_plane(Q, upstairs[j], upstairs[j - 1])
-        increments.append((d_new, d_arg))
-    return values[m]
+    theta = orbit[-1]
+    for j in range(len(orbit) - 2, -1, -1):
+        theta = inverse_branch(G, tracts[j], theta, seed=orbit[j] + F.kappa - G.kappa)
+    return theta
 
 
 def uniqueness_crosscheck(
@@ -452,7 +386,7 @@ def uniqueness_crosscheck(
     orbits_by_sample: list[list[complex]] | None = None,
 ) -> float:
     """Max discrepancy between the translation-family tower and the
-    general two-map pullback with the branch-preserving correspondence.
+    general two-map pullback on G = F(. + kappa).
 
     On G = F(. + kappa) both towers run the same inverse branches from
     seeds that agree up to rounding, so the result is 0.0: this checks two
@@ -465,7 +399,7 @@ def uniqueness_crosscheck(
     for i, z in enumerate(samples):
         orb = None if orbits_by_sample is None else orbits_by_sample[i]
         a = theta_limit(base, kappa, z, tol, Q, orbit=orb).theta
-        b = general_pullback(base, member, None, z, depth, Q, orbit=orb)
+        b = general_pullback(base, member, z, depth, Q, orbit=orb)
         worst = max(worst, abs(a - b))
     return worst
 
@@ -511,7 +445,7 @@ def motion_dilatation_ceiling(kappa: complex, Q_prime: float) -> float:
 def write_sample_report(path, samples: list[ConjugacySample], summary: dict) -> None:
     payload = {"summary": summary, "samples": [s.to_json() for s in samples]}
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

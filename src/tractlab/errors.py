@@ -49,10 +49,6 @@ class DepthExceeded(TractlabError):
     """The pullback tower hit its depth cap before reaching tolerance."""
 
 
-class CorrespondenceGap(TractlabError):
-    """A tract correspondence has no image for an address entry."""
-
-
 class SetupInvalid(TractlabError):
     """A hyperbolic-map setup failed one of its validation checks."""
 

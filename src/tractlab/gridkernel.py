@@ -160,5 +160,5 @@ def write_sidecar(
         "finite_horizon_proxy": True,
     }
     with open(path, "w") as fh:
-        json.dump(meta, fh, indent=2)
+        json.dump(meta, fh, indent=2, allow_nan=False)
         fh.write("\n")

@@ -474,5 +474,5 @@ def write_report(path, setup: HyperbolicSetup, samples: list[SemiconjSample]) ->
         "samples": [s.to_json() for s in samples],
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")

@@ -169,6 +169,12 @@ def test_criterion_07_holomorphy_in_kappa():
                    f"kappa0 in {{0, 0.2, 0.2i}}, 20 samples each")
 
 
+def _hyperbolic_distance(Q, z, w):
+    # the exact hyperbolic distance in {Re > Q}
+    x, y = z.real - Q, w.real - Q
+    return math.acosh(1.0 + abs(z - w) ** 2 / (2.0 * x * y))
+
+
 def test_criterion_08_displacement():
     # real points at Re >= floor escape monotonically along the real
     # axis, so their finite-horizon certificates saturate after a step
@@ -181,7 +187,7 @@ def test_criterion_08_displacement():
         for _ in range(40):
             z = complex(floor + 0.5 + rng.uniform(0.0, 2.0), 0.0)
             s = conjugacy.theta_limit(BASE, KAPPA, z, 1e-9, Q)
-            worst = max(worst, conjugacy.dist_half_plane(Q, s.z, s.theta))
+            worst = max(worst, _hyperbolic_distance(Q, s.z, s.theta))
             min_re = min(min_re, s.z.real)
         ceiling = SCALE / (min_re - SCALE - Q)
         assert worst <= ceiling, f"floor {floor}: {worst:.3e} > ceiling {ceiling:.3e}"

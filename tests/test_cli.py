@@ -15,6 +15,14 @@ from tractlab.errors import ConfigError
 from tractlab.gridkernel import Window
 
 
+def _strict_json(text):
+    # NaN and Infinity are not JSON; the json module accepts them unless told
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_render_writes_image_and_sidecar(tmp_path):
     out = tmp_path / "img.pgm"
     code = main([
@@ -27,7 +35,7 @@ def test_render_writes_image_and_sidecar(tmp_path):
     ])
     assert code == EXIT_OK
     assert out.exists()
-    meta = json.loads((tmp_path / "img.pgm.json").read_text())
+    meta = _strict_json((tmp_path / "img.pgm.json").read_text())
     assert meta["finite_horizon_proxy"] is True
     assert meta["resolution"] == [32, 32]
 
@@ -124,6 +132,24 @@ def test_conjugate_crosscheck_on_lifted_sinh(tmp_path):
     assert summary["dilatation_ceiling"] == pytest.approx(2.0 * abs(0.3 + 0.2j))
 
 
+def test_conjugate_writes_null_for_a_residual_it_cannot_form(tmp_path):
+    # F(z) saturates, so the one-deeper tower of the residual is out of reach
+    samples = tmp_path / "samples.json"
+    model = {"family": "lifted_entire", "map": {"family": "lambda_expm1", "lambda": 0.5}}
+    samples.write_text(json.dumps({
+        "model": model, "points": [[7.138512969102209, -0.09080086363083872]],
+    }))
+    out = tmp_path / "conj.json"
+    code = main([
+        "conjugate", "--kappa", "0.3+0.2i", "--Q", "2", "--tol", "1e-9",
+        "--samples", str(samples), "--out", str(out),
+    ])
+    assert code == EXIT_OK
+    report = _strict_json(out.read_text())
+    assert report["samples"][0]["residual"] is None
+    assert report["summary"]["max_residual"] is None
+
+
 def test_conjugate_validates_kappa_against_Q(tmp_path):
     samples = tmp_path / "samples.json"
     samples.write_text(json.dumps({"points": [[3.5, 0.0]]}))
@@ -149,7 +175,7 @@ def test_semiconj_default_samples(tmp_path):
     out = tmp_path / "semi.json"
     code = main(["semiconj", "--out", str(out)])
     assert code == EXIT_OK
-    payload = json.loads(out.read_text())
+    payload = _strict_json(out.read_text())
     assert payload["setup"]["M"] == pytest.approx(5.5)
     assert len(payload["samples"]) == 4
     for s in payload["samples"]:

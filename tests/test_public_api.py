@@ -1,0 +1,42 @@
+"""Every public module-level def and class of the package has a caller
+outside the tests: in the package itself or in the benchmark harness."""
+
+import ast
+import tokenize
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "tractlab").glob("*.py"))
+CALLERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def _public_definitions():
+    for path in PACKAGE:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) and not node.name.startswith("_"):
+                yield f"{path.stem}.{node.name}", node.name
+
+
+def _references(paths) -> Counter:
+    # NAME tokens, except the name a def or class statement binds; comments
+    # and docstrings are COMMENT and STRING tokens, so they do not count
+    names = Counter()
+    for path in paths:
+        previous = None
+        with path.open("rb") as fh:
+            for tok in tokenize.tokenize(fh.readline):
+                if tok.type == tokenize.NAME and previous not in ("def", "class"):
+                    names[tok.string] += 1
+                previous = tok.string
+    return names
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    names = _references(CALLERS)
+    definitions = list(_public_definitions())
+    assert len(definitions) >= 50
+    unused = [qualified for qualified, name in definitions if not names[name]]
+    assert unused == []
