@@ -20,12 +20,21 @@ all its steps, and that proof is remembered for each distinct orbit
 content (``ORBIT_MEMO_SIZE`` of them), so towers of every depth on one
 orbit share it.  When the proof stops short of a depth, the scalar checks
 run from the first step it rejects, so the error names the step and the
-reason.  The pullback levels then use those addresses and prove no
-membership again.
+reason.  The memo key holds the model's repr, computed once per model
+instance, and the bytes of the orbit as complex128, read with
+``np.fromiter`` when every point is a Python complex or float; other
+points, such as text, are converted by ``require_finite``.
+
+The pullback levels then use those addresses and prove no membership
+again.  Each level calls the model family's inverse-branch kernel
+(``tracts._inverse_kernel``: the closed form for shifted_exp, the seeded
+Newton solve for a lifted map), looked up once per tower, after the
+checks ``inverse_branch`` makes on its argument, with the same errors.
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
 import json
 import math
@@ -43,7 +52,15 @@ from .errors import (
 )
 from .models import LogLiftModel, _eval_F_array, eval_dF, eval_F, require_finite
 from .orbits import EscapeFlag, ExternalAddress, iterate, periodic_orbit
-from .tracts import TractAddress, _address, _addresses, inverse_branch, tract_of
+from .tracts import (
+    TractAddress,
+    _address,
+    _addresses,
+    _inverse_kernel,
+    _require_target,
+    inverse_branch,
+    tract_of,
+)
 
 # theta_limit refuses a tolerance that needs a deeper tower
 DEFAULT_MAX_DEPTH = 400
@@ -52,6 +69,9 @@ KAPPA_STENCIL_DEPTH = 40
 # distinct supplied orbits whose proof is remembered; a sweep over the
 # depths of one orbit with theta_limit needs two, the orbit and orbit[1:]
 ORBIT_MEMO_SIZE = 16
+# the point types np.fromiter converts as complex() does; it would also
+# parse text, bytes and None, and fail on an int past double range
+_NUMBERS = frozenset({complex, float})
 
 
 @dataclass
@@ -134,13 +154,12 @@ def _validate_orbit(
     # raises exactly what the step-by-step scalar validation raises.
     if len(orbit) < n + 1:
         raise RangeError(f"supplied orbit covers {len(orbit) - 1} < {n} steps")
-    arr = _numeric_array(orbit)
-    if arr is None:
-        # text or ragged input: convert the points the depth needs
+    if _NUMBERS.issuperset(map(type, orbit)):
+        arr = np.fromiter(orbit, np.complex128, len(orbit))
+    else:
+        # other input, such as text: convert the points the depth needs
         arr = np.array([require_finite(p, "orbit point") for p in orbit[: n + 1]])
-    # repr tells apart models that compare equal but differ in the sign of
-    # a zero in kappa or a parameter, which can move the log lift by 2 pi i
-    pts, proved, addresses = _orbit_proof(base, repr(base), Q, arr.tobytes())
+    pts, proved, addresses = _orbit_proof(base, base._memo_repr, Q, arr.tobytes())
     if (
         proved >= n
         and abs(pts[0] - z) <= 1e-9 * (1.0 + abs(z))
@@ -191,17 +210,6 @@ def _first_rejected(base: LogLiftModel, Q: float, arr: np.ndarray) -> int:
     return n if ok.all() else int(np.argmin(ok))
 
 
-def _numeric_array(points: list[complex]) -> np.ndarray | None:
-    # numbers only: numpy would also parse text and bytes
-    try:
-        arr = np.array(points)
-    except ValueError:  # ragged nesting
-        return None
-    if arr.ndim == 1 and arr.dtype.kind in "biufc":
-        return arr.astype(np.complex128, copy=False)
-    return None
-
-
 def _pullback_tower(
     base: LogLiftModel,
     kappa: complex,
@@ -218,8 +226,11 @@ def _pullback_tower(
     m = len(orbit) - 1
     theta = orbit[m]
     err = 0.0 if m >= n else 2.0 * abs(kappa)
+    solve, Q = _inverse_kernel(base), base.half_plane_Q
     for j in range(m - 1, -1, -1):
-        pre = inverse_branch(base, tracts[j], theta, seed=orbit[j])
+        if not (theta.real > Q and cmath.isfinite(theta)):
+            _require_target(base, theta)  # raises what inverse_branch raises
+        pre = solve(tracts[j], theta, orbit[j])
         if err > 0.0:
             err /= max(abs(eval_dF(base, pre)), 1.0)
         theta = pre - kappa
@@ -459,5 +470,7 @@ def write_sample_csv(path, samples: list[ConjugacySample]) -> None:
         for s in samples:
             writer.writerow(
                 [s.z.real, s.z.imag, s.theta.real, s.theta.imag, s.depth,
-                 s.tail_bound, s.residual, s.displacement()]
+                 # an empty field where the residual could not be formed
+                 s.tail_bound, "" if math.isnan(s.residual) else s.residual,
+                 s.displacement()]
             )

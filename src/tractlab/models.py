@@ -17,6 +17,7 @@ import cmath
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -248,6 +249,13 @@ class LogLiftModel:
                 raise ValueError("lifted_entire requires a plane_map")
         else:
             raise ValueError(f"unknown model family {self.family!r}")
+
+    @cached_property
+    def _memo_repr(self) -> str:
+        """``repr(self)``, computed once: it tells apart models that compare
+        equal but differ in the sign of a zero in kappa or a parameter,
+        which can move the log lift by 2 pi i."""
+        return repr(self)
 
     def translated(self, kappa: complex) -> "LogLiftModel":
         """The member F(z + kappa) of this model's translation family."""

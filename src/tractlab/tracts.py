@@ -104,27 +104,55 @@ def inverse_branch(
     period strip is first moved into the tract's strip by whole periods;
     a Newton solution outside the tract raises NewtonDiverged.
     """
+    return _inverse_kernel(model)(tract, _require_target(model, w), seed)
+
+
+def _require_target(model: LogLiftModel, w: complex) -> complex:
+    """w as ``inverse_branch`` accepts it: finite, with Re w > Q."""
     w = require_finite(w, "w")
     if w.real <= model.half_plane_Q:
         raise RangeError(
             f"Re w = {w.real:g} is not inside the half-plane "
             f"{{Re > {model.half_plane_Q:g}}}"
         )
+    return w
+
+
+def _inverse_kernel(
+    model: LogLiftModel,
+) -> Callable[[TractAddress, complex, complex | None], complex]:
+    """The inverse-branch solve of the model's family, as
+    ``solve(tract, w, seed)``, without ``_require_target``'s checks on w.
+
+    For shifted_exp it is the closed form log(w + R) + 2 pi i k - kappa,
+    which needs no seed; for a lifted model the seeded Newton solve of
+    ``inverse_branch``.  A caller that solves many levels on one model
+    looks the kernel up once.
+    """
+    kappa = model.kappa
     if model.family == "shifted_exp":
-        base = cmath.log(w + model.R)
-        return base + TWO_PI * 1j * tract.branch_index - model.kappa
-    # Newton runs in the coordinates of the untranslated map
-    seed_k = None if seed is None else seed + model.kappa
-    if seed_k is not None:
-        shift = tract.branch_index - round(seed_k.imag / TWO_PI)
-        if shift:
-            seed_k += TWO_PI * 1j * shift
-    zk = _newton_inverse(model, tract, w, seed_k)
-    if _address(model, zk) != tract:
-        raise NewtonDiverged(
-            f"Newton inverse of w = {w!r} left tract {tract} for {zk - model.kappa!r}"
-        )
-    return zk - model.kappa
+        log, R, period = cmath.log, model.R, TWO_PI * 1j
+
+        def solve(tract, w, seed=None):
+            return log(w + R) + period * tract.branch_index - kappa
+
+        return solve
+
+    def solve(tract, w, seed=None):
+        # Newton runs in the coordinates of the untranslated map
+        seed_k = None if seed is None else seed + kappa
+        if seed_k is not None:
+            shift = tract.branch_index - round(seed_k.imag / TWO_PI)
+            if shift:
+                seed_k += TWO_PI * 1j * shift
+        zk = _newton_inverse(model, tract, w, seed_k)
+        if _address(model, zk) != tract:
+            raise NewtonDiverged(
+                f"Newton inverse of w = {w!r} left tract {tract} for {zk - kappa!r}"
+            )
+        return zk - kappa
+
+    return solve
 
 
 def _asymptotic_seed(model: LogLiftModel, tract: TractAddress, w: complex) -> complex:
@@ -182,9 +210,10 @@ def _lift_step(
     """Lift of w chosen continuously from the current lift value z_cur."""
     zk_cur = z_cur + model.kappa
     if model.family == "shifted_exp":
-        base = cmath.log(w + model.R)
-        k = round((zk_cur.imag - base.imag) / TWO_PI)
-        return base + TWO_PI * 1j * k - model.kappa, k
+        # k puts Im log(w + R) + 2 pi k, whose first term is the phase of
+        # w + R, nearest Im zk_cur
+        k = round((zk_cur.imag - cmath.phase(w + model.R)) / TWO_PI)
+        return _inverse_kernel(model)(_interned(k, False), w), k
     tract = TractAddress(round(zk_cur.imag / TWO_PI))
     zk = _newton_inverse(model, tract, w, seed=zk_cur)
     return zk - model.kappa, round(zk.imag / TWO_PI)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import csv
 import json
 import math
 import shlex
@@ -148,6 +149,28 @@ def test_conjugate_writes_null_for_a_residual_it_cannot_form(tmp_path):
     report = _strict_json(out.read_text())
     assert report["samples"][0]["residual"] is None
     assert report["summary"]["max_residual"] is None
+
+
+def test_conjugate_csv_leaves_a_residual_it_cannot_form_empty(tmp_path):
+    # the JSON report writes null for these residuals; the CSV wrote nan
+    samples = tmp_path / "samples.json"
+    model = {"family": "lifted_entire", "map": {"family": "lambda_expm1", "lambda": 0.5}}
+    samples.write_text(json.dumps({
+        "model": model, "points": [[7.743, 18.661], [7.138512969102209, -0.09080086363083872]],
+    }))
+    csv_out = tmp_path / "conj.csv"
+    code = main([
+        "conjugate", "--kappa", "0.3+0.2i", "--Q", "2", "--tol", "1e-9",
+        "--samples", str(samples), "--out", str(tmp_path / "conj.json"),
+        "--csv", str(csv_out),
+    ])
+    assert code == EXIT_OK
+    with open(csv_out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    for row in rows:
+        assert row["residual"] == ""
+        assert all(math.isfinite(float(v)) for k, v in row.items() if k != "residual")
 
 
 def test_conjugate_validates_kappa_against_Q(tmp_path):

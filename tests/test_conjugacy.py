@@ -1,6 +1,7 @@
 """Unit tests for the pullback conjugacy towers and their diagnostics."""
 
 import cmath
+import itertools
 import json
 import math
 from collections import Counter
@@ -36,6 +37,12 @@ Q = 2.0
 def _orbit(branches, length):
     addr = orbits.ExternalAddress.periodic(branches)
     return orbits.periodic_orbit(BASE, addr, Q, length)
+
+
+def _every_cycle(max_period):
+    # the branch indices of every cycle of period 1 .. max_period in -3 .. 3
+    for period in range(1, max_period + 1):
+        yield from itertools.product(range(-3, 4), repeat=period)
 
 
 def test_depth_for_tolerance_frozen_values():
@@ -183,12 +190,13 @@ def test_inverse_theta_roundtrip_on_member_cycle():
 
 
 def test_uniqueness_crosscheck_zero_on_cycles():
+    # both towers take the same closed form at every level
     depth = conjugacy.depth_for_tolerance(KAPPA, 1e-8)
-    orbs = [_orbit([0], depth + 2), _orbit([1, -1], depth + 2)]
+    orbs = [_orbit(list(b), depth + 2) for b in _every_cycle(2)]
     worst = conjugacy.uniqueness_crosscheck(
         BASE, KAPPA, [o[0] for o in orbs], 1e-8, Q, orbs
     )
-    assert worst <= 1e-10
+    assert worst == 0.0
 
 
 def test_uniqueness_crosscheck_seeds_newton_in_the_target_coordinates():
@@ -573,7 +581,7 @@ def _validate_orbit_reference(base, z, n, Q_, orbit):
 def _outcome(fn, *args):
     try:
         pts, addresses = fn(*args)
-    except TractlabError as exc:
+    except (TractlabError, TypeError) as exc:  # TypeError: a point like None
         return type(exc), str(exc)
     return repr(pts), addresses
 
@@ -613,6 +621,92 @@ def test_remembered_proofs_match_the_validation_they_replace(
         expected = _outcome(_validate_orbit_reference, model, z, n, Q_, orbit)
         got = _outcome(conjugacy._certified_orbit, model, z, n, Q_, orbit)
         assert got == expected
+
+
+def _orbits_of_every_point_kind():
+    # (name, orbit, z): each kind of point a caller may supply
+    cyc = _orbit([0, 1], 12)
+    x = _orbit([0], 1)[0].real  # the real fixed point of e^z - 10
+    yield "ints", [round(p.real) for p in cyc], cyc[0]
+    yield "an int", cyc[:4] + [round(cyc[4].real)] + cyc[5:], cyc[0]
+    yield "floats", [x] * 12, complex(x)
+    yield "a float", cyc[:4] + [cyc[4].real] + cyc[5:], cyc[0]
+    yield "numpy", [np.complex128(p) for p in cyc], cyc[0]
+    yield "text", [repr(p) for p in cyc], cyc[0]
+    yield "a text", cyc[:4] + ["(2.2-0.2j)"] + cyc[5:], cyc[0]
+    yield "a None", cyc[:4] + [None] + cyc[5:], cyc[0]
+
+
+@pytest.mark.parametrize("kind", [name for name, _, _ in _orbits_of_every_point_kind()])
+def test_every_kind_of_point_meets_the_validation_it_replaces(kind):
+    # the memo key is built with np.fromiter for complex and float points
+    # only; every other point takes require_finite, as it did before
+    conjugacy._orbit_proof.cache_clear()
+    (orbit, z), = [(o, z) for name, o, z in _orbits_of_every_point_kind() if name == kind]
+    for n in list(range(11)) * 2:  # each depth again, against a warm memo
+        expected = _outcome(_validate_orbit_reference, BASE, z, n, Q, orbit)
+        assert _outcome(conjugacy._certified_orbit, BASE, z, n, Q, orbit) == expected
+
+
+def _inverse_branch_chain(base, kappa, z, n, Q_, orbit=None):
+    """theta_n as the chain inverse_branch(base, tract, theta, seed) - kappa,
+    one call per level: the reference for the tower's level kernel."""
+    pts, addresses = conjugacy._certified_orbit(base, z, n, Q_, orbit)
+    theta = pts[-1]
+    for j in range(len(pts) - 2, -1, -1):
+        theta = inverse_branch(base, addresses[j], theta, seed=pts[j]) - kappa
+    return theta
+
+
+def test_level_kernel_matches_the_inverse_branch_chain():
+    member = BASE.translated(KAPPA)  # a base whose own kappa is nonzero
+    for base in (BASE, member):
+        for branches in _every_cycle(3):
+            address = orbits.ExternalAddress.periodic(list(branches))
+            orb = orbits.periodic_orbit(base, address, Q, 43)
+            for n in range(43):
+                got = conjugacy.theta_n(base, KAPPA, orb[0], n, Q, orb)
+                expected = _inverse_branch_chain(base, KAPPA, orb[0], n, Q, orb)
+                assert repr(got) == repr(expected), (base, branches, n)
+    # saturating orbits: the truncated path, closed form and Newton
+    sinh, zexp = _lifted(EntireMapSpec.sinh(0.575)), _lifted(EntireMapSpec.zexp())
+    for base, z in ((BASE, 4.5 + 0j), (BASE, 3.5 + 0.2j), (BASE, 5.0 - 0.4j),
+                    (sinh, 3.186 - 1.722j), (zexp, 3.35 - 1.6j)):
+        assert 2 <= len(conjugacy._certified_orbit(base, z, 12, Q)[0]) < 13
+        for n in range(13):
+            got = conjugacy.theta_n(base, KAPPA, z, n, Q)
+            expected = _inverse_branch_chain(base, KAPPA, z, n, Q)
+            assert repr(got) == repr(expected), (base, z, n)
+
+
+def _level_check_outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except RangeError as exc:
+        return RangeError, str(exc)
+
+
+def test_every_tower_level_keeps_the_inverse_branch_checks():
+    # the cycle lies at Re ~ 2.5 > 2.4, so it is a valid orbit of the
+    # model with Q = 2.4; each level moves the value by -kappa, to Re ~ 2.2,
+    # so the level after it is refused as inverse_branch refuses it
+    conjugacy._orbit_proof.cache_clear()
+    high = LogLiftModel("shifted_exp", R=10.0, half_plane_Q=2.4)
+    orb = _orbit([0, 1], 14)
+    assert min(p.real for p in orb) > 2.4
+    refused = 0
+    for n in list(range(13)) * 2:  # each depth again, against a warm memo
+        expected = _level_check_outcome(_inverse_branch_chain, high, KAPPA, orb[0], n, Q, orb)
+        got = _level_check_outcome(conjugacy.theta_n, high, KAPPA, orb[0], n, Q, orb)
+        assert got == expected, n
+        refused += got[0] is RangeError
+    assert refused == 2 * 11  # every depth from 2 on
+    depth = conjugacy.depth_for_tolerance(KAPPA, 1e-3)
+    expected = _level_check_outcome(_inverse_branch_chain, high, KAPPA, orb[0], depth, Q, orb)
+    assert expected[0] is RangeError
+    assert _level_check_outcome(
+        conjugacy.theta_limit, high, KAPPA, orb[0], 1e-3, Q, orb
+    ) == expected
 
 
 def test_depth_sweep_proves_each_supplied_orbit_once(monkeypatch):
