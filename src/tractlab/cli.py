@@ -154,8 +154,11 @@ def _cmd_conjugate(args) -> int:
     model = model_from_json(model_desc)
 
     samples = [conjugacy.theta_limit(model, kappa, z, tol, Q) for z in points]
-    crosscheck = conjugacy.uniqueness_crosscheck(
-        model, kappa, points[: min(10, len(points))], tol, Q
+    # the family tower against the general pullback on G = F(. + kappa)
+    member = model.translated(kappa)
+    crosscheck = max(
+        abs(s.theta - conjugacy.general_pullback(model, member, s.z, s.depth, Q))
+        for s in samples[:10]
     )
     holo = [
         conjugacy.holomorphy_in_kappa(model, z, kappa, 1e-3, Q)

@@ -5,13 +5,15 @@ the limit of the tower
 
     Theta_0 = id,   Theta_{n+1}(z) = (F_0)_T^{-1}(Theta_n(F_0(z))) - kappa,
 
-which is Cauchy at the a priori rate 2|kappa| / 2^n once Q > 2|kappa| + 1.
+which is Cauchy at the a priori rate 2|kappa| / 2^n once Q > 2|kappa| + 1,
+provided |F_0'| >= 2 wherever the tower pulls back.  No code checks that
+for a lifted model, so there the rate is an estimate, not a proof.
 Depth is always selected from that explicit rate, never adaptively.  A
 general two-map pullback ``general_pullback(F, G, ...)`` runs the same
-tower for any G in F's parameter space, pulling back through the G-tract
-with the branch index of each F-orbit point.  The displacement, inverse,
-crosscheck, holomorphy and dilatation-ceiling checks the construction
-admits complete the module.
+tower loop, ``_pullback_tower``, for any G in F's parameter space,
+pulling back through the G-tract with the branch index of each F-orbit
+point.  The displacement, inverse, holomorphy and dilatation-ceiling
+checks the construction admits complete the module.
 
 Each tower certifies the forward orbit of z once, in ``_certified_orbit``,
 which returns the orbit and the tract address of every point the tower
@@ -58,7 +60,6 @@ from .tracts import (
     _addresses,
     _inverse_kernel,
     _require_target,
-    inverse_branch,
     tract_of,
 )
 
@@ -211,28 +212,31 @@ def _first_rejected(base: LogLiftModel, Q: float, arr: np.ndarray) -> int:
 
 
 def _pullback_tower(
-    base: LogLiftModel,
+    model: LogLiftModel,
     kappa: complex,
     orbit: list[complex],
+    seeds: list[complex],
     tracts: list[TractAddress],
     n: int,
 ) -> tuple[complex, float]:
     """Downward pass of the tower; returns (theta, truncation_error_bound).
 
-    When the orbit list stops short of depth n the top levels are taken
-    as the identity; the induced error starts at 2|kappa| and shrinks by
-    the inverse-branch derivative 1/|F'| at every pullback level.
+    Level j inverts ``model`` on tract j from the Newton seed
+    ``seeds[j]``, then subtracts kappa.  When the orbit list stops short
+    of depth n the top levels are taken as the identity; the induced
+    error starts at 2|kappa| and shrinks by the inverse-branch
+    derivative 1/|F'| at every pullback level.
     """
     m = len(orbit) - 1
     theta = orbit[m]
     err = 0.0 if m >= n else 2.0 * abs(kappa)
-    solve, Q = _inverse_kernel(base), base.half_plane_Q
+    solve, Q = _inverse_kernel(model), model.half_plane_Q
     for j in range(m - 1, -1, -1):
         if not (theta.real > Q and cmath.isfinite(theta)):
-            _require_target(base, theta)  # raises what inverse_branch raises
-        pre = solve(tracts[j], theta, orbit[j])
+            _require_target(model, theta)  # raises what inverse_branch raises
+        pre = solve(tracts[j], theta, seeds[j])
         if err > 0.0:
-            err /= max(abs(eval_dF(base, pre)), 1.0)
+            err /= max(abs(eval_dF(model, pre)), 1.0)
         theta = pre - kappa
     return theta, err
 
@@ -260,7 +264,7 @@ def theta_n(
             _certified_orbit(base, z, n, Q, orbit)
         return z
     pts, tracts = _certified_orbit(base, z, n, Q, orbit)
-    theta, _ = _pullback_tower(base, kappa, pts, tracts, n)
+    theta, _ = _pullback_tower(base, kappa, pts, pts, tracts, n)
     return theta
 
 
@@ -301,7 +305,7 @@ def theta_limit(
             f"required depth {depth} exceeds the maximum {DEFAULT_MAX_DEPTH}"
         )
     pts, tracts = _certified_orbit(base, z, depth, Q, orbit)
-    theta, trunc_err = _pullback_tower(base, kappa, pts, tracts, depth)
+    theta, trunc_err = _pullback_tower(base, kappa, pts, pts, tracts, depth)
     tail = 2.0 * abs(kappa) * 2.0 ** (1 - depth) + trunc_err
     prefix = ExternalAddress(tuple(tracts) or (tract_of(base, z),))
     try:
@@ -375,44 +379,16 @@ def general_pullback(
     """Depth-n tower Theta_{j+1}(z) = G_T^{-1}(Theta_j(F(z))), T the
     G-tract with the address of z's F-tract.
 
-    Each Newton inverse is seeded at the F-orbit point moved into G's
-    coordinates.
+    It is ``_pullback_tower`` on G with kappa = 0, each Newton inverse
+    seeded at the F-orbit point moved into G's coordinates.
     """
     z = require_finite(z)
     if n < 0:
         raise RangeError("depth must be nonnegative")
     orbit, tracts = _certified_orbit(F, z, n, Q, orbit)
-    theta = orbit[-1]
-    for j in range(len(orbit) - 2, -1, -1):
-        theta = inverse_branch(G, tracts[j], theta, seed=orbit[j] + F.kappa - G.kappa)
+    seeds = [p + F.kappa - G.kappa for p in orbit[:-1]]
+    theta, _ = _pullback_tower(G, 0j, orbit, seeds, tracts, n)
     return theta
-
-
-def uniqueness_crosscheck(
-    base: LogLiftModel,
-    kappa: complex,
-    samples: list[complex],
-    tol: float,
-    Q: float,
-    orbits_by_sample: list[list[complex]] | None = None,
-) -> float:
-    """Max discrepancy between the translation-family tower and the
-    general two-map pullback on G = F(. + kappa).
-
-    On G = F(. + kappa) both towers run the same inverse branches from
-    seeds that agree up to rounding, so the result is 0.0: this checks two
-    code paths against each other, not the uniqueness of the conjugacy.
-    """
-    kappa = _require_kappa_admissible(kappa, Q)
-    member = base.translated(kappa)
-    depth = depth_for_tolerance(kappa, tol)
-    worst = 0.0
-    for i, z in enumerate(samples):
-        orb = None if orbits_by_sample is None else orbits_by_sample[i]
-        a = theta_limit(base, kappa, z, tol, Q, orbit=orb).theta
-        b = general_pullback(base, member, z, depth, Q, orbit=orb)
-        worst = max(worst, abs(a - b))
-    return worst
 
 
 def holomorphy_in_kappa(
@@ -427,8 +403,8 @@ def holomorphy_in_kappa(
 
     Four towers at kappa0 +/- h and kappa0 +/- ih at the common fixed
     depth KAPPA_STENCIL_DEPTH; the tower orbit is always the base-map
-    orbit of z, so one orbit serves all four.  For a kappa-holomorphic
-    tower the quotient is O(h^2).
+    orbit of z, so one certified orbit serves all four.  For a
+    kappa-holomorphic tower the quotient is O(h^2).
     """
     if not h > 0:
         raise RangeError("h must be positive")
@@ -436,8 +412,13 @@ def holomorphy_in_kappa(
     kappas = (kappa0 + h, kappa0 - h, kappa0 + 1j * h, kappa0 - 1j * h)
     for k in kappas:
         _require_kappa_admissible(k, Q)
+    z = require_finite(z)
+    n = KAPPA_STENCIL_DEPTH
+    pts, tracts = _certified_orbit(base, z, n, Q, orbit)
+    # theta_n's rule: the tower at kappa = 0 is z itself
     tp, tm, tip, tim = (
-        theta_n(base, k, z, KAPPA_STENCIL_DEPTH, Q, orbit) for k in kappas
+        z if k == 0 else _pullback_tower(base, k, pts, pts, tracts, n)[0]
+        for k in kappas
     )
     return abs((tp - tm) + 1j * (tip - tim)) / (4.0 * h)
 

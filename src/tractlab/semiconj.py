@@ -252,10 +252,10 @@ def _lift_polyline(
             f"start {start!r} is not a preimage of the path head {path[0]!r}"
         )
 
-    def step(z_cur: complex, w: complex) -> tuple[complex, int]:
+    def step(z_cur: complex, w: complex) -> complex:
         base = setup.inverse_branch_f(w, 0)
         b = round((z_cur.imag - base.imag) / TWO_PI)
-        return base + TWO_PI * 1j * b, b
+        return base + TWO_PI * 1j * b
 
     return continuous_lift(step, start, path).samples
 

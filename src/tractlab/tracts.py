@@ -48,7 +48,6 @@ class TractAddress:
 class LiftedPath:
     samples: list[complex]
     source_samples: list[complex]
-    branch_log: list[int]
 
 
 def tract_of(model: LogLiftModel, z: complex) -> TractAddress:
@@ -204,50 +203,43 @@ def _newton_inverse(
     )
 
 
-def _lift_step(
-    model: LogLiftModel, z_cur: complex, w: complex
-) -> tuple[complex, int]:
+def _lift_step(model: LogLiftModel, z_cur: complex, w: complex) -> complex:
     """Lift of w chosen continuously from the current lift value z_cur."""
     zk_cur = z_cur + model.kappa
     if model.family == "shifted_exp":
         # k puts Im log(w + R) + 2 pi k, whose first term is the phase of
         # w + R, nearest Im zk_cur
         k = round((zk_cur.imag - cmath.phase(w + model.R)) / TWO_PI)
-        return _inverse_kernel(model)(_interned(k, False), w), k
+        return _inverse_kernel(model)(_interned(k, False), w)
     tract = TractAddress(round(zk_cur.imag / TWO_PI))
-    zk = _newton_inverse(model, tract, w, seed=zk_cur)
-    return zk - model.kappa, round(zk.imag / TWO_PI)
+    return _newton_inverse(model, tract, w, seed=zk_cur) - model.kappa
 
 
 def continuous_lift(
-    step: Callable[[complex, complex], tuple[complex, int]],
+    step: Callable[[complex, complex], complex],
     z0: complex,
     path: list[complex],
-    branch0: int = 0,
 ) -> LiftedPath:
     """Lift of a polyline from the known lift z0 of path[0].
 
     ``step(z_cur, w)`` returns the lift of w chosen continuously from
-    z_cur, with its branch integer.  A step whose lift would move by more
-    than MAX_LIFT_STEP, or whose Newton solve diverges, is bisected in the
-    source plane, at most MAX_BISECTION_DEPTH times; past that it raises
-    ContinuationError.
+    z_cur.  A step whose lift would move by more than MAX_LIFT_STEP, or
+    whose Newton solve diverges, is bisected in the source plane, at most
+    MAX_BISECTION_DEPTH times; past that it raises ContinuationError.
     """
     samples = [z0]
     sources = [complex(path[0])]
-    branches = [branch0]
 
     def advance(z_cur: complex, w_from: complex, w_to: complex, depth: int):
         diverged = None
         try:
-            z_next, b = step(z_cur, w_to)
+            z_next = step(z_cur, w_to)
         except NewtonDiverged as exc:
             diverged = exc
         else:
             if abs(z_next - z_cur) <= MAX_LIFT_STEP:
                 samples.append(z_next)
                 sources.append(w_to)
-                branches.append(b)
                 return z_next
         if depth >= MAX_BISECTION_DEPTH:
             raise ContinuationError(
@@ -260,7 +252,7 @@ def continuous_lift(
     z_cur = z0
     for w_prev, w_next in zip(path, path[1:]):
         z_cur = advance(z_cur, complex(w_prev), complex(w_next), 0)
-    return LiftedPath(samples, sources, branches)
+    return LiftedPath(samples, sources)
 
 
 def lift_path(
@@ -282,9 +274,4 @@ def lift_path(
         if w.real <= Q:
             raise RangeError(f"path sample {w!r} lies outside the half-plane")
     z0 = inverse_branch(model, tract_at_start, path[0])
-    return continuous_lift(
-        lambda z_cur, w: _lift_step(model, z_cur, w),
-        z0,
-        path,
-        tract_at_start.branch_index,
-    )
+    return continuous_lift(lambda z_cur, w: _lift_step(model, z_cur, w), z0, path)

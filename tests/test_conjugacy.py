@@ -189,14 +189,21 @@ def test_inverse_theta_roundtrip_on_member_cycle():
     assert gap <= 4e-9
 
 
+def _family_minus_general(F, z, tol, orbit=None):
+    """|theta_limit - general_pullback on G = F(. + kappa)| at the same
+    depth, the uniqueness_crosscheck field of a conjugate report."""
+    s = conjugacy.theta_limit(F, KAPPA, z, tol, Q, orbit)
+    G = F.translated(KAPPA)
+    return abs(s.theta - conjugacy.general_pullback(F, G, z, s.depth, Q, orbit))
+
+
 def test_uniqueness_crosscheck_zero_on_cycles():
     # both towers take the same closed form at every level
     depth = conjugacy.depth_for_tolerance(KAPPA, 1e-8)
     orbs = [_orbit(list(b), depth + 2) for b in _every_cycle(2)]
-    worst = conjugacy.uniqueness_crosscheck(
-        BASE, KAPPA, [o[0] for o in orbs], 1e-8, Q, orbs
-    )
-    assert worst == 0.0
+    assert len(orbs) == 56
+    for o in orbs:
+        assert _family_minus_general(BASE, o[0], 1e-8, o) == 0.0
 
 
 def test_uniqueness_crosscheck_seeds_newton_in_the_target_coordinates():
@@ -219,7 +226,8 @@ def test_uniqueness_crosscheck_seeds_newton_in_the_target_coordinates():
                 continue
             certified.append(z)
         assert len(certified) >= 100, spec.family
-        assert conjugacy.uniqueness_crosscheck(F, KAPPA, certified, 1e-9, Q) == 0.0
+        for z in certified:
+            assert _family_minus_general(F, z, 1e-9) == 0.0, (spec.family, z)
 
 
 def _two_loop_pullback(F, G, z, n, Q, orbit=None):
@@ -328,6 +336,20 @@ def test_holomorphy_quotient_shrinks_quadratically():
     r1 = conjugacy.holomorphy_in_kappa(BASE, orb[0], 0.2 + 0j, 1e-3, Q, orb)
     r2 = conjugacy.holomorphy_in_kappa(BASE, orb[0], 0.2 + 0j, 5e-4, Q, orb)
     assert 3.0 <= r1 / r2 <= 5.0
+
+
+def test_holomorphy_in_kappa_iterates_the_orbit_once(monkeypatch):
+    # the four stencil towers share one certified orbit of z
+    calls = []
+
+    def counting_iterate(*args, **kwargs):
+        calls.append(args)
+        return orbits.iterate(*args, **kwargs)
+
+    monkeypatch.setattr(conjugacy, "iterate", counting_iterate)
+    r = conjugacy.holomorphy_in_kappa(BASE, 4.5 + 0j, 0.2 + 0j, 1e-3, Q)
+    assert math.isfinite(r)
+    assert len(calls) == 1
 
 
 def test_motion_dilatation_ceiling():
