@@ -7,13 +7,11 @@ the limit of the tower
 
 which is Cauchy at the a priori rate 2|kappa| / 2^n once Q > 2|kappa| + 1,
 provided |F_0'| >= 2 wherever the tower pulls back.  No code checks that
-for a lifted model, so there the rate is an estimate, not a proof.
-Depth is always selected from that explicit rate, never adaptively.  A
-general two-map pullback ``general_pullback(F, G, ...)`` runs the same
-tower loop, ``_pullback_tower``, for any G in F's parameter space,
-pulling back through the G-tract with the branch index of each F-orbit
-point.  The displacement, inverse, holomorphy and dilatation-ceiling
-checks the construction admits complete the module.
+for a lifted model, so there the rate is an estimate, not a proof;
+``displacement_bound`` proves it for shifted_exp and reports nothing
+otherwise.  Depth is always selected from that explicit rate, never
+adaptively.  Every tower runs one loop, ``_pullback_tower``; the
+residual and the inverse round-trip check complete the module.
 
 Each tower certifies the forward orbit of z once, in ``_certified_orbit``,
 which returns the orbit and the tract address of every point the tower
@@ -65,8 +63,6 @@ from .tracts import (
 
 # theta_limit refuses a tolerance that needs a deeper tower
 DEFAULT_MAX_DEPTH = 400
-# the common tower depth of the four kappa-stencil towers
-KAPPA_STENCIL_DEPTH = 40
 # distinct supplied orbits whose proof is remembered; a sweep over the
 # depths of one orbit with theta_limit needs two, the orbit and orbit[1:]
 ORBIT_MEMO_SIZE = 16
@@ -215,14 +211,13 @@ def _pullback_tower(
     model: LogLiftModel,
     kappa: complex,
     orbit: list[complex],
-    seeds: list[complex],
     tracts: list[TractAddress],
     n: int,
 ) -> tuple[complex, float]:
     """Downward pass of the tower; returns (theta, truncation_error_bound).
 
     Level j inverts ``model`` on tract j from the Newton seed
-    ``seeds[j]``, then subtracts kappa.  When the orbit list stops short
+    ``orbit[j]``, then subtracts kappa.  When the orbit list stops short
     of depth n the top levels are taken as the identity; the induced
     error starts at 2|kappa| and shrinks by the inverse-branch
     derivative 1/|F'| at every pullback level.
@@ -234,7 +229,7 @@ def _pullback_tower(
     for j in range(m - 1, -1, -1):
         if not (theta.real > Q and cmath.isfinite(theta)):
             _require_target(model, theta)  # raises what inverse_branch raises
-        pre = solve(tracts[j], theta, seeds[j])
+        pre = solve(tracts[j], theta, orbit[j])
         if err > 0.0:
             err /= max(abs(eval_dF(model, pre)), 1.0)
         theta = pre - kappa
@@ -264,8 +259,21 @@ def theta_n(
             _certified_orbit(base, z, n, Q, orbit)
         return z
     pts, tracts = _certified_orbit(base, z, n, Q, orbit)
-    theta, _ = _pullback_tower(base, kappa, pts, pts, tracts, n)
+    theta, _ = _pullback_tower(base, kappa, pts, tracts, n)
     return theta
+
+
+def displacement_bound(base: LogLiftModel, kappa: complex, Q: float) -> float | None:
+    """2|kappa| where |Theta_n(z) - z| <= 2|kappa| is proved, else None.
+
+    The induction needs |F_0'| >= 2 on the segment from F_0(z) to
+    Theta_n(F_0(z)), where Re w > Q - 2|kappa|.  For shifted_exp
+    |F_0'| = |w + R| >= Re w + R there; a lifted model has no such proof.
+    """
+    scale = 2.0 * abs(kappa)
+    if base.family == "shifted_exp" and Q - scale + base.R >= 2.0:
+        return scale
+    return None
 
 
 def depth_for_tolerance(kappa: complex, tol: float) -> int:
@@ -305,7 +313,7 @@ def theta_limit(
             f"required depth {depth} exceeds the maximum {DEFAULT_MAX_DEPTH}"
         )
     pts, tracts = _certified_orbit(base, z, depth, Q, orbit)
-    theta, trunc_err = _pullback_tower(base, kappa, pts, pts, tracts, depth)
+    theta, trunc_err = _pullback_tower(base, kappa, pts, tracts, depth)
     tail = 2.0 * abs(kappa) * 2.0 ** (1 - depth) + trunc_err
     prefix = ExternalAddress(tuple(tracts) or (tract_of(base, z),))
     try:
@@ -366,70 +374,6 @@ def inverse_theta_check(
     pseudo = [inner.theta] + z_cycle[1:]
     outer = theta_limit(base, kappa, inner.theta, tol, Q, orbit=pseudo)
     return abs(outer.theta - require_finite(w, "w"))
-
-
-def general_pullback(
-    F: LogLiftModel,
-    G: LogLiftModel,
-    z: complex,
-    n: int,
-    Q: float,
-    orbit: list[complex] | None = None,
-) -> complex:
-    """Depth-n tower Theta_{j+1}(z) = G_T^{-1}(Theta_j(F(z))), T the
-    G-tract with the address of z's F-tract.
-
-    It is ``_pullback_tower`` on G with kappa = 0, each Newton inverse
-    seeded at the F-orbit point moved into G's coordinates.
-    """
-    z = require_finite(z)
-    if n < 0:
-        raise RangeError("depth must be nonnegative")
-    orbit, tracts = _certified_orbit(F, z, n, Q, orbit)
-    seeds = [p + F.kappa - G.kappa for p in orbit[:-1]]
-    theta, _ = _pullback_tower(G, 0j, orbit, seeds, tracts, n)
-    return theta
-
-
-def holomorphy_in_kappa(
-    base: LogLiftModel,
-    z: complex,
-    kappa0: complex,
-    h: float,
-    Q: float,
-    orbit: list[complex] | None = None,
-) -> float:
-    """Central-difference Wirtinger quotient |dTheta/d(conj kappa)|.
-
-    Four towers at kappa0 +/- h and kappa0 +/- ih at the common fixed
-    depth KAPPA_STENCIL_DEPTH; the tower orbit is always the base-map
-    orbit of z, so one certified orbit serves all four.  For a
-    kappa-holomorphic tower the quotient is O(h^2).
-    """
-    if not h > 0:
-        raise RangeError("h must be positive")
-    kappa0 = require_finite(kappa0, "kappa0")
-    kappas = (kappa0 + h, kappa0 - h, kappa0 + 1j * h, kappa0 - 1j * h)
-    for k in kappas:
-        _require_kappa_admissible(k, Q)
-    z = require_finite(z)
-    n = KAPPA_STENCIL_DEPTH
-    pts, tracts = _certified_orbit(base, z, n, Q, orbit)
-    # theta_n's rule: the tower at kappa = 0 is z itself
-    tp, tm, tip, tim = (
-        z if k == 0 else _pullback_tower(base, k, pts, pts, tracts, n)[0]
-        for k in kappas
-    )
-    return abs((tp - tm) + 1j * (tip - tim)) / (4.0 * h)
-
-
-def motion_dilatation_ceiling(kappa: complex, Q_prime: float) -> float:
-    """Reported dilatation ceiling 2|kappa|/(Q' - 1) for the holomorphic
-    motion induced by the family; no coefficient is measured.
-    """
-    if not Q_prime > 1.0:
-        raise RangeError(f"Q' = {Q_prime:g} must exceed 1")
-    return 2.0 * abs(require_finite(kappa, "kappa")) / (Q_prime - 1.0)
 
 
 # -- report emission ---------------------------------------------------

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from tractlab import conjugacy, gridkernel, orbits, semiconj
+from tractlab.errors import TractlabError
 from tractlab.models import (
     EntireMapSpec,
     LogLiftModel,
@@ -121,18 +122,24 @@ def test_criterion_04_inverse_image():
 
 
 def test_criterion_05_uniqueness():
+    # essential uniqueness: a tower started from another admissible top,
+    # orbit[depth] moved by kappa, converges to the same Theta within the
+    # a priori tail
     addrs = _random_periodic_addresses(100, seed=303)
     depth = conjugacy.depth_for_tolerance(KAPPA, 1e-8)
-    member = BASE.translated(KAPPA)
     worst = 0.0
     for addr in addrs:
         orb = orbits.periodic_orbit(BASE, addr, Q, depth + 2)
         a = conjugacy.theta_limit(BASE, KAPPA, orb[0], 1e-8, Q, orb).theta
-        b = conjugacy.general_pullback(BASE, member, orb[0], depth, Q, orb)
+        pts, tracts = conjugacy._certified_orbit(BASE, orb[0], depth, Q, orb)
+        top = pts[depth] - KAPPA
+        if not top.real > Q:
+            top = pts[depth] + KAPPA
+        b, _ = conjugacy._pullback_tower(BASE, KAPPA, pts[:depth] + [top], tracts, depth)
         worst = max(worst, abs(a - b))
     ok = worst <= 1e-8
-    _report(5, ok, f"max |family tower - general pullback| = {worst:.3e} "
-                   f"<= 1e-8 over 100 samples")
+    _report(5, ok, f"max |Theta - tower with its top moved by kappa| = "
+                   f"{worst:.3e} <= 1e-8 over 100 samples")
 
 
 def test_criterion_06_expansion():
@@ -151,6 +158,18 @@ def test_criterion_06_expansion():
                    f"1000 same-address pairs to depth 6 in {elapsed:.2f} s < 2 s")
 
 
+def _wirtinger_quotient(model, z, kappa0, h, orbit=None):
+    """Central-difference Wirtinger quotient |dTheta/d(conj kappa)| of the
+    depth-40 tower: four towers at kappa0 +/- h and kappa0 +/- ih on one
+    certified orbit of z.  O(h^2) for a tower holomorphic in kappa."""
+    pts, tracts = conjugacy._certified_orbit(model, z, 40, Q, orbit)
+    tp, tm, tip, tim = (
+        conjugacy._pullback_tower(model, k, pts, tracts, 40)[0]
+        for k in (kappa0 + h, kappa0 - h, kappa0 + 1j * h, kappa0 - 1j * h)
+    )
+    return abs((tp - tm) + 1j * (tip - tim)) / (4.0 * h)
+
+
 def test_criterion_07_holomorphy_in_kappa():
     # |k| <= 2 keeps the h^4 Taylor term negligible at h = 1e-3
     addrs = _random_periodic_addresses(20, seed=505, lo=-2, hi=2)
@@ -158,16 +177,37 @@ def test_criterion_07_holomorphy_in_kappa():
     for kappa0 in (0.0 + 0j, 0.2 + 0j, 0.2j):
         for addr in addrs:
             orbit = orbits.periodic_orbit(BASE, addr, Q, 42)
-            r1 = conjugacy.holomorphy_in_kappa(BASE, orbit[0], kappa0, 1e-3, Q,
-                                               orbit=orbit)
-            r2 = conjugacy.holomorphy_in_kappa(BASE, orbit[0], kappa0, 5e-4, Q,
-                                               orbit=orbit)
+            r1 = _wirtinger_quotient(BASE, orbit[0], kappa0, 1e-3, orbit)
+            r2 = _wirtinger_quotient(BASE, orbit[0], kappa0, 5e-4, orbit)
             ratio = r1 / r2
             worst_lo, worst_hi = min(worst_lo, ratio), max(worst_hi, ratio)
     ok = 3.0 <= worst_lo and worst_hi <= 5.0
     _report(7, ok, f"anti-holomorphic residual ratios in [{worst_lo:.3f}, "
                    f"{worst_hi:.3f}] within [3, 5] when h halves, "
                    f"kappa0 in {{0, 0.2, 0.2i}}, 20 samples each")
+
+
+@pytest.mark.parametrize("spec", [
+    EntireMapSpec.lambda_expm1(0.5), EntireMapSpec.sinh(0.575), EntireMapSpec.zexp(),
+], ids=["lambda_expm1", "sinh", "zexp"])
+def test_wirtinger_quotient_is_rounding_on_lifted_families(spec):
+    # each tower composes analytic inverse branches, so the quotient sees
+    # only rounding; a Newton root that jumps between the four towers
+    # would give O(1/h).  Points of the conjugacy_escaping kind that
+    # theta_limit certifies.
+    model = LogLiftModel("lifted_entire", plane_map=spec)
+    rng = np.random.default_rng(7)
+    re = rng.uniform(3.0, 8.0, 200)
+    im = 2.0 * math.pi * rng.integers(-3, 4, 200) + rng.uniform(-0.5, 0.5, 200)
+    certified = 0
+    for z in (complex(a, b) for a, b in zip(re, im)):
+        try:
+            conjugacy.theta_limit(model, KAPPA, z, 1e-9, Q)
+        except (TractlabError, OverflowError):
+            continue
+        assert _wirtinger_quotient(model, z, KAPPA, 1e-3) <= 1e-9, z
+        certified += 1
+    assert certified >= 100, certified
 
 
 def _hyperbolic_distance(Q, z, w):

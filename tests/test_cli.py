@@ -113,24 +113,53 @@ def test_conjugate_roundtrip(tmp_path):
     assert csv_out.exists()
 
 
-def test_conjugate_crosscheck_on_lifted_sinh(tmp_path):
-    # the uniqueness crosscheck pulls back under G = F(. + kappa); Newton
-    # seeded at the F-orbit point, off by kappa in G's coordinates, diverges
-    # at 6 - 0.2i and misses the tower's value by about 0.3 at the others
+# the summary keys README.md documents for a conjugate report
+CONJUGATE_SUMMARY_KEYS = {
+    "kappa", "Q", "tol", "count", "bound_held", "max_tail_over_tol",
+    "max_residual", "max_displacement", "displacement_bound",
+}
+
+
+def _conjugate_summary(tmp_path, sample_file):
     samples = tmp_path / "samples.json"
-    model = {"family": "lifted_entire", "map": {"family": "sinh", "lambda": 0.575}}
-    samples.write_text(json.dumps({
-        "model": model, "points": [[5.1, 0.3], [6.0, -0.2], [4.4, 6.4]],
-    }))
+    samples.write_text(json.dumps(sample_file))
     out = tmp_path / "conj.json"
     code = main([
         "conjugate", "--kappa", "0.3+0.2i", "--Q", "2", "--tol", "1e-9",
         "--samples", str(samples), "--out", str(out),
     ])
     assert code == EXIT_OK
-    summary = json.loads(out.read_text())["summary"]
-    assert summary["uniqueness_crosscheck"] == 0.0
-    assert summary["dilatation_ceiling"] == pytest.approx(2.0 * abs(0.3 + 0.2j))
+    report = _strict_json(out.read_text())
+    assert set(report["summary"]) == CONJUGATE_SUMMARY_KEYS
+    return report["summary"], report["samples"]
+
+
+def test_conjugate_summary_counts_held_bounds_on_lifted_sinh(tmp_path):
+    # nothing proves |F'| >= 2 for a lifted model, so no displacement
+    # bound is reported; the tail counts match the samples
+    model = {"family": "lifted_entire", "map": {"family": "sinh", "lambda": 0.575}}
+    summary, samples = _conjugate_summary(tmp_path, {
+        "model": model, "points": [[5.1, 0.3], [6.0, -0.2], [4.4, 6.4]],
+    })
+    assert summary["displacement_bound"] is None
+    tails = [s["tail_bound"] for s in samples]
+    assert summary["bound_held"] == sum(t <= 1e-9 for t in tails)
+    assert summary["max_tail_over_tol"] == max(t / 1e-9 for t in tails)
+
+
+def test_conjugate_reports_the_displacement_bound_where_it_is_proved(tmp_path):
+    # shifted_exp: |F'| = |w + R| >= Q - 2|kappa| + R >= 2 proves 2|kappa|
+    # the orbit of 3 saturates early, leaving a tail of about 1.5e-6 > tol
+    points = [[3.0, 0.0], [3.5, 0.0], [4.0, 0.0]]
+    summary, samples = _conjugate_summary(tmp_path, {"points": points})
+    assert summary["displacement_bound"] == 2.0 * abs(0.3 + 0.2j)
+    assert summary["max_displacement"] <= summary["displacement_bound"]
+    assert summary["bound_held"] == 2
+    assert summary["max_tail_over_tol"] == samples[0]["tail_bound"] / 1e-9 > 1.0
+    # R = 0.5 gives Q - 2|kappa| + R = 1.78 < 2: nothing is proved
+    model = {"family": "shifted_exp", "R": 0.5}
+    summary, _ = _conjugate_summary(tmp_path, {"model": model, "points": points})
+    assert summary["displacement_bound"] is None
 
 
 def test_conjugate_writes_null_for_a_residual_it_cannot_form(tmp_path):

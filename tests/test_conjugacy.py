@@ -189,97 +189,60 @@ def test_inverse_theta_roundtrip_on_member_cycle():
     assert gap <= 4e-9
 
 
-def _family_minus_general(F, z, tol, orbit=None):
-    """|theta_limit - general_pullback on G = F(. + kappa)| at the same
-    depth, the uniqueness_crosscheck field of a conjugate report."""
-    s = conjugacy.theta_limit(F, KAPPA, z, tol, Q, orbit)
-    G = F.translated(KAPPA)
-    return abs(s.theta - conjugacy.general_pullback(F, G, z, s.depth, Q, orbit))
+def _two_map_tower(F, G, z, n, orbit=None):
+    """Theta_{j+1}(z) = G_T^{-1}(Theta_j(F(z))), T the G-tract with the
+    address of z's F-tract, each Newton solve seeded at the F-orbit point
+    (F and G have kappa = 0, so it lies in G's coordinates too)."""
+    pts, addresses = conjugacy._certified_orbit(F, z, n, Q, orbit)
+    return conjugacy._pullback_tower(G, 0j, pts, addresses, n)[0]
 
 
-def test_uniqueness_crosscheck_zero_on_cycles():
-    # both towers take the same closed form at every level
-    depth = conjugacy.depth_for_tolerance(KAPPA, 1e-8)
-    orbs = [_orbit(list(b), depth + 2) for b in _every_cycle(2)]
-    assert len(orbs) == 56
-    for o in orbs:
-        assert _family_minus_general(BASE, o[0], 1e-8, o) == 0.0
-
-
-def test_uniqueness_crosscheck_seeds_newton_in_the_target_coordinates():
-    # points of the conjugacy_escaping benchmark (seed 7) that theta_limit
-    # certifies; a Newton seed at the F-orbit point itself, kappa away from
-    # it in the coordinates of G = F(. + kappa), diverges on about a third
-    # of them, while the seed moved into G's coordinates agrees exactly
-    # with the translation-family tower
-    for spec in (EntireMapSpec.lambda_expm1(0.5), EntireMapSpec.sinh(0.575),
-                 EntireMapSpec.zexp()):
-        F = _lifted(spec)
-        rng = np.random.default_rng(7)
-        re = rng.uniform(3.0, 8.0, 200)
-        im = TWO_PI * rng.integers(-3, 4, 200) + rng.uniform(-0.5, 0.5, 200)
-        certified = []
-        for z in (complex(a, b) for a, b in zip(re, im)):
-            try:
-                conjugacy.theta_limit(F, KAPPA, z, 1e-9, Q)
-            except (TractlabError, OverflowError):
-                continue
-            certified.append(z)
-        assert len(certified) >= 100, spec.family
-        for z in certified:
-            assert _family_minus_general(F, z, 1e-9) == 0.0, (spec.family, z)
-
-
-def _two_loop_pullback(F, G, z, n, Q, orbit=None):
-    """The towers of every depth up to n, one loop per tower: the
-    reference for general_pullback's single loop."""
+def _two_loop_pullback(F, G, z, n, orbit=None):
+    """The towers of every depth up to n, one inverse_branch loop per
+    tower: the reference for _two_map_tower's single loop."""
     orbit, tracts = conjugacy._certified_orbit(F, z, n, Q, orbit)
     values = []
     for depth in range(len(orbit)):
         v = orbit[depth]
         for j in range(depth - 1, -1, -1):
-            v = inverse_branch(G, tracts[j], v, seed=orbit[j] + F.kappa - G.kappa)
+            v = inverse_branch(G, tracts[j], v, seed=orbit[j])
         values.append(v)
     return values
 
 
 def _pullback_cases():
-    # (F, G, z, depth, orbit): exact cycles of shifted_exp, and escaping
-    # points of lifted families whose orbits may stop short
+    # (F, G, z, depth, orbit): exact cycles of shifted_exp against another
+    # R, and escaping points of lifted families, against a post-translated
+    # member, whose orbits may stop short
+    G = LogLiftModel("shifted_exp", R=10.5)
     for branches in ([0], [0, 1], [1, -1, 2]):
         orb = _orbit(branches, 14)
-        yield BASE, BASE.translated(KAPPA), orb[0], 12, orb
+        yield BASE, G, orb[0], 12, orb
     rng = np.random.default_rng(5)
-    lam, sinh, zexp = (_lifted(s) for s in (
-        EntireMapSpec.lambda_expm1(0.5), EntireMapSpec.sinh(0.575), EntireMapSpec.zexp()
-    ))
-    for F in (lam, sinh, zexp):
+    for make, lam in ((EntireMapSpec.lambda_expm1, 0.5), (EntireMapSpec.sinh, 0.575)):
+        F, G = _lifted(make(lam)), _lifted(make(lam * cmath.exp(0.1 + 0.05j)))
         for _ in range(8):
             # points of the conjugacy_escaping benchmark, in tracts -3 .. 3
             k = int(rng.integers(-3, 4))
             z = complex(rng.uniform(3.0, 8.0), TWO_PI * k + rng.uniform(-0.5, 0.5))
-            yield F, F.translated(KAPPA), z, 6, None
-    # orbits that stay in {Re > Q} for three steps before they saturate
-    for F, z in ((sinh, 3.186 - 1.722j), (sinh, 3.031 + 1.784j), (zexp, 3.35 - 1.6j)):
-        yield F, F.translated(KAPPA), z, 6, None
+            yield F, G, z, 6, None
 
 
 def test_general_pullback_matches_the_two_loop_version():
     checked = 0
     for F, G, z, depth, orb in _pullback_cases():
         try:
-            expected = _two_loop_pullback(F, G, z, depth, Q, orb)
+            expected = _two_loop_pullback(F, G, z, depth, orb)
         except (TractlabError, OverflowError) as exc:
             # an orbit that leaves {Re > Q}, or a preimage out of reach
             with pytest.raises(type(exc)):
-                conjugacy.general_pullback(F, G, z, depth, Q, orb)
+                _two_map_tower(F, G, z, depth, orb)
             continue
-        assert conjugacy.general_pullback(F, G, z, depth, Q, orb) == expected[-1]
+        assert _two_map_tower(F, G, z, depth, orb) == expected[-1]
         if orb is not None:
             # on an exact cycle every shallower tower is one too
             assert [
-                conjugacy.general_pullback(F, G, z, n, Q, orb)
-                for n in range(len(expected))
+                _two_map_tower(F, G, z, n, orb) for n in range(len(expected))
             ] == expected
         checked += 1
     assert checked >= 15, checked
@@ -287,9 +250,9 @@ def test_general_pullback_matches_the_two_loop_version():
 
 def _conjugacy_defect(F, G, z, n, orbit=None):
     # |G(Theta_n(z)) - Theta_{n-1}(F(z))| relative to |Theta_{n-1}(F(z))|
-    theta = conjugacy.general_pullback(F, G, z, n, Q, orbit)
+    theta = _two_map_tower(F, G, z, n, orbit)
     tail = None if orbit is None else orbit[1:]
-    theta_fz = conjugacy.general_pullback(F, G, eval_F(F, z), n - 1, Q, tail)
+    theta_fz = _two_map_tower(F, G, eval_F(F, z), n - 1, tail)
     return abs(eval_F(G, theta) - theta_fz) / (1.0 + abs(theta_fz))
 
 
@@ -325,39 +288,27 @@ def test_general_pullback_conjugates_shifted_exp_of_another_r():
     for branches in ([0], [0, 1], [2, -1, 0]):
         orb = _orbit(branches, 42)
         assert _conjugacy_defect(BASE, G, orb[0], 40, orb) <= 1e-12
-        deep = conjugacy.general_pullback(BASE, G, orb[0], 40, Q, orb)
-        step = deep - conjugacy.general_pullback(BASE, G, orb[0], 39, Q, orb)
+        deep = _two_map_tower(BASE, G, orb[0], 40, orb)
+        step = deep - _two_map_tower(BASE, G, orb[0], 39, orb)
         assert abs(step) <= 1e-12
         assert 0.0 < abs(deep - orb[0]) <= 1.0
 
 
 def test_holomorphy_quotient_shrinks_quadratically():
+    # the central-difference Wirtinger quotient |dTheta/d(conj kappa)| of
+    # the depth-40 tower is O(h^2) for a tower holomorphic in kappa
     orb = _orbit([0, 1], 42)
-    r1 = conjugacy.holomorphy_in_kappa(BASE, orb[0], 0.2 + 0j, 1e-3, Q, orb)
-    r2 = conjugacy.holomorphy_in_kappa(BASE, orb[0], 0.2 + 0j, 5e-4, Q, orb)
+    pts, addresses = conjugacy._certified_orbit(BASE, orb[0], 40, Q, orb)
+
+    def quotient(kappa0, h):
+        tp, tm, tip, tim = (
+            conjugacy._pullback_tower(BASE, k, pts, addresses, 40)[0]
+            for k in (kappa0 + h, kappa0 - h, kappa0 + 1j * h, kappa0 - 1j * h)
+        )
+        return abs((tp - tm) + 1j * (tip - tim)) / (4.0 * h)
+
+    r1, r2 = quotient(0.2 + 0j, 1e-3), quotient(0.2 + 0j, 5e-4)
     assert 3.0 <= r1 / r2 <= 5.0
-
-
-def test_holomorphy_in_kappa_iterates_the_orbit_once(monkeypatch):
-    # the four stencil towers share one certified orbit of z
-    calls = []
-
-    def counting_iterate(*args, **kwargs):
-        calls.append(args)
-        return orbits.iterate(*args, **kwargs)
-
-    monkeypatch.setattr(conjugacy, "iterate", counting_iterate)
-    r = conjugacy.holomorphy_in_kappa(BASE, 4.5 + 0j, 0.2 + 0j, 1e-3, Q)
-    assert math.isfinite(r)
-    assert len(calls) == 1
-
-
-def test_motion_dilatation_ceiling():
-    assert conjugacy.motion_dilatation_ceiling(KAPPA, 3.0) == pytest.approx(
-        abs(KAPPA)
-    )
-    with pytest.raises(RangeError):
-        conjugacy.motion_dilatation_ceiling(KAPPA, 1.0)
 
 
 def test_orbit_validation_rejects_bad_certificates():
@@ -680,6 +631,25 @@ def _inverse_branch_chain(base, kappa, z, n, Q_, orbit=None):
     return theta
 
 
+def _lifted_escaping_points():
+    # points of the conjugacy_escaping benchmark, in tracts -3 .. 3, 8 on
+    # each of three lifted families; some orbits stop short or fail
+    rng = np.random.default_rng(5)
+    for spec in (EntireMapSpec.lambda_expm1(0.5), EntireMapSpec.sinh(0.575),
+                 EntireMapSpec.zexp()):
+        F = _lifted(spec)
+        for _ in range(8):
+            k = int(rng.integers(-3, 4))
+            yield F, complex(rng.uniform(3.0, 8.0), TWO_PI * k + rng.uniform(-0.5, 0.5))
+
+
+def _value_or_error_type(fn, *args):
+    try:
+        return repr(fn(*args))
+    except (TractlabError, OverflowError) as exc:
+        return type(exc)
+
+
 def test_level_kernel_matches_the_inverse_branch_chain():
     member = BASE.translated(KAPPA)  # a base whose own kappa is nonzero
     for base in (BASE, member):
@@ -699,6 +669,14 @@ def test_level_kernel_matches_the_inverse_branch_chain():
             got = conjugacy.theta_n(base, KAPPA, z, n, Q)
             expected = _inverse_branch_chain(base, KAPPA, z, n, Q)
             assert repr(got) == repr(expected), (base, z, n)
+    values = 0
+    for base, z in _lifted_escaping_points():
+        for n in range(7):
+            expected = _value_or_error_type(_inverse_branch_chain, base, KAPPA, z, n, Q)
+            got = _value_or_error_type(conjugacy.theta_n, base, KAPPA, z, n, Q)
+            assert got == expected, (base, z, n)
+            values += isinstance(got, str)
+    assert values >= 100, values
 
 
 def _level_check_outcome(fn, *args):
