@@ -6,8 +6,8 @@ Library layout:
 - tracts: tract addresses, inverse branches, continuous path lifting
 - orbits: iteration, membership certificates, external addresses,
   backward-orbit point construction
-- conjugacy: the pullback conjugacy near infinity, the general two-map
-  pullback, and their checks
+- conjugacy: the pullback conjugacy near infinity, its residual and
+  the inverse round-trip check
 - semiconj: the hyperbolic-map semiconjugacy by curve lifting
 - gridkernel: escape-time grid classification (one NumPy kernel over
   the models family table) and image output

@@ -13,17 +13,18 @@ otherwise.  Depth is always selected from that explicit rate, never
 adaptively.  Every tower runs one loop, ``_pullback_tower``; the
 residual and the inverse round-trip check complete the module.
 
-Each tower certifies the forward orbit of z once, in ``_certified_orbit``,
+Each tower proves the forward orbit of z once, in ``_certified_orbit``,
 which returns the orbit and the tract address of every point the tower
-pulls back through.  A supplied orbit is checked in one array pass over
-all its steps, and that proof is remembered for each distinct orbit
-content (``ORBIT_MEMO_SIZE`` of them), so towers of every depth on one
-orbit share it.  When the proof stops short of a depth, the scalar checks
-run from the first step it rejects, so the error names the step and the
-reason.  The memo key holds the model's repr, computed once per model
-instance, and the bytes of the orbit as complex128, read with
-``np.fromiter`` when every point is a Python complex or float; other
-points, such as text, are converted by ``require_finite``.
+pulls back through.  ``theta_limit`` proves it one step past its depth,
+in one ``iterate`` call or one validation, and its residual reads the
+orbit of F(z) as the tail of that proof; a failure of the extra step
+only leaves the residual unformed.  A supplied orbit is checked in one
+array pass over all its steps, remembered for each distinct content
+(``ORBIT_MEMO_SIZE`` of them), so towers of every depth on one orbit
+share it; past the first step that pass rejects, the scalar checks name
+the step and the reason.  The memo key is the model's repr, computed once
+per model, and the orbit's complex128 bytes (``np.fromiter`` for Python
+complex or float points, ``require_finite`` for others, such as text).
 
 The pullback levels then use those addresses and prove no membership
 again.  Each level calls the model family's inverse-branch kernel
@@ -40,6 +41,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,9 +51,10 @@ from .errors import (
     OrbitLeftJQ,
     PreconditionError,
     RangeError,
+    TractlabError,
 )
 from .models import LogLiftModel, _eval_F_array, eval_dF, eval_F, require_finite
-from .orbits import EscapeFlag, ExternalAddress, iterate, periodic_orbit
+from .orbits import EscapeFlag, ExternalAddress, OrbitRecord, iterate, periodic_orbit
 from .tracts import (
     TractAddress,
     _address,
@@ -64,7 +67,7 @@ from .tracts import (
 # theta_limit refuses a tolerance that needs a deeper tower
 DEFAULT_MAX_DEPTH = 400
 # distinct supplied orbits whose proof is remembered; a sweep over the
-# depths of one orbit with theta_limit needs two, the orbit and orbit[1:]
+# depths of one orbit with theta_limit needs one
 ORBIT_MEMO_SIZE = 16
 # the point types np.fromiter converts as complex() does; it would also
 # parse text, bytes and None, and fail on an int past double range
@@ -105,12 +108,22 @@ def _require_kappa_admissible(kappa: complex, Q: float) -> complex:
     return kappa
 
 
+class _ProvedOrbit(NamedTuple):
+    """An orbit proved to ``depth`` steps, as ``_certified_orbit`` returns
+    it; a deeper tower raises ``refusal``, the failure of the next step."""
+
+    points: list[complex]
+    addresses: list[TractAddress]
+    depth: int
+    refusal: Exception | None
+
+
 def _certified_orbit(
     base: LogLiftModel,
     z: complex,
     n: int,
     Q: float,
-    orbit: list[complex] | None = None,
+    orbit: list[complex] | OrbitRecord | _ProvedOrbit | None = None,
 ) -> tuple[list[complex], list[TractAddress]]:
     """Forward orbit of z to depth n with Re > Q after the first point,
     and the tract address of every point but the last.
@@ -124,22 +137,51 @@ def _certified_orbit(
     point, where plain forward iteration would drift off the repelling
     cycle) is validated for consistency and membership instead.  Either
     way every point but the last is proved in the domain, so its address
-    needs no second membership check.
+    needs no second membership check.  ``orbit`` may also be an
+    ``iterate`` record of horizon >= n, or a ``_ProvedOrbit``.
     """
-    if orbit is not None:
+    if isinstance(orbit, _ProvedOrbit):
+        if n > orbit.depth:
+            raise orbit.refusal or RangeError(f"proved to {orbit.depth} < {n} steps")
+        if abs(orbit.points[0] - z) > 1e-9 * (1.0 + abs(z)):
+            raise OrbitLeftJQ(f"supplied orbit does not start at {z!r}")
+        return orbit.points[: n + 1], orbit.addresses[:n]
+    if orbit is None:
+        if n == 0:
+            return [require_finite(z)], []
+        orbit = iterate(base, z, n, Q)
+    if not isinstance(orbit, OrbitRecord):
         return _validate_orbit(base, z, n, Q, orbit)
-    if n == 0:
-        return [require_finite(z)], []
-    rec = iterate(base, z, n, Q)
-    if rec.escape_flag is not EscapeFlag.STAYED_IN_JQ:
+    if orbit.escape_flag is not EscapeFlag.STAYED_IN_JQ and orbit.exit_step < n:
         raise OrbitLeftJQ(
-            f"orbit of {z!r} fails the J_Q certificate at step {rec.exit_step}"
+            f"orbit of {z!r} fails the J_Q certificate at step {orbit.exit_step}"
         )
-    if rec.min_Re_after_first <= Q:
+    pts = orbit.points[: n + 1]
+    # iterate keeps no point with Re < Q: one with Re <= Q to depth n is a
+    # contact, which the minimum over the whole record rules out at once
+    if orbit.min_Re_after_first <= Q and any(p.real <= Q for p in pts[1:]):
         # boundary contact: the tower is only defined on strict membership
         raise OrbitLeftJQ(f"orbit of {z!r} touches the half-plane boundary")
-    addresses = [_address(base, p + base.kappa) for p in rec.points[:-1]]
-    return rec.points, addresses
+    return pts, [_address(base, p + base.kappa) for p in pts[:-1]]
+
+
+def _proved_one_deeper(
+    base: LogLiftModel, z: complex, n: int, Q: float, orbit: list[complex] | None
+) -> _ProvedOrbit:
+    """The orbit of z proved to depth n + 1, by one ``iterate`` call or one
+    validation, for a depth-n tower and its residual; where only step
+    n + 1 fails, to depth n with that failure as its refusal."""
+    source = iterate(base, z, n + 1, Q) if orbit is None else orbit
+    if orbit is None and not (source.certified and source.min_Re_after_first > Q):
+        # the record fails by step n + 1: check depth n first, so that a
+        # sample refused within it raises once
+        _certified_orbit(base, z, n, Q, source)
+    try:
+        return _ProvedOrbit(*_certified_orbit(base, z, n + 1, Q, source), n + 1, None)
+    # what converting or checking a point raises
+    except (TractlabError, TypeError, ValueError, OverflowError) as exc:
+        refusal = exc
+    return _ProvedOrbit(*_certified_orbit(base, z, n, Q, source), n, refusal)
 
 
 def _validate_orbit(
@@ -242,7 +284,7 @@ def theta_n(
     z: complex,
     n: int,
     Q: float,
-    orbit: list[complex] | None = None,
+    orbit: list[complex] | _ProvedOrbit | None = None,
 ) -> complex:
     """Depth-n pullback approximation of the conjugacy at z.
 
@@ -312,12 +354,13 @@ def theta_limit(
         raise DepthExceeded(
             f"required depth {depth} exceeds the maximum {DEFAULT_MAX_DEPTH}"
         )
-    pts, tracts = _certified_orbit(base, z, depth, Q, orbit)
+    proof = _proved_one_deeper(base, z, depth, Q, orbit)
+    pts, tracts = proof.points[: depth + 1], proof.addresses[:depth]
     theta, trunc_err = _pullback_tower(base, kappa, pts, tracts, depth)
     tail = 2.0 * abs(kappa) * 2.0 ** (1 - depth) + trunc_err
     prefix = ExternalAddress(tuple(tracts) or (tract_of(base, z),))
     try:
-        residual = conjugacy_residual(base, kappa, z, depth, Q, orbit)
+        residual = conjugacy_residual(base, kappa, z, depth, Q, proof)
     except (OverflowError, OrbitLeftJQ, RangeError):
         # F(z) or its one-deeper certificate is out of reach; the value
         # itself is fine but the residual cannot be formed at this z
@@ -331,7 +374,7 @@ def conjugacy_residual(
     z: complex,
     n: int,
     Q: float,
-    orbit: list[complex] | None = None,
+    orbit: list[complex] | _ProvedOrbit | None = None,
 ) -> float:
     """|Theta_n(F_0(z)) - F_kappa(Theta_{n+1}(z))| at matched depths.
 
@@ -344,7 +387,12 @@ def conjugacy_residual(
     if kappa == 0:
         return 0.0
     fz = eval_F(base, z)
-    lhs = theta_n(base, kappa, fz, n, Q, None if orbit is None else orbit[1:])
+    if isinstance(orbit, _ProvedOrbit):
+        pts, addresses, depth, refusal = orbit
+        tail = _ProvedOrbit(pts[1:], addresses[1:], depth - 1, refusal)
+    else:
+        tail = None if orbit is None else orbit[1:]
+    lhs = theta_n(base, kappa, fz, n, Q, tail)
     member = base.translated(kappa)
     rhs = eval_F(member, theta_n(base, kappa, z, n + 1, Q, orbit))
     return abs(lhs - rhs)

@@ -711,7 +711,8 @@ def test_every_tower_level_keeps_the_inverse_branch_checks():
 
 def test_depth_sweep_proves_each_supplied_orbit_once(monkeypatch):
     # a tower_periodic job: 41 depths and theta_limit on one exact cycle
-    # run the array pass once on the orbit and once on its tail orbit[1:]
+    # run the array pass once, on the whole orbit; the residual reads the
+    # orbit of F(z) as the tail of theta_limit's proof
     conjugacy._orbit_proof.cache_clear()
     lengths = []
     array_pass = conjugacy._eval_F_array
@@ -725,7 +726,7 @@ def test_depth_sweep_proves_each_supplied_orbit_once(monkeypatch):
     for n in range(41):
         conjugacy.theta_n(BASE, KAPPA, orb[0], n, Q, orb)
     conjugacy.theta_limit(BASE, KAPPA, orb[0], 1e-9, Q, orbit=orb)
-    assert lengths == [42, 41]
+    assert lengths == [42]
 
 
 def test_supplied_orbit_tower_makes_no_scalar_membership_calls(monkeypatch):
@@ -748,3 +749,94 @@ def test_supplied_orbit_tower_makes_no_scalar_membership_calls(monkeypatch):
     # the wrappers do count: the residual evaluates F twice
     conjugacy.theta_limit(BASE, KAPPA, orb[0], 1e-9, Q, orbit=orb)
     assert calls == {"eval_F": 2}
+
+
+def test_theta_limit_iterates_each_orbit_once(monkeypatch):
+    # theta_limit proves the orbit of z to depth + 1 in one iterate call;
+    # its residual reads the orbit of F(z) as the tail of that proof
+    horizons = []
+    iterate = conjugacy.iterate
+
+    def counting(model, z, horizon, Q_):
+        horizons.append(horizon)
+        return iterate(model, z, horizon, Q_)
+
+    monkeypatch.setattr(conjugacy, "iterate", counting)
+    certified = conjugacy.theta_limit(BASE, KAPPA, 4.5 + 0j, 1e-9, Q)
+    assert certified.depth == 31 and math.isfinite(certified.residual)
+    assert horizons == [32]
+    # depth 2 holds, step 3 leaves J_Q: the sample stands, its residual not
+    horizons.clear()
+    z = 2.8 + 0.3j
+    rec = orbits.iterate(BASE, z, 3, Q)
+    assert rec.escape_flag is orbits.EscapeFlag.LEFT_DOMAIN and rec.exit_step == 2
+    short = conjugacy.theta_limit(BASE, KAPPA, z, 0.5, Q)
+    assert short.depth == 2 and math.isnan(short.residual)
+    assert horizons == [3]
+    horizons.clear()
+    with pytest.raises(OrbitLeftJQ) as info:
+        conjugacy.theta_limit(BASE, KAPPA, -5 + 0j, 1e-9, Q)
+    assert str(info.value) == "orbit of (-5+0j) fails the J_Q certificate at step 0"
+    assert horizons == [32]
+
+
+# the six model families of the conjugacy_escaping benchmark workload
+ESCAPING_FAMILIES = (
+    BASE,
+    _lifted(EntireMapSpec.lambda_expm1(0.5)),
+    _lifted(EntireMapSpec.sinh(0.575)),
+    _lifted(EntireMapSpec.exp_plus_kappa(1.0038 + 2.8999j)),
+    _lifted(EntireMapSpec.exp_affine(1.0, 0.5)),
+    _lifted(EntireMapSpec.zexp()),
+)
+
+
+def test_theta_limit_residual_is_the_standalone_residual():
+    # the standalone residual proves both of its orbits itself; the one
+    # theta_limit forms from its own proof is the same value, or NaN exactly
+    # where the standalone call raises what theta_limit turns into NaN
+    rng = np.random.default_rng(17)
+    kinds = Counter()
+    for model in ESCAPING_FAMILIES:
+        for _ in range(20):
+            k = int(rng.integers(-3, 4))
+            z = complex(rng.uniform(3.0, 8.0), TWO_PI * k + rng.uniform(-0.5, 0.5))
+            for tol in (1e-9, 0.5):
+                try:
+                    sample = conjugacy.theta_limit(model, KAPPA, z, tol, Q)
+                except (TractlabError, OverflowError):
+                    kinds["refused"] += 1
+                    continue
+                try:
+                    expected = conjugacy.conjugacy_residual(model, KAPPA, z, sample.depth, Q)
+                except (OverflowError, OrbitLeftJQ, RangeError):
+                    expected = math.nan
+                assert repr(sample.residual) == repr(expected), (model, z, tol)
+                kinds["nan" if math.isnan(expected) else "value"] += 1
+    assert min(kinds["refused"], kinds["nan"], kinds["value"]) >= 10, kinds
+
+
+def test_theta_limit_edge_cases_keep_their_outcomes():
+    # outcomes recorded before theta_limit handed its proof to the residual
+    cyc = _orbit([0, 1], 43)
+    depth = conjugacy.depth_for_tolerance(KAPPA, 1e-9)
+    moved = list(cyc)
+    moved[1] += 1e-7
+    for orbit, residual in ((cyc[: depth + 2], "9.930136612989092e-16"),
+                            (cyc[: depth + 1], "nan"),
+                            (moved, "nan")):
+        sample = conjugacy.theta_limit(BASE, KAPPA, cyc[0], 1e-9, Q, orbit=orbit)
+        assert repr(sample.theta) == "(2.3138761900585374+0.2635892990938315j)"
+        assert repr(sample.tail_bound) == "6.715862593546489e-10"
+        assert repr(sample.residual) == residual
+    # depth 0: a point outside V is refused by its address
+    assert conjugacy.depth_for_tolerance(KAPPA, 2.0) == 0
+    for z in (-5 + 0j, 2.1 + 0j, 2.4 + 3j):
+        with pytest.raises(DomainError) as info:
+            conjugacy.theta_limit(BASE, KAPPA, z, 2.0, Q)
+        assert str(info.value) == f"z = {z!r} is not in the domain"
+    # F(z) saturates: the value stands at the identity, the residual is null
+    z = complex(7.138512969102209, -0.09080086363083872)
+    sample = conjugacy.theta_limit(ESCAPING_FAMILIES[1], KAPPA, z, 1e-9, Q)
+    assert sample.theta == z and repr(sample.tail_bound) == "0.721110255764384"
+    assert sample.to_json()["residual"] is None
