@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -259,7 +259,14 @@ class LogLiftModel:
 
     def translated(self, kappa: complex) -> "LogLiftModel":
         """The member F(z + kappa) of this model's translation family."""
-        return replace(self, kappa=self.kappa + kappa)
+        # the constructor directly: dataclasses.replace costs twice as much
+        return LogLiftModel(
+            family=self.family,
+            R=self.R,
+            plane_map=self.plane_map,
+            half_plane_Q=self.half_plane_Q,
+            kappa=self.kappa + kappa,
+        )
 
 
 def eval_F(model: LogLiftModel, z: complex) -> complex:

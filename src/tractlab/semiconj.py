@@ -41,10 +41,11 @@ from .errors import (
     SetupInvalid,
 )
 from .models import EXP_OVERFLOW_GUARD, TWO_PI, EntireMapSpec, require_finite
-from .tracts import continuous_lift
+from .tracts import MAX_LIFT_STEP, continuous_lift
 
 # polyline resolution of the level-1 segment; lifts refine adaptively
 SEGMENT_SAMPLES = 17
+_SEGMENT_FRACTIONS = tuple(t / (SEGMENT_SAMPLES - 1) for t in range(SEGMENT_SAMPLES))
 POSTSINGULAR_ITERATES = 100
 # points of the circle |z| = r_U on which f(cl U) inside U is checked
 BOUNDARY_SAMPLES = 256
@@ -134,6 +135,8 @@ def build_setup(lam: complex, r_U: float, K: float, R: float) -> HyperbolicSetup
     lam = require_finite(lam, "lambda")
     if not abs(lam) < 1.0:
         raise SetupInvalid(f"|lambda| = {abs(lam):g} must be < 1")
+    if lam == 0:
+        raise SetupInvalid("lambda = 0: f is constant")
     if not r_U > 0:
         raise SetupInvalid("r_U must be positive")
     if not K >= 1.0:
@@ -245,29 +248,57 @@ def _lift_polyline(
     """Continuous f-preimage of a polyline, starting at the known
     preimage ``start`` of path[0]; plane-coordinate analog of half-plane
     path lifting with the same bisection rule.
+
+    Each step takes the closed-form preimage on the branch nearest the
+    current sample.  From the first step that would move by more than
+    MAX_LIFT_STEP, the rest of the path goes to ``continuous_lift``,
+    which bisects it; a step onto the asymptotic value raises
+    ``inverse_branch_f``'s RangeError, as it would there.
     """
     f0 = setup.f(start)
     if abs(f0 - path[0]) > 1e-6 * (1.0 + abs(path[0])):
         raise ContinuationError(
             f"start {start!r} is not a preimage of the path head {path[0]!r}"
         )
+    inv = setup.inverse_branch_f
+    period = TWO_PI * 1j
 
     def step(z_cur: complex, w: complex) -> complex:
-        base = setup.inverse_branch_f(w, 0)
-        b = round((z_cur.imag - base.imag) / TWO_PI)
-        return base + TWO_PI * 1j * b
+        base = inv(w, 0)
+        return base + period * round((z_cur.imag - base.imag) / TWO_PI)
 
-    return continuous_lift(step, start, path).samples
+    samples = [start]
+    z_cur = start
+    for k, w in enumerate(path[1:], 1):
+        # step(z_cur, w), inline
+        base = inv(w, 0)
+        z_next = base + period * round((z_cur.imag - base.imag) / TWO_PI)
+        if not abs(z_next - z_cur) <= MAX_LIFT_STEP:
+            rest = continuous_lift(step, z_cur, path[k - 1 :])
+            return samples + rest.samples[1:]
+        samples.append(z_next)
+        z_cur = z_next
+    return samples
 
 
 def _polyline_hyp_length(setup: HyperbolicSetup, path: list[complex]) -> float:
-    """Midpoint-quadrature hyperbolic length of a polyline in W."""
+    """Midpoint-quadrature hyperbolic length of a polyline in W.
+
+    The density is ``rho_W``'s formula inline; a midpoint outside its
+    range goes to ``rho_W`` itself, which raises.
+    """
+    r_U, log, inf = setup.r_U, math.log, math.inf
     total = 0.0
     for a, b in zip(path, path[1:]):
         seg = abs(b - a)
         if seg == 0.0:
             continue
-        total += seg * rho_W(setup, 0.5 * (a + b))
+        mid = 0.5 * (a + b)
+        r = abs(mid)
+        if r_U < r < inf:
+            total += seg * (1.0 / (r * log(r / r_U)))
+        else:
+            total += seg * rho_W(setup, mid)
     return total
 
 
@@ -282,10 +313,10 @@ def theta_level(setup: HyperbolicSetup, z: complex, k: int) -> SemiconjSample:
     pos = _g_positions(setup, z, k)
     M = setup.M
     # level 1: straight segments from each position to its rescale
-    curves = [
-        [p + (p / M - p) * (t / (SEGMENT_SAMPLES - 1)) for t in range(SEGMENT_SAMPLES)]
-        for p in pos
-    ]
+    curves = []
+    for p in pos:
+        d = p / M - p
+        curves.append([p + d * t for t in _SEGMENT_FRACTIONS])
     thetas = [z, z / M]
     increments = [abs(z / M - z)]
     lengths = [_polyline_hyp_length(setup, curves[0])]

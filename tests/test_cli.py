@@ -3,7 +3,10 @@
 import csv
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -242,6 +245,14 @@ def test_semiconj_invalid_setup_is_compute_error(tmp_path):
     assert code == EXIT_COMPUTE
 
 
+def test_semiconj_refuses_a_constant_map_at_setup(tmp_path, capsys):
+    # lambda = 0 makes f constant; setup says so instead of the certificate
+    # failing later to place its samples in V
+    code = main(["semiconj", "--lambda", "0", "--out", str(tmp_path / "x.json")])
+    assert code == EXIT_COMPUTE
+    assert "f is constant" in capsys.readouterr().err
+
+
 def test_report_on_all_artifact_kinds(tmp_path, capsys):
     out = tmp_path / "img.pgm"
     main([
@@ -292,6 +303,18 @@ def test_samples_object_runs_under_both_commands(tmp_path):
 
 def test_verify_suite_exit_code():
     assert main(["verify", "--suite", "all"]) == EXIT_OK
+
+
+def test_python_dash_m_runs_the_cli_from_a_source_checkout():
+    # the package runs as a module with only src/ on the path, no script
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "tractlab", "verify", "--suite", "all"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "PASS semiconj.semiconj_functional_limit" in done.stdout
 
 
 def test_verify_has_no_hypmetric_suite():

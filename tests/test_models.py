@@ -1,6 +1,7 @@
 """Unit tests for the map catalog and the log-coordinate evaluators."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -124,6 +125,20 @@ def test_kappa_member_translates():
         )
         assert member.half_plane_Q == model.half_plane_Q
         assert member.translated(-kappa) == model
+
+
+@pytest.mark.parametrize("kappa", [0.3 + 0.2j, complex(-0.0, 0.0), complex(0.0, -0.0), -0.5j])
+def test_translated_is_the_member_replace_builds(kappa):
+    # the member is built field by field; it must be the same model,
+    # signed zeros of the summed kappa included
+    for model in (
+        SHIFTED,
+        LogLiftModel("shifted_exp", R=10.0, kappa=complex(-0.0, -0.0)),
+        LogLiftModel("lifted_entire", plane_map=EntireMapSpec.sinh(0.575), half_plane_Q=2.0),
+    ):
+        member = model.translated(kappa)
+        assert repr(member) == repr(dataclasses.replace(model, kappa=model.kappa + kappa))
+        assert member == dataclasses.replace(model, kappa=model.kappa + kappa)
 
 
 def test_kappa_must_be_finite():

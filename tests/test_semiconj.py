@@ -3,6 +3,8 @@
 import cmath
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +13,18 @@ from tractlab import semiconj
 from tractlab.errors import (
     CertificateFailed,
     CertificateMissing,
+    ContinuationError,
+    DomainError,
     HorizonError,
+    RangeError,
     SetupInvalid,
+    TractlabError,
 )
+from tractlab.models import TWO_PI
+from tractlab.tracts import continuous_lift
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 SETUP = semiconj.build_setup(0.5, 0.7, 2.0, 11.0)
 
@@ -33,6 +44,8 @@ def test_setup_derived_quantities():
         (0.5, 1.2, 2.0, 11.0),   # r_U >= K/2
         (0.5, 0.7, 0.5, 11.0),   # K < 1
         (0.5, 0.7, 2.0, 5.0),    # log(2R-1) < K+1
+        (0, 0.7, 2.0, 11.0),     # lambda = 0: f is constant
+        (-0.0j, 0.7, 2.0, 11.0),
     ],
 )
 def test_setup_rejects_bad_parameters(args):
@@ -285,3 +298,146 @@ def test_write_report(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["setup"]["M"] == pytest.approx(5.5)
     assert len(payload["samples"]) == 1
+
+
+# -- the lift and length kernels against their plain definitions ---------
+
+def _reference_lift(setup, start, path):
+    # the lift as continuous_lift computes it over a per-step closure
+    if abs(setup.f(start) - path[0]) > 1e-6 * (1.0 + abs(path[0])):
+        raise ContinuationError(
+            f"start {start!r} is not a preimage of the path head {path[0]!r}"
+        )
+
+    def step(z_cur, w):
+        base = setup.inverse_branch_f(w, 0)
+        b = round((z_cur.imag - base.imag) / TWO_PI)
+        return base + TWO_PI * 1j * b
+
+    return continuous_lift(step, start, path).samples
+
+
+def _reference_length(setup, path):
+    total = 0.0
+    for a, b in zip(path, path[1:]):
+        seg = abs(b - a)
+        if seg == 0.0:
+            continue
+        total += seg * semiconj.rho_W(setup, 0.5 * (a + b))
+    return total
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except TractlabError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _workload_calls(monkeypatch):
+    """Every lift and length of the semiconj benchmark's reference jobs,
+    with the inverse_branch_f calls each lift made."""
+    lifts, lengths = [], []
+    lift, length = semiconj._lift_polyline, semiconj._polyline_hyp_length
+    solve = semiconj.HyperbolicSetup.inverse_branch_f
+    solves = []
+
+    def counted_solve(setup, w, branch):
+        solves.append(w)
+        return solve(setup, w, branch)
+
+    def recorded_lift(setup, start, path):
+        solves.clear()
+        out = lift(setup, start, path)
+        lifts.append((setup, start, path, out, len(solves)))
+        return out
+
+    def recorded_length(setup, path):
+        out = length(setup, path)
+        lengths.append((setup, path, out))
+        return out
+
+    monkeypatch.setattr(semiconj.HyperbolicSetup, "inverse_branch_f", counted_solve)
+    monkeypatch.setattr(semiconj, "_lift_polyline", recorded_lift)
+    monkeypatch.setattr(semiconj, "_polyline_hyp_length", recorded_length)
+    workload = workloads.WORKLOADS["semiconj"]()
+    for job in workload.reference_jobs():
+        workload.run(job)
+    monkeypatch.undo()
+    assert len(lifts) > 200 and len(lengths) > 200
+    return lifts, lengths
+
+
+def test_lift_kernel_matches_continuous_lift_on_the_workload(monkeypatch):
+    lifts, _ = _workload_calls(monkeypatch)
+    for setup, start, path, out, _solves in lifts:
+        assert repr(out) == repr(_reference_lift(setup, start, path))
+
+
+def test_lift_kernel_solves_once_per_sample_step(monkeypatch):
+    # no workload step bisects, so each step is one closed-form solve
+    lifts, _ = _workload_calls(monkeypatch)
+    for _setup, _start, path, out, solves in lifts:
+        assert len(out) == len(path)
+        assert solves == len(path) - 1
+
+
+def _lift_case(name):
+    start = SETUP.inverse_branch_f(20.0, 0)
+    if name == "bisects":
+        # around the origin: the step from 20i to -20 moves the lift by
+        # more than pi/2, after one step the kernel accepted itself
+        return start, [20.0 + 0j, 20.0 + 1j, 20j, -20.0 + 0j, -20.0 - 1j]
+    if name == "asymptotic_value":
+        # the kernel's own solve meets -lambda
+        return start, [20.0 + 0j, 19.0 + 0j, -SETUP.lam]
+    if name == "asymptotic_value_at_a_midpoint":
+        # inside continuous_lift: 1 -> -2 moves the lift by pi, and its
+        # first midpoint is -lambda
+        return start, [20.0 + 0j, 1.0 + 0j, -2.0 + 0j]
+    assert name == "not_a_preimage"
+    return start + 0.5, [20.0 + 0j, 21.0 + 0j]
+
+
+@pytest.mark.parametrize(
+    "name", ["bisects", "asymptotic_value", "asymptotic_value_at_a_midpoint", "not_a_preimage"]
+)
+def test_lift_kernel_falls_back_like_continuous_lift(name):
+    start, path = _lift_case(name)
+    got = _outcome(semiconj._lift_polyline, SETUP, start, path)
+    assert got == _outcome(_reference_lift, SETUP, start, path)
+    expected = {
+        "bisects": "[",
+        "asymptotic_value": "RangeError: w is the asymptotic value",
+        "asymptotic_value_at_a_midpoint": "RangeError: w is the asymptotic value",
+        "not_a_preimage": "ContinuationError: start",
+    }[name]
+    assert got.startswith(expected)
+    if name == "bisects":
+        assert len(semiconj._lift_polyline(SETUP, start, path)) > len(path)
+
+
+def test_length_kernel_matches_the_rho_W_sum(monkeypatch):
+    _, lengths = _workload_calls(monkeypatch)
+    for setup, path, out in lengths:
+        assert repr(out) == repr(_reference_length(setup, path))
+    # a repeated sample adds nothing
+    path = [25.0 + 0j, 25.0 + 0j, 20.0 + 1j]
+    assert repr(semiconj._polyline_hyp_length(SETUP, path)) == repr(
+        _reference_length(SETUP, path)
+    )
+
+
+@pytest.mark.parametrize("path, error", [
+    ([complex(math.inf, 0.0), 5.0 + 0j], DomainError),
+    ([complex(math.nan, 0.0), 5.0 + 0j], DomainError),
+    ([5.0 + 0j, complex(0.0, math.inf)], DomainError),
+    ([0.5 + 0j, -0.5 + 0j], RangeError),
+    ([0.7 - 0.1j, 0.7 + 0.1j], RangeError),  # |mid| = r_U exactly
+], ids=["inf", "nan", "inf_imag", "inside_U", "on_the_circle"])
+def test_length_kernel_refuses_like_rho_W(path, error):
+    with pytest.raises(error) as exc:
+        semiconj._polyline_hyp_length(SETUP, path)
+    with pytest.raises(error) as ref:
+        _reference_length(SETUP, path)
+    assert str(exc.value) == str(ref.value)
