@@ -13,16 +13,27 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 
 from . import conjugacy, gridkernel, semiconj, verify
 from .errors import ConfigError, TractlabError
 from .gridkernel import Window
-from .models import _complex, _positive, _real, model_from_json, plane_map_from_json
+from .models import (
+    _complex,
+    _positive,
+    _real,
+    model_from_json,
+    model_to_json,
+    plane_map_from_json,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_COMPUTE = 2
 EXIT_VERIFY = 3
+# the errors that refuse one computation; a conjugate batch records them
+# per sample, and any of them that ends a run exits with EXIT_COMPUTE
+REFUSALS = (TractlabError, OverflowError, ValueError)
 
 
 def _points(raw, field: str) -> list[complex]:
@@ -123,7 +134,7 @@ def _cmd_render(args) -> int:
         map_spec, window, (width, height), escape_radius, horizon
     )
     out = args.out
-    if out.endswith(".png"):
+    if out.lower().endswith(".png"):
         gridkernel.write_png(out, grid)
     else:
         gridkernel.write_pgm(out, grid)
@@ -153,24 +164,39 @@ def _cmd_conjugate(args) -> int:
         model_desc = {"family": "shifted_exp"}  # F(z) = e^z - 10
     model = model_from_json(model_desc)
 
-    samples = [conjugacy.theta_limit(model, kappa, z, tol, Q) for z in points]
-    residuals = [s.residual for s in samples if not math.isnan(s.residual)]
+    samples, refused = [], Counter()
+    for z in points:
+        try:
+            samples.append(conjugacy.theta_limit(model, kappa, z, tol, Q))
+        except REFUSALS as exc:
+            samples.append(conjugacy.RefusedSample(z, exc))
+            refused[type(exc).__name__] += 1
+    held = [s for s in samples if isinstance(s, conjugacy.ConjugacySample)]
+    residuals = [s.residual for s in held if not math.isnan(s.residual)]
     summary = {
+        "model": model_to_json(model),
         "kappa": [kappa.real, kappa.imag],
         "Q": Q,
         "tol": tol,
         "count": len(samples),
-        "bound_held": sum(s.tail_bound <= tol for s in samples),
-        "max_tail_over_tol": max(s.tail_bound / tol for s in samples),
-        "max_residual": max(residuals) if residuals else None,
-        "max_displacement": max(s.displacement() for s in samples),
+        "certified": len(held),
+        "refused": dict(sorted(refused.items())),
+        # statistics of the certified samples, null when there are none
+        "bound_held": sum(s.tail_bound <= tol for s in held) if held else None,
+        "max_tail_over_tol": max((s.tail_bound / tol for s in held), default=None),
+        "max_residual": max(residuals, default=None),
+        "max_displacement": max((s.displacement() for s in held), default=None),
         "displacement_bound": conjugacy.displacement_bound(model, kappa, Q),
     }
     conjugacy.write_sample_report(args.out, samples, summary)
-    if args.csv:
-        conjugacy.write_sample_csv(args.csv, samples)
-    print(f"wrote {args.out} ({len(samples)} samples)")
-    return EXIT_OK
+    print(f"wrote {args.out} ({len(samples)} samples, {len(held)} certified)")
+    if held:
+        return EXIT_OK
+    print(
+        f"computation error: no sample certified; the first: {samples[0].error}",
+        file=sys.stderr,
+    )
+    return EXIT_COMPUTE
 
 
 # -- semiconj ----------------------------------------------------------
@@ -262,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_conj.add_argument("--tol", type=float)
     p_conj.add_argument("--samples", help="JSON sample file")
     p_conj.add_argument("--out", required=True, help="output JSON report")
-    p_conj.add_argument("--csv", help="optional CSV batch summary")
     p_conj.set_defaults(func=_cmd_conjugate)
 
     p_semi = sub.add_parser("semiconj", help="hyperbolic-map semiconjugacy")
@@ -302,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TractlabError, OverflowError, OSError, ValueError) as exc:
+    except (*REFUSALS, OSError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

@@ -36,8 +36,6 @@ checks ``inverse_branch`` makes on its argument, with the same errors.
 from __future__ import annotations
 
 import cmath
-import csv
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -53,7 +51,14 @@ from .errors import (
     RangeError,
     TractlabError,
 )
-from .models import LogLiftModel, _eval_F_array, eval_dF, eval_F, require_finite
+from .models import (
+    LogLiftModel,
+    _eval_F_array,
+    eval_dF,
+    eval_F,
+    require_finite,
+    write_json,
+)
 from .orbits import EscapeFlag, ExternalAddress, OrbitRecord, iterate, periodic_orbit
 from .tracts import (
     TractAddress,
@@ -89,6 +94,7 @@ class ConjugacySample:
     def to_json(self) -> dict:
         return {
             "z": [self.z.real, self.z.imag],
+            "status": "ok",
             "theta": [self.theta.real, self.theta.imag],
             "depth": self.depth,
             "tail_bound": self.tail_bound,
@@ -96,6 +102,21 @@ class ConjugacySample:
             "residual": None if math.isnan(self.residual) else self.residual,
             "displacement": self.displacement(),
             "address_prefix": [t.branch_index for t in self.address_prefix.entries],
+        }
+
+
+@dataclass
+class RefusedSample:
+    """A sample whose value was refused; the report keeps the error."""
+
+    z: complex
+    error: Exception
+
+    def to_json(self) -> dict:
+        return {
+            "z": [self.z.real, self.z.imag],
+            "status": type(self.error).__name__,
+            "error": str(self.error),
         }
 
 
@@ -426,24 +447,7 @@ def inverse_theta_check(
 
 # -- report emission ---------------------------------------------------
 
-def write_sample_report(path, samples: list[ConjugacySample], summary: dict) -> None:
-    payload = {"summary": summary, "samples": [s.to_json() for s in samples]}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
-        fh.write("\n")
-
-
-def write_sample_csv(path, samples: list[ConjugacySample]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["z_re", "z_im", "theta_re", "theta_im", "depth", "tail_bound",
-             "residual", "displacement"]
-        )
-        for s in samples:
-            writer.writerow(
-                [s.z.real, s.z.imag, s.theta.real, s.theta.imag, s.depth,
-                 # an empty field where the residual could not be formed
-                 s.tail_bound, "" if math.isnan(s.residual) else s.residual,
-                 s.displacement()]
-            )
+def write_sample_report(
+    path, samples: list[ConjugacySample | RefusedSample], summary: dict
+) -> None:
+    write_json(path, {"summary": summary, "samples": [s.to_json() for s in samples]})

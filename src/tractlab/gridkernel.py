@@ -9,18 +9,13 @@ array of their positions, so each step costs in proportion to them.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RangeError
-from .models import (
-    EXP_OVERFLOW_GUARD,
-    EntireMapSpec,
-    plane_map_to_json,
-)
+from .models import EXP_OVERFLOW_GUARD, EntireMapSpec, plane_map_to_json, write_json
 
 # classification codes
 IN_JR_HORIZON = 0
@@ -159,6 +154,4 @@ def write_sidecar(
         "horizon": horizon,
         "finite_horizon_proxy": True,
     }
-    with open(path, "w") as fh:
-        json.dump(meta, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    write_json(path, meta)

@@ -14,6 +14,7 @@ else.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -511,3 +512,11 @@ def model_to_json(model: LogLiftModel) -> dict:
         "map": plane_map_to_json(model.plane_map),
         "Q": model.half_plane_Q,
     }
+
+
+def write_json(path, payload) -> None:
+    """Every JSON artifact's encoding: indented strict JSON and a final
+    newline; a NaN or infinity raises ValueError instead of being written."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, allow_nan=False)
+        fh.write("\n")

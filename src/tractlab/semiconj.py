@@ -25,7 +25,6 @@ density rather than one-sided estimates.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -40,7 +39,13 @@ from .errors import (
     RangeError,
     SetupInvalid,
 )
-from .models import EXP_OVERFLOW_GUARD, TWO_PI, EntireMapSpec, require_finite
+from .models import (
+    EXP_OVERFLOW_GUARD,
+    TWO_PI,
+    EntireMapSpec,
+    require_finite,
+    write_json,
+)
 from .tracts import MAX_LIFT_STEP, continuous_lift
 
 # polyline resolution of the level-1 segment; lifts refine adaptively
@@ -504,6 +509,4 @@ def write_report(path, setup: HyperbolicSetup, samples: list[SemiconjSample]) ->
         },
         "samples": [s.to_json() for s in samples],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    write_json(path, payload)

@@ -1,6 +1,5 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
-import csv
 import json
 import math
 import os
@@ -17,6 +16,7 @@ from tractlab import cli, verify
 from tractlab.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
 from tractlab.errors import ConfigError
 from tractlab.gridkernel import Window
+from tractlab.models import model_from_json
 
 
 def _strict_json(text):
@@ -104,26 +104,24 @@ def test_conjugate_roundtrip(tmp_path):
     samples = tmp_path / "samples.json"
     samples.write_text(json.dumps({"points": [[3.5, 0.0], [4.0, 0.0]]}))
     out = tmp_path / "conj.json"
-    csv_out = tmp_path / "conj.csv"
     code = main([
         "conjugate", "--kappa", "0.3+0.2i", "--Q", "2", "--tol", "1e-9",
-        "--samples", str(samples), "--out", str(out), "--csv", str(csv_out),
+        "--samples", str(samples), "--out", str(out),
     ])
     assert code == EXIT_OK
     payload = json.loads(out.read_text())
     assert payload["summary"]["count"] == 2
     assert payload["summary"]["max_residual"] <= 1e-8
-    assert csv_out.exists()
 
 
 # the summary keys README.md documents for a conjugate report
 CONJUGATE_SUMMARY_KEYS = {
-    "kappa", "Q", "tol", "count", "bound_held", "max_tail_over_tol",
-    "max_residual", "max_displacement", "displacement_bound",
+    "model", "kappa", "Q", "tol", "count", "certified", "refused", "bound_held",
+    "max_tail_over_tol", "max_residual", "max_displacement", "displacement_bound",
 }
 
 
-def _conjugate_summary(tmp_path, sample_file):
+def _conjugate_report(tmp_path, sample_file, expected_code=EXIT_OK):
     samples = tmp_path / "samples.json"
     samples.write_text(json.dumps(sample_file))
     out = tmp_path / "conj.json"
@@ -131,8 +129,12 @@ def _conjugate_summary(tmp_path, sample_file):
         "conjugate", "--kappa", "0.3+0.2i", "--Q", "2", "--tol", "1e-9",
         "--samples", str(samples), "--out", str(out),
     ])
-    assert code == EXIT_OK
-    report = _strict_json(out.read_text())
+    assert code == expected_code
+    return _strict_json(out.read_text())
+
+
+def _conjugate_summary(tmp_path, sample_file):
+    report = _conjugate_report(tmp_path, sample_file)
     assert set(report["summary"]) == CONJUGATE_SUMMARY_KEYS
     return report["summary"], report["samples"]
 
@@ -183,28 +185,6 @@ def test_conjugate_writes_null_for_a_residual_it_cannot_form(tmp_path):
     assert report["summary"]["max_residual"] is None
 
 
-def test_conjugate_csv_leaves_a_residual_it_cannot_form_empty(tmp_path):
-    # the JSON report writes null for these residuals; the CSV wrote nan
-    samples = tmp_path / "samples.json"
-    model = {"family": "lifted_entire", "map": {"family": "lambda_expm1", "lambda": 0.5}}
-    samples.write_text(json.dumps({
-        "model": model, "points": [[7.743, 18.661], [7.138512969102209, -0.09080086363083872]],
-    }))
-    csv_out = tmp_path / "conj.csv"
-    code = main([
-        "conjugate", "--kappa", "0.3+0.2i", "--Q", "2", "--tol", "1e-9",
-        "--samples", str(samples), "--out", str(tmp_path / "conj.json"),
-        "--csv", str(csv_out),
-    ])
-    assert code == EXIT_OK
-    with open(csv_out, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 2
-    for row in rows:
-        assert row["residual"] == ""
-        assert all(math.isfinite(float(v)) for k, v in row.items() if k != "residual")
-
-
 def test_conjugate_validates_kappa_against_Q(tmp_path):
     samples = tmp_path / "samples.json"
     samples.write_text(json.dumps({"points": [[3.5, 0.0]]}))
@@ -224,6 +204,62 @@ def test_conjugate_uncertifiable_sample_is_compute_error(tmp_path):
         "--samples", str(samples), "--out", str(tmp_path / "x.json"),
     ])
     assert code == EXIT_COMPUTE
+
+
+def test_conjugate_reports_a_refused_sample_and_keeps_going(tmp_path):
+    report = _conjugate_report(tmp_path, {"points": [[3.5, 0.0], [5.0, 0.5]]})
+    ok, refused = report["samples"]
+    assert [ok["status"], refused["status"]] == ["ok", "OrbitLeftJQ"]
+    assert set(refused) == {"z", "status", "error"}
+    assert refused["z"] == [5.0, 0.5]
+    assert "fails the J_Q certificate at step 1" in refused["error"]
+    summary = report["summary"]
+    assert (summary["count"], summary["certified"]) == (2, 1)
+    assert summary["refused"] == {"OrbitLeftJQ": 1}
+    # the statistics are those of the certified sample alone
+    assert summary["bound_held"] == (ok["tail_bound"] <= 1e-9)
+    assert summary["max_tail_over_tol"] == ok["tail_bound"] / 1e-9
+    assert summary["max_residual"] == ok["residual"]
+    assert summary["max_displacement"] == ok["displacement"]
+
+
+def test_conjugate_writes_the_report_when_every_sample_is_refused(tmp_path):
+    report = _conjugate_report(
+        tmp_path, {"points": [[5.0, 0.5], [5.0, 0.5]]}, expected_code=EXIT_COMPUTE
+    )
+    assert [s["status"] for s in report["samples"]] == ["OrbitLeftJQ"] * 2
+    summary = report["summary"]
+    assert (summary["count"], summary["certified"]) == (2, 0)
+    assert summary["refused"] == {"OrbitLeftJQ": 2}
+    for key in ("bound_held", "max_tail_over_tol", "max_residual", "max_displacement"):
+        assert summary[key] is None
+
+
+@pytest.mark.parametrize("model, point", [
+    (None, [3.5, 0.0]),
+    ({"family": "lifted_entire", "map": {"family": "sinh", "lambda": 0.575}, "Q": 2},
+     [5.1, 0.3]),
+])
+def test_conjugate_report_records_its_model(tmp_path, model, point):
+    sample_file = {"points": [point]}
+    if model is not None:
+        sample_file["model"] = model
+    summary, _ = _conjugate_summary(tmp_path, sample_file)
+    expected = model_from_json(model or {"family": "shifted_exp"})
+    assert model_from_json(summary["model"]) == expected
+
+
+def test_render_chooses_png_by_a_case_insensitive_suffix(tmp_path):
+    out = tmp_path / "img.PNG"
+    code = main([
+        "render",
+        "--map", '{"family": "zexp"}',
+        "--window=-4,4,-4,4",
+        "--resolution", "8,8",
+        "--out", str(out),
+    ])
+    assert code == EXIT_OK
+    assert out.read_bytes()[:8] == b"\x89PNG\r\n\x1a\n"
 
 
 def test_semiconj_default_samples(tmp_path):

@@ -330,13 +330,11 @@ def test_saturated_escaping_certificate_converges():
 def test_report_writers(tmp_path):
     orb = _orbit([0], 33)
     s = conjugacy.theta_limit(BASE, KAPPA, orb[0], 1e-9, Q, orbit=orb)
-    jpath, cpath = tmp_path / "r.json", tmp_path / "r.csv"
+    jpath = tmp_path / "r.json"
     conjugacy.write_sample_report(jpath, [s], {"kappa": [KAPPA.real, KAPPA.imag]})
-    conjugacy.write_sample_csv(cpath, [s])
     payload = json.loads(jpath.read_text())
     assert payload["summary"]["kappa"] == [0.3, 0.2]
     assert len(payload["samples"]) == 1
-    assert cpath.read_text().count("\n") >= 2
     # a value JSON cannot hold is refused, not written as NaN
     with pytest.raises(ValueError):
         conjugacy.write_sample_report(jpath, [s], {"x": math.nan})
