@@ -3,12 +3,13 @@
 Library layout:
 
 - models: the plane-map family table, log lifts, JSON descriptors
-- tracts: tract addresses, inverse branches, continuous path lifting
+- tracts: tract addresses and inverse branches
 - orbits: iteration, membership certificates, external addresses,
   backward-orbit point construction
 - conjugacy: the pullback conjugacy near infinity, its residual and
   the inverse round-trip check
-- semiconj: the hyperbolic-map semiconjugacy by curve lifting
+- semiconj: the hyperbolic-map semiconjugacy by curve lifting, with
+  the package's one curve-lifting routine
 - gridkernel: escape-time grid classification (one NumPy kernel over
   the models family table) and image output
 - cli: the `tractlab` command-line entry point
@@ -25,7 +26,7 @@ from .models import (
     model_to_json,
 )
 from .orbits import ExternalAddress, OrbitRecord, iterate, point_with_address
-from .tracts import TractAddress, inverse_branch, lift_path, tract_of
+from .tracts import TractAddress, inverse_branch, tract_of
 
 __version__ = "0.1.0"
 
@@ -48,7 +49,6 @@ __all__ = [
     "point_with_address",
     "TractAddress",
     "inverse_branch",
-    "lift_path",
     "tract_of",
     "__version__",
 ]

@@ -31,8 +31,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_COMPUTE = 2
 EXIT_VERIFY = 3
-# the errors that refuse one computation; a conjugate batch records them
-# per sample, and any of them that ends a run exits with EXIT_COMPUTE
+# the errors that refuse one computation; a conjugate or semiconj batch
+# records them per sample, and any of them that ends a run exits with
+# EXIT_COMPUTE
 REFUSALS = (TractlabError, OverflowError, ValueError)
 
 
@@ -190,6 +191,12 @@ def _cmd_conjugate(args) -> int:
     }
     conjugacy.write_sample_report(args.out, samples, summary)
     print(f"wrote {args.out} ({len(samples)} samples, {len(held)} certified)")
+    return _batch_exit(samples, held)
+
+
+def _batch_exit(samples: list, held: list) -> int:
+    """EXIT_OK when a batch certified any sample, else EXIT_COMPUTE with
+    the first sample's error."""
     if held:
         return EXIT_OK
     print(
@@ -218,13 +225,19 @@ def _cmd_semiconj(args) -> int:
         raise ConfigError(f"{field}.model: semiconj takes no model")
 
     C = semiconj.expansion_certificate(setup)
-    samples = [semiconj.semiconj_limit(setup, z, tol, C) for z in points]
+    samples = []
+    for z in points:
+        try:
+            samples.append(semiconj.semiconj_limit(setup, z, tol, C))
+        except REFUSALS as exc:
+            samples.append(conjugacy.RefusedSample(z, exc))
     semiconj.write_report(args.out, setup, samples)
+    held = [s for s in samples if isinstance(s, semiconj.SemiconjSample)]
     print(
-        f"wrote {args.out} ({len(samples)} samples, certified C = {C:.6g}, "
-        f"mu = {semiconj.mu_constant(setup):.6g})"
+        f"wrote {args.out} ({len(samples)} samples, {len(held)} certified, "
+        f"C = {C:.6g}, mu = {semiconj.mu_constant(setup):.6g})"
     )
-    return EXIT_OK
+    return _batch_exit(samples, held)
 
 
 # -- verify / report ---------------------------------------------------
@@ -276,16 +289,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--map", help="inline JSON plane-map descriptor")
     p_render.add_argument("--window", help="xmin,xmax,ymin,ymax")
     p_render.add_argument("--resolution", help="width,height")
-    p_render.add_argument("--escape-radius", dest="escape_radius", type=float)
-    p_render.add_argument("--horizon", type=int)
+    p_render.add_argument("--escape-radius", dest="escape_radius")
+    p_render.add_argument("--horizon")
     p_render.add_argument("--out", required=True, help="output .pgm or .png path")
     p_render.set_defaults(func=_cmd_render)
 
     p_conj = sub.add_parser("conjugate", help="pullback conjugacy on samples")
     p_conj.add_argument("--config", help="JSON config file")
     p_conj.add_argument("--kappa", help="complex, e.g. 0.3+0.2i")
-    p_conj.add_argument("--Q", type=float)
-    p_conj.add_argument("--tol", type=float)
+    p_conj.add_argument("--Q")
+    p_conj.add_argument("--tol")
     p_conj.add_argument("--samples", help="JSON sample file")
     p_conj.add_argument("--out", required=True, help="output JSON report")
     p_conj.set_defaults(func=_cmd_conjugate)
@@ -293,10 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_semi = sub.add_parser("semiconj", help="hyperbolic-map semiconjugacy")
     p_semi.add_argument("--config", help="JSON config file")
     p_semi.add_argument("--lambda", dest="lam", help="complex, |lambda| < 1")
-    p_semi.add_argument("--r-U", dest="r_U", type=float)
-    p_semi.add_argument("--K", type=float)
-    p_semi.add_argument("--R", type=float)
-    p_semi.add_argument("--tol", type=float)
+    p_semi.add_argument("--r-U", dest="r_U")
+    p_semi.add_argument("--K")
+    p_semi.add_argument("--R")
+    p_semi.add_argument("--tol")
     p_semi.add_argument("--samples", help="JSON sample file")
     p_semi.add_argument("--out", required=True, help="output JSON report")
     p_semi.set_defaults(func=_cmd_semiconj)

@@ -178,11 +178,6 @@ def _certified_orbit(
             f"orbit of {z!r} fails the J_Q certificate at step {orbit.exit_step}"
         )
     pts = orbit.points[: n + 1]
-    # iterate keeps no point with Re < Q: one with Re <= Q to depth n is a
-    # contact, which the minimum over the whole record rules out at once
-    if orbit.min_Re_after_first <= Q and any(p.real <= Q for p in pts[1:]):
-        # boundary contact: the tower is only defined on strict membership
-        raise OrbitLeftJQ(f"orbit of {z!r} touches the half-plane boundary")
     return pts, [_address(base, p + base.kappa) for p in pts[:-1]]
 
 
@@ -193,7 +188,7 @@ def _proved_one_deeper(
     validation, for a depth-n tower and its residual; where only step
     n + 1 fails, to depth n with that failure as its refusal."""
     source = iterate(base, z, n + 1, Q) if orbit is None else orbit
-    if orbit is None and not (source.certified and source.min_Re_after_first > Q):
+    if orbit is None and not source.certified:
         # the record fails by step n + 1: check depth n first, so that a
         # sample refused within it raises once
         _certified_orbit(base, z, n, Q, source)

@@ -10,7 +10,7 @@ the points ``iterate`` proved in V, with no second membership test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
@@ -38,7 +38,6 @@ class OrbitRecord:
     escape_flag: EscapeFlag
     exit_step: int | None = None
     saturated: bool = False  # orbit left double range while certifiably escaping
-    min_Re_after_first: float = field(default=math.inf)
 
     @property
     def certified(self) -> bool:
@@ -48,16 +47,17 @@ class OrbitRecord:
 def iterate(model: LogLiftModel, z: complex, horizon: int, Q: float) -> OrbitRecord:
     """Iterate up to the horizon, a domain exit, or the overflow guard.
 
-    An orbit point whose image overflows while a proved bound shows
-    Re F > Q counts as certified (the orbit is escaping faster than
-    doubles can represent); the record is marked saturated.
-    Every point but the last is proved in V, the last too if saturated.
+    An image is kept only with Re > Q, strictly, as J_Q requires; any
+    other ends the orbit as LEFT_DOMAIN at that step.  An orbit point
+    whose image overflows while a proved bound shows Re F > Q counts as
+    certified (the orbit is escaping faster than doubles can represent);
+    the record is marked saturated.  Every point but the last is proved
+    in V, the last too if saturated.
     """
     if horizon < 1:
         raise RangeError("horizon must be at least 1")
     z = require_finite(z)
     points = [z]
-    min_re = math.inf
     flag, exit_step, saturated = EscapeFlag.STAYED_IN_JQ, None, False
     for step in range(horizon):
         cur = points[-1]
@@ -71,16 +71,14 @@ def iterate(model: LogLiftModel, z: complex, horizon: int, Q: float) -> OrbitRec
         except DomainError:
             flag = EscapeFlag.LEFT_DOMAIN
         else:
-            min_re = min(min_re, w.real)
-            if not w.real < Q:
+            if w.real > Q:
                 points.append(w)
                 continue
             flag = EscapeFlag.LEFT_DOMAIN
         exit_step = step
         break
     return OrbitRecord(
-        points, horizon, Q, flag,
-        exit_step=exit_step, saturated=saturated, min_Re_after_first=min_re,
+        points, horizon, Q, flag, exit_step=exit_step, saturated=saturated
     )
 
 

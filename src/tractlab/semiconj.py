@@ -46,11 +46,15 @@ from .models import (
     require_finite,
     write_json,
 )
-from .tracts import MAX_LIFT_STEP, continuous_lift
 
 # polyline resolution of the level-1 segment; lifts refine adaptively
 SEGMENT_SAMPLES = 17
 _SEGMENT_FRACTIONS = tuple(t / (SEGMENT_SAMPLES - 1) for t in range(SEGMENT_SAMPLES))
+# a lift step larger than this forces bisection of the source step, so a
+# branch integer can never silently slip by a full period; a step still
+# too long after MAX_BISECTION_DEPTH halvings raises ContinuationError
+MAX_LIFT_STEP = math.pi / 2
+MAX_BISECTION_DEPTH = 48
 POSTSINGULAR_ITERATES = 100
 # points of the circle |z| = r_U on which f(cl U) inside U is checked
 BOUNDARY_SAMPLES = 256
@@ -201,6 +205,7 @@ class SemiconjSample:
     def to_json(self) -> dict:
         return {
             "z": [self.z.real, self.z.imag],
+            "status": "ok",
             "theta": None
             if self.theta is None
             else [self.theta.real, self.theta.imag],
@@ -251,14 +256,12 @@ def _lift_polyline(
     setup: HyperbolicSetup, start: complex, path: list[complex]
 ) -> list[complex]:
     """Continuous f-preimage of a polyline, starting at the known
-    preimage ``start`` of path[0]; plane-coordinate analog of half-plane
-    path lifting with the same bisection rule.
+    preimage ``start`` of path[0].
 
     Each step takes the closed-form preimage on the branch nearest the
-    current sample.  From the first step that would move by more than
-    MAX_LIFT_STEP, the rest of the path goes to ``continuous_lift``,
-    which bisects it; a step onto the asymptotic value raises
-    ``inverse_branch_f``'s RangeError, as it would there.
+    current sample.  A step that would move by more than MAX_LIFT_STEP
+    goes to ``_bisected_step``; a step onto the asymptotic value raises
+    ``inverse_branch_f``'s RangeError.
     """
     f0 = setup.f(start)
     if abs(f0 - path[0]) > 1e-6 * (1.0 + abs(path[0])):
@@ -267,23 +270,46 @@ def _lift_polyline(
         )
     inv = setup.inverse_branch_f
     period = TWO_PI * 1j
-
-    def step(z_cur: complex, w: complex) -> complex:
-        base = inv(w, 0)
-        return base + period * round((z_cur.imag - base.imag) / TWO_PI)
-
     samples = [start]
     z_cur = start
-    for k, w in enumerate(path[1:], 1):
-        # step(z_cur, w), inline
+    for w_prev, w in zip(path, path[1:]):
         base = inv(w, 0)
         z_next = base + period * round((z_cur.imag - base.imag) / TWO_PI)
-        if not abs(z_next - z_cur) <= MAX_LIFT_STEP:
-            rest = continuous_lift(step, z_cur, path[k - 1 :])
-            return samples + rest.samples[1:]
-        samples.append(z_next)
+        if abs(z_next - z_cur) <= MAX_LIFT_STEP:
+            samples.append(z_next)
+        else:
+            z_next = _bisected_step(
+                inv, samples, z_cur, complex(w_prev), complex(w), 0
+            )
         z_cur = z_next
     return samples
+
+
+def _bisected_step(
+    inv: Callable[[complex, int], complex],
+    samples: list[complex],
+    z_cur: complex,
+    w_from: complex,
+    w_to: complex,
+    depth: int,
+) -> complex:
+    """Lift of the source step w_from -> w_to from z_cur, by the rule of
+    ``_lift_polyline``: a lift step that moves by more than MAX_LIFT_STEP
+    is split at its midpoint, first half first, at most
+    MAX_BISECTION_DEPTH times.  Appends the lifted samples and returns
+    the last."""
+    base = inv(w_to, 0)
+    z_next = base + TWO_PI * 1j * round((z_cur.imag - base.imag) / TWO_PI)
+    if abs(z_next - z_cur) <= MAX_LIFT_STEP:
+        samples.append(z_next)
+        return z_next
+    if depth >= MAX_BISECTION_DEPTH:
+        raise ContinuationError(
+            f"cannot keep the branch continuous near w = {w_to!r}"
+        )
+    mid = 0.5 * (w_from + w_to)
+    z_mid = _bisected_step(inv, samples, z_cur, w_from, mid, depth + 1)
+    return _bisected_step(inv, samples, z_mid, mid, w_to, depth + 1)
 
 
 def _polyline_hyp_length(setup: HyperbolicSetup, path: list[complex]) -> float:
@@ -497,7 +523,9 @@ def functional_residual(
     return abs(setup.f(s_z.theta) - s_gz.theta)
 
 
-def write_report(path, setup: HyperbolicSetup, samples: list[SemiconjSample]) -> None:
+def write_report(path, setup: HyperbolicSetup, samples: list) -> None:
+    """The report of a batch; each sample, a SemiconjSample or a refused
+    one (``conjugacy.RefusedSample``), is written by its ``to_json``."""
     payload = {
         "setup": {
             "lambda": [setup.lam.real, setup.lam.imag],

@@ -1,4 +1,4 @@
-"""Tract identification, inverse branches, and continuous path lifting.
+"""Tract identification and inverse branches.
 
 Branch indices are carried explicitly with every inverse evaluation;
 they are never inferred from the principal argument after the fact.
@@ -14,40 +14,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContinuationError, DomainError, NewtonDiverged, RangeError
-from .models import (
-    TWO_PI,
-    LogLiftModel,
-    _contains,
-    eval_F,
-    require_finite,
-)
+from .errors import DomainError, NewtonDiverged, RangeError
+from .models import TWO_PI, LogLiftModel, _contains, require_finite
 
 __all__ = [
     "TractAddress",
-    "LiftedPath",
     "tract_of",
     "inverse_branch",
-    "continuous_lift",
-    "lift_path",
 ]
-
-# a lift step larger than this forces bisection of the source step, so a
-# branch integer can never silently slip by a full period
-MAX_LIFT_STEP = math.pi / 2
-MAX_BISECTION_DEPTH = 48
 
 
 @dataclass(frozen=True)
 class TractAddress:
     branch_index: int
     inner_branch: int = 0
-
-
-@dataclass
-class LiftedPath:
-    samples: list[complex]
-    source_samples: list[complex]
 
 
 def tract_of(model: LogLiftModel, z: complex) -> TractAddress:
@@ -201,77 +181,3 @@ def _newton_inverse(
     raise NewtonDiverged(
         f"Newton failed to invert w = {w!r} in tract {tract} from seed {seed!r}"
     )
-
-
-def _lift_step(model: LogLiftModel, z_cur: complex, w: complex) -> complex:
-    """Lift of w chosen continuously from the current lift value z_cur."""
-    zk_cur = z_cur + model.kappa
-    if model.family == "shifted_exp":
-        # k puts Im log(w + R) + 2 pi k, whose first term is the phase of
-        # w + R, nearest Im zk_cur
-        k = round((zk_cur.imag - cmath.phase(w + model.R)) / TWO_PI)
-        return _inverse_kernel(model)(_interned(k, False), w)
-    tract = TractAddress(round(zk_cur.imag / TWO_PI))
-    return _newton_inverse(model, tract, w, seed=zk_cur) - model.kappa
-
-
-def continuous_lift(
-    step: Callable[[complex, complex], complex],
-    z0: complex,
-    path: list[complex],
-) -> LiftedPath:
-    """Lift of a polyline from the known lift z0 of path[0].
-
-    ``step(z_cur, w)`` returns the lift of w chosen continuously from
-    z_cur.  A step whose lift would move by more than MAX_LIFT_STEP, or
-    whose Newton solve diverges, is bisected in the source plane, at most
-    MAX_BISECTION_DEPTH times; past that it raises ContinuationError.
-    """
-    samples = [z0]
-    sources = [complex(path[0])]
-
-    def advance(z_cur: complex, w_from: complex, w_to: complex, depth: int):
-        diverged = None
-        try:
-            z_next = step(z_cur, w_to)
-        except NewtonDiverged as exc:
-            diverged = exc
-        else:
-            if abs(z_next - z_cur) <= MAX_LIFT_STEP:
-                samples.append(z_next)
-                sources.append(w_to)
-                return z_next
-        if depth >= MAX_BISECTION_DEPTH:
-            raise ContinuationError(
-                f"cannot keep the branch continuous near w = {w_to!r}"
-            ) from diverged
-        mid = 0.5 * (w_from + w_to)
-        z_mid = advance(z_cur, w_from, mid, depth + 1)
-        return advance(z_mid, mid, w_to, depth + 1)
-
-    z_cur = z0
-    for w_prev, w_next in zip(path, path[1:]):
-        z_cur = advance(z_cur, complex(w_prev), complex(w_next), 0)
-    return LiftedPath(samples, sources)
-
-
-def lift_path(
-    model: LogLiftModel,
-    tract_at_start: TractAddress,
-    path: list[complex],
-) -> LiftedPath:
-    """Continuous lift of a half-plane curve under the inverse of F.
-
-    Steps whose lift would jump by more than pi/2, or whose Newton solve
-    diverges, are bisected in the source plane; refinement failure raises
-    ContinuationError.
-    """
-    if not path:
-        raise RangeError("path must contain at least one sample")
-    Q = model.half_plane_Q
-    for w in path:
-        w = require_finite(w, "path sample")
-        if w.real <= Q:
-            raise RangeError(f"path sample {w!r} lies outside the half-plane")
-    z0 = inverse_branch(model, tract_at_start, path[0])
-    return continuous_lift(lambda z_cur, w: _lift_step(model, z_cur, w), z0, path)

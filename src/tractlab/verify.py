@@ -68,13 +68,6 @@ def _check_tracts_equivariance():
         assert zk == z0 + TWO_PI * 1j * k, "translate equivariance fails"
 
 
-def _check_tracts_lift_consistency():
-    path = [10.0 + 0.5j * t for t in range(20)]
-    lifted = tracts.lift_path(_MODEL, tracts.TractAddress(0), path)
-    for src, z in zip(lifted.source_samples, lifted.samples):
-        assert abs(eval_F(_MODEL, z) - src) <= 1e-9, "lift consistency fails"
-
-
 def _check_orbits_expansion():
     rng = np.random.default_rng(8)
     addr = orbits.ExternalAddress.periodic([0])
@@ -251,7 +244,6 @@ SUITES: dict[str, list] = {
     "tracts": [
         _check_tracts_roundtrip,
         _check_tracts_equivariance,
-        _check_tracts_lift_consistency,
     ],
     "orbits": [
         _check_orbits_expansion,

@@ -270,6 +270,7 @@ def test_semiconj_default_samples(tmp_path):
     assert payload["setup"]["M"] == pytest.approx(5.5)
     assert len(payload["samples"]) == 4
     for s in payload["samples"]:
+        assert s["status"] == "ok"
         assert s["tail_estimate"] <= 1e-6
 
 
@@ -287,6 +288,39 @@ def test_semiconj_refuses_a_constant_map_at_setup(tmp_path, capsys):
     code = main(["semiconj", "--lambda", "0", "--out", str(tmp_path / "x.json")])
     assert code == EXIT_COMPUTE
     assert "f is constant" in capsys.readouterr().err
+
+
+def _semiconj_report(tmp_path, points, expected_code):
+    samples = tmp_path / "samples.json"
+    samples.write_text(json.dumps(points))
+    out = tmp_path / "semi.json"
+    code = main(["semiconj", "--samples", str(samples), "--out", str(out)])
+    assert code == expected_code
+    return _strict_json(out.read_text())
+
+
+# the g-orbit of 28 - 0.02i saturates double range before its tail
+# estimate drops below the default tol
+SEMICONJ_REFUSED = "28-0.02i"
+
+
+def test_semiconj_reports_a_refused_sample_and_keeps_going(tmp_path):
+    report = _semiconj_report(
+        tmp_path, [[25, 0], [32, 0.05], SEMICONJ_REFUSED], EXIT_OK
+    )
+    samples = report["samples"]
+    assert [s["status"] for s in samples] == ["ok", "ok", "HorizonError"]
+    refused = samples[2]
+    assert set(refused) == {"z", "status", "error"}
+    assert refused["z"] == [28.0, -0.02]
+    assert "above tol 1e-06 at the representability limit" in refused["error"]
+
+
+def test_semiconj_writes_the_report_when_every_sample_is_refused(tmp_path, capsys):
+    report = _semiconj_report(tmp_path, [SEMICONJ_REFUSED], EXIT_COMPUTE)
+    assert [s["status"] for s in report["samples"]] == ["HorizonError"]
+    err = capsys.readouterr().err
+    assert "no sample certified; the first: tail estimate" in err
 
 
 def test_report_on_all_artifact_kinds(tmp_path, capsys):
@@ -407,6 +441,10 @@ def _conjugate_with_model(model):
         (["render", "--map", ZEXP, "--window=-4,4,-4,4", "--escape-radius", "nan"],
          "escape_radius"),
         (["semiconj", "--tol", "nan"], "tol"),
+        (["conjugate", "--kappa", "0.3+0.2i", "--Q", "x", "--samples", POINTS], "Q"),
+        (["render", "--map", ZEXP, WINDOW, "--horizon", "2.5"], "horizon"),
+        (["render", "--map", ZEXP, WINDOW, "--escape-radius", "abc"],
+         "escape_radius"),
         (["render", "--map", '{"family": "sinh", "lambda": [1, 2, 3]}', WINDOW],
          "map.lambda"),
         (["render", "--map", '{"family": "sinh", "lambda": true}', WINDOW],
@@ -430,6 +468,7 @@ def _conjugate_with_model(model):
     ids=["malformed_map_json", "map_missing_param", "short_window", "model_without_map",
          "resolution_one_value", "resolution_not_integer", "non_numeric_point",
          "short_kappa", "text_Q", "nan_Q", "nan_escape_radius", "nan_semiconj_tol",
+         "flag_text_Q", "flag_fractional_horizon", "flag_text_escape_radius",
          "map_three_entries", "map_boolean", "map_nan_entry", "map_overflow_text",
          "model_text_R", "model_nan_R", "model_text_Q", "semiconj_samples_model",
          "report_number", "report_summary_number", "report_setup_list",

@@ -141,6 +141,17 @@ def test_theta_n_base_cases():
     assert conjugacy.theta_n(BASE, 0.0, z, 10, Q, orb) == z
 
 
+def test_theta_n_refuses_a_negative_depth():
+    with pytest.raises(RangeError, match="depth must be nonnegative"):
+        conjugacy.theta_n(BASE, KAPPA, 3.0 + 0j, -1, Q)
+
+
+def test_conjugacy_residual_is_zero_at_kappa_zero():
+    # Theta is the identity, so the residual is exactly zero at any depth
+    orb = _orbit([0], 12)
+    assert conjugacy.conjugacy_residual(BASE, 0.0, orb[0], 10, Q, orb) == 0.0
+
+
 def test_kappa_admissibility_guard():
     with pytest.raises(PreconditionError):
         conjugacy.theta_n(BASE, 0.6 + 0.4j, 3.0 + 0j, 5, Q)

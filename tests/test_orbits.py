@@ -69,6 +69,18 @@ def test_iterate_detects_domain_exit():
     assert not rec.certified
 
 
+def test_an_image_on_the_half_plane_boundary_leaves_J_Q():
+    # F(z) = e^z - 10 is exactly Q + 0j: J_Q needs Re > Q, so step 0 fails
+    # in iterate and in every tower over it
+    z = 2.4849066497880004 + 0j
+    assert eval_F(SHIFTED, z) == Q
+    rec = orbits.iterate(SHIFTED, z, 1, Q)
+    assert rec.escape_flag is orbits.EscapeFlag.LEFT_DOMAIN
+    assert (rec.points, rec.exit_step) == ([z], 0)
+    with pytest.raises(OrbitLeftJQ, match="fails the J_Q certificate at step 0"):
+        conjugacy.theta_n(SHIFTED, 0.3 + 0.2j, z, 1, Q)
+
+
 def test_iterate_passes_on_errors_other_than_domain_exits(monkeypatch):
     # only a DomainError means "left the domain"; any other error is a bug
     def broken(model, z):

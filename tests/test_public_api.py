@@ -1,8 +1,10 @@
 """Every public module-level def and class of the package has a caller
 outside the tests: in the package itself or in the benchmark harness.
-A re-export in ``__init__.py`` is not a caller."""
+A re-export in ``__init__.py`` is not a caller.  Every name that
+``__all__`` lists is defined."""
 
 import ast
+import importlib
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -43,3 +45,20 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
     assert len(definitions) >= 50
     unused = [qualified for qualified, name in definitions if not names[name]]
     assert unused == []
+
+
+def test_every_all_entry_is_defined():
+    # __main__ runs the CLI on import, so it is left out
+    modules = ["tractlab"] + [
+        f"tractlab.{path.stem}"
+        for path in PACKAGE
+        if path.stem not in ("__init__", "__main__")
+    ]
+    listed = 0
+    for name in modules:
+        module = importlib.import_module(name)
+        exported = getattr(module, "__all__", [])
+        listed += len(exported)
+        missing = [entry for entry in exported if not hasattr(module, entry)]
+        assert missing == [], name
+    assert listed > 0

@@ -21,7 +21,6 @@ from tractlab.errors import (
     TractlabError,
 )
 from tractlab.models import TWO_PI
-from tractlab.tracts import continuous_lift
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -302,8 +301,32 @@ def test_write_report(tmp_path):
 
 # -- the lift and length kernels against their plain definitions ---------
 
+def _continuous_lift(step, z0, path):
+    # recursive bisection over a per-step closure: a step whose lift moves
+    # by more than MAX_LIFT_STEP is halved, at most MAX_BISECTION_DEPTH times
+    samples = [z0]
+
+    def advance(z_cur, w_from, w_to, depth):
+        z_next = step(z_cur, w_to)
+        if abs(z_next - z_cur) <= semiconj.MAX_LIFT_STEP:
+            samples.append(z_next)
+            return z_next
+        if depth >= semiconj.MAX_BISECTION_DEPTH:
+            raise ContinuationError(
+                f"cannot keep the branch continuous near w = {w_to!r}"
+            )
+        mid = 0.5 * (w_from + w_to)
+        z_mid = advance(z_cur, w_from, mid, depth + 1)
+        return advance(z_mid, mid, w_to, depth + 1)
+
+    z_cur = z0
+    for w_prev, w_next in zip(path, path[1:]):
+        z_cur = advance(z_cur, complex(w_prev), complex(w_next), 0)
+    return samples
+
+
 def _reference_lift(setup, start, path):
-    # the lift as continuous_lift computes it over a per-step closure
+    # the lift as _continuous_lift computes it over a per-step closure
     if abs(setup.f(start) - path[0]) > 1e-6 * (1.0 + abs(path[0])):
         raise ContinuationError(
             f"start {start!r} is not a preimage of the path head {path[0]!r}"
@@ -314,7 +337,7 @@ def _reference_lift(setup, start, path):
         b = round((z_cur.imag - base.imag) / TWO_PI)
         return base + TWO_PI * 1j * b
 
-    return continuous_lift(step, start, path).samples
+    return _continuous_lift(step, start, path)
 
 
 def _reference_length(setup, path):
@@ -392,7 +415,7 @@ def _lift_case(name):
         # the kernel's own solve meets -lambda
         return start, [20.0 + 0j, 19.0 + 0j, -SETUP.lam]
     if name == "asymptotic_value_at_a_midpoint":
-        # inside continuous_lift: 1 -> -2 moves the lift by pi, and its
+        # inside the bisection: 1 -> -2 moves the lift by pi, and its
         # first midpoint is -lambda
         return start, [20.0 + 0j, 1.0 + 0j, -2.0 + 0j]
     assert name == "not_a_preimage"
@@ -415,6 +438,27 @@ def test_lift_kernel_falls_back_like_continuous_lift(name):
     assert got.startswith(expected)
     if name == "bisects":
         assert len(semiconj._lift_polyline(SETUP, start, path)) > len(path)
+
+
+def test_lift_kernel_gives_up_at_the_bisection_depth(monkeypatch):
+    # 1e-20 from the asymptotic value -lambda = -0.5 the lift moves by
+    # more than MAX_LIFT_STEP on any step longer than ~1e-20, which
+    # MAX_BISECTION_DEPTH halvings of a step of length 3 cannot reach
+    path = [1.0 + 1e-20j, -2.0 + 1e-20j]
+    start = SETUP.inverse_branch_f(path[0], 0)
+    got = _outcome(semiconj._lift_polyline, SETUP, start, path)
+    assert got == _outcome(_reference_lift, SETUP, start, path)
+    assert got == (
+        "ContinuationError: cannot keep the branch continuous near w = (-0.5+1e-20j)"
+    )
+    # with no halving allowed, the first step that needs one gives up
+    monkeypatch.setattr(semiconj, "MAX_BISECTION_DEPTH", 0)
+    start, path = _lift_case("bisects")
+    got = _outcome(semiconj._lift_polyline, SETUP, start, path)
+    assert got == _outcome(_reference_lift, SETUP, start, path)
+    assert got.startswith(
+        "ContinuationError: cannot keep the branch continuous near w = "
+    )
 
 
 def test_length_kernel_matches_the_rho_W_sum(monkeypatch):

@@ -1,4 +1,4 @@
-"""Unit tests for tract addressing, inverse branches, and path lifting."""
+"""Unit tests for tract addressing and inverse branches."""
 
 import cmath
 import math
@@ -7,26 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tractlab.errors import (
-    ContinuationError,
-    DomainError,
-    NewtonDiverged,
-    RangeError,
-)
+from tractlab.errors import DomainError, NewtonDiverged, RangeError
 from tractlab.models import (
     TWO_PI,
     EntireMapSpec,
     LogLiftModel,
     eval_F,
 )
-from tractlab.tracts import (
-    MAX_LIFT_STEP,
-    TractAddress,
-    continuous_lift,
-    inverse_branch,
-    lift_path,
-    tract_of,
-)
+from tractlab.tracts import TractAddress, inverse_branch, tract_of
 
 SHIFTED = LogLiftModel("shifted_exp", R=10.0)
 
@@ -131,76 +119,6 @@ def test_kappa_member_inverse_translates():
     w = 5.0 + 1.0j
     zk = inverse_branch(member, TractAddress(0), w)
     assert abs(eval_F(member, zk) - w) <= 1e-12 * (1.0 + abs(w))
-
-
-def test_lift_path_consistency_and_continuity():
-    path = [complex(10.0, 0.5 * t) for t in range(40)]
-    lifted = lift_path(SHIFTED, TractAddress(0), path)
-    assert lifted.samples[0] == inverse_branch(SHIFTED, TractAddress(0), path[0])
-    for src, z in zip(lifted.source_samples, lifted.samples):
-        assert abs(eval_F(SHIFTED, z) - src) <= 1e-9
-    steps = [
-        abs(b - a) for a, b in zip(lifted.samples, lifted.samples[1:])
-    ]
-    assert max(steps) <= math.pi / 2 + 1e-12
-    # w + R never winds around 0 inside the half-plane: branch constant
-    assert _branches(SHIFTED, lifted) == {0}
-
-
-def _branches(model, lifted):
-    # the period strip of each lift sample, in the untranslated coordinates
-    return {round((z + model.kappa).imag / TWO_PI) for z in lifted.samples}
-
-
-def _check_lift(model, path, lifted):
-    for a, b in zip(lifted.samples, lifted.samples[1:]):
-        assert abs(b - a) <= MAX_LIFT_STEP
-    for src, z in zip(lifted.source_samples, lifted.samples):
-        assert abs(eval_F(model, z) - src) <= 1e-9 * (1.0 + abs(src))
-    assert set(path) <= set(lifted.source_samples)
-
-
-def test_lift_path_bisects_long_steps():
-    # long source steps, whose lifts move by more than MAX_LIFT_STEP
-    path = [10.0 + 0j, 10.0 + 400j, 300.0 + 400j, 5.0 - 300j, 6.0 + 0j]
-    lifted = lift_path(SHIFTED, TractAddress(1), path)
-    assert len(lifted.samples) > len(path)
-    _check_lift(SHIFTED, path, lifted)
-
-
-def test_lift_path_on_a_lifted_family():
-    # Newton lift steps; |Im w| < pi, so F's principal value is w itself
-    model = LogLiftModel("lifted_entire", plane_map=EntireMapSpec.lambda_expm1(0.5))
-    path = [complex(6.0, 0.25 * t) for t in range(-12, 13)]
-    lifted = lift_path(model, TractAddress(1), path)
-    assert _branches(model, lifted) == {1}
-    _check_lift(model, path, lifted)
-
-
-def test_lift_path_bisects_where_newton_diverges():
-    # Newton from the current lift diverges on this whole step; its
-    # halves lift, so the step is bisected like one that moves too far
-    model = LogLiftModel("lifted_entire", plane_map=EntireMapSpec.lambda_expm1(0.5))
-    path = [4.0 - 0.5j, 9.5 + 0.5j]
-    lifted = lift_path(model, TractAddress(0), path)
-    assert len(lifted.samples) > len(path)
-    _check_lift(model, path, lifted)
-
-
-def test_continuous_lift_gives_up_on_a_step_that_always_diverges():
-    def step(z_cur, w):
-        raise NewtonDiverged(f"no preimage of {w!r}")
-
-    with pytest.raises(ContinuationError) as info:
-        continuous_lift(step, 0j, [1.0 + 0j, 2.0 + 0j])
-    assert isinstance(info.value.__cause__, NewtonDiverged)
-
-
-def test_lift_path_rejects_bad_input():
-    with pytest.raises(RangeError):
-        lift_path(SHIFTED, TractAddress(0), [])
-    with pytest.raises(RangeError):
-        lift_path(SHIFTED, TractAddress(0), [5.0 + 0j, -1.0 + 0j])
 
 
 @settings(max_examples=60, deadline=None)
