@@ -2,7 +2,7 @@
 
 Library layout:
 
-- models: the plane-map family table, log lifts, JSON descriptors
+- models: the model-kind and plane-map tables, log lifts, JSON descriptors
 - tracts: tract addresses and inverse branches
 - orbits: iteration, membership certificates, external addresses,
   backward-orbit point construction

@@ -27,10 +27,11 @@ per model, and the orbit's complex128 bytes (``np.fromiter`` for Python
 complex or float points, ``require_finite`` for others, such as text).
 
 The pullback levels then use those addresses and prove no membership
-again.  Each level calls the model family's inverse-branch kernel
-(``tracts._inverse_kernel``: the closed form for shifted_exp, the seeded
-Newton solve for a lifted map), looked up once per tower, after the
-checks ``inverse_branch`` makes on its argument, with the same errors.
+again.  Each level calls the inverse-branch kernel of the model's row
+of ``models.MODEL_KINDS`` (``tracts._inverse_kernel``: the closed form
+for shifted_exp, the seeded Newton solve for a lifted map), looked up
+once per tower, after the checks ``inverse_branch`` makes on its
+argument, with the same errors.
 """
 
 from __future__ import annotations
@@ -325,11 +326,12 @@ def displacement_bound(base: LogLiftModel, kappa: complex, Q: float) -> float | 
     """2|kappa| where |Theta_n(z) - z| <= 2|kappa| is proved, else None.
 
     The induction needs |F_0'| >= 2 on the segment from F_0(z) to
-    Theta_n(F_0(z)), where Re w > Q - 2|kappa|.  For shifted_exp
-    |F_0'| = |w + R| >= Re w + R there; a lifted model has no such proof.
+    Theta_n(F_0(z)), where Re w > Q - 2|kappa|: the model kind's
+    ``dF_floor`` there, Re w + R for shifted_exp (|F_0'| = |w + R|) and
+    0 for a lifted model, which has no such proof.
     """
     scale = 2.0 * abs(kappa)
-    if base.family == "shifted_exp" and Q - scale + base.R >= 2.0:
+    if base.kind.dF_floor(base, Q - scale) >= 2.0:
         return scale
     return None
 

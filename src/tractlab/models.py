@@ -1,14 +1,16 @@
 """Catalog of model maps and their logarithmic lifts.
 
-Two kinds of models are provided: the closed-form shifted exponential
-``F(z) = e^z - R`` (the canonical explicit member of the class, with
-|F'| >= 2 on its domain and of disjoint type for ``R >= 2``) and lifts
-of entire plane maps, evaluated through the principal logarithm; inverse
-branches carry their tract integers explicitly (see ``tracts``).  The
-plane maps form one table, ``PLANE_FAMILIES``: every per-family formula
-(scalar and grid evaluation, derivative, asymptotic value, Newton seed,
-lower bound for log|f|, JSON parameter names) lives there and nowhere
-else.
+Two kinds of models are provided, the rows of the table ``MODEL_KINDS``:
+the closed-form shifted exponential ``F(z) = e^z - R`` (the canonical
+explicit member of the class, with |F'| >= 2 on its domain and of
+disjoint type for ``R >= 2``) and lifts of entire plane maps, evaluated
+through the principal logarithm; inverse branches carry their tract
+integers explicitly (see ``tracts``).  Every rule that depends on the
+kind is a column of that table, and no other module branches on it.
+The plane maps form one table, ``PLANE_FAMILIES``: every per-family
+formula (scalar and grid evaluation, derivative, asymptotic value,
+Newton seed, lower bound for log|f|, JSON parameter names) lives there
+and nowhere else.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SearchFailed
+from .errors import ConfigError, DomainError, NewtonDiverged, SearchFailed
 
 TWO_PI = 2.0 * math.pi
 
@@ -234,22 +236,25 @@ class LogLiftModel:
     on the domain V - kappa.
     """
 
-    family: str  # "shifted_exp" | "lifted_entire"
+    family: str  # a key of MODEL_KINDS: "shifted_exp" | "lifted_entire"
     R: float = 10.0
     plane_map: EntireMapSpec | None = None
     half_plane_Q: float = 0.0
     kappa: complex = 0j
+    # the family's row of MODEL_KINDS, looked up once
+    kind: ModelKind = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_finite(self.kappa, "kappa")
-        if self.family == "shifted_exp":
-            if not math.isfinite(self.R):
-                raise ValueError("R must be finite")
-        elif self.family == "lifted_entire":
-            if self.plane_map is None:
-                raise ValueError("lifted_entire requires a plane_map")
-        else:
+        if not math.isfinite(self.half_plane_Q):
+            raise ValueError("half_plane_Q must be finite")
+        kind = MODEL_KINDS.get(self.family) if isinstance(self.family, str) else None
+        if kind is None:
             raise ValueError(f"unknown model family {self.family!r}")
+        problem = kind.problem(self)
+        if problem:
+            raise ValueError(problem)
+        object.__setattr__(self, "kind", kind)
 
     @cached_property
     def _memo_repr(self) -> str:
@@ -270,6 +275,173 @@ class LogLiftModel:
         )
 
 
+# -- the model-kind table ---------------------------------------------
+
+@dataclass(frozen=True)
+class ModelKind:
+    """One row of the model-kind table; with zk = z + kappa, zeta = exp(zk),
+    every callable column but ``from_json`` takes the model m first."""
+
+    problem: Callable  # m -> why m is invalid, or a false value
+    F: Callable  # (m, zk) -> F inside the exp guard; DomainError if undefined
+    F_array: Callable  # (m, zeta array) -> F, and where the scalar F succeeds
+    dF: Callable  # (m, zeta) -> F' at a domain point
+    overflow_floor: Callable  # (m, zk) -> Re F floor where F overflowed
+    asymptotic_value: Callable  # m -> a, Re F -> log|a| as Re zeta -> -inf
+    two_sided: Callable  # m -> whether also Re F -> +inf as Re zeta -> -inf
+    inverse_kernel: Callable  # m -> solve(tract, w, seed), see tracts
+    dF_floor: Callable  # (m, q) -> a floor for |F'| on F^-1({Re > q}), or 0
+    principal_log: bool  # F takes the principal log, so |Im F| <= pi
+    to_json: Callable  # m -> the descriptor entries between family and Q
+    from_json: Callable  # descriptor -> constructor arguments but family, Q
+
+
+def _closed_form_kernel(model: LogLiftModel) -> Callable:
+    # log(w + R) + 2 pi i k - kappa, which needs no seed
+    log, R, period, kappa = cmath.log, model.R, TWO_PI * 1j, model.kappa
+
+    def solve(tract, w, seed=None):
+        return log(w + R) + period * tract.branch_index - kappa
+
+    return solve
+
+
+def _lifted_F(model: LogLiftModel, zk: complex) -> complex:
+    fv = model.plane_map.eval(cmath.exp(zk))
+    if fv == 0:
+        raise DomainError(f"f(exp z) = 0 at z = {zk!r}; log lift undefined")
+    # + 0j turns a -0.0 imaginary part of the log into +0.0: a parameter
+    # with a signed zero, as in exp_affine(-1 - 0j, 100 - 0j), gives
+    # f(exp z) = x - 0j, and the reported value has kept +0.0
+    return cmath.log(fv) + 0j
+
+
+def _lifted_F_array(model: LogLiftModel, zeta: np.ndarray) -> tuple:
+    pm = model.plane_map
+    bound = np.abs(zeta.real) if pm.row.two_sided else zeta.real
+    fv = pm.row.f(np, pm.params, zeta)
+    return np.log(fv), (bound <= EXP_OVERFLOW_GUARD) & (fv != 0)
+
+
+def _lifted_dF(model: LogLiftModel, zeta: complex) -> complex:
+    pm = model.plane_map
+    fv = pm.eval(zeta)
+    return pm.deriv(zeta) * zeta / fv
+
+
+def _lifted_from_json(desc: dict) -> dict:
+    if "map" not in desc:
+        raise ConfigError("map: missing from the lifted_entire model")
+    return {"plane_map": plane_map_from_json(desc["map"])}
+
+
+def _newton_kernel(model: LogLiftModel) -> Callable:
+    # the seeded Newton solve that tracts.inverse_branch documents
+    kappa = model.kappa
+
+    def solve(tract, w, seed=None):
+        # Newton runs in the coordinates of the untranslated map
+        seed_k = None if seed is None else seed + kappa
+        if seed_k is not None:
+            shift = tract.branch_index - round(seed_k.imag / TWO_PI)
+            if shift:
+                seed_k += TWO_PI * 1j * shift
+        zk = _newton_inverse(model, tract, w, seed_k)
+        if _address_key(model, zk) != (tract.branch_index, tract.inner_branch):
+            raise NewtonDiverged(
+                f"Newton inverse of w = {w!r} left tract {tract} for {zk - kappa!r}"
+            )
+        return zk - kappa
+
+    return solve
+
+
+# Newton stops once |f(exp z) - exp(w)| <= NEWTON_TOL (1 + |exp(w)|), and
+# raises NewtonDiverged after NEWTON_MAX_ITER steps
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
+
+
+def _newton_inverse(
+    model: LogLiftModel, tract, w: complex, seed: complex | None
+) -> complex:
+    # + 0j turns a -0.0 imaginary part of w into +0.0: w and w - 0j are
+    # equal, and a real w must get one seed, not one per side of the cut
+    # of the principal log in the asymptotic seed
+    ws = w + 0j
+    if ws.real > 690.0:
+        raise OverflowError("exp(w) overflows; cannot form the Newton target")
+    target = cmath.exp(ws)
+    pm, z = model.plane_map, seed
+    if z is None:  # from the exponential-dominated asymptotics
+        u = pm.row.newton_seed(pm.params, ws, tract.inner_branch)
+        z = cmath.log(u if u != 0 else 1.0) + TWO_PI * 1j * tract.branch_index
+    tol = NEWTON_TOL * (1.0 + abs(target))
+    for _ in range(NEWTON_MAX_ITER):
+        zeta = cmath.exp(z)
+        g = pm.eval(zeta) - target
+        if abs(g) <= tol:
+            return z
+        dg = pm.deriv(zeta) * zeta
+        if dg == 0:
+            break
+        step = g / dg
+        # damp wild steps; the seed is close, so this rarely triggers
+        if abs(step) > 1.0:
+            step /= abs(step)
+        z -= step
+    raise NewtonDiverged(
+        f"Newton failed to invert w = {w!r} in tract {tract} from seed {seed!r}"
+    )
+
+
+MODEL_KINDS: dict[str, ModelKind] = {
+    # F(z) = e^z - R
+    "shifted_exp": ModelKind(
+        problem=lambda m: not math.isfinite(m.R) and "R must be finite",
+        F=lambda m, zk: cmath.exp(zk) - m.R,
+        F_array=lambda m, zeta: (zeta - m.R, True),
+        dF=lambda m, zeta: zeta,
+        # e^z - R does not overflow inside the guard
+        overflow_floor=lambda m, zk: -math.inf,
+        asymptotic_value=lambda m: None,
+        two_sided=lambda m: False,
+        inverse_kernel=_closed_form_kernel,
+        # |F'| = |w + R| >= Re w + R
+        dF_floor=lambda m, q: q + m.R,
+        principal_log=False,
+        to_json=lambda m: {"R": m.R},
+        from_json=lambda desc: {"R": _real(desc.get("R", 10.0), "model.R")},
+    ),
+    # F(z) = log f(e^z), principal branch, for f from PLANE_FAMILIES
+    "lifted_entire": ModelKind(
+        problem=lambda m: m.plane_map is None and "lifted_entire requires a plane_map",
+        F=_lifted_F,
+        F_array=_lifted_F_array,
+        dF=_lifted_dF,
+        overflow_floor=lambda m, zk: m.plane_map.row.log_abs_floor(
+            m.plane_map.log_moduli, cmath.exp(zk)
+        ),
+        asymptotic_value=lambda m: m.plane_map.asymptotic_value(),
+        two_sided=lambda m: m.plane_map.row.two_sided,
+        inverse_kernel=_newton_kernel,
+        dF_floor=lambda m, q: 0.0,
+        principal_log=True,
+        to_json=lambda m: {"map": plane_map_to_json(m.plane_map)},
+        from_json=_lifted_from_json,
+    ),
+}
+
+
+def _address_key(model: LogLiftModel, zk: complex) -> tuple[int, bool]:
+    """The tract address (k, inner) of a domain point zk = z + kappa, which
+    ``tracts._address`` interns: k = round(Im zk / 2 pi), and a two-sided
+    kind has two tracts per period strip, toward Re exp(z) = +/-inf, so
+    inner = 1 where sign(Re exp(zk)) = sign(cos Im zk) < 0."""
+    inner = model.kind.two_sided(model) and math.cos(zk.imag) < 0.0
+    return round(zk.imag / TWO_PI), inner
+
+
 def eval_F(model: LogLiftModel, z: complex) -> complex:
     """Evaluate the log-coordinate map at z, checking domain membership.
 
@@ -288,8 +460,7 @@ def eval_F(model: LogLiftModel, z: complex) -> complex:
 def _eval_F_array(
     model: LogLiftModel, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``eval_F`` over a 1-D array, through the table row's
-    ``f`` with ``m = numpy``.
+    """``eval_F`` over a 1-D array, through the model kind's ``F_array``.
 
     Returns the values and a mask that is true where the scalar call
     succeeds with a finite value: a finite point inside the model's
@@ -301,16 +472,8 @@ def _eval_F_array(
     with np.errstate(all="ignore"):
         zk = z + model.kappa
         ok = np.isfinite(zk) & (zk.real <= EXP_OVERFLOW_GUARD)
-        zeta = np.exp(zk)
-        if model.family == "shifted_exp":
-            w = zeta - model.R
-        else:
-            pm = model.plane_map
-            bound = np.abs(zeta.real) if pm.row.two_sided else zeta.real
-            fv = pm.row.f(np, pm.params, zeta)
-            ok &= (bound <= EXP_OVERFLOW_GUARD) & (fv != 0)
-            w = np.log(fv)
-        ok &= np.isfinite(w) & (w.real > model.half_plane_Q)
+        w, kind_ok = model.kind.F_array(model, np.exp(zk))
+        ok &= kind_ok & np.isfinite(w) & (w.real > model.half_plane_Q)
     return w, ok
 
 
@@ -320,16 +483,7 @@ def _eval_raw(model: LogLiftModel, zk: complex) -> complex:
         raise OverflowError(
             f"Re z = {zk.real:g} exceeds the exponent-overflow guard"
         )
-    if model.family == "shifted_exp":
-        return cmath.exp(zk) - model.R
-    zeta = cmath.exp(zk)
-    fv = model.plane_map.eval(zeta)
-    if fv == 0:
-        raise DomainError(f"f(exp z) = 0 at z = {zk!r}; log lift undefined")
-    # + 0j turns a -0.0 imaginary part of the log into +0.0: a parameter
-    # with a signed zero, as in exp_affine(-1 - 0j, 100 - 0j), gives
-    # f(exp z) = x - 0j, and the reported value has kept +0.0
-    return cmath.log(fv) + 0j
+    return model.kind.F(model, zk)
 
 
 def eval_dF(model: LogLiftModel, z: complex) -> complex:
@@ -342,11 +496,7 @@ def eval_dF(model: LogLiftModel, z: complex) -> complex:
         raise OverflowError(
             f"Re z = {zk.real:g} exceeds the exponent-overflow guard"
         )
-    zeta = cmath.exp(zk)
-    if model.family == "shifted_exp":
-        return zeta
-    fv = model.plane_map.eval(zeta)
-    return model.plane_map.deriv(zeta) * zeta / fv
+    return model.kind.dF(model, cmath.exp(zk))
 
 
 def domain_contains(model: LogLiftModel, z: complex) -> bool:
@@ -371,23 +521,20 @@ def _contains(model: LogLiftModel, zk: complex) -> bool:
 
 def _member_past_overflow(model: LogLiftModel, zk: complex, Q: float) -> bool:
     # the one rule turning an OverflowError of _eval_raw(model, zk) into a
-    # proof of Re F > Q: inside the exp guard the plane map overflowed
-    # (only a lifted model's can), and its row's floor for log|f| decides;
-    # past it Re exp(zk) = e^{Re zk} cos(Im zk) with e^{Re zk}
-    # astronomically large, so the sign of cos decides
+    # proof of Re F > Q: inside the exp guard F itself overflowed (only a
+    # lifted model's can), and the kind's floor for Re F decides; past it
+    # Re exp(zk) = e^{Re zk} cos(Im zk) with e^{Re zk} astronomically
+    # large, so the sign of cos decides
     if zk.real <= EXP_OVERFLOW_GUARD:
-        pm = model.plane_map
-        return pm.row.log_abs_floor(pm.log_moduli, cmath.exp(zk)) > Q
+        return model.kind.overflow_floor(model, zk) > Q
     c = math.cos(zk.imag)
-    if model.family == "shifted_exp":
-        return c > 0.0
     if c > 0.0:
-        # exp(zk) has a huge positive real part; every catalog map has
-        # |f| -> infinity there, so log|f| certainly exceeds Q.
+        # exp(zk) has a huge positive real part; every kind and every
+        # catalog map has Re F -> infinity there
         return True
-    if model.plane_map.row.two_sided:
+    if model.kind.two_sided(model):
         return c < 0.0  # the map also blows up toward -infinity
-    limit = model.plane_map.asymptotic_value()
+    limit = model.kind.asymptotic_value(model)
     if limit is None or limit == 0:
         return False
     return math.log(abs(limit)) > Q
@@ -425,10 +572,15 @@ def sample_domain_points(
 
 def _real(raw, field: str, kind=float):
     """A finite number, or text that parses as one; ``kind=int`` wants an
-    integer (an integral float is accepted)."""
+    integer (an integral float, also as text, is accepted)."""
     try:
         if isinstance(raw, (int, float, str)) and not isinstance(raw, bool):
-            x = kind(raw) if isinstance(raw, str) else raw
+            x = raw
+            if isinstance(raw, str):  # long integer text keeps its exact value
+                try:
+                    x = int(raw)
+                except ValueError:
+                    x = float(raw)
             if math.isfinite(x) and kind(x) == x:
                 return kind(x)
     except (ValueError, OverflowError):
@@ -466,10 +618,12 @@ def plane_map_from_json(desc: dict) -> EntireMapSpec:
     if not isinstance(desc, dict):
         raise ConfigError("map: must be a JSON object")
     family = desc.get("family")
-    if family not in PLANE_FAMILIES:
+    # a family that is not a string, such as a JSON list, names no row
+    row = PLANE_FAMILIES.get(family) if isinstance(family, str) else None
+    if row is None:
         raise ConfigError(f"map.family: unknown map family {family!r}")
     params = []
-    for name in PLANE_FAMILIES[family].param_names:
+    for name in row.param_names:
         if name not in desc:
             raise ConfigError(f"map.{name}: missing for family {family!r}")
         params.append(_complex(desc[name], f"map.{name}"))
@@ -489,29 +643,18 @@ def model_from_json(desc: dict) -> LogLiftModel:
         raise ConfigError("model: must be a JSON object")
     family = desc.get("family")
     Q = _real(desc.get("Q", 0.0), "model.Q")
-    if family == "shifted_exp":
-        R = _real(desc.get("R", 10.0), "model.R")
-        return LogLiftModel("shifted_exp", R=R, half_plane_Q=Q)
-    if family == "lifted_entire":
-        if "map" not in desc:
-            raise ConfigError("map: missing from the lifted_entire model")
-        return LogLiftModel(
-            "lifted_entire", plane_map=plane_map_from_json(desc["map"]), half_plane_Q=Q
-        )
-    raise ConfigError(f"model.family: unknown model family {family!r}")
+    kind = MODEL_KINDS.get(family) if isinstance(family, str) else None
+    if kind is None:
+        raise ConfigError(f"model.family: unknown model family {family!r}")
+    return LogLiftModel(family, half_plane_Q=Q, **kind.from_json(desc))
 
 
 def model_to_json(model: LogLiftModel) -> dict:
     """Descriptor of a model; a translated model has none."""
     if model.kappa:
         raise ValueError("no descriptor expresses a translated model")
-    if model.family == "shifted_exp":
-        return {"family": "shifted_exp", "R": model.R, "Q": model.half_plane_Q}
-    return {
-        "family": "lifted_entire",
-        "map": plane_map_to_json(model.plane_map),
-        "Q": model.half_plane_Q,
-    }
+    own = model.kind.to_json(model)
+    return {"family": model.family, **own, "Q": model.half_plane_Q}
 
 
 def write_json(path, payload) -> None:

@@ -181,7 +181,7 @@ def point_with_address(
         raise PullbackLeftDomain(
             f"backward iteration residual {abs(residual - z):g} > {BACKWARD_TOL:g}"
         )
-    if model.plane_map is not None and abs(z.imag) > math.pi:
+    if model.kind.principal_log and abs(z.imag) > math.pi:
         # eval_F takes the principal log, so no image leaves |Im| <= pi
         raise RangeError(
             f"{model.plane_map.family}: no eval_F cycle realizes the address "

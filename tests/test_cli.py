@@ -459,6 +459,12 @@ def _conjugate_with_model(model):
         (["semiconj", "--samples",
           "@" + json.dumps({"model": SHIFTED, "points": [[25, 0]]})],
          "samples.model"),
+        (["render", "--map", '{"family": ["sinh"]}', WINDOW], "map.family"),
+        (["render", "--map", '{"family": {"sinh": 1}}', WINDOW], "map.family"),
+        (_conjugate_with_model({"family": "lifted_entire", "map": {"family": ["sinh"]}}),
+         "map.family"),
+        (_conjugate_with_model({"family": ["shifted_exp"]}), "model.family"),
+        (_conjugate_with_model({"family": {"shifted_exp": 1}}), "model.family"),
         (["report", "--input", "@1"], "input"),
         (["report", "--input", "@" + json.dumps({"summary": 1})], "input.summary"),
         (["report", "--input", "@" + json.dumps({"setup": [1]})], "input.setup"),
@@ -471,6 +477,8 @@ def _conjugate_with_model(model):
          "flag_text_Q", "flag_fractional_horizon", "flag_text_escape_radius",
          "map_three_entries", "map_boolean", "map_nan_entry", "map_overflow_text",
          "model_text_R", "model_nan_R", "model_text_Q", "semiconj_samples_model",
+         "map_list_family", "map_dict_family", "model_map_list_family",
+         "model_list_family", "model_dict_family",
          "report_number", "report_summary_number", "report_setup_list",
          "report_samples_number"],
 )
@@ -486,6 +494,27 @@ def test_config_errors_name_the_field(tmp_path, capsys, argv, field):
     code = main(argv + out)
     assert code == EXIT_CONFIG
     assert f"config error: {field}: " in capsys.readouterr().err
+
+
+def test_integral_text_reads_as_an_integer(tmp_path, capsys):
+    # "30.0" names the integer 30, as the config value 30.0 does; "30.5" none
+    def render(horizon, name):
+        out = tmp_path / name
+        code = main(["render", "--map", ZEXP, WINDOW, "--resolution", "24,16",
+                     "--horizon", horizon, "--out", str(out)])
+        return code, out
+
+    code, whole = render("30", "whole.pgm")
+    assert code == EXIT_OK
+    code, decimal = render("30.0", "decimal.pgm")
+    assert code == EXIT_OK
+    assert decimal.read_bytes() == whole.read_bytes()
+    capsys.readouterr()
+    code, _ = render("30.5", "half.pgm")
+    assert code == EXIT_CONFIG
+    assert "config error: horizon: " in capsys.readouterr().err
+    # long integer text keeps its exact value
+    assert cli._real(str(2**64 + 1), "horizon", int) == 2**64 + 1
 
 
 JSON_VALUES = st.recursive(

@@ -146,6 +146,13 @@ def test_kappa_must_be_finite():
         SHIFTED.translated(complex(math.nan, 0.0))
     with pytest.raises(DomainError):
         LogLiftModel("shifted_exp", kappa=complex(0.0, math.inf))
+    # so must Q, for every kind: a nan Q made eval_F and domain_contains disagree
+    lifted = EntireMapSpec.sinh(0.575)
+    for Q in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="half_plane_Q"):
+            LogLiftModel("shifted_exp", half_plane_Q=Q)
+        with pytest.raises(ValueError, match="half_plane_Q"):
+            LogLiftModel("lifted_entire", plane_map=lifted, half_plane_Q=Q)
 
 
 def test_model_to_json_refuses_what_no_descriptor_holds():

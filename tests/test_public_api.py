@@ -1,10 +1,13 @@
 """Every public module-level def and class of the package has a caller
 outside the tests: in the package itself or in the benchmark harness.
 A re-export in ``__init__.py`` is not a caller.  Every name that
-``__all__`` lists is defined."""
+``__all__`` lists is defined.  Only the rows of ``models.MODEL_KINDS``
+branch on the model kind."""
 
 import ast
 import importlib
+import inspect
+import re
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -62,3 +65,31 @@ def test_every_all_entry_is_defined():
         missing = [entry for entry in exported if not hasattr(module, entry)]
         assert missing == [], name
     assert listed > 0
+
+
+# a branch on the model kind: every kind rule is a column of MODEL_KINDS
+KIND_BRANCH = re.compile(r"family\s*[!=]=|plane_map is (not )?None")
+
+
+def test_only_the_model_kind_table_branches_on_the_kind():
+    from tractlab import models
+
+    sources = {
+        name: (ROOT / "src" / "tractlab" / f"{name}.py").read_text()
+        for name in ("tracts", "orbits", "conjugacy", "cli", "semiconj", "gridkernel")
+    }
+    for fn in (
+        models.eval_F,
+        models._eval_raw,
+        models._eval_F_array,
+        models.eval_dF,
+        models._member_past_overflow,
+        models.model_from_json,
+        models.model_to_json,
+        models.LogLiftModel.__post_init__,
+    ):
+        sources[fn.__qualname__] = inspect.getsource(fn)
+    branching = [name for name, text in sources.items() if KIND_BRANCH.search(text)]
+    assert branching == []
+    # the rows themselves do branch, so the pattern finds what it looks for
+    assert KIND_BRANCH.search(inspect.getsource(models))
