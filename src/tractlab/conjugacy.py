@@ -18,13 +18,18 @@ which returns the orbit and the tract address of every point the tower
 pulls back through.  ``theta_limit`` proves it one step past its depth,
 in one ``iterate`` call or one validation, and its residual reads the
 orbit of F(z) as the tail of that proof; a failure of the extra step
-only leaves the residual unformed.  A supplied orbit is checked in one
-array pass over all its steps, remembered for each distinct content
-(``ORBIT_MEMO_SIZE`` of them), so towers of every depth on one orbit
-share it; past the first step that pass rejects, the scalar checks name
-the step and the reason.  The memo key is the model's repr, computed once
-per model, and the orbit's complex128 bytes (``np.fromiter`` for Python
-complex or float points, ``require_finite`` for others, such as text).
+only leaves the residual unformed.  Where that proof stops short of
+depth + 1 steps, as a saturated orbit does, the residual's towers
+Theta_n(F z) and Theta_{n+1}(z) are levels of theta's own chain, so
+``theta_limit`` runs one chain per sample and reads both from it.
+
+A supplied orbit is checked in one array pass over all its steps,
+remembered for each distinct content (``ORBIT_MEMO_SIZE`` of them), so
+towers of every depth on one orbit share it; past the first step that
+pass rejects, the scalar checks name the step and the reason.  The memo
+key is the model's repr, computed once per model, and the orbit's
+complex128 bytes (``np.fromiter`` for Python complex or float points,
+``require_finite`` for others, such as text).
 
 The pullback levels then use those addresses and prove no membership
 again.  Each level calls the inverse-branch kernel of the model's row
@@ -272,8 +277,10 @@ def _pullback_tower(
     orbit: list[complex],
     tracts: list[TractAddress],
     n: int,
-) -> tuple[complex, float]:
-    """Downward pass of the tower; returns (theta, truncation_error_bound).
+) -> tuple[complex, float, complex]:
+    """Downward pass of the tower; returns (theta, truncation_error_bound,
+    above), where ``above`` is the chain's value before level 0 (theta
+    itself on a one-point list).
 
     Level j inverts ``model`` on tract j from the Newton seed
     ``orbit[j]``, then subtracts kappa.  When the orbit list stops short
@@ -282,17 +289,18 @@ def _pullback_tower(
     derivative 1/|F'| at every pullback level.
     """
     m = len(orbit) - 1
-    theta = orbit[m]
+    theta = above = orbit[m]
     err = 0.0 if m >= n else 2.0 * abs(kappa)
     solve, Q = _inverse_kernel(model), model.half_plane_Q
     for j in range(m - 1, -1, -1):
         if not (theta.real > Q and cmath.isfinite(theta)):
             _require_target(model, theta)  # raises what inverse_branch raises
+        above = theta
         pre = solve(tracts[j], theta, orbit[j])
         if err > 0.0:
             err /= max(abs(eval_dF(model, pre)), 1.0)
         theta = pre - kappa
-    return theta, err
+    return theta, err, above
 
 
 def theta_n(
@@ -318,8 +326,7 @@ def theta_n(
             _certified_orbit(base, z, n, Q, orbit)
         return z
     pts, tracts = _certified_orbit(base, z, n, Q, orbit)
-    theta, _ = _pullback_tower(base, kappa, pts, tracts, n)
-    return theta
+    return _pullback_tower(base, kappa, pts, tracts, n)[0]
 
 
 def displacement_bound(base: LogLiftModel, kappa: complex, Q: float) -> float | None:
@@ -361,9 +368,20 @@ def theta_limit(
     Q: float,
     orbit: list[complex] | None = None,
 ) -> ConjugacySample:
-    """Converged conjugacy value with the a priori tail bound <= tol.
+    """Conjugacy value at the depth whose a priori rate meets tol.
 
-    Raises DepthExceeded when tol needs more than DEFAULT_MAX_DEPTH levels.
+    The sample's ``tail_bound`` adds the truncation error of a saturated
+    orbit to that rate, so it is reported, not guaranteed: it can exceed
+    tol without an error being raised (``bound_held`` in a report counts
+    the samples where it holds).  Raises DepthExceeded when tol needs
+    more than DEFAULT_MAX_DEPTH levels.
+
+    Where the proved orbit has at most depth + 1 points, as where it
+    saturates, the top levels of both of the residual's towers are the
+    identity: Theta_{n+1}(z) runs theta's own chain, and Theta_n(F z) is
+    that chain's value one level above theta, so the residual needs no
+    further tower.  A one-point orbit has no level above; there, as
+    where the orbit is longer, ``conjugacy_residual`` forms it.
     """
     kappa = _require_kappa_admissible(kappa, Q)
     z = require_finite(z)
@@ -374,11 +392,21 @@ def theta_limit(
         )
     proof = _proved_one_deeper(base, z, depth, Q, orbit)
     pts, tracts = proof.points[: depth + 1], proof.addresses[:depth]
-    theta, trunc_err = _pullback_tower(base, kappa, pts, tracts, depth)
+    theta, trunc_err, above = _pullback_tower(base, kappa, pts, tracts, depth)
     tail = 2.0 * abs(kappa) * 2.0 ** (1 - depth) + trunc_err
     prefix = ExternalAddress(tuple(tracts) or (tract_of(base, z),))
     try:
-        residual = conjugacy_residual(base, kappa, z, depth, Q, proof)
+        if 1 < len(proof.points) <= depth + 1:
+            # conjugacy_residual's checks on its tail proof, in its order;
+            # two points need depth >= 1, so kappa != 0
+            fz = eval_F(base, z)
+            if proof.refusal is not None:  # proved to depth, not depth + 1
+                raise proof.refusal
+            if abs(proof.points[1] - fz) > 1e-9 * (1.0 + abs(fz)):
+                raise OrbitLeftJQ(f"supplied orbit does not start at {fz!r}")
+            residual = abs(above - eval_F(base.translated(kappa), theta))
+        else:
+            residual = conjugacy_residual(base, kappa, z, depth, Q, proof)
     except (OverflowError, OrbitLeftJQ, RangeError):
         # F(z) or its one-deeper certificate is out of reach; the value
         # itself is fine but the residual cannot be formed at this z
@@ -396,9 +424,13 @@ def conjugacy_residual(
 ) -> float:
     """|Theta_n(F_0(z)) - F_kappa(Theta_{n+1}(z))| at matched depths.
 
-    Zero in exact arithmetic by the recursion's definition; the returned
-    value measures accumulated floating-point noise.  A supplied orbit
-    must cover n+1 steps; its tail serves as the orbit of F_0(z).
+    Zero in exact arithmetic by the recursion's definition.  Both towers
+    run the same pullback chain down to Theta_n(F_0(z)), so in floats the
+    value is the rounding of the last level's round trip,
+    |w - F_kappa(G^{-1}(w) - kappa)| with w = Theta_n(F_0(z)) and G^{-1}
+    the inverse branch on the tract of z: it does not measure the noise
+    accumulated down the tower.  A supplied orbit must cover n+1 steps;
+    its tail serves as the orbit of F_0(z).
     """
     kappa = _require_kappa_admissible(kappa, Q)
     z = require_finite(z)

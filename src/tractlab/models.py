@@ -598,7 +598,11 @@ def _positive(raw, field: str, kind=float):
 
 
 def _complex(raw, field: str) -> complex:
-    """Finite ``a+bi`` text, an ``[re, im]`` pair or a plain number."""
+    """Finite ``a+bi`` text, an ``[re, im]`` pair or a plain number.
+
+    The error names the forms that ``raw``'s type can take: text, as on
+    the command line, is never a pair.
+    """
     try:
         if isinstance(raw, str):
             z = complex(raw.replace("i", "j").replace(" ", ""))
@@ -610,7 +614,8 @@ def _complex(raw, field: str) -> complex:
             return z
     except (ConfigError, ValueError):
         pass
-    raise ConfigError(f"{field}: expected a+bi, [re, im] or a number, got {raw!r}")
+    forms = "a+bi or a number" if isinstance(raw, str) else "a+bi, [re, im] or a number"
+    raise ConfigError(f"{field}: expected {forms}, got {raw!r}")
 
 
 def plane_map_from_json(desc: dict) -> EntireMapSpec:

@@ -135,7 +135,7 @@ def test_criterion_05_uniqueness():
         top = pts[depth] - KAPPA
         if not top.real > Q:
             top = pts[depth] + KAPPA
-        b, _ = conjugacy._pullback_tower(BASE, KAPPA, pts[:depth] + [top], tracts, depth)
+        b = conjugacy._pullback_tower(BASE, KAPPA, pts[:depth] + [top], tracts, depth)[0]
         worst = max(worst, abs(a - b))
     ok = worst <= 1e-8
     _report(5, ok, f"max |Theta - tower with its top moved by kappa| = "

@@ -437,6 +437,8 @@ def _conjugate_with_model(model):
           "@" + json.dumps({"points": [["a", 1]]})], "samples[0]"),
         (["conjugate", "--config", "@" + json.dumps({"kappa": [0.3]}),
           "--samples", POINTS], "kappa"),
+        (["conjugate", "--kappa", "[0.3,0.2]", "--Q", "2", "--samples", POINTS],
+         "kappa"),
         (["conjugate", "--config", "@" + json.dumps({"kappa": "0.3+0.2i", "Q": "x"}),
           "--samples", POINTS], "Q"),
         (["conjugate", "--kappa", "0.3+0.2i", "--Q", "nan", "--samples", POINTS], "Q"),
@@ -476,7 +478,8 @@ def _conjugate_with_model(model):
     ids=["malformed_map_json", "map_missing_param", "short_window",
          "infinite_window_bound", "infinite_window_extent", "model_without_map",
          "resolution_one_value", "resolution_not_integer", "non_numeric_point",
-         "short_kappa", "text_Q", "nan_Q", "nan_escape_radius", "nan_semiconj_tol",
+         "short_kappa", "text_kappa_pair", "text_Q", "nan_Q", "nan_escape_radius",
+         "nan_semiconj_tol",
          "flag_text_Q", "flag_fractional_horizon", "flag_text_escape_radius",
          "map_three_entries", "map_boolean", "map_nan_entry", "map_overflow_text",
          "model_text_R", "model_nan_R", "model_text_Q", "semiconj_samples_model",
@@ -497,6 +500,25 @@ def test_config_errors_name_the_field(tmp_path, capsys, argv, field):
     code = main(argv + out)
     assert code == EXIT_CONFIG
     assert f"config error: {field}: " in capsys.readouterr().err
+
+
+def test_complex_errors_name_the_forms_of_their_input(tmp_path, capsys):
+    # text takes a+bi or a number, never [re, im]; a JSON value takes all
+    points = tmp_path / "points.json"
+    points.write_text(POINTS[1:])
+    out = ["--samples", str(points), "--out", str(tmp_path / "out.json")]
+    code = main(["conjugate", "--kappa", "[0.3,0.2]"] + out)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == (
+        "config error: kappa: expected a+bi or a number, got '[0.3,0.2]'"
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kappa": [0.3]}))
+    code = main(["conjugate", "--config", str(config)] + out)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == (
+        "config error: kappa: expected a+bi, [re, im] or a number, got [0.3]"
+    )
 
 
 def test_integral_text_reads_as_an_integer(tmp_path, capsys):

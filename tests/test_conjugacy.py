@@ -849,3 +849,132 @@ def test_theta_limit_edge_cases_keep_their_outcomes():
     sample = conjugacy.theta_limit(ESCAPING_FAMILIES[1], KAPPA, z, 1e-9, Q)
     assert sample.theta == z and repr(sample.tail_bound) == "0.721110255764384"
     assert sample.to_json()["residual"] is None
+
+
+# conjugacy_residual as defined, captured before a test can wrap the name
+_RESIDUAL = conjugacy.conjugacy_residual
+
+
+def _three_tower_theta_limit(base, kappa, z, tol, Q_, orbit=None):
+    """theta_limit as it was before it read the residual off theta's own
+    chain: the value's tower, then the two of conjugacy_residual."""
+    kappa = conjugacy._require_kappa_admissible(kappa, Q_)
+    z = models.require_finite(z)
+    depth = conjugacy.depth_for_tolerance(kappa, tol)
+    if depth > conjugacy.DEFAULT_MAX_DEPTH:
+        raise DepthExceeded(
+            f"required depth {depth} exceeds the maximum {conjugacy.DEFAULT_MAX_DEPTH}"
+        )
+    proof = conjugacy._proved_one_deeper(base, z, depth, Q_, orbit)
+    pts, addresses = proof.points[: depth + 1], proof.addresses[:depth]
+    theta, trunc_err = conjugacy._pullback_tower(base, kappa, pts, addresses, depth)[:2]
+    tail = 2.0 * abs(kappa) * 2.0 ** (1 - depth) + trunc_err
+    prefix = orbits.ExternalAddress(tuple(addresses) or (tract_of(base, z),))
+    try:
+        residual = _RESIDUAL(base, kappa, z, depth, Q_, proof)
+    except (OverflowError, OrbitLeftJQ, RangeError):
+        residual = math.nan
+    return conjugacy.ConjugacySample(z, theta, depth, tail, residual, prefix)
+
+
+def _sample_outcome(fn, *args):
+    # theta, tail_bound, depth and residual to the bit (every nan alike),
+    # or the exception's class and message
+    try:
+        s = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return repr((s.theta, s.tail_bound, s.depth, s.residual)), s.address_prefix
+
+
+def _escaping_jobs(seed, count):
+    # the job stream of the conjugacy_escaping benchmark workload
+    rng = np.random.default_rng(seed)
+    for index in range(count):
+        re = rng.uniform(3.0, 8.0, 64)
+        k = rng.integers(-3, 4, 64)
+        im = TWO_PI * k + rng.uniform(-0.5, 0.5, 64)
+        for z in map(complex, re, im):
+            yield ESCAPING_FAMILIES[index % len(ESCAPING_FAMILIES)], z
+
+
+def test_one_chain_residual_keeps_the_three_tower_outcomes(monkeypatch):
+    # where the proved orbit stops short of depth + 1 steps, theta_limit
+    # reads the residual off theta's own chain; every outcome is the one
+    # of the three-tower theta_limit, and both paths are taken
+    residual_calls = []
+
+    def counting(*args):
+        residual_calls.append(args)
+        return _RESIDUAL(*args)
+
+    monkeypatch.setattr(conjugacy, "conjugacy_residual", counting)
+    cyc = _orbit([0, 1], 43)
+    depth = conjugacy.depth_for_tolerance(KAPPA, 1e-9)
+    moved = list(cyc)
+    moved[1] += 1e-7
+    lam = _lifted(EntireMapSpec.lambda_expm1(0.5))
+    cases = [(F, KAPPA, z, 1e-9, Q, None)
+             for seed in (101, 7) for F, z in _escaping_jobs(seed, 12)]
+    cases += [(BASE, KAPPA, z, 1e-9, Q, None) for z in (699 + 0j, 700.5 + 0j, 50 + 0j)]
+    cases += [(lam, kappa, z, tol, Q, None)
+              for kappa, tol in ((KAPPA, 1e-9), (0j, 1e-9), (KAPPA, 1e300))
+              for z in (50 + 0j, 4.6 + 0.3j)]
+    cases += [(BASE, KAPPA, cyc[0], 1e-9, Q, orbit)
+              for orbit in (cyc[: depth + 2], cyc[: depth + 1], moved)]
+    # a saturated iterate record of another point: F(z) is not its step 1
+    sinh, z = ESCAPING_FAMILIES[2], 3.4045116317306596 + 12.921036882155637j
+    cases.append((sinh, KAPPA, z, 1e-9, Q, orbits.iterate(sinh, z + 1e-3, 32, Q)))
+    paths = Counter()
+    for F, kappa, z, tol, Q_, orbit in cases:
+        expected = _sample_outcome(_three_tower_theta_limit, F, kappa, z, tol, Q_, orbit)
+        residual_calls.clear()
+        got = _sample_outcome(conjugacy.theta_limit, F, kappa, z, tol, Q_, orbit)
+        assert got == expected, (F, kappa, z, tol, orbit is None)
+        if isinstance(got[0], type):
+            paths["refused"] += 1
+        else:
+            chain = "residual" if residual_calls else "one chain"
+            paths[chain, "nan" if "nan" in got[0] else "value"] += 1
+    assert min(paths.values()) >= 1 and len(paths) == 5, paths
+    assert paths["one chain", "value"] >= 500, paths
+
+
+def test_saturated_sample_runs_one_tower(monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("_pullback_tower", "theta_n"):
+        monkeypatch.setattr(conjugacy, name, counting(name, getattr(conjugacy, name)))
+    # sinh(0.575): F(z) is proved, F(F(z)) saturates
+    sinh = ESCAPING_FAMILIES[2]
+    z = 3.4045116317306596 + 12.921036882155637j
+    assert len(orbits.iterate(sinh, z, 32, Q).points) == 2
+    sample = conjugacy.theta_limit(sinh, KAPPA, z, 1e-9, Q)
+    assert math.isfinite(sample.residual)
+    assert calls == {"_pullback_tower": 1}
+    # an exact cycle covers depth + 1 steps: the residual's two towers run
+    calls.clear()
+    orb = _orbit([0, 1], 43)
+    sample = conjugacy.theta_limit(BASE, KAPPA, orb[0], 1e-9, Q, orbit=orb)
+    assert math.isfinite(sample.residual)
+    assert calls == {"_pullback_tower": 3, "theta_n": 2}
+
+
+def test_residual_is_the_last_levels_round_trip():
+    # both towers of the residual share the chain down to w = Theta_n(F z),
+    # so the residual is |w - F_kappa(G^-1(w) - kappa)| for the inverse
+    # branch G^-1 on the tract of z, seeded at z, to the bit
+    member = BASE.translated(KAPPA)
+    for branches in itertools.islice(_every_cycle(2), 20, 40):
+        orb = _orbit(list(branches), 33)
+        for n in (1, 7, 31):
+            w = conjugacy.theta_n(BASE, KAPPA, orb[1], n, Q, orb[1:])
+            pre = inverse_branch(BASE, tract_of(BASE, orb[0]), w, seed=orb[0])
+            residual = conjugacy.conjugacy_residual(BASE, KAPPA, orb[0], n, Q, orb)
+            assert residual == abs(w - eval_F(member, pre - KAPPA))
