@@ -180,6 +180,8 @@ def _cmd_conjugate(args) -> int:
         "tol": tol,
         "count": len(samples),
         "certified": len(held),
+        # certified samples whose orbit saturated short of the tower's depth
+        "saturated": sum(s.proved_steps < s.depth for s in held),
         "refused": dict(sorted(refused.items())),
         # statistics of the certified samples, null when there are none
         "bound_held": sum(s.tail_bound <= tol for s in held) if held else None,
@@ -230,7 +232,7 @@ def _cmd_semiconj(args) -> int:
             samples.append(semiconj.semiconj_limit(setup, z, tol, C))
         except REFUSALS as exc:
             samples.append(conjugacy.RefusedSample(z, exc))
-    semiconj.write_report(args.out, setup, samples)
+    semiconj.write_report(args.out, setup, samples, tol, C)
     held = [s for s in samples if isinstance(s, semiconj.SemiconjSample)]
     print(
         f"wrote {args.out} ({len(samples)} samples, {len(held)} certified, "

@@ -23,20 +23,21 @@ depth + 1 steps, as a saturated orbit does, the residual's towers
 Theta_n(F z) and Theta_{n+1}(z) are levels of theta's own chain, so
 ``theta_limit`` runs one chain per sample and reads both from it.
 
-A supplied orbit is checked in one array pass over all its steps,
-remembered for each distinct content (``ORBIT_MEMO_SIZE`` of them), so
-towers of every depth on one orbit share it; past the first step that
-pass rejects, the scalar checks name the step and the reason.  The memo
-key is the model's repr, computed once per model, and the orbit's
-complex128 bytes (``np.fromiter`` for Python complex or float points,
-``require_finite`` for others, such as text).
+An ``iterate`` record carries those addresses.  A supplied orbit is
+checked in one array pass over all its steps, and ``tracts._address``
+is read at each point that pass proves; both are remembered for each
+distinct content (``ORBIT_MEMO_SIZE`` of them), so towers of every
+depth on one orbit share them.  Past the first step that pass rejects,
+the scalar checks name the step and the reason.  The memo key is the
+model's repr, computed once per model, and the orbit's complex128 bytes
+(``np.fromiter`` for Python complex or float points, ``require_finite``
+for others, such as text).
 
 The pullback levels then use those addresses and prove no membership
-again.  Each level calls the inverse-branch kernel of the model's row
-of ``models.MODEL_KINDS`` (``tracts._inverse_kernel``: the closed form
-for shifted_exp, the seeded Newton solve for a lifted map), looked up
-once per tower, after the checks ``inverse_branch`` makes on its
-argument, with the same errors.
+again.  Each level calls the ``inverse_kernel`` of the model's row of
+``models.MODEL_KINDS`` (the closed form for shifted_exp, the seeded
+Newton solve for a lifted map), looked up once per tower, after the
+checks ``inverse_branch`` makes on its argument, with the same errors.
 """
 
 from __future__ import annotations
@@ -65,15 +66,8 @@ from .models import (
     require_finite,
     write_json,
 )
-from .orbits import EscapeFlag, ExternalAddress, OrbitRecord, iterate, periodic_orbit
-from .tracts import (
-    TractAddress,
-    _address,
-    _addresses,
-    _inverse_kernel,
-    _require_target,
-    tract_of,
-)
+from .orbits import ExternalAddress, OrbitRecord, iterate, periodic_orbit
+from .tracts import TractAddress, _address, _require_target, tract_of
 
 # theta_limit refuses a tolerance that needs a deeper tower
 DEFAULT_MAX_DEPTH = 400
@@ -93,6 +87,9 @@ class ConjugacySample:
     tail_bound: float
     residual: float
     address_prefix: ExternalAddress
+    # steps of the orbit the tower pulled back through; below depth
+    # exactly where that orbit saturated
+    proved_steps: int
 
     def displacement(self) -> float:
         return abs(self.theta - self.z)
@@ -103,6 +100,7 @@ class ConjugacySample:
             "status": "ok",
             "theta": [self.theta.real, self.theta.imag],
             "depth": self.depth,
+            "proved_steps": self.proved_steps,
             "tail_bound": self.tail_bound,
             # null where the residual could not be formed
             "residual": None if math.isnan(self.residual) else self.residual,
@@ -179,12 +177,12 @@ def _certified_orbit(
         orbit = iterate(base, z, n, Q)
     if not isinstance(orbit, OrbitRecord):
         return _validate_orbit(base, z, n, Q, orbit)
-    if orbit.escape_flag is not EscapeFlag.STAYED_IN_JQ and orbit.exit_step < n:
+    if not orbit.certified and orbit.exit_step < n:
         raise OrbitLeftJQ(
             f"orbit of {z!r} fails the J_Q certificate at step {orbit.exit_step}"
         )
     pts = orbit.points[: n + 1]
-    return pts, [_address(base, p + base.kappa) for p in pts[:-1]]
+    return pts, orbit.addresses[: len(pts) - 1]
 
 
 def _proved_one_deeper(
@@ -244,7 +242,7 @@ def _validate_orbit(
     if n >= 1 and pts[n].real <= Q:
         raise OrbitLeftJQ(f"supplied orbit leaves {{Re > {Q:g}}} at step {n}")
     # a proof that covers the depth returned above, so proved < n here
-    return pts, addresses + _addresses(base, arr[proved:n])
+    return pts, addresses + [_address(base, p + base.kappa) for p in pts[proved:n]]
 
 
 @lru_cache(maxsize=ORBIT_MEMO_SIZE)
@@ -258,7 +256,8 @@ def _orbit_proof(
     it, so no proof covers it."""
     arr = np.frombuffer(data, dtype=np.complex128)
     proved = _first_rejected(base, Q, arr)
-    return arr.tolist(), proved, _addresses(base, arr[:proved])
+    pts = arr.tolist()
+    return pts, proved, [_address(base, p + base.kappa) for p in pts[:proved]]
 
 
 def _first_rejected(base: LogLiftModel, Q: float, arr: np.ndarray) -> int:
@@ -291,7 +290,7 @@ def _pullback_tower(
     m = len(orbit) - 1
     theta = above = orbit[m]
     err = 0.0 if m >= n else 2.0 * abs(kappa)
-    solve, Q = _inverse_kernel(model), model.half_plane_Q
+    solve, Q = model.kind.inverse_kernel(model), model.half_plane_Q
     for j in range(m - 1, -1, -1):
         if not (theta.real > Q and cmath.isfinite(theta)):
             _require_target(model, theta)  # raises what inverse_branch raises
@@ -411,7 +410,7 @@ def theta_limit(
         # F(z) or its one-deeper certificate is out of reach; the value
         # itself is fine but the residual cannot be formed at this z
         residual = math.nan
-    return ConjugacySample(z, theta, depth, tail, residual, prefix)
+    return ConjugacySample(z, theta, depth, tail, residual, prefix, len(pts) - 1)
 
 
 def conjugacy_residual(

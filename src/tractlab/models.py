@@ -343,7 +343,7 @@ def _newton_kernel(model: LogLiftModel) -> Callable:
         # Newton runs in the coordinates of the untranslated map
         seed_k = None if seed is None else seed + kappa
         if seed_k is not None:
-            shift = tract.branch_index - round(seed_k.imag / TWO_PI)
+            shift = tract.branch_index - _address_key(model, seed_k)[0]
             if shift:
                 seed_k += TWO_PI * 1j * shift
         zk = _newton_inverse(model, tract, w, seed_k)

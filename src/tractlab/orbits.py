@@ -2,16 +2,15 @@
 addresses, the doubling expansion check, and backward-orbit construction
 of points with prescribed itineraries.
 
-Membership in J_Q is only ever certified up to a finite horizon; every
-record carries the horizon it was checked at.  Addresses are read off
-the points ``iterate`` proved in V, with no second membership test.
+Membership in J_Q is only ever certified up to a finite horizon.  An
+``iterate`` record carries the address of every point it proved in V,
+so no caller reads an address with a second membership test.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import (
     AddressMismatch,
@@ -24,62 +23,58 @@ from .models import LogLiftModel, _member_past_overflow, eval_F, require_finite
 from .tracts import TractAddress, _address, inverse_branch
 
 
-class EscapeFlag(Enum):
-    STAYED_IN_JQ = "stayed_in_JQ"
-    LEFT_DOMAIN = "left_domain"
-    OVERFLOWED = "overflowed"
-
-
 @dataclass
 class OrbitRecord:
+    """An orbit as ``iterate`` proves it: its points, the tract address of
+    every point proved in V, the step that ended it (None at the
+    horizon), and whether it ended past double range while certifiably
+    escaping."""
+
     points: list[complex]
-    horizon: int
-    Q: float
-    escape_flag: EscapeFlag
+    addresses: list[TractAddress]
     exit_step: int | None = None
-    saturated: bool = False  # orbit left double range while certifiably escaping
+    saturated: bool = False
 
     @property
     def certified(self) -> bool:
-        return self.escape_flag is EscapeFlag.STAYED_IN_JQ
+        return self.exit_step is None or self.saturated
 
 
 def iterate(model: LogLiftModel, z: complex, horizon: int, Q: float) -> OrbitRecord:
     """Iterate up to the horizon, a domain exit, or the overflow guard.
 
     An image is kept only with Re > Q, strictly, as J_Q requires; any
-    other ends the orbit as LEFT_DOMAIN at that step.  An orbit point
-    whose image overflows while a proved bound shows Re F > Q counts as
-    certified (the orbit is escaping faster than doubles can represent);
-    the record is marked saturated.  Every point but the last is proved
-    in V, the last too if saturated.
+    other ends the orbit at that step.  An orbit point whose image
+    overflows while a proved bound shows Re F > Q counts as certified
+    (the orbit is escaping faster than doubles can represent); the
+    record is marked saturated.  Every point but the last is proved in
+    V, the last too if saturated, and each of those has its address.
     """
     if horizon < 1:
         raise RangeError("horizon must be at least 1")
     z = require_finite(z)
-    points = [z]
-    flag, exit_step, saturated = EscapeFlag.STAYED_IN_JQ, None, False
+    points, addresses = [z], []
+    exit_step, saturated = None, False
     for step in range(horizon):
         cur = points[-1]
+        zk = cur + model.kappa
         try:
             w = eval_F(model, cur)
         except OverflowError:
             # the image must be proved past both this Q and the model's
-            threshold = max(Q, model.half_plane_Q)
-            saturated = _member_past_overflow(model, cur + model.kappa, threshold)
-            flag = EscapeFlag.STAYED_IN_JQ if saturated else EscapeFlag.OVERFLOWED
+            saturated = _member_past_overflow(model, zk, max(Q, model.half_plane_Q))
+            if saturated:
+                addresses.append(_address(model, zk))
         except DomainError:
-            flag = EscapeFlag.LEFT_DOMAIN
+            pass
         else:
             if w.real > Q:
+                addresses.append(_address(model, zk))
                 points.append(w)
                 continue
-            flag = EscapeFlag.LEFT_DOMAIN
         exit_step = step
         break
-    return OrbitRecord(
-        points, horizon, Q, flag, exit_step=exit_step, saturated=saturated
-    )
+    return OrbitRecord(points, addresses, exit_step, saturated)
 
 
 @dataclass(frozen=True)
@@ -100,13 +95,11 @@ class ExternalAddress:
 def external_address(model: LogLiftModel, z: complex, n: int) -> ExternalAddress:
     """Tract itinerary of the first n orbit points."""
     record = iterate(model, z, n, Q=model.half_plane_Q)
-    if len(record.points) - 1 + record.saturated < n:  # points proved in V
+    if len(record.addresses) < n:
         raise AddressUndefined(
             f"orbit leaves the domain at step {record.exit_step} < {n}"
         )
-    return ExternalAddress(
-        tuple(_address(model, p + model.kappa) for p in record.points[:n])
-    )
+    return ExternalAddress(tuple(record.addresses[:n]))
 
 
 def expansion_ratios(
@@ -124,8 +117,7 @@ def expansion_ratios(
             f"orbits only representable to depth {depth - 1} < {n}"
         )
     for k in range(n):
-        a = _address(model, oz.points[k] + model.kappa)
-        if a != _address(model, ow.points[k] + model.kappa):
+        if oz.addresses[k] != ow.addresses[k]:
             raise AddressMismatch(f"itineraries diverge at step {k}")
     d0 = abs(z - w)
     return [

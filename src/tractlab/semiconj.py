@@ -196,7 +196,7 @@ class SemiconjSample:
     theta: complex | None = None
     displacement_bound: float = math.inf
     mu: float = math.nan
-    certified_C: float = math.nan
+    sampled_C: float = math.nan
     tail_estimate: float = math.inf
     # deepest computed theta value per forward position, used to bound
     # the contraction of the levels the tower could not represent
@@ -212,7 +212,6 @@ class SemiconjSample:
             "levels": [[t.real, t.imag] for t in self.thetas],
             "increments": self.increments,
             "gamma_lengths": self.gamma_lengths,
-            "certified_C": self.certified_C,
             "mu": self.mu,
             "displacement_bound": self.displacement_bound,
             "tail_estimate": self.tail_estimate,
@@ -455,7 +454,7 @@ def expansion_certificate(setup: HyperbolicSetup) -> float:
 
 
 def _truncation_tail(
-    setup: HyperbolicSetup, sample: SemiconjSample, certified_C: float
+    setup: HyperbolicSetup, sample: SemiconjSample, sampled_C: float
 ) -> float:
     """Tail estimate when the g-orbit outran the representable range.
 
@@ -464,7 +463,7 @@ def _truncation_tail(
     contracts by 1/|f'| near the deepest computed theta value there.
     The product is formed in log domain because |f'| at near-saturated
     positions is itself past double range.  The remaining levels decay
-    by the certified constant on top of that.
+    by the sampled constant on top of that.
     """
     c_top = abs(cmath.log(2.0 * setup.lam / setup.M)) + 1.0
     log_tail = math.log(c_top)
@@ -472,39 +471,39 @@ def _truncation_tail(
         # log |f'(t)| = log|lam| + Re t, exact for this map family
         log_df = math.log(abs(setup.lam)) + t.real
         log_tail -= max(0.0, log_df)
-    log_tail += math.log(certified_C / (certified_C - 1.0))
+    log_tail += math.log(sampled_C / (sampled_C - 1.0))
     if log_tail < -700.0:
         return 0.0
     return math.exp(log_tail)
 
 
 def semiconj_limit(
-    setup: HyperbolicSetup, z: complex, tol: float, certified_C: float
+    setup: HyperbolicSetup, z: complex, tol: float, sampled_C: float
 ) -> SemiconjSample:
     """Converged theta(z) with depth chosen from mu / C^k <= tol, where
-    ``certified_C`` is the constant of ``expansion_certificate(setup)``.
+    ``sampled_C`` is the constant of ``expansion_certificate(setup)``.
 
     Escaping orbits usually saturate the representable range first, so
     ``theta_level`` stops short; the remaining tail is then estimated
-    from the last computed increment and the certified contraction and
+    from the last computed increment and the sampled contraction and
     must itself be below tol.
     """
     if not tol > 0:
         raise RangeError("tol must be positive")
-    if not (certified_C > 1.0):
+    if not (sampled_C > 1.0):
         raise CertificateMissing(
-            f"no expansion constant C > 1 available (got {certified_C!r})"
+            f"no expansion constant C > 1 available (got {sampled_C!r})"
         )
     mu = mu_constant(setup)
-    depth = max(1, math.ceil(math.log(mu / tol) / math.log(certified_C)))
+    depth = max(1, math.ceil(math.log(mu / tol) / math.log(sampled_C)))
     sample = theta_level(setup, z, depth)
     usable = len(sample.thetas) - 1
-    sample.certified_C = certified_C
-    sample.displacement_bound = mu * certified_C / (certified_C - 1.0)
+    sample.sampled_C = sampled_C
+    sample.displacement_bound = mu * sampled_C / (sampled_C - 1.0)
     if usable >= depth:
-        sample.tail_estimate = mu / certified_C**depth
+        sample.tail_estimate = mu / sampled_C**depth
     else:
-        sample.tail_estimate = _truncation_tail(setup, sample, certified_C)
+        sample.tail_estimate = _truncation_tail(setup, sample, sampled_C)
     if sample.tail_estimate > tol:
         raise HorizonError(
             f"tail estimate {sample.tail_estimate:g} above tol {tol:g} "
@@ -515,17 +514,20 @@ def semiconj_limit(
 
 
 def functional_residual(
-    setup: HyperbolicSetup, z: complex, tol: float, certified_C: float
+    setup: HyperbolicSetup, z: complex, tol: float, sampled_C: float
 ) -> float:
     """|f(theta(z)) - theta(g(z))| at convergence."""
-    s_z = semiconj_limit(setup, z, tol, certified_C)
-    s_gz = semiconj_limit(setup, setup.g(z), tol, certified_C)
+    s_z = semiconj_limit(setup, z, tol, sampled_C)
+    s_gz = semiconj_limit(setup, setup.g(z), tol, sampled_C)
     return abs(setup.f(s_z.theta) - s_gz.theta)
 
 
-def write_report(path, setup: HyperbolicSetup, samples: list) -> None:
-    """The report of a batch; each sample, a SemiconjSample or a refused
-    one (``conjugacy.RefusedSample``), is written by its ``to_json``."""
+def write_report(
+    path, setup: HyperbolicSetup, samples: list, tol: float, sampled_C: float
+) -> None:
+    """The report of a batch run at ``tol`` with the expansion constant
+    ``sampled_C``; each sample, a SemiconjSample or a refused one
+    (``conjugacy.RefusedSample``), is written by its ``to_json``."""
     payload = {
         "setup": {
             "lambda": [setup.lam.real, setup.lam.imag],
@@ -534,6 +536,8 @@ def write_report(path, setup: HyperbolicSetup, samples: list) -> None:
             "R": setup.R,
             "M": setup.M,
             "mu": mu_constant(setup),
+            "tol": tol,
+            "sampled_C": sampled_C,
         },
         "samples": [s.to_json() for s in samples],
     }

@@ -6,14 +6,11 @@ they are never inferred from the principal argument after the fact.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import DomainError, RangeError
-from .models import TWO_PI, LogLiftModel, _address_key, _contains, require_finite
+from .models import LogLiftModel, _address_key, _contains, require_finite
 
 __all__ = [
     "TractAddress",
@@ -38,22 +35,13 @@ def tract_of(model: LogLiftModel, z: complex) -> TractAddress:
 
 
 @lru_cache(maxsize=1024)
-def _interned(k: float, inner: bool) -> TractAddress:
-    # one shared instance per address; k may be an integral float
-    return TractAddress(int(k), int(inner))
+def _interned(k: int, inner: bool) -> TractAddress:
+    # one shared instance per address
+    return TractAddress(k, int(inner))
 
 
 def _address(model: LogLiftModel, zk: complex) -> TractAddress:
     return _interned(*_address_key(model, zk))
-
-
-def _addresses(model: LogLiftModel, z: np.ndarray) -> list[TractAddress]:
-    """Addresses of an array of points z already proved in the domain."""
-    im = (z + model.kappa).imag
-    ks = np.rint(im / TWO_PI).tolist()
-    if not model.kind.two_sided(model):
-        return [_interned(k, False) for k in ks]
-    return [_interned(k, c < 0.0) for k, c in zip(ks, np.cos(im).tolist())]
 
 
 def inverse_branch(
@@ -70,7 +58,7 @@ def inverse_branch(
     period strip is first moved into the tract's strip by whole periods;
     a Newton solution outside the tract raises NewtonDiverged.
     """
-    return _inverse_kernel(model)(tract, _require_target(model, w), seed)
+    return model.kind.inverse_kernel(model)(tract, _require_target(model, w), seed)
 
 
 def _require_target(model: LogLiftModel, w: complex) -> complex:
@@ -83,13 +71,3 @@ def _require_target(model: LogLiftModel, w: complex) -> complex:
         )
     return w
 
-
-def _inverse_kernel(
-    model: LogLiftModel,
-) -> Callable[[TractAddress, complex, complex | None], complex]:
-    """The inverse-branch solve of the model's kind, as
-    ``solve(tract, w, seed)``, without ``_require_target``'s checks on w:
-    the kind's ``inverse_kernel`` column of ``models.MODEL_KINDS``.  A
-    caller that solves many levels on one model looks the kernel up once.
-    """
-    return model.kind.inverse_kernel(model)

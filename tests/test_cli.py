@@ -116,8 +116,9 @@ def test_conjugate_roundtrip(tmp_path):
 
 # the summary keys README.md documents for a conjugate report
 CONJUGATE_SUMMARY_KEYS = {
-    "model", "kappa", "Q", "tol", "count", "certified", "refused", "bound_held",
-    "max_tail_over_tol", "max_residual", "max_displacement", "displacement_bound",
+    "model", "kappa", "Q", "tol", "count", "certified", "saturated", "refused",
+    "bound_held", "max_tail_over_tol", "max_residual", "max_displacement",
+    "displacement_bound",
 }
 
 
@@ -165,6 +166,14 @@ def test_conjugate_reports_the_displacement_bound_where_it_is_proved(tmp_path):
     model = {"family": "shifted_exp", "R": 0.5}
     summary, _ = _conjugate_summary(tmp_path, {"model": model, "points": points})
     assert summary["displacement_bound"] is None
+
+
+def test_conjugate_reports_the_proved_steps_of_a_saturated_sample(tmp_path):
+    # the orbit of 4.5 saturates double range at step 2 of a 31-level tower
+    summary, samples = _conjugate_summary(tmp_path, {"points": [[4.5, 0.0]]})
+    (sample,) = samples
+    assert (sample["proved_steps"], sample["depth"]) == (2, 31)
+    assert summary["saturated"] == summary["certified"] == 1
 
 
 def test_conjugate_writes_null_for_a_residual_it_cannot_form(tmp_path):
@@ -319,6 +328,9 @@ def test_semiconj_reports_a_refused_sample_and_keeps_going(tmp_path):
 def test_semiconj_writes_the_report_when_every_sample_is_refused(tmp_path, capsys):
     report = _semiconj_report(tmp_path, [SEMICONJ_REFUSED], EXIT_COMPUTE)
     assert [s["status"] for s in report["samples"]] == ["HorizonError"]
+    # the setup still records what the run used
+    assert report["setup"]["tol"] == 1e-6
+    assert report["setup"]["sampled_C"] > 1.0
     err = capsys.readouterr().err
     assert "no sample certified; the first: tail estimate" in err
 

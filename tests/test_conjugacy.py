@@ -373,13 +373,24 @@ ESCAPING_MODELS = [
 def test_certified_tracts_match_tract_of(model):
     # Im z = 2 pi k + pi puts the points of a two-sided row in inner branch 1
     rng = np.random.default_rng(11)
-    inner_seen = set()
+    inner_seen, saturated_inner = set(), set()
     checked = 0
     for _ in range(80):
         k = int(rng.integers(-3, 4))
         shift = math.pi if rng.random() < 0.5 else 0.0
         re = rng.uniform(3.0, 8.0)
         z = complex(re, TWO_PI * k + shift + rng.uniform(-0.5, 0.5))
+        # iterate records the address of every point it proved in V, a
+        # saturated last point too, and external_address reads them back
+        rec = orbits.iterate(model, z, 4, Q)
+        assert len(rec.addresses) == len(rec.points) - 1 + rec.saturated
+        proved = rec.points[: len(rec.addresses)]
+        assert rec.addresses == [tract_of(model, p) for p in proved]
+        if rec.addresses:
+            got = orbits.external_address(model, z, len(rec.addresses))
+            assert list(got.entries) == rec.addresses
+        if rec.saturated:
+            saturated_inner.add(rec.addresses[-1].inner_branch)
         try:
             pts, addresses = conjugacy._certified_orbit(model, z, 4, Q)
         except OrbitLeftJQ:
@@ -391,9 +402,9 @@ def test_certified_tracts_match_tract_of(model):
         assert conjugacy._certified_orbit(model, z, n, Q, pts) == (pts, expected)
         inner_seen.update(t.inner_branch for t in expected)
         checked += 1
-    assert checked >= 10
+    assert checked >= 10 and saturated_inner
     if model.plane_map is not None and model.plane_map.row.two_sided:
-        assert inner_seen == {0, 1}
+        assert inner_seen == saturated_inner == {0, 1}
 
 
 def _ending_at(model, w, steps):
@@ -557,7 +568,7 @@ def _validate_orbit_reference(base, z, n, Q_, orbit):
             raise OrbitLeftJQ(f"supplied orbit inconsistent at step {i}")
     if n >= 1 and pts[n].real <= Q_:
         raise OrbitLeftJQ(f"supplied orbit leaves {{Re > {Q_:g}}} at step {n}")
-    return pts, tracts._addresses(base, arr[:n])
+    return pts, [tracts._address(base, p + base.kappa) for p in pts[:n]]
 
 
 def _outcome(fn, *args):
@@ -760,6 +771,18 @@ def test_supplied_orbit_tower_makes_no_scalar_membership_calls(monkeypatch):
     assert calls == {"eval_F": 2}
 
 
+def test_proved_steps_fall_below_depth_exactly_where_the_orbit_saturates():
+    z = 4.5 + 0j
+    sample = conjugacy.theta_limit(BASE, KAPPA, z, 1e-9, Q)
+    rec = orbits.iterate(BASE, z, sample.depth + 1, Q)
+    assert rec.saturated and sample.proved_steps == rec.exit_step == 2
+    assert sample.proved_steps < sample.depth == 31
+    # an exact cycle is proved to the tower's full depth
+    orb = _orbit([1, -2], 33)
+    cycle = conjugacy.theta_limit(BASE, KAPPA, orb[0], 1e-9, Q, orbit=orb)
+    assert cycle.proved_steps == cycle.depth == 31
+
+
 def test_theta_limit_iterates_each_orbit_once(monkeypatch):
     # theta_limit proves the orbit of z to depth + 1 in one iterate call;
     # its residual reads the orbit of F(z) as the tail of that proof
@@ -778,7 +801,7 @@ def test_theta_limit_iterates_each_orbit_once(monkeypatch):
     horizons.clear()
     z = 2.8 + 0.3j
     rec = orbits.iterate(BASE, z, 3, Q)
-    assert rec.escape_flag is orbits.EscapeFlag.LEFT_DOMAIN and rec.exit_step == 2
+    assert rec.exit_step == 2 and not (rec.certified or rec.saturated)
     short = conjugacy.theta_limit(BASE, KAPPA, z, 0.5, Q)
     assert short.depth == 2 and math.isnan(short.residual)
     assert horizons == [3]
@@ -874,7 +897,9 @@ def _three_tower_theta_limit(base, kappa, z, tol, Q_, orbit=None):
         residual = _RESIDUAL(base, kappa, z, depth, Q_, proof)
     except (OverflowError, OrbitLeftJQ, RangeError):
         residual = math.nan
-    return conjugacy.ConjugacySample(z, theta, depth, tail, residual, prefix)
+    return conjugacy.ConjugacySample(
+        z, theta, depth, tail, residual, prefix, len(pts) - 1
+    )
 
 
 def _sample_outcome(fn, *args):
@@ -884,7 +909,10 @@ def _sample_outcome(fn, *args):
         s = fn(*args)
     except Exception as exc:
         return type(exc), str(exc)
-    return repr((s.theta, s.tail_bound, s.depth, s.residual)), s.address_prefix
+    return (
+        repr((s.theta, s.tail_bound, s.depth, s.residual, s.proved_steps)),
+        s.address_prefix,
+    )
 
 
 def _escaping_jobs(seed, count):

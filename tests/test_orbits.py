@@ -26,8 +26,9 @@ PERIOD2_01 = 2.64195115873685 + 0.466912455837032j
 
 def test_iterate_saturates_on_fast_escape():
     rec = orbits.iterate(SHIFTED, 4.0 + 0.0j, 10, Q)
-    assert rec.escape_flag is orbits.EscapeFlag.STAYED_IN_JQ
-    assert rec.certified and rec.saturated
+    assert rec.exit_step == 2 and rec.saturated and rec.certified
+    # the saturated last point is proved in V, so it has its address
+    assert len(rec.addresses) == len(rec.points) == 3
     assert rec.points[1] == pytest.approx(math.e**4 - 10.0)
 
 
@@ -39,7 +40,7 @@ def test_iterate_saturates_when_the_plane_map_overflows():
     )
     z = math.log(700.0) + 0.01j
     rec = orbits.iterate(big, z, 5, Q)
-    assert rec.escape_flag is orbits.EscapeFlag.STAYED_IN_JQ and rec.saturated
+    assert rec.exit_step == 0 and rec.saturated and rec.certified
     assert rec.points == [z]
     kappa = 0.3 + 0.2j
     s = conjugacy.theta_limit(big, kappa, z, 1e-9, Q)
@@ -64,9 +65,8 @@ def test_iterate_saturates_only_past_a_proved_modulus():
 
 def test_iterate_detects_domain_exit():
     rec = orbits.iterate(SHIFTED, 1.0 + 3.0j, 10, Q)
-    assert rec.escape_flag is orbits.EscapeFlag.LEFT_DOMAIN
-    assert rec.exit_step == 0
-    assert not rec.certified
+    assert rec.exit_step == 0 and not rec.saturated
+    assert not rec.certified and rec.addresses == []
 
 
 def test_an_image_on_the_half_plane_boundary_leaves_J_Q():
@@ -75,8 +75,8 @@ def test_an_image_on_the_half_plane_boundary_leaves_J_Q():
     z = 2.4849066497880004 + 0j
     assert eval_F(SHIFTED, z) == Q
     rec = orbits.iterate(SHIFTED, z, 1, Q)
-    assert rec.escape_flag is orbits.EscapeFlag.LEFT_DOMAIN
-    assert (rec.points, rec.exit_step) == ([z], 0)
+    assert not (rec.certified or rec.saturated)
+    assert (rec.points, rec.addresses, rec.exit_step) == ([z], [], 0)
     with pytest.raises(OrbitLeftJQ, match="fails the J_Q certificate at step 0"):
         conjugacy.theta_n(SHIFTED, 0.3 + 0.2j, z, 1, Q)
 

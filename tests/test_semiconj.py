@@ -293,10 +293,13 @@ def test_write_report(tmp_path):
     C = semiconj.expansion_certificate(SETUP)
     s = semiconj.semiconj_limit(SETUP, 25.0 + 0j, 1e-6, C)
     out = tmp_path / "semi.json"
-    semiconj.write_report(out, SETUP, [s])
+    semiconj.write_report(out, SETUP, [s], 1e-6, C)
     payload = json.loads(out.read_text())
     assert payload["setup"]["M"] == pytest.approx(5.5)
-    assert len(payload["samples"]) == 1
+    assert (payload["setup"]["tol"], payload["setup"]["sampled_C"]) == (1e-6, C)
+    # the constant is recorded once, in the setup, not in every sample
+    assert len(payload["samples"]) == 1 and "sampled_C" not in payload["samples"][0]
+    assert s.sampled_C == C
 
 
 # -- the lift and length kernels against their plain definitions ---------
