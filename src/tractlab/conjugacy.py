@@ -13,23 +13,25 @@ otherwise.  Depth is always selected from that explicit rate, never
 adaptively.  Every tower runs one loop, ``_pullback_tower``; the
 residual and the inverse round-trip check complete the module.
 
-Each tower proves the forward orbit of z once, in ``_certified_orbit``,
-which returns the orbit and the tract address of every point the tower
-pulls back through.  ``theta_limit`` proves it one step past its depth,
-in one ``iterate`` call or one validation, and its residual reads the
-orbit of F(z) as the tail of that proof; a failure of the extra step
-only leaves the residual unformed.  Where that proof stops short of
-depth + 1 steps, as a saturated orbit does, the residual's towers
-Theta_n(F z) and Theta_{n+1}(z) are levels of theta's own chain, so
-``theta_limit`` runs one chain per sample and reads both from it.
+Every tower pulls back through one proof of the forward orbit of z,
+``_prove``: the points, the tract address of each point proved in V,
+the depth proved and the failure of the step past it.  ``upto(n)``
+slices what a depth-n tower needs or raises that failure, and
+``tail()`` is the proof of the orbit of F(z).  ``theta_limit`` proves
+one step past its depth and hands the proof to its residual, so a
+failure of the extra step only leaves the residual unformed.  Where
+that proof stops short of depth + 1 steps, as a saturated orbit does,
+the residual's towers Theta_n(F z) and Theta_{n+1}(z) are levels of
+theta's own chain, so ``theta_limit`` runs one chain per sample and
+reads both from it.
 
-An ``iterate`` record carries those addresses.  A supplied orbit is
-checked in one array pass over all its steps, and ``tracts._address``
-is read at each point that pass proves; both are remembered for each
-distinct content (``ORBIT_MEMO_SIZE`` of them), so towers of every
-depth on one orbit share them.  Past the first step that pass rejects,
-the scalar checks name the step and the reason.  The memo key is the
-model's repr, computed once per model, and the orbit's complex128 bytes
+Without a supplied orbit one ``iterate`` call makes the proof.  A
+supplied list gets one verdict per distinct content, remembered for
+``ORBIT_MEMO_SIZE`` of them: an array pass over all its steps, then the
+scalar checks from the first step that pass rejects, which name the
+step and the reason.  A list with several faults is refused at the
+first, at every depth past it.  The memo key is the model's repr,
+computed once per model, and the orbit's complex128 bytes
 (``np.fromiter`` for Python complex or float points, ``require_finite``
 for others, such as text).
 
@@ -134,130 +136,115 @@ def _require_kappa_admissible(kappa: complex, Q: float) -> complex:
 
 
 class _ProvedOrbit(NamedTuple):
-    """An orbit proved to ``depth`` steps, as ``_certified_orbit`` returns
-    it; a deeper tower raises ``refusal``, the failure of the next step."""
+    """The orbit of z as ``_prove`` proves it: its points, the tract
+    address of every point proved in V, the depth a tower may pull back
+    through, and the failure of the step past that depth (None where the
+    depth is all that was asked or all the list holds)."""
 
     points: list[complex]
     addresses: list[TractAddress]
     depth: int
     refusal: Exception | None
 
+    def upto(self, n: int) -> tuple[list[complex], list[TractAddress]]:
+        """The points and addresses a depth-n tower pulls back through; on
+        a saturated orbit the points stop short of depth n."""
+        if n > self.depth:
+            error = self.refusal or RangeError(
+                f"supplied orbit covers {self.depth} < {n} steps"
+            )
+            # a remembered failure is raised on every query: drop the last
+            # raise's traceback, which would otherwise grow with each one
+            raise error.with_traceback(None)
+        return self.points[: n + 1], self.addresses[:n]
 
-def _certified_orbit(
+    def tail(self) -> _ProvedOrbit:
+        """The proof of the orbit of F(z)."""
+        pts, addresses, depth, refusal = self
+        return _ProvedOrbit(pts[1:], addresses[1:], depth - 1, refusal)
+
+
+def _prove(
     base: LogLiftModel,
     z: complex,
     n: int,
     Q: float,
     orbit: list[complex] | OrbitRecord | _ProvedOrbit | None = None,
-) -> tuple[list[complex], list[TractAddress]]:
-    """Forward orbit of z to depth n with Re > Q after the first point,
-    and the tract address of every point but the last.
-
-    The list may be shorter than n+1 when the orbit escapes past the
-    overflow guard while certifiably staying in the domain; deeper tower
-    levels then act as the identity, with the truncation error tracked
-    by the caller through the pullback contraction factors.
-
-    A caller-supplied ``orbit`` (e.g. the exact cycle of a periodic
-    point, where plain forward iteration would drift off the repelling
-    cycle) is validated for consistency and membership instead.  Either
-    way every point but the last is proved in the domain, so its address
-    needs no second membership check.  ``orbit`` may also be an
-    ``iterate`` record of horizon >= n, or a ``_ProvedOrbit``.
-    """
-    if isinstance(orbit, _ProvedOrbit):
-        if n > orbit.depth:
-            raise orbit.refusal or RangeError(f"proved to {orbit.depth} < {n} steps")
-        if abs(orbit.points[0] - z) > 1e-9 * (1.0 + abs(z)):
-            raise OrbitLeftJQ(f"supplied orbit does not start at {z!r}")
-        return orbit.points[: n + 1], orbit.addresses[:n]
-    if orbit is None:
-        if n == 0:
-            return [require_finite(z)], []
-        orbit = iterate(base, z, n, Q)
-    if not isinstance(orbit, OrbitRecord):
-        return _validate_orbit(base, z, n, Q, orbit)
-    if not orbit.certified and orbit.exit_step < n:
-        raise OrbitLeftJQ(
-            f"orbit of {z!r} fails the J_Q certificate at step {orbit.exit_step}"
-        )
-    pts = orbit.points[: n + 1]
-    return pts, orbit.addresses[: len(pts) - 1]
-
-
-def _proved_one_deeper(
-    base: LogLiftModel, z: complex, n: int, Q: float, orbit: list[complex] | None
 ) -> _ProvedOrbit:
-    """The orbit of z proved to depth n + 1, by one ``iterate`` call or one
-    validation, for a depth-n tower and its residual; where only step
-    n + 1 fails, to depth n with that failure as its refusal."""
-    source = iterate(base, z, n + 1, Q) if orbit is None else orbit
-    if orbit is None and not source.certified:
-        # the record fails by step n + 1: check depth n first, so that a
-        # sample refused within it raises once
-        _certified_orbit(base, z, n, Q, source)
-    try:
-        return _ProvedOrbit(*_certified_orbit(base, z, n + 1, Q, source), n + 1, None)
-    # what converting or checking a point raises
-    except (TractlabError, TypeError, ValueError, OverflowError) as exc:
-        refusal = exc
-    return _ProvedOrbit(*_certified_orbit(base, z, n, Q, source), n, refusal)
+    """The proof of the orbit of z that every tower pulls back through.
 
-
-def _validate_orbit(
-    base: LogLiftModel, z: complex, n: int, Q: float, orbit: list[complex]
-) -> tuple[list[complex], list[TractAddress]]:
-    # Every supplied orbit is proved by _orbit_proof, once per content, and
-    # a depth its proof covers is answered from it.  Otherwise the scalar
-    # checks run from the first step the proof rejects, so a failure
-    # raises exactly what the step-by-step scalar validation raises.
-    if len(orbit) < n + 1:
-        raise RangeError(f"supplied orbit covers {len(orbit) - 1} < {n} steps")
-    if _NUMBERS.issuperset(map(type, orbit)):
-        arr = np.fromiter(orbit, np.complex128, len(orbit))
-    else:
-        # other input, such as text: convert the points the depth needs
-        arr = np.array([require_finite(p, "orbit point") for p in orbit[: n + 1]])
-    pts, proved, addresses = _orbit_proof(base, base._memo_repr, Q, arr.tobytes())
-    if (
-        proved >= n
-        and abs(pts[0] - z) <= 1e-9 * (1.0 + abs(z))
-        and (n == 0 or pts[n].real > Q)
-    ):
-        return pts[: n + 1], addresses[:n]
-    pts = pts[: n + 1]
-    for p in pts:  # raises at the first point that is not finite
-        require_finite(p, "orbit point")
-    if abs(pts[0] - z) > 1e-9 * (1.0 + abs(z)):
+    Without ``orbit``, one ``iterate`` call to horizon n proves it; a
+    saturated orbit covers every depth up to n with fewer points.  An
+    ``iterate`` record is read the same way.  A caller-supplied list
+    (e.g. the exact cycle of a periodic point, where plain forward
+    iteration would drift off the repelling cycle) gets the verdict
+    ``_orbit_proof`` remembers for its content; points that are not
+    Python numbers, such as text, are converted up to step n first.  A
+    list or proof must start at z, unless not even its first point is
+    proved.
+    """
+    if orbit is None:
+        orbit = iterate(base, z, n, Q) if n else OrbitRecord([z], [])
+    if isinstance(orbit, OrbitRecord):
+        if orbit.certified:
+            return _ProvedOrbit(orbit.points, orbit.addresses, n, None)
+        step = orbit.exit_step
+        refusal = OrbitLeftJQ(f"orbit of {z!r} fails the J_Q certificate at step {step}")
+        return _ProvedOrbit(orbit.points, orbit.addresses, step, refusal)
+    if not isinstance(orbit, _ProvedOrbit):
+        if not orbit:
+            raise RangeError("supplied orbit is empty")
+        if _NUMBERS.issuperset(map(type, orbit)):
+            arr = np.fromiter(orbit, np.complex128, len(orbit))
+        else:
+            arr = np.array([require_finite(p, "orbit point") for p in orbit[: n + 1]])
+        orbit = _orbit_proof(base, base._memo_repr, Q, arr.tobytes())
+    if orbit.depth >= 0 and abs(orbit.points[0] - z) > 1e-9 * (1.0 + abs(z)):
         raise OrbitLeftJQ(f"supplied orbit does not start at {z!r}")
-    for i in range(min(proved, n), n):
-        if i >= 1 and pts[i].real <= Q:
-            raise OrbitLeftJQ(f"supplied orbit leaves {{Re > {Q:g}}} at step {i}")
-        try:
-            nxt = eval_F(base, pts[i])
-        except (DomainError, OverflowError) as exc:
-            raise OrbitLeftJQ(f"supplied orbit invalid at step {i}: {exc}") from exc
-        if abs(nxt - pts[i + 1]) > 1e-6 * (1.0 + abs(nxt)):
-            raise OrbitLeftJQ(f"supplied orbit inconsistent at step {i}")
-    if n >= 1 and pts[n].real <= Q:
-        raise OrbitLeftJQ(f"supplied orbit leaves {{Re > {Q:g}}} at step {n}")
-    # a proof that covers the depth returned above, so proved < n here
-    return pts, addresses + [_address(base, p + base.kappa) for p in pts[proved:n]]
+    return orbit
 
 
 @lru_cache(maxsize=ORBIT_MEMO_SIZE)
 def _orbit_proof(
     base: LogLiftModel, base_repr: str, Q: float, data: bytes
-) -> tuple[list[complex], int, list[TractAddress]]:
-    """The array pass over a whole supplied orbit, given as the bytes of
-    its complex128 array: its points, the first step the pass rejects
-    (the number of steps if none) and the addresses of the points before
-    that step.  A point that is not finite fails the step that reaches
-    it, so no proof covers it."""
+) -> _ProvedOrbit:
+    """The verdict on a whole supplied orbit, given as the bytes of its
+    complex128 array: the array pass over every step, then the scalar
+    checks from the first step it rejects, which name the step and the
+    reason.  Its depth ends before the first fault."""
     arr = np.frombuffer(data, dtype=np.complex128)
-    proved = _first_rejected(base, Q, arr)
     pts = arr.tolist()
-    return pts, proved, [_address(base, p + base.kappa) for p in pts[:proved]]
+    depth, refusal = _scalar_checks(base, Q, pts, _first_rejected(base, Q, arr))
+    addresses = [_address(base, p + base.kappa) for p in pts[:depth]]
+    return _ProvedOrbit(pts, addresses, depth, refusal)
+
+
+def _scalar_checks(
+    base: LogLiftModel, Q: float, pts: list[complex], first: int
+) -> tuple[int, Exception | None]:
+    # the depth proved by the steps from ``first`` on, and the fault that
+    # ends it; step i is F(pts[i]) ~ pts[i + 1], with Re pts[i] > Q for
+    # i >= 1, and a point that is not finite fails the step that reaches it
+    depth = first - 1
+    try:
+        if first == 0:
+            require_finite(pts[0], "orbit point")
+        for i in range(first, len(pts)):
+            if i >= 1 and pts[i].real <= Q:
+                raise OrbitLeftJQ(f"supplied orbit leaves {{Re > {Q:g}}} at step {i}")
+            depth = i
+            if i + 1 == len(pts):
+                break
+            try:
+                nxt = eval_F(base, pts[i])
+            except (DomainError, OverflowError) as exc:
+                raise OrbitLeftJQ(f"supplied orbit invalid at step {i}: {exc}") from exc
+            require_finite(pts[i + 1], "orbit point")
+            if abs(nxt - pts[i + 1]) > 1e-6 * (1.0 + abs(nxt)):
+                raise OrbitLeftJQ(f"supplied orbit inconsistent at step {i}")
+    except TractlabError as exc:
+        return depth, exc
+    return depth, None
 
 
 def _first_rejected(base: LogLiftModel, Q: float, arr: np.ndarray) -> int:
@@ -314,17 +301,15 @@ def theta_n(
 
     Requires Q > 2|kappa| + 1 and a finite-horizon certificate that the
     orbit of z stays in {Re > Q} to depth n.  ``orbit`` may supply the
-    exact forward orbit (see _certified_orbit).
+    exact forward orbit (see ``_prove``), checked at every depth.
     """
     kappa = _require_kappa_admissible(kappa, Q)
     z = require_finite(z)
     if n < 0:
         raise RangeError("depth must be nonnegative")
+    pts, tracts = _prove(base, z, n, Q, orbit).upto(n)
     if n == 0 or kappa == 0:
-        if n > 0:
-            _certified_orbit(base, z, n, Q, orbit)
         return z
-    pts, tracts = _certified_orbit(base, z, n, Q, orbit)
     return _pullback_tower(base, kappa, pts, tracts, n)[0]
 
 
@@ -389,20 +374,17 @@ def theta_limit(
         raise DepthExceeded(
             f"required depth {depth} exceeds the maximum {DEFAULT_MAX_DEPTH}"
         )
-    proof = _proved_one_deeper(base, z, depth, Q, orbit)
-    pts, tracts = proof.points[: depth + 1], proof.addresses[:depth]
+    proof = _prove(base, z, depth + 1, Q, orbit)
+    pts, tracts = proof.upto(depth)
     theta, trunc_err, above = _pullback_tower(base, kappa, pts, tracts, depth)
     tail = 2.0 * abs(kappa) * 2.0 ** (1 - depth) + trunc_err
+    # an address for every proved point; the proof holds none at depth 0
     prefix = ExternalAddress(tuple(tracts) or (tract_of(base, z),))
     try:
         if 1 < len(proof.points) <= depth + 1:
-            # conjugacy_residual's checks on its tail proof, in its order;
-            # two points need depth >= 1, so kappa != 0
-            fz = eval_F(base, z)
-            if proof.refusal is not None:  # proved to depth, not depth + 1
-                raise proof.refusal
-            if abs(proof.points[1] - fz) > 1e-9 * (1.0 + abs(fz)):
-                raise OrbitLeftJQ(f"supplied orbit does not start at {fz!r}")
+            # the checks of the residual's tower Theta_n(F z), whose value
+            # is ``above``; two points need depth >= 1, so kappa != 0
+            _prove(base, eval_F(base, z), depth, Q, proof.tail()).upto(depth)
             residual = abs(above - eval_F(base.translated(kappa), theta))
         else:
             residual = conjugacy_residual(base, kappa, z, depth, Q, proof)
@@ -428,22 +410,18 @@ def conjugacy_residual(
     value is the rounding of the last level's round trip,
     |w - F_kappa(G^{-1}(w) - kappa)| with w = Theta_n(F_0(z)) and G^{-1}
     the inverse branch on the tract of z: it does not measure the noise
-    accumulated down the tower.  A supplied orbit must cover n+1 steps;
-    its tail serves as the orbit of F_0(z).
+    accumulated down the tower.  The orbit of z is proved once, to n+1
+    steps; its tail serves as the orbit of F_0(z).
     """
     kappa = _require_kappa_admissible(kappa, Q)
     z = require_finite(z)
     if kappa == 0:
         return 0.0
     fz = eval_F(base, z)
-    if isinstance(orbit, _ProvedOrbit):
-        pts, addresses, depth, refusal = orbit
-        tail = _ProvedOrbit(pts[1:], addresses[1:], depth - 1, refusal)
-    else:
-        tail = None if orbit is None else orbit[1:]
-    lhs = theta_n(base, kappa, fz, n, Q, tail)
+    proof = _prove(base, z, n + 1, Q, orbit)
+    lhs = theta_n(base, kappa, fz, n, Q, proof.tail())
     member = base.translated(kappa)
-    rhs = eval_F(member, theta_n(base, kappa, z, n + 1, Q, orbit))
+    rhs = eval_F(member, theta_n(base, kappa, z, n + 1, Q, proof))
     return abs(lhs - rhs)
 
 

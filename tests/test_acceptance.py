@@ -131,7 +131,7 @@ def test_criterion_05_uniqueness():
     for addr in addrs:
         orb = orbits.periodic_orbit(BASE, addr, Q, depth + 2)
         a = conjugacy.theta_limit(BASE, KAPPA, orb[0], 1e-8, Q, orb).theta
-        pts, tracts = conjugacy._certified_orbit(BASE, orb[0], depth, Q, orb)
+        pts, tracts = conjugacy._prove(BASE, orb[0], depth, Q, orb).upto(depth)
         top = pts[depth] - KAPPA
         if not top.real > Q:
             top = pts[depth] + KAPPA
@@ -162,7 +162,7 @@ def _wirtinger_quotient(model, z, kappa0, h, orbit=None):
     """Central-difference Wirtinger quotient |dTheta/d(conj kappa)| of the
     depth-40 tower: four towers at kappa0 +/- h and kappa0 +/- ih on one
     certified orbit of z.  O(h^2) for a tower holomorphic in kappa."""
-    pts, tracts = conjugacy._certified_orbit(model, z, 40, Q, orbit)
+    pts, tracts = conjugacy._prove(model, z, 40, Q, orbit).upto(40)
     tp, tm, tip, tim = (
         conjugacy._pullback_tower(model, k, pts, tracts, 40)[0]
         for k in (kappa0 + h, kappa0 - h, kappa0 + 1j * h, kappa0 - 1j * h)

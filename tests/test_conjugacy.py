@@ -204,14 +204,14 @@ def _two_map_tower(F, G, z, n, orbit=None):
     """Theta_{j+1}(z) = G_T^{-1}(Theta_j(F(z))), T the G-tract with the
     address of z's F-tract, each Newton solve seeded at the F-orbit point
     (F and G have kappa = 0, so it lies in G's coordinates too)."""
-    pts, addresses = conjugacy._certified_orbit(F, z, n, Q, orbit)
+    pts, addresses = conjugacy._prove(F, z, n, Q, orbit).upto(n)
     return conjugacy._pullback_tower(G, 0j, pts, addresses, n)[0]
 
 
 def _two_loop_pullback(F, G, z, n, orbit=None):
     """The towers of every depth up to n, one inverse_branch loop per
     tower: the reference for _two_map_tower's single loop."""
-    orbit, tracts = conjugacy._certified_orbit(F, z, n, Q, orbit)
+    orbit, tracts = conjugacy._prove(F, z, n, Q, orbit).upto(n)
     values = []
     for depth in range(len(orbit)):
         v = orbit[depth]
@@ -309,7 +309,7 @@ def test_holomorphy_quotient_shrinks_quadratically():
     # the central-difference Wirtinger quotient |dTheta/d(conj kappa)| of
     # the depth-40 tower is O(h^2) for a tower holomorphic in kappa
     orb = _orbit([0, 1], 42)
-    pts, addresses = conjugacy._certified_orbit(BASE, orb[0], 40, Q, orb)
+    pts, addresses = conjugacy._prove(BASE, orb[0], 40, Q, orb).upto(40)
 
     def quotient(kappa0, h):
         tp, tm, tip, tim = (
@@ -392,14 +392,16 @@ def test_certified_tracts_match_tract_of(model):
         if rec.saturated:
             saturated_inner.add(rec.addresses[-1].inner_branch)
         try:
-            pts, addresses = conjugacy._certified_orbit(model, z, 4, Q)
+            pts, addresses = conjugacy._prove(model, z, 4, Q).upto(4)
         except OrbitLeftJQ:
             continue
+        # the proof holds the record's addresses, a saturated last point's too
+        assert addresses == rec.addresses
         expected = [tract_of(model, p) for p in pts[:-1]]
-        assert addresses == expected
-        # the same orbit, supplied, gives the same addresses
+        # the same orbit, supplied, gives the addresses of all but its last point
         n = len(pts) - 1
-        assert conjugacy._certified_orbit(model, z, n, Q, pts) == (pts, expected)
+        assert conjugacy._prove(model, z, n, Q, pts).upto(n) == (pts, expected)
+        assert addresses[:n] == expected
         inner_seen.update(t.inner_branch for t in expected)
         checked += 1
     assert checked >= 10 and saturated_inner
@@ -417,7 +419,8 @@ def _ending_at(model, w, steps):
 
 def _rejected_orbits():
     # (model, z, orbit, depth, Q, error class, message); the messages are
-    # those of the step-by-step scalar validation
+    # those of the step-by-step scalar validation, and a list with two
+    # faults is refused at the first
     cyc = _orbit([0, 1], 8)
     sinh = _lifted(EntireMapSpec.sinh(0.575))
     # exp(z_sinh) = -701: past the guard on the negative side only
@@ -461,6 +464,16 @@ def _rejected_orbits():
                    " log lift undefined"),
         "inconsistent": (BASE, None, cyc[:4] + [cyc[4] + 1e-3] + cyc[5:], 7, Q,
                          OrbitLeftJQ, "supplied orbit inconsistent at step 3"),
+        # depth 0 checks the orbit too
+        "wrong_start_at_depth_0": (BASE, cyc[0], [7 + 0j], 0, Q, OrbitLeftJQ,
+                                   f"supplied orbit does not start at {cyc[0]!r}"),
+        "empty": (BASE, cyc[0], [], 0, Q, RangeError, "supplied orbit is empty"),
+        "inconsistent_and_short": (BASE, None, cyc[:3] + [cyc[3] + 1e-3, cyc[4]], 7, Q,
+                                   OrbitLeftJQ, "supplied orbit inconsistent at step 2"),
+        "inconsistent_then_non_finite": (BASE, None, cyc[:3] + [cyc[3] + 1e-3]
+                                         + [complex(math.nan, 0.0)] + cyc[5:], 7, Q,
+                                         OrbitLeftJQ,
+                                         "supplied orbit inconsistent at step 2"),
     }
 
 
@@ -491,7 +504,7 @@ def test_orbits_differing_in_a_signed_zero_keep_their_own_points():
     x = _orbit([0], 1)[0].real
     for sign in (0.0, -0.0, 0.0):  # +0.0 again, after -0.0 was proved
         orb = [complex(x, sign)] * 6
-        pts, addresses = conjugacy._certified_orbit(BASE, orb[0], 5, Q, orb)
+        pts, addresses = conjugacy._prove(BASE, orb[0], 5, Q, orb).upto(5)
         assert repr(pts) == repr(orb)
         assert addresses == [TractAddress(0)] * 5
 
@@ -507,9 +520,9 @@ def test_models_differing_in_a_signed_zero_keep_their_own_proofs():
     )
     assert neg == pos
     orb = [5.0 + 0j, eval_F(neg, 5.0 + 0j)]
-    assert conjugacy._certified_orbit(neg, orb[0], 1, Q, orb)[0] == orb
+    assert conjugacy._prove(neg, orb[0], 1, Q, orb).upto(1)[0] == orb
     with pytest.raises(OrbitLeftJQ) as info:
-        conjugacy._certified_orbit(pos, orb[0], 1, Q, orb)
+        conjugacy._prove(pos, orb[0], 1, Q, orb).upto(1)
     assert str(info.value) == "supplied orbit inconsistent at step 0"
 
 
@@ -571,6 +584,10 @@ def _validate_orbit_reference(base, z, n, Q_, orbit):
     return pts, [tracts._address(base, p + base.kappa) for p in pts[:n]]
 
 
+def _proved_upto(base, z, n, Q_, orbit):
+    return conjugacy._prove(base, z, n, Q_, orbit).upto(n)
+
+
 def _outcome(fn, *args):
     try:
         pts, addresses = fn(*args)
@@ -612,7 +629,7 @@ def test_remembered_proofs_match_the_validation_they_replace(
     z = orbit[0]
     for n in depths + depths:  # each depth again, against a warm memo
         expected = _outcome(_validate_orbit_reference, model, z, n, Q_, orbit)
-        got = _outcome(conjugacy._certified_orbit, model, z, n, Q_, orbit)
+        got = _outcome(_proved_upto, model, z, n, Q_, orbit)
         assert got == expected
 
 
@@ -638,13 +655,13 @@ def test_every_kind_of_point_meets_the_validation_it_replaces(kind):
     (orbit, z), = [(o, z) for name, o, z in _orbits_of_every_point_kind() if name == kind]
     for n in list(range(11)) * 2:  # each depth again, against a warm memo
         expected = _outcome(_validate_orbit_reference, BASE, z, n, Q, orbit)
-        assert _outcome(conjugacy._certified_orbit, BASE, z, n, Q, orbit) == expected
+        assert _outcome(_proved_upto, BASE, z, n, Q, orbit) == expected
 
 
 def _inverse_branch_chain(base, kappa, z, n, Q_, orbit=None):
     """theta_n as the chain inverse_branch(base, tract, theta, seed) - kappa,
     one call per level: the reference for the tower's level kernel."""
-    pts, addresses = conjugacy._certified_orbit(base, z, n, Q_, orbit)
+    pts, addresses = conjugacy._prove(base, z, n, Q_, orbit).upto(n)
     theta = pts[-1]
     for j in range(len(pts) - 2, -1, -1):
         theta = inverse_branch(base, addresses[j], theta, seed=pts[j]) - kappa
@@ -684,7 +701,7 @@ def test_level_kernel_matches_the_inverse_branch_chain():
     sinh, zexp = _lifted(EntireMapSpec.sinh(0.575)), _lifted(EntireMapSpec.zexp())
     for base, z in ((BASE, 4.5 + 0j), (BASE, 3.5 + 0.2j), (BASE, 5.0 - 0.4j),
                     (sinh, 3.186 - 1.722j), (zexp, 3.35 - 1.6j)):
-        assert 2 <= len(conjugacy._certified_orbit(base, z, 12, Q)[0]) < 13
+        assert 2 <= len(conjugacy._prove(base, z, 12, Q).upto(12)[0]) < 13
         for n in range(13):
             got = conjugacy.theta_n(base, KAPPA, z, n, Q)
             expected = _inverse_branch_chain(base, KAPPA, z, n, Q)
@@ -749,6 +766,31 @@ def test_depth_sweep_proves_each_supplied_orbit_once(monkeypatch):
     assert lengths == [42]
 
 
+def test_depth_sweep_checks_a_faulty_orbit_once(monkeypatch):
+    # one verdict per list: 12 depths over an orbit whose step 6 fails run
+    # the scalar checks once, from the step the array pass rejects
+    conjugacy._orbit_proof.cache_clear()
+    steps = []
+    scalar = conjugacy.eval_F
+
+    def counting(model, z):
+        steps.append(z)
+        return scalar(model, z)
+
+    monkeypatch.setattr(conjugacy, "eval_F", counting)
+    clean = _orbit([0, 1], 12)
+    orbit = clean[:7] + [clean[7] + 1e-3] + clean[8:]
+    refused = 0
+    for n in range(12):
+        try:
+            conjugacy.theta_n(BASE, KAPPA, clean[0], n, Q, orbit)
+        except OrbitLeftJQ as exc:
+            assert n >= 7 and str(exc) == "supplied orbit inconsistent at step 6"
+            refused += 1
+    assert refused == 5
+    assert steps == [clean[6]]
+
+
 def test_supplied_orbit_tower_makes_no_scalar_membership_calls(monkeypatch):
     calls = Counter()
 
@@ -781,6 +823,19 @@ def test_proved_steps_fall_below_depth_exactly_where_the_orbit_saturates():
     orb = _orbit([1, -2], 33)
     cycle = conjugacy.theta_limit(BASE, KAPPA, orb[0], 1e-9, Q, orbit=orb)
     assert cycle.proved_steps == cycle.depth == 31
+
+
+def test_address_prefix_lists_every_proved_address():
+    # orbits that saturate after m = 0, 1 and 2 proved steps: the prefix
+    # holds the address of each of their m + 1 points
+    for model, z, m in ((BASE, 700.5 + 0j, 0),
+                        (SINH, 3.4045116317306596 + 12.921036882155637j, 1),
+                        (BASE, 4.5 + 0j, 2)):
+        sample = conjugacy.theta_limit(model, KAPPA, z, 1e-9, Q)
+        rec = orbits.iterate(model, z, sample.depth + 1, Q)
+        assert rec.saturated and sample.proved_steps == rec.exit_step == m
+        assert len(sample.address_prefix) == m + 1
+        assert sample.address_prefix.entries == tuple(rec.addresses)
 
 
 def test_theta_limit_iterates_each_orbit_once(monkeypatch):
@@ -888,10 +943,12 @@ def _three_tower_theta_limit(base, kappa, z, tol, Q_, orbit=None):
         raise DepthExceeded(
             f"required depth {depth} exceeds the maximum {conjugacy.DEFAULT_MAX_DEPTH}"
         )
-    proof = conjugacy._proved_one_deeper(base, z, depth, Q_, orbit)
-    pts, addresses = proof.points[: depth + 1], proof.addresses[:depth]
+    proof = conjugacy._prove(base, z, depth + 1, Q_, orbit)
+    pts, addresses = proof.upto(depth)
     theta, trunc_err = conjugacy._pullback_tower(base, kappa, pts, addresses, depth)[:2]
     tail = 2.0 * abs(kappa) * 2.0 ** (1 - depth) + trunc_err
+    # the proof's addresses up to the depth: m + 1 on an orbit saturated
+    # after m steps, tract_of only at depth 0, where the proof holds none
     prefix = orbits.ExternalAddress(tuple(addresses) or (tract_of(base, z),))
     try:
         residual = _RESIDUAL(base, kappa, z, depth, Q_, proof)
