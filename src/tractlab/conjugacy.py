@@ -32,13 +32,13 @@ scalar checks from the first step that pass rejects, which name the
 step and the reason.  A list with several faults is refused at the
 first, at every depth past it.  The memo key is the model's repr,
 computed once per model, and the orbit's complex128 bytes
-(``np.fromiter`` for Python complex or float points, ``require_finite``
-for others, such as text).
+(``np.fromiter`` for Python complex or float points, ``complex`` for
+others, such as text: one that does not convert fails its step).
 
 The pullback levels then use those addresses and prove no membership
 again.  Each level calls the ``inverse_kernel`` of the model's row of
 ``models.MODEL_KINDS`` (the closed form for shifted_exp, the seeded
-Newton solve for a lifted map), looked up once per tower, after the
+Newton solve for a lifted map), which the model builds once, after the
 checks ``inverse_branch`` makes on its argument, with the same errors.
 """
 
@@ -63,7 +63,6 @@ from .errors import (
 from .models import (
     LogLiftModel,
     _eval_F_array,
-    eval_dF,
     eval_F,
     require_finite,
     write_json,
@@ -178,10 +177,10 @@ def _prove(
     ``iterate`` record is read the same way.  A caller-supplied list
     (e.g. the exact cycle of a periodic point, where plain forward
     iteration would drift off the repelling cycle) gets the verdict
-    ``_orbit_proof`` remembers for its content; points that are not
-    Python numbers, such as text, are converted up to step n first.  A
-    list or proof must start at z, unless not even its first point is
-    proved.
+    ``_orbit_proof`` remembers for its content; a list of points that are
+    not Python numbers, such as text, is converted whole at every depth,
+    up to a point that fails the step to it.  A list or proof must start
+    at z, unless not even its first point is proved.
     """
     if orbit is None:
         orbit = iterate(base, z, n, Q) if n else OrbitRecord([z], [])
@@ -194,11 +193,23 @@ def _prove(
     if not isinstance(orbit, _ProvedOrbit):
         if not orbit:
             raise RangeError("supplied orbit is empty")
-        if _NUMBERS.issuperset(map(type, orbit)):
-            arr = np.fromiter(orbit, np.complex128, len(orbit))
-        else:
-            arr = np.array([require_finite(p, "orbit point") for p in orbit[: n + 1]])
+        pts, failure = orbit, None
+        if not _NUMBERS.issuperset(map(type, orbit)):
+            pts = []
+            try:
+                for p in orbit:
+                    pts.append(complex(p))
+            except (TypeError, ValueError) as exc:
+                failure = exc
+            except OverflowError as exc:  # an int past double range is not finite
+                failure = DomainError(f"orbit point must have finite components: {exc}")
+            if failure and not pts:
+                raise failure
+        arr = np.fromiter(pts, np.complex128, len(pts))
         orbit = _orbit_proof(base, base._memo_repr, Q, arr.tobytes())
+        if failure and orbit.refusal is None:
+            # the step to the point that does not convert fails with it
+            orbit = orbit._replace(refusal=failure)
     if orbit.depth >= 0 and abs(orbit.points[0] - z) > 1e-9 * (1.0 + abs(z)):
         raise OrbitLeftJQ(f"supplied orbit does not start at {z!r}")
     return orbit
@@ -277,14 +288,14 @@ def _pullback_tower(
     m = len(orbit) - 1
     theta = above = orbit[m]
     err = 0.0 if m >= n else 2.0 * abs(kappa)
-    solve, Q = model.kind.inverse_kernel(model), model.half_plane_Q
+    solve, dF, Q = model._inverse, model._dF, model.half_plane_Q
     for j in range(m - 1, -1, -1):
         if not (theta.real > Q and cmath.isfinite(theta)):
             _require_target(model, theta)  # raises what inverse_branch raises
         above = theta
         pre = solve(tracts[j], theta, orbit[j])
         if err > 0.0:
-            err /= max(abs(eval_dF(model, pre)), 1.0)
+            err /= max(abs(dF(pre)), 1.0)
         theta = pre - kappa
     return theta, err, above
 
@@ -364,8 +375,10 @@ def theta_limit(
     saturates, the top levels of both of the residual's towers are the
     identity: Theta_{n+1}(z) runs theta's own chain, and Theta_n(F z) is
     that chain's value one level above theta, so the residual needs no
-    further tower.  A one-point orbit has no level above; there, as
-    where the orbit is longer, ``conjugacy_residual`` forms it.
+    further tower, and F_kappa is the kernel the base caches per kappa.
+    A one-point orbit ``iterate`` proved here saturated at z, so F(z)
+    overflows and the residual is NaN; any other one-point orbit, like a
+    longer one, takes ``conjugacy_residual``.
     """
     kappa = _require_kappa_admissible(kappa, Q)
     z = require_finite(z)
@@ -380,12 +393,17 @@ def theta_limit(
     tail = 2.0 * abs(kappa) * 2.0 ** (1 - depth) + trunc_err
     # an address for every proved point; the proof holds none at depth 0
     prefix = ExternalAddress(tuple(tracts) or (tract_of(base, z),))
+    # a one-point proof that iterate made here: F(z) overflowed, so the
+    # residual cannot be formed (at kappa = 0 it is 0 without F)
+    overflowed = orbit is None and len(proof.points) == 1 and proof.refusal is None
     try:
-        if 1 < len(proof.points) <= depth + 1:
+        if overflowed and kappa:
+            residual = math.nan
+        elif 1 < len(proof.points) <= depth + 1:
             # the checks of the residual's tower Theta_n(F z), whose value
             # is ``above``; two points need depth >= 1, so kappa != 0
-            _prove(base, eval_F(base, z), depth, Q, proof.tail()).upto(depth)
-            residual = abs(above - eval_F(base.translated(kappa), theta))
+            _prove(base, base._F(z), depth, Q, proof.tail()).upto(depth)
+            residual = abs(above - base._member_F(kappa)(theta))
         else:
             residual = conjugacy_residual(base, kappa, z, depth, Q, proof)
     except (OverflowError, OrbitLeftJQ, RangeError):

@@ -7,6 +7,9 @@ disjoint type for ``R >= 2``) and lifts of entire plane maps, evaluated
 through the principal logarithm; inverse branches carry their tract
 integers explicitly (see ``tracts``).  Every rule that depends on the
 kind is a column of that table, and no other module branches on it.
+Three columns build kernels: ``F_kernel``, ``dF_kernel`` and
+``inverse_kernel`` return closures over one model, which a model builds
+once; ``eval_F`` and ``eval_dF`` are ``require_finite`` plus a kernel.
 The plane maps form one table, ``PLANE_FAMILIES``: every per-family
 formula (scalar and grid evaluation, derivative, asymptotic value,
 Newton seed, lower bound for log|f|, JSON parameter names) lives there
@@ -18,9 +21,10 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import struct
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,6 +34,8 @@ TWO_PI = 2.0 * math.pi
 
 # double-precision exp overflows near Re z = 709; stay clear of it
 EXP_OVERFLOW_GUARD = 700.0
+# the bytes of a complex number's two doubles, signed zeros included
+_DOUBLES = struct.Struct("2d")
 
 
 def require_finite(z: complex, name: str = "z") -> complex:
@@ -154,12 +160,8 @@ PLANE_FAMILIES: dict[str, PlaneFamily] = {
 }
 
 
-def _finite_value(v: complex) -> complex:
-    # complex multiplication overflows to inf or nan without raising, as
-    # in a e^z for a large multiplier a inside the exp guard
-    if not cmath.isfinite(v):
-        raise OverflowError("the plane map's value overflows double range")
-    return v
+def _guard_error(x: float) -> OverflowError:
+    return OverflowError(f"Re z = {x:g} exceeds the exponent-overflow guard")
 
 
 @dataclass(frozen=True)
@@ -183,6 +185,8 @@ class EntireMapSpec:
             require_finite(p, "parameter")
         object.__setattr__(self, "row", row)
         object.__setattr__(self, "log_moduli", tuple(map(_log_abs, self.params)))
+        object.__setattr__(self, "_f", self._guarded(row.f))
+        object.__setattr__(self, "_df", self._guarded(row.df))
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -206,22 +210,28 @@ class EntireMapSpec:
         return EntireMapSpec("exp_plus_kappa", (complex(kappa),))
 
     # -- evaluation ---------------------------------------------------
-    def _guard(self, z: complex) -> None:
-        bound = abs(z.real) if self.row.two_sided else z.real
-        if bound > EXP_OVERFLOW_GUARD:
-            raise OverflowError(
-                f"Re z = {z.real:g} exceeds the exponent-overflow guard"
-            )
+    def _guarded(self, formula: Callable) -> Callable:
+        """``formula`` of the row at a finite z, under the plane map's two
+        rules: its exp guard and a finite value (``_f`` and ``_df``)."""
+        params, two_sided = self.params, self.row.two_sided
+
+        def value(z: complex) -> complex:
+            if (abs(z.real) if two_sided else z.real) > EXP_OVERFLOW_GUARD:
+                raise _guard_error(z.real)
+            v = formula(cmath, params, z)
+            # complex multiplication overflows to inf or nan without
+            # raising, as in a e^z for a large multiplier a inside the guard
+            if not cmath.isfinite(v):
+                raise OverflowError("the plane map's value overflows double range")
+            return v
+
+        return value
 
     def eval(self, z: complex) -> complex:
-        z = require_finite(z)
-        self._guard(z)
-        return _finite_value(self.row.f(cmath, self.params, z))
+        return self._f(require_finite(z))
 
     def deriv(self, z: complex) -> complex:
-        z = require_finite(z)
-        self._guard(z)
-        return _finite_value(self.row.df(cmath, self.params, z))
+        return self._df(require_finite(z))
 
     def asymptotic_value(self) -> complex | None:
         """Limit of f(w) as Re w -> -infinity, where one exists."""
@@ -263,6 +273,21 @@ class LogLiftModel:
         which can move the log lift by 2 pi i."""
         return repr(self)
 
+    # the kind's kernels, built once: eval_F and eval_dF at a finite z,
+    # and the inverse-branch solve
+    _F = cached_property(lambda self: self.kind.F_kernel(self))
+    _dF = cached_property(lambda self: self.kind.dF_kernel(self))
+    _inverse = cached_property(lambda self: self.kind.inverse_kernel(self))
+
+    def _member_F(self, kappa: complex) -> Callable:
+        """The F kernel of ``translated(kappa)``.  The model keeps the last
+        one, as every caller uses one kappa per base, keyed on the bytes of
+        kappa's two doubles so that a zero's sign keeps kappas apart."""
+        return self._members(_DOUBLES.pack(kappa.real, kappa.imag))
+
+    _members = cached_property(lambda self: lru_cache(maxsize=1)(
+        lambda key: self.translated(complex(*_DOUBLES.unpack(key)))._F))
+
     def translated(self, kappa: complex) -> "LogLiftModel":
         """The member F(z + kappa) of this model's translation family."""
         # the constructor directly: dataclasses.replace costs twice as much
@@ -283,9 +308,9 @@ class ModelKind:
     every callable column but ``from_json`` takes the model m first."""
 
     problem: Callable  # m -> why m is invalid, or a false value
-    F: Callable  # (m, zk) -> F inside the exp guard; DomainError if undefined
+    F_kernel: Callable  # m -> F, where F(z) is eval_F(m, z) at a finite z
     F_array: Callable  # (m, zeta array) -> F, and where the scalar F succeeds
-    dF: Callable  # (m, zeta) -> F' at a domain point
+    dF_kernel: Callable  # m -> dF, where dF(z) is eval_dF(m, z) at a finite z
     overflow_floor: Callable  # (m, zk) -> Re F floor where F overflowed
     asymptotic_value: Callable  # m -> a, Re F -> log|a| as Re zeta -> -inf
     two_sided: Callable  # m -> whether also Re F -> +inf as Re zeta -> -inf
@@ -294,6 +319,46 @@ class ModelKind:
     principal_log: bool  # F takes the principal log, so |Im F| <= pi
     to_json: Callable  # m -> the descriptor entries between family and Q
     from_json: Callable  # descriptor -> constructor arguments but family, Q
+
+
+def _F_kernel(value: Callable) -> Callable:
+    # the F_kernel column of a kind with F(z) = value(m)(z + kappa) inside
+    # the model's exp guard, on the domain where Re F > Q
+    def build(model: LogLiftModel) -> Callable:
+        v, kappa, Q = value(model), model.kappa, model.half_plane_Q
+
+        def F(z):
+            zk = z + kappa
+            if zk.real > EXP_OVERFLOW_GUARD:
+                raise _guard_error(zk.real)
+            w = v(zk)
+            if w.real <= Q:
+                raise DomainError(
+                    f"z = {z!r} is outside the domain (Re F = {w.real:g} <= {Q:g})"
+                )
+            return w
+
+        return F
+
+    return build
+
+
+def _dF_kernel(derivative: Callable) -> Callable:
+    # the dF_kernel column of a kind with F' = derivative(m)(exp(z + kappa))
+    def build(model: LogLiftModel) -> Callable:
+        d, kappa = derivative(model), model.kappa
+
+        def dF(z):
+            if not domain_contains(model, z):
+                raise DomainError(f"z = {z!r} is outside the domain")
+            zk = z + kappa
+            if zk.real > EXP_OVERFLOW_GUARD:
+                raise _guard_error(zk.real)
+            return d(cmath.exp(zk))
+
+        return dF
+
+    return build
 
 
 def _closed_form_kernel(model: LogLiftModel) -> Callable:
@@ -306,14 +371,19 @@ def _closed_form_kernel(model: LogLiftModel) -> Callable:
     return solve
 
 
-def _lifted_F(model: LogLiftModel, zk: complex) -> complex:
-    fv = model.plane_map.eval(cmath.exp(zk))
-    if fv == 0:
-        raise DomainError(f"f(exp z) = 0 at z = {zk!r}; log lift undefined")
-    # + 0j turns a -0.0 imaginary part of the log into +0.0: a parameter
-    # with a signed zero, as in exp_affine(-1 - 0j, 100 - 0j), gives
-    # f(exp z) = x - 0j, and the reported value has kept +0.0
-    return cmath.log(fv) + 0j
+def _lifted_F(model: LogLiftModel) -> Callable:
+    exp, log, f = cmath.exp, cmath.log, model.plane_map._f
+
+    def value(zk):
+        fv = f(exp(zk))
+        if fv == 0:
+            raise DomainError(f"f(exp z) = 0 at z = {zk!r}; log lift undefined")
+        # + 0j turns a -0.0 imaginary part of the log into +0.0: parameters
+        # with signed zeros, as exp_affine(complex(-1, -0.0), complex(100,
+        # -0.0)), give f(exp z) = x - 0j, and the reported value keeps +0.0
+        return log(fv) + 0j
+
+    return value
 
 
 def _lifted_F_array(model: LogLiftModel, zeta: np.ndarray) -> tuple:
@@ -321,12 +391,6 @@ def _lifted_F_array(model: LogLiftModel, zeta: np.ndarray) -> tuple:
     bound = np.abs(zeta.real) if pm.row.two_sided else zeta.real
     fv = pm.row.f(np, pm.params, zeta)
     return np.log(fv), (bound <= EXP_OVERFLOW_GUARD) & (fv != 0)
-
-
-def _lifted_dF(model: LogLiftModel, zeta: complex) -> complex:
-    pm = model.plane_map
-    fv = pm.eval(zeta)
-    return pm.deriv(zeta) * zeta / fv
 
 
 def _lifted_from_json(desc: dict) -> dict:
@@ -399,9 +463,9 @@ MODEL_KINDS: dict[str, ModelKind] = {
     # F(z) = e^z - R
     "shifted_exp": ModelKind(
         problem=lambda m: not math.isfinite(m.R) and "R must be finite",
-        F=lambda m, zk: cmath.exp(zk) - m.R,
+        F_kernel=_F_kernel(lambda m: lambda zk: cmath.exp(zk) - m.R),
         F_array=lambda m, zeta: (zeta - m.R, True),
-        dF=lambda m, zeta: zeta,
+        dF_kernel=_dF_kernel(lambda m: lambda zeta: zeta),  # F' = e^z
         # e^z - R does not overflow inside the guard
         overflow_floor=lambda m, zk: -math.inf,
         asymptotic_value=lambda m: None,
@@ -416,9 +480,11 @@ MODEL_KINDS: dict[str, ModelKind] = {
     # F(z) = log f(e^z), principal branch, for f from PLANE_FAMILIES
     "lifted_entire": ModelKind(
         problem=lambda m: m.plane_map is None and "lifted_entire requires a plane_map",
-        F=_lifted_F,
+        F_kernel=_F_kernel(_lifted_F),
         F_array=_lifted_F_array,
-        dF=_lifted_dF,
+        # F' = f'(zeta) zeta / f(zeta)
+        dF_kernel=_dF_kernel(lambda m: lambda zeta: (
+            m.plane_map._df(zeta) * zeta / m.plane_map._f(zeta))),
         overflow_floor=lambda m, zk: m.plane_map.row.log_abs_floor(
             m.plane_map.log_moduli, cmath.exp(zk)
         ),
@@ -447,14 +513,7 @@ def eval_F(model: LogLiftModel, z: complex) -> complex:
 
     A lifted entire map takes the principal logarithm of f(exp z).
     """
-    z = require_finite(z)
-    w = _eval_raw(model, z + model.kappa)
-    if w.real <= model.half_plane_Q:
-        raise DomainError(
-            f"z = {z!r} is outside the domain (Re F = {w.real:g} <= "
-            f"{model.half_plane_Q:g})"
-        )
-    return w
+    return model._F(require_finite(z))
 
 
 def _eval_F_array(
@@ -464,8 +523,8 @@ def _eval_F_array(
 
     Returns the values and a mask that is true where the scalar call
     succeeds with a finite value: a finite point inside the model's
-    overflow guard and the plane map's ``_guard``, f(exp z) != 0, a
-    finite value and Re F > Q.  Values may differ from the scalar call's
+    overflow guard and the plane map's, f(exp z) != 0, a finite value
+    and Re F > Q.  Values may differ from the scalar call's
     in the last bit, so they serve checks only; a caller that needs the
     scalar call's outcome re-runs ``eval_F`` where the mask is false.
     """
@@ -477,50 +536,25 @@ def _eval_F_array(
     return w, ok
 
 
-def _eval_raw(model: LogLiftModel, zk: complex) -> complex:
-    # zk is in the coordinates of the untranslated map: z + kappa
-    if zk.real > EXP_OVERFLOW_GUARD:
-        raise OverflowError(
-            f"Re z = {zk.real:g} exceeds the exponent-overflow guard"
-        )
-    return model.kind.F(model, zk)
-
-
 def eval_dF(model: LogLiftModel, z: complex) -> complex:
     """Derivative of the log-coordinate map (branch independent)."""
-    z = require_finite(z)
-    zk = z + model.kappa
-    if not _contains(model, zk):
-        raise DomainError(f"z = {z!r} is outside the domain")
-    if zk.real > EXP_OVERFLOW_GUARD:
-        raise OverflowError(
-            f"Re z = {zk.real:g} exceeds the exponent-overflow guard"
-        )
-    return model.kind.dF(model, cmath.exp(zk))
+    return model._dF(require_finite(z))
 
 
 def domain_contains(model: LogLiftModel, z: complex) -> bool:
     """Membership in V = F^{-1}({Re > Q}); never raises."""
     try:
         z = require_finite(z)
-    except DomainError:
-        return False
-    return _contains(model, z + model.kappa)
-
-
-def _contains(model: LogLiftModel, zk: complex) -> bool:
-    # membership of the finite point zk = z + kappa
-    try:
-        w = _eval_raw(model, zk)
+        model._F(z)
     except DomainError:
         return False
     except OverflowError:
-        return _member_past_overflow(model, zk, model.half_plane_Q)
-    return w.real > model.half_plane_Q
+        return _member_past_overflow(model, z + model.kappa, model.half_plane_Q)
+    return True
 
 
 def _member_past_overflow(model: LogLiftModel, zk: complex, Q: float) -> bool:
-    # the one rule turning an OverflowError of _eval_raw(model, zk) into a
+    # the one rule turning an OverflowError of F at zk - kappa into a
     # proof of Re F > Q: inside the exp guard F itself overflowed (only a
     # lifted model's can), and the kind's floor for Re F decides; past it
     # Re exp(zk) = e^{Re zk} cos(Im zk) with e^{Re zk} astronomically

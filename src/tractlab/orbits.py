@@ -19,7 +19,7 @@ from .errors import (
     PullbackLeftDomain,
     RangeError,
 )
-from .models import LogLiftModel, _member_past_overflow, eval_F, require_finite
+from .models import LogLiftModel, _member_past_overflow, require_finite
 from .tracts import TractAddress, _address, inverse_branch
 
 
@@ -53,13 +53,14 @@ def iterate(model: LogLiftModel, z: complex, horizon: int, Q: float) -> OrbitRec
     if horizon < 1:
         raise RangeError("horizon must be at least 1")
     z = require_finite(z)
+    F, kappa = model._F, model.kappa
     points, addresses = [z], []
     exit_step, saturated = None, False
     for step in range(horizon):
         cur = points[-1]
-        zk = cur + model.kappa
+        zk = cur + kappa
         try:
-            w = eval_F(model, cur)
+            w = F(cur)
         except OverflowError:
             # the image must be proved past both this Q and the model's
             saturated = _member_past_overflow(model, zk, max(Q, model.half_plane_Q))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, RangeError
-from .models import LogLiftModel, _address_key, _contains, require_finite
+from .models import LogLiftModel, _address_key, domain_contains, require_finite
 
 __all__ = [
     "TractAddress",
@@ -28,10 +28,9 @@ class TractAddress:
 def tract_of(model: LogLiftModel, z: complex) -> TractAddress:
     """Address of the unique tract containing z."""
     z = require_finite(z)
-    zk = z + model.kappa
-    if not _contains(model, zk):
+    if not domain_contains(model, z):
         raise DomainError(f"z = {z!r} is not in the domain")
-    return _address(model, zk)
+    return _address(model, z + model.kappa)
 
 
 @lru_cache(maxsize=1024)
@@ -58,7 +57,7 @@ def inverse_branch(
     period strip is first moved into the tract's strip by whole periods;
     a Newton solution outside the tract raises NewtonDiverged.
     """
-    return model.kind.inverse_kernel(model)(tract, _require_target(model, w), seed)
+    return model._inverse(tract, _require_target(model, w), seed)
 
 
 def _require_target(model: LogLiftModel, w: complex) -> complex:

@@ -537,6 +537,14 @@ def test_a_fault_past_the_depth_does_not_reach_it():
          "orbit point must have finite components, got (nan+0j)"),
         (clean[:7] + [complex(math.inf, 0.0)] * 2 + clean[9:], DomainError,
          "orbit point must have finite components, got (inf+0j)"),
+        # a point that does not convert fails the step that reaches it
+        (clean[:7] + ["not a number"] + clean[8:], ValueError,
+         "complex() arg is a malformed string"),
+        (clean[:7] + [None] + clean[8:], TypeError,
+         "complex() first argument must be a string or a number, not 'NoneType'"),
+        # an int past double range is not finite
+        (clean[:7] + [10**400] + clean[8:], DomainError,
+         "orbit point must have finite components: int too large to convert to float"),
     ]
     for orbit, error, message in faults:
         for n in range(len(clean)):
@@ -547,6 +555,16 @@ def test_a_fault_past_the_depth_does_not_reach_it():
             with pytest.raises(error) as info:
                 conjugacy.theta_n(BASE, KAPPA, clean[0], n, Q, orbit)
             assert str(info.value) == message
+    # theta_limit at depth 6 proves point 7 for its residual: a point there
+    # that is not a finite number raises, where a wrong one gives a NaN
+    tol = 2.0 * abs(KAPPA) * 2.0**-5
+    assert conjugacy.depth_for_tolerance(KAPPA, tol) == 6
+    sample = conjugacy.theta_limit(BASE, KAPPA, clean[0], tol, Q, faults[0][0])
+    assert math.isnan(sample.residual)
+    for orbit, error, message in faults[1:]:
+        with pytest.raises(error) as info:
+            conjugacy.theta_limit(BASE, KAPPA, clean[0], tol, Q, orbit)
+        assert str(info.value) == message
 
 
 def _validate_orbit_reference(base, z, n, Q_, orbit):
@@ -763,6 +781,26 @@ def test_depth_sweep_proves_each_supplied_orbit_once(monkeypatch):
     for n in range(41):
         conjugacy.theta_n(BASE, KAPPA, orb[0], n, Q, orb)
     conjugacy.theta_limit(BASE, KAPPA, orb[0], 1e-9, Q, orbit=orb)
+    assert lengths == [42]
+
+
+def test_depth_sweep_converts_a_text_orbit_once(monkeypatch):
+    # the cycle as repr text is converted whole at every depth, so the
+    # sweep has one memo key and makes one array pass
+    orb = _orbit([0, 1], 43)
+    expected = [conjugacy.theta_n(BASE, KAPPA, orb[0], n, Q, orb) for n in range(41)]
+    conjugacy._orbit_proof.cache_clear()
+    lengths = []
+    array_pass = conjugacy._eval_F_array
+
+    def counting(model, z):
+        lengths.append(len(z))
+        return array_pass(model, z)
+
+    monkeypatch.setattr(conjugacy, "_eval_F_array", counting)
+    text = [repr(p) for p in orb]
+    got = [conjugacy.theta_n(BASE, KAPPA, orb[0], n, Q, text) for n in range(41)]
+    assert got == expected
     assert lengths == [42]
 
 
@@ -1023,6 +1061,41 @@ def test_one_chain_residual_keeps_the_three_tower_outcomes(monkeypatch):
             paths[chain, "nan" if "nan" in got[0] else "value"] += 1
     assert min(paths.values()) >= 1 and len(paths) == 5, paths
     assert paths["one chain", "value"] >= 500, paths
+
+
+def test_residual_members_keep_signed_zero_kappas_apart():
+    # with a base kappa of -0i, kappa = 0.3 + 0i and 0.3 - 0i give members
+    # whose kappas differ in the sign of a zero, and whose F at a real
+    # point lands on opposite sides of the log's cut
+    spec = EntireMapSpec.exp_affine(complex(-1, -0.0), complex(100, -0.0))
+    pos, neg = complex(0.3, 0.0), complex(0.3, -0.0)
+    for order in ((pos, neg), (neg, pos)):
+        base = LogLiftModel("lifted_entire", plane_map=spec, kappa=complex(0.0, -0.0))
+        for kappa in order:
+            for z in (5 + 0.1j, 5 - 0.1j, 2 + 0.5j):
+                args = (base, kappa, z, 1e-9, Q)
+                expected = _sample_outcome(_three_tower_theta_limit, *args)
+                assert _sample_outcome(conjugacy.theta_limit, *args) == expected
+        # one member is kept, and the second kappa does not reuse the first's
+        info = base._members.cache_info()
+        assert info.misses == 2 and info.currsize == 1
+        edge = complex(3.0, -0.0)
+        values = [repr(base._member_F(kappa)(edge)) for kappa in order]
+        assert values == [repr(eval_F(base.translated(kappa), edge)) for kappa in order]
+        assert values[0] != values[1]
+
+
+def test_a_kappa_sweep_keeps_one_residual_member():
+    # a fresh model, so its cache starts empty; F(z) is proved, F(F(z))
+    # saturates, so every sample takes the one-chain residual
+    sinh, z = ESCAPING_FAMILIES[2], 3.4045116317306596 + 12.921036882155637j
+    base = LogLiftModel(sinh.family, plane_map=sinh.plane_map)
+    for i in range(1000):
+        kappa = complex(0.3, 0.2 * i / 1000)
+        sample = conjugacy.theta_limit(base, kappa, z, 1e-9, Q)
+        assert sample.residual == _RESIDUAL(base, kappa, z, sample.depth, Q)
+    info = base._members.cache_info()
+    assert info.misses == 1000 and info.currsize == 1
 
 
 def test_saturated_sample_runs_one_tower(monkeypatch):

@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -102,6 +103,100 @@ def test_lifted_value_has_no_negative_zero_imaginary_part():
     spec = EntireMapSpec.exp_affine(complex(-1.0, -0.0), complex(100.0, -0.0))
     w = eval_F(LogLiftModel("lifted_entire", plane_map=spec), 1.0 + 0j)
     assert w.imag == 0.0 and math.copysign(1.0, w.imag) == 1.0
+
+
+def _lifted(spec, Q=0.0):
+    return LogLiftModel("lifted_entire", plane_map=spec, half_plane_Q=Q)
+
+
+# shifted_exp and each plane family, with the three maps of the edge
+# cases: a zero of f(e^z), a multiplier that overflows the plane map, and
+# a parameter whose signed zero makes the log's imaginary part -0.0
+KERNEL_MODELS = {
+    "shifted_exp": SHIFTED,
+    "exp_affine": _lifted(EntireMapSpec.exp_affine(1.0, 0.5)),
+    "lambda_expm1": _lifted(EntireMapSpec.lambda_expm1(0.5)),
+    "zexp": _lifted(EntireMapSpec.zexp()),
+    "sinh": _lifted(EntireMapSpec.sinh(0.575)),
+    "exp_plus_kappa": _lifted(EntireMapSpec.exp_plus_kappa(1.0038 + 2.8999j)),
+    "zero": _lifted(EntireMapSpec.exp_affine(1.0, -math.e)),
+    "huge": _lifted(EntireMapSpec.exp_affine(1e300, 0.0)),
+    "signed_zero": _lifted(
+        EntireMapSpec.exp_affine(complex(-1, -0.0), complex(100, -0.0))),
+}
+GUARD = "OverflowError: Re z = {} exceeds the exponent-overflow guard"
+LIFTED = ("exp_affine", "lambda_expm1", "zexp", "sinh", "exp_plus_kappa")
+
+# (model, kappa of its member, z, outcomes of eval_F, eval_dF and
+# domain_contains) as recorded before the model kinds built kernels: the
+# value's repr, or the exception's class and message
+KERNEL_EDGES = [
+    # Re z + kappa = 699.9, inside the guard; a lifted map's e^z is past it
+    ("shifted_exp", 0.3 + 0.2j, 699.6 + 0j,
+     "(8.994219109129372e+303+1.8232184749843957e+303j)",
+     "(8.994219109129372e+303+1.8232184749843957e+303j)", True),
+    *((name, 0.3 + 0.2j, 699.6 + 0j, GUARD.format("8.99422e+303"),
+       GUARD.format("8.99422e+303"), True) for name in LIFTED),
+    # Re z + kappa = 700.1, past the guard
+    *((name, 0.3 + 0.2j, 699.8 + 0j, GUARD.format("700.1"), GUARD.format("700.1"), True)
+      for name in ("shifted_exp", *LIFTED)),
+    # sinh is two-sided: Re e^z < -700 is past its guard
+    ("sinh", 0, 6.6 + 3.1j, GUARD.format("-734.459"), GUARD.format("-734.459"), True),
+    ("sinh", 0, 699.9 + 3.1j,
+     GUARD.format("-9.16921e+303"), GUARD.format("-9.16921e+303"), True),
+    ("sinh", 0, -3 + 0j,
+     "DomainError: z = (-3+0j) is outside the domain (Re F = -3.55297 <= 0)",
+     "DomainError: z = (-3+0j) is outside the domain", False),
+    ("shifted_exp", 0, -3 + 0j,
+     "DomainError: z = (-3+0j) is outside the domain (Re F = -9.95021 <= 0)",
+     "DomainError: z = (-3+0j) is outside the domain", False),
+    ("exp_plus_kappa", 0, -3 + 0j, "(1.268109407523414+0.9543268598736465j)",
+     "(0.00851240964451575-0.012013124806146342j)", True),
+    ("zero", 0, 0j, "DomainError: f(exp z) = 0 at z = 0j; log lift undefined",
+     "DomainError: z = 0j is outside the domain", False),
+    ("huge", 0, 5 + 0j, "OverflowError: the plane map's value overflows double range",
+     "OverflowError: the plane map's value overflows double range", True),
+    ("signed_zero", 0, 1 + 0j,
+     "(4.440834757755254+0j)", "(-0.48551119670804205-0j)", True),
+]
+
+
+def _kernel_outcome(fn, model, z):
+    try:
+        return repr(fn(model, z))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("name, kappa, z, F, dF, member", KERNEL_EDGES)
+def test_kernels_keep_every_value_and_error(name, kappa, z, F, dF, member):
+    model = KERNEL_MODELS[name]
+    if kappa:
+        model = model.translated(kappa)
+    assert _kernel_outcome(eval_F, model, z) == F
+    assert _kernel_outcome(eval_dF, model, z) == dF
+    assert domain_contains(model, z) is member
+
+
+def test_kernels_keep_every_outcome_on_a_grid():
+    # the three evaluators on every model above, its members at +-kappa
+    # and Q = 0 and 2, over a grid through both guards and signed zeros:
+    # the SHA-256 of their outcomes as recorded before the kernels
+    digest = hashlib.sha256()
+    reals = (-800, -3, -0.0, 0, 1, 2.5, 4.4, 6.6, 50, 699.6, 699.8, 699.9, 700.1, 800)
+    imags = (0.0, -0.0, 0.3, 3.1, 3.14159, -3.1, 6.4)
+    grid = [complex(re, im) for re in reals for im in imags]
+    for model in KERNEL_MODELS.values():
+        for kappa in (0j, 0.3 + 0.2j, -0.3 - 0.2j):
+            for Q in (0.0, 2.0):
+                m = dataclasses.replace(model, half_plane_Q=Q, kappa=kappa)
+                for z in grid:
+                    outcomes = tuple(_kernel_outcome(fn, m, z)
+                                     for fn in (eval_F, eval_dF, domain_contains))
+                    digest.update(repr(outcomes).encode())
+    assert digest.hexdigest() == (
+        "e43441b0386e0cdd0e5d896a556ccb59c6b837ffa70af631b5aea2afbfa1d4ed"
+    )
 
 
 def test_kappa_member_translates():

@@ -81,14 +81,15 @@ def test_an_image_on_the_half_plane_boundary_leaves_J_Q():
         conjugacy.theta_n(SHIFTED, 0.3 + 0.2j, z, 1, Q)
 
 
-def test_iterate_passes_on_errors_other_than_domain_exits(monkeypatch):
+def test_iterate_passes_on_errors_other_than_domain_exits():
     # only a DomainError means "left the domain"; any other error is a bug
-    def broken(model, z):
+    def broken(z):
         raise ZeroDivisionError("injected")
 
-    monkeypatch.setattr(orbits, "eval_F", broken)
+    model = LogLiftModel("shifted_exp", R=10.0)
+    vars(model)["_F"] = broken  # the F kernel the model builds once
     with pytest.raises(ZeroDivisionError, match="injected"):
-        orbits.iterate(SHIFTED, 4.0 + 0.0j, 10, Q)
+        orbits.iterate(model, 4.0 + 0.0j, 10, Q)
 
 
 def test_iterate_requires_positive_horizon():
@@ -134,21 +135,21 @@ def test_external_address_needs_each_point_proved_in_the_domain():
         orbits.external_address(model, 10.36152439957624 - 16.827016068829987j, 1)
 
 
-def test_iterate_evaluates_the_map_once_per_step(monkeypatch):
+def test_iterate_evaluates_the_map_once_per_step():
     # the image of the second point overflows past the plane map's guard;
     # that overflow decides membership without another evaluation
     model = LogLiftModel("lifted_entire", plane_map=EntireMapSpec.lambda_expm1(0.5))
     calls = []
-    real = EntireMapSpec.eval
+    real = model._F
 
-    def counted(self, z):
+    def counted(z):
         calls.append(z)
-        return real(self, z)
+        return real(z)
 
-    monkeypatch.setattr(EntireMapSpec, "eval", counted)
+    vars(model)["_F"] = counted  # the F kernel the model builds once
     rec = orbits.iterate(model, 5.0 + 0j, 10, Q)
     assert rec.saturated and rec.exit_step == 1 and len(rec.points) == 2
-    assert len(calls) == 2
+    assert calls == rec.points
 
 
 def test_expansion_ratios_equal_points_and_mismatch():

@@ -80,7 +80,8 @@ def test_only_the_model_kind_table_branches_on_the_kind():
     }
     for fn in (
         models.eval_F,
-        models._eval_raw,
+        models.domain_contains,
+        models._dF_kernel,
         models._eval_F_array,
         models.eval_dF,
         models._member_past_overflow,
