@@ -31,9 +31,10 @@ supplied list gets one verdict per distinct content, remembered for
 scalar checks from the first step that pass rejects, which name the
 step and the reason.  A list with several faults is refused at the
 first, at every depth past it.  The memo key is the model's repr,
-computed once per model, and the orbit's complex128 bytes
-(``np.fromiter`` for Python complex or float points, ``complex`` for
-others, such as text: one that does not convert fails its step).
+computed once per model, and the bytes of the list as ``np.fromiter``
+converts it, once per call: a point that does not convert refuses the
+call, and None becomes nan, which fails the step that reaches it.  An
+``iterate`` record is not an orbit argument; it is refused at once.
 
 The pullback levels then use those addresses and prove no membership
 again.  Each level calls the ``inverse_kernel`` of the model's row of
@@ -75,9 +76,6 @@ DEFAULT_MAX_DEPTH = 400
 # distinct supplied orbits whose proof is remembered; a sweep over the
 # depths of one orbit with theta_limit needs one
 ORBIT_MEMO_SIZE = 16
-# the point types np.fromiter converts as complex() does; it would also
-# parse text, bytes and None, and fail on an int past double range
-_NUMBERS = frozenset({complex, float})
 
 
 @dataclass
@@ -168,48 +166,32 @@ def _prove(
     z: complex,
     n: int,
     Q: float,
-    orbit: list[complex] | OrbitRecord | _ProvedOrbit | None = None,
+    orbit: list[complex] | _ProvedOrbit | None = None,
 ) -> _ProvedOrbit:
     """The proof of the orbit of z that every tower pulls back through.
 
     Without ``orbit``, one ``iterate`` call to horizon n proves it; a
-    saturated orbit covers every depth up to n with fewer points.  An
-    ``iterate`` record is read the same way.  A caller-supplied list
-    (e.g. the exact cycle of a periodic point, where plain forward
-    iteration would drift off the repelling cycle) gets the verdict
-    ``_orbit_proof`` remembers for its content; a list of points that are
-    not Python numbers, such as text, is converted whole at every depth,
-    up to a point that fails the step to it.  A list or proof must start
-    at z, unless not even its first point is proved.
+    saturated orbit covers every depth up to n with fewer points.  A
+    proof is used as it is.  A supplied list (e.g. the exact cycle of a
+    periodic point, where plain forward iteration would drift off the
+    repelling cycle) is converted once by ``np.fromiter`` and gets the
+    verdict ``_orbit_proof`` remembers for its content; a point that does
+    not convert refuses the whole call.  Anything else, such as an
+    ``iterate`` record, is refused with a TypeError.  A list or proof must
+    start at z, unless not even its first point is proved.
     """
     if orbit is None:
-        orbit = iterate(base, z, n, Q) if n else OrbitRecord([z], [])
-    if isinstance(orbit, OrbitRecord):
-        if orbit.certified:
-            return _ProvedOrbit(orbit.points, orbit.addresses, n, None)
-        step = orbit.exit_step
+        record = iterate(base, z, n, Q) if n else OrbitRecord([z], [])
+        if record.certified:
+            return _ProvedOrbit(record.points, record.addresses, n, None)
+        step = record.exit_step
         refusal = OrbitLeftJQ(f"orbit of {z!r} fails the J_Q certificate at step {step}")
-        return _ProvedOrbit(orbit.points, orbit.addresses, step, refusal)
+        return _ProvedOrbit(record.points, record.addresses, step, refusal)
     if not isinstance(orbit, _ProvedOrbit):
         if not orbit:
             raise RangeError("supplied orbit is empty")
-        pts, failure = orbit, None
-        if not _NUMBERS.issuperset(map(type, orbit)):
-            pts = []
-            try:
-                for p in orbit:
-                    pts.append(complex(p))
-            except (TypeError, ValueError) as exc:
-                failure = exc
-            except OverflowError as exc:  # an int past double range is not finite
-                failure = DomainError(f"orbit point must have finite components: {exc}")
-            if failure and not pts:
-                raise failure
-        arr = np.fromiter(pts, np.complex128, len(pts))
+        arr = np.fromiter(orbit, np.complex128, len(orbit))
         orbit = _orbit_proof(base, base._memo_repr, Q, arr.tobytes())
-        if failure and orbit.refusal is None:
-            # the step to the point that does not convert fails with it
-            orbit = orbit._replace(refusal=failure)
     if orbit.depth >= 0 and abs(orbit.points[0] - z) > 1e-9 * (1.0 + abs(z)):
         raise OrbitLeftJQ(f"supplied orbit does not start at {z!r}")
     return orbit
@@ -312,7 +294,8 @@ def theta_n(
 
     Requires Q > 2|kappa| + 1 and a finite-horizon certificate that the
     orbit of z stays in {Re > Q} to depth n.  ``orbit`` may supply the
-    exact forward orbit (see ``_prove``), checked at every depth.
+    exact forward orbit (see ``_prove``): a list gets one remembered
+    verdict on all its steps, which every depth reads.
     """
     kappa = _require_kappa_admissible(kappa, Q)
     z = require_finite(z)
@@ -438,8 +421,7 @@ def conjugacy_residual(
     fz = eval_F(base, z)
     proof = _prove(base, z, n + 1, Q, orbit)
     lhs = theta_n(base, kappa, fz, n, Q, proof.tail())
-    member = base.translated(kappa)
-    rhs = eval_F(member, theta_n(base, kappa, z, n + 1, Q, proof))
+    rhs = base._member_F(kappa)(theta_n(base, kappa, z, n + 1, Q, proof))
     return abs(lhs - rhs)
 
 

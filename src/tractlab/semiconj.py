@@ -176,8 +176,8 @@ def build_setup(lam: complex, r_U: float, K: float, R: float) -> HyperbolicSetup
     if fails.any():
         zb = boundary_point(int(np.argmax(fails)))
         raise SetupInvalid(f"containment |f| < r_U fails on the boundary at {zb!r}")
-    # postsingular orbit: forward iterates of the asymptotic value -lambda
-    p = -lam
+    # postsingular orbit: forward iterates of the map's asymptotic value
+    p = pm.asymptotic_value()
     for step in range(POSTSINGULAR_ITERATES):
         if abs(p) >= r_U:
             raise SetupInvalid(

@@ -537,18 +537,21 @@ def test_a_fault_past_the_depth_does_not_reach_it():
          "orbit point must have finite components, got (nan+0j)"),
         (clean[:7] + [complex(math.inf, 0.0)] * 2 + clean[9:], DomainError,
          "orbit point must have finite components, got (inf+0j)"),
-        # a point that does not convert fails the step that reaches it
+        # None converts to nan, a point that is not finite
+        (clean[:7] + [None] + clean[8:], DomainError,
+         "orbit point must have finite components, got (nan+nanj)"),
+    ]
+    # a point that does not convert refuses the list at every depth
+    unconverted = [
         (clean[:7] + ["not a number"] + clean[8:], ValueError,
          "complex() arg is a malformed string"),
-        (clean[:7] + [None] + clean[8:], TypeError,
-         "complex() first argument must be a string or a number, not 'NoneType'"),
-        # an int past double range is not finite
-        (clean[:7] + [10**400] + clean[8:], DomainError,
-         "orbit point must have finite components: int too large to convert to float"),
+        (clean[:7] + [10**400] + clean[8:], OverflowError,
+         "int too large to convert to float"),
     ]
-    for orbit, error, message in faults:
+    cases = [(7, *fault) for fault in faults] + [(0, *fault) for fault in unconverted]
+    for first, orbit, error, message in cases:
         for n in range(len(clean)):
-            if n < 7:
+            if n < first:
                 got = conjugacy.theta_n(BASE, KAPPA, clean[0], n, Q, orbit)
                 assert got == conjugacy.theta_n(BASE, KAPPA, clean[0], n, Q, clean)
                 continue
@@ -561,10 +564,37 @@ def test_a_fault_past_the_depth_does_not_reach_it():
     assert conjugacy.depth_for_tolerance(KAPPA, tol) == 6
     sample = conjugacy.theta_limit(BASE, KAPPA, clean[0], tol, Q, faults[0][0])
     assert math.isnan(sample.residual)
-    for orbit, error, message in faults[1:]:
+    for orbit, error, message in faults[1:] + unconverted:
         with pytest.raises(error) as info:
             conjugacy.theta_limit(BASE, KAPPA, clean[0], tol, Q, orbit)
         assert str(info.value) == message
+
+
+def test_a_supplied_iterate_record_is_refused_at_once(monkeypatch):
+    # an iterate record is not an orbit argument: no tower reads it, so it
+    # can neither skip the start check nor reach past its points
+    other = orbits.iterate(BASE, 3.5 + 0j, 3, Q)
+    assert other.certified
+    with pytest.raises(OrbitLeftJQ) as info:  # its points, as a list
+        conjugacy.theta_n(BASE, KAPPA, 4.5 + 0j, 3, Q, other.points)
+    assert str(info.value) == "supplied orbit does not start at (4.5+0j)"
+    # saturated at its only point, within 1e-9 of z = 700, where F(z) is finite
+    saturated = orbits.iterate(BASE, 700 + 1e-9, 32, Q)
+    assert saturated.saturated and len(saturated.points) == 1
+
+    def unreached(*args):
+        raise AssertionError("a supplied record was proved")
+
+    monkeypatch.setattr(conjugacy, "iterate", unreached)
+    monkeypatch.setattr(conjugacy, "_orbit_proof", unreached)
+    for fn, args in (
+        (conjugacy.theta_n, (BASE, KAPPA, 4.5 + 0j, 3, Q, other)),
+        (conjugacy.theta_limit, (BASE, KAPPA, 700 + 0j, 1e-9, Q, saturated)),
+        (conjugacy.conjugacy_residual, (BASE, KAPPA, 3.5 + 0j, 2, Q, other)),
+        (conjugacy.conjugacy_residual, (BASE, KAPPA, 700 + 0j, 31, Q, saturated)),
+    ):
+        with pytest.raises(TypeError):
+            fn(*args)
 
 
 def _validate_orbit_reference(base, z, n, Q_, orbit):
@@ -609,7 +639,7 @@ def _proved_upto(base, z, n, Q_, orbit):
 def _outcome(fn, *args):
     try:
         pts, addresses = fn(*args)
-    except (TractlabError, TypeError) as exc:  # TypeError: a point like None
+    except TractlabError as exc:
         return type(exc), str(exc)
     return repr(pts), addresses
 
@@ -667,12 +697,14 @@ def _orbits_of_every_point_kind():
 
 @pytest.mark.parametrize("kind", [name for name, _, _ in _orbits_of_every_point_kind()])
 def test_every_kind_of_point_meets_the_validation_it_replaces(kind):
-    # the memo key is built with np.fromiter for complex and float points
-    # only; every other point takes require_finite, as it did before
+    # np.fromiter converts every point as complex() does, and None to nan:
+    # the reference validation sees the nan point in its place
     conjugacy._orbit_proof.cache_clear()
     (orbit, z), = [(o, z) for name, o, z in _orbits_of_every_point_kind() if name == kind]
+    nan = complex(math.nan, math.nan)
+    reference = [nan if p is None else p for p in orbit]
     for n in list(range(11)) * 2:  # each depth again, against a warm memo
-        expected = _outcome(_validate_orbit_reference, BASE, z, n, Q, orbit)
+        expected = _outcome(_validate_orbit_reference, BASE, z, n, Q, reference)
         assert _outcome(_proved_upto, BASE, z, n, Q, orbit) == expected
 
 
@@ -846,9 +878,10 @@ def test_supplied_orbit_tower_makes_no_scalar_membership_calls(monkeypatch):
     theta = conjugacy.theta_n(BASE, KAPPA, orb[0], 40, Q, orb)
     assert abs(theta - orb[0]) <= 2.0 * abs(KAPPA)
     assert calls == {}
-    # the wrappers do count: the residual evaluates F twice
+    # the wrappers do count: the residual checks F(z) with eval_F (and
+    # evaluates F_kappa through the member's kernel)
     conjugacy.theta_limit(BASE, KAPPA, orb[0], 1e-9, Q, orbit=orb)
-    assert calls == {"eval_F": 2}
+    assert calls == {"eval_F": 1}
 
 
 def test_proved_steps_fall_below_depth_exactly_where_the_orbit_saturates():
@@ -1045,9 +1078,6 @@ def test_one_chain_residual_keeps_the_three_tower_outcomes(monkeypatch):
               for z in (50 + 0j, 4.6 + 0.3j)]
     cases += [(BASE, KAPPA, cyc[0], 1e-9, Q, orbit)
               for orbit in (cyc[: depth + 2], cyc[: depth + 1], moved)]
-    # a saturated iterate record of another point: F(z) is not its step 1
-    sinh, z = ESCAPING_FAMILIES[2], 3.4045116317306596 + 12.921036882155637j
-    cases.append((sinh, KAPPA, z, 1e-9, Q, orbits.iterate(sinh, z + 1e-3, 32, Q)))
     paths = Counter()
     for F, kappa, z, tol, Q_, orbit in cases:
         expected = _sample_outcome(_three_tower_theta_limit, F, kappa, z, tol, Q_, orbit)
