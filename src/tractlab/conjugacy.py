@@ -69,7 +69,7 @@ from .models import (
     write_json,
 )
 from .orbits import ExternalAddress, OrbitRecord, iterate, periodic_orbit
-from .tracts import TractAddress, _address, _require_target, tract_of
+from .tracts import TractAddress, _require_target, tract_of
 
 # theta_limit refuses a tolerance that needs a deeper tower
 DEFAULT_MAX_DEPTH = 400
@@ -172,9 +172,9 @@ def _prove(
 
     Without ``orbit``, one ``iterate`` call to horizon n proves it; a
     saturated orbit covers every depth up to n with fewer points.  A
-    proof is used as it is.  A supplied list (e.g. the exact cycle of a
-    periodic point, where plain forward iteration would drift off the
-    repelling cycle) is converted once by ``np.fromiter`` and gets the
+    proof is used as it is.  A supplied list or array (e.g. the exact
+    cycle of a periodic point, where plain forward iteration would drift
+    off the repelling cycle) is converted once by ``np.fromiter`` and gets the
     verdict ``_orbit_proof`` remembers for its content; a point that does
     not convert refuses the whole call.  Anything else, such as an
     ``iterate`` record, is refused with a TypeError.  A list or proof must
@@ -188,7 +188,7 @@ def _prove(
         refusal = OrbitLeftJQ(f"orbit of {z!r} fails the J_Q certificate at step {step}")
         return _ProvedOrbit(record.points, record.addresses, step, refusal)
     if not isinstance(orbit, _ProvedOrbit):
-        if not orbit:
+        if len(orbit) == 0:
             raise RangeError("supplied orbit is empty")
         arr = np.fromiter(orbit, np.complex128, len(orbit))
         orbit = _orbit_proof(base, base._memo_repr, Q, arr.tobytes())
@@ -208,7 +208,8 @@ def _orbit_proof(
     arr = np.frombuffer(data, dtype=np.complex128)
     pts = arr.tolist()
     depth, refusal = _scalar_checks(base, Q, pts, _first_rejected(base, Q, arr))
-    addresses = [_address(base, p + base.kappa) for p in pts[:depth]]
+    address, kappa = base._address, base.kappa
+    addresses = [address(p + kappa) for p in pts[:depth]]
     return _ProvedOrbit(pts, addresses, depth, refusal)
 
 
@@ -321,8 +322,11 @@ def displacement_bound(base: LogLiftModel, kappa: complex, Q: float) -> float | 
     return None
 
 
+@lru_cache(maxsize=64)
 def depth_for_tolerance(kappa: complex, tol: float) -> int:
-    """Smallest n with 2|kappa| * 2^(1-n) <= tol.
+    """Smallest n with 2|kappa| * 2^(1-n) <= tol, remembered per (kappa,
+    tol): it depends on |kappa| alone, so kappas that compare equal share
+    it, signed zeros included.
 
     With 2|kappa| = ms 2^es and tol = mt 2^et, mantissas in [1/2, 1), the
     product is exact and the condition reads ms 2^(es+1-n-et) <= mt, which
@@ -385,7 +389,10 @@ def theta_limit(
         elif 1 < len(proof.points) <= depth + 1:
             # the checks of the residual's tower Theta_n(F z), whose value
             # is ``above``; two points need depth >= 1, so kappa != 0
-            _prove(base, base._F(z), depth, Q, proof.tail()).upto(depth)
+            # F(z) as iterate proved it, or as a supplied list's tail must
+            # start at it
+            fz = proof.points[1] if orbit is None else base._F(z)
+            _prove(base, fz, depth, Q, proof.tail()).upto(depth)
             residual = abs(above - base._member_F(kappa)(theta))
         else:
             residual = conjugacy_residual(base, kappa, z, depth, Q, proof)

@@ -7,9 +7,16 @@ disjoint type for ``R >= 2``) and lifts of entire plane maps, evaluated
 through the principal logarithm; inverse branches carry their tract
 integers explicitly (see ``tracts``).  Every rule that depends on the
 kind is a column of that table, and no other module branches on it.
-Three columns build kernels: ``F_kernel``, ``dF_kernel`` and
+Three columns build kernels: ``value_kernel``, ``dF_kernel`` and
 ``inverse_kernel`` return closures over one model, which a model builds
-once; ``eval_F`` and ``eval_dF`` are ``require_finite`` plus a kernel.
+once, as it builds its F kernel and its address kernel.  The value
+kernel is F at z + kappa inside the exp guard, without the rule Re F > Q;
+``orbits.iterate`` steps on it and compares with its own threshold, so a
+domain exit raises nothing.  The F kernel adds that rule, and ``eval_F``
+and ``eval_dF`` are ``require_finite`` plus a kernel.  The lifted F'
+kernel reads exp(z + kappa) and f once where they prove z in V.  The
+address kernel, built by ``_address_key``, is the one home of the
+address rule.
 The plane maps form one table, ``PLANE_FAMILIES``: every per-family
 formula (scalar and grid evaluation, derivative, asymptotic value,
 Newton seed, lower bound for log|f|, JSON parameter names) lives there
@@ -273,10 +280,13 @@ class LogLiftModel:
         which can move the log lift by 2 pi i."""
         return repr(self)
 
-    # the kind's kernels, built once: eval_F and eval_dF at a finite z,
-    # and the inverse-branch solve
-    _F = cached_property(lambda self: self.kind.F_kernel(self))
+    # the kernels, built once: F at zk = z + kappa inside the exp guard,
+    # without the Q rule; eval_F and eval_dF at a finite z; the address of
+    # a domain point zk; and the inverse-branch solve
+    _F_value = cached_property(lambda self: self.kind.value_kernel(self))
+    _F = cached_property(lambda self: _F_kernel(self))
     _dF = cached_property(lambda self: self.kind.dF_kernel(self))
+    _address = cached_property(lambda self: _address_key(self))
     _inverse = cached_property(lambda self: self.kind.inverse_kernel(self))
 
     def _member_F(self, kappa: complex) -> Callable:
@@ -308,7 +318,9 @@ class ModelKind:
     every callable column but ``from_json`` takes the model m first."""
 
     problem: Callable  # m -> why m is invalid, or a false value
-    F_kernel: Callable  # m -> F, where F(z) is eval_F(m, z) at a finite z
+    # m -> value, where value(zk) is F at zk - kappa inside the exp guard;
+    # it raises only past a guard, or where F has no value
+    value_kernel: Callable
     F_array: Callable  # (m, zeta array) -> F, and where the scalar F succeeds
     dF_kernel: Callable  # m -> dF, where dF(z) is eval_dF(m, z) at a finite z
     overflow_floor: Callable  # (m, zk) -> Re F floor where F overflowed
@@ -321,26 +333,35 @@ class ModelKind:
     from_json: Callable  # descriptor -> constructor arguments but family, Q
 
 
-def _F_kernel(value: Callable) -> Callable:
-    # the F_kernel column of a kind with F(z) = value(m)(z + kappa) inside
-    # the model's exp guard, on the domain where Re F > Q
+def _value_kernel(value: Callable) -> Callable:
+    # the value_kernel column of a kind with F(zk - kappa) = value(m)(zk)
+    # inside the model's exp guard
     def build(model: LogLiftModel) -> Callable:
-        v, kappa, Q = value(model), model.kappa, model.half_plane_Q
+        v = value(model)
 
-        def F(z):
-            zk = z + kappa
+        def guarded(zk):
             if zk.real > EXP_OVERFLOW_GUARD:
                 raise _guard_error(zk.real)
-            w = v(zk)
-            if w.real <= Q:
-                raise DomainError(
-                    f"z = {z!r} is outside the domain (Re F = {w.real:g} <= {Q:g})"
-                )
-            return w
+            return v(zk)
 
-        return F
+        return guarded
 
     return build
+
+
+def _F_kernel(model: LogLiftModel) -> Callable:
+    # eval_F at a finite z: the value kernel on the domain where Re F > Q
+    value, kappa, Q = model._F_value, model.kappa, model.half_plane_Q
+
+    def F(z):
+        w = value(z + kappa)
+        if w.real <= Q:
+            raise DomainError(
+                f"z = {z!r} is outside the domain (Re F = {w.real:g} <= {Q:g})"
+            )
+        return w
+
+    return F
 
 
 def _dF_kernel(derivative: Callable) -> Callable:
@@ -386,6 +407,30 @@ def _lifted_F(model: LogLiftModel) -> Callable:
     return value
 
 
+def _lifted_dF(model: LogLiftModel) -> Callable:
+    # F' = f'(zeta) zeta / f(zeta) from one exp and one f(zeta) where they
+    # prove z in V; everywhere else _dF_kernel's order decides the outcome
+    exp, log, isfinite = cmath.exp, cmath.log, cmath.isfinite
+    f, df = model.plane_map._f, model.plane_map._df
+    kappa, Q = model.kappa, model.half_plane_Q
+    checked = _dF_kernel(lambda m: lambda zeta: df(zeta) * zeta / f(zeta))(model)
+
+    def dF(z):
+        zk = z + kappa
+        if zk.real <= EXP_OVERFLOW_GUARD and isfinite(z):
+            zeta = exp(zk)
+            try:
+                fv = f(zeta)
+            except OverflowError:
+                return checked(z)
+            # Re F > Q as the F kernel decides it, where log(0) would raise
+            if fv != 0 and log(fv).real > Q:
+                return df(zeta) * zeta / fv
+        return checked(z)
+
+    return dF
+
+
 def _lifted_F_array(model: LogLiftModel, zeta: np.ndarray) -> tuple:
     pm = model.plane_map
     bound = np.abs(zeta.real) if pm.row.two_sided else zeta.real
@@ -401,17 +446,17 @@ def _lifted_from_json(desc: dict) -> dict:
 
 def _newton_kernel(model: LogLiftModel) -> Callable:
     # the seeded Newton solve that tracts.inverse_branch documents
-    kappa = model.kappa
+    kappa, address = model.kappa, model._address
 
     def solve(tract, w, seed=None):
         # Newton runs in the coordinates of the untranslated map
         seed_k = None if seed is None else seed + kappa
         if seed_k is not None:
-            shift = tract.branch_index - _address_key(model, seed_k)[0]
+            shift = tract.branch_index - address(seed_k).branch_index
             if shift:
                 seed_k += TWO_PI * 1j * shift
         zk = _newton_inverse(model, tract, w, seed_k)
-        if _address_key(model, zk) != (tract.branch_index, tract.inner_branch):
+        if address(zk) != tract:
             raise NewtonDiverged(
                 f"Newton inverse of w = {w!r} left tract {tract} for {zk - kappa!r}"
             )
@@ -463,7 +508,7 @@ MODEL_KINDS: dict[str, ModelKind] = {
     # F(z) = e^z - R
     "shifted_exp": ModelKind(
         problem=lambda m: not math.isfinite(m.R) and "R must be finite",
-        F_kernel=_F_kernel(lambda m: lambda zk: cmath.exp(zk) - m.R),
+        value_kernel=_value_kernel(lambda m: lambda zk: cmath.exp(zk) - m.R),
         F_array=lambda m, zeta: (zeta - m.R, True),
         dF_kernel=_dF_kernel(lambda m: lambda zeta: zeta),  # F' = e^z
         # e^z - R does not overflow inside the guard
@@ -480,11 +525,9 @@ MODEL_KINDS: dict[str, ModelKind] = {
     # F(z) = log f(e^z), principal branch, for f from PLANE_FAMILIES
     "lifted_entire": ModelKind(
         problem=lambda m: m.plane_map is None and "lifted_entire requires a plane_map",
-        F_kernel=_F_kernel(_lifted_F),
+        value_kernel=_value_kernel(_lifted_F),
         F_array=_lifted_F_array,
-        # F' = f'(zeta) zeta / f(zeta)
-        dF_kernel=_dF_kernel(lambda m: lambda zeta: (
-            m.plane_map._df(zeta) * zeta / m.plane_map._f(zeta))),
+        dF_kernel=_lifted_dF,
         overflow_floor=lambda m, zk: m.plane_map.row.log_abs_floor(
             m.plane_map.log_moduli, cmath.exp(zk)
         ),
@@ -499,13 +542,16 @@ MODEL_KINDS: dict[str, ModelKind] = {
 }
 
 
-def _address_key(model: LogLiftModel, zk: complex) -> tuple[int, bool]:
-    """The tract address (k, inner) of a domain point zk = z + kappa, which
-    ``tracts._address`` interns: k = round(Im zk / 2 pi), and a two-sided
-    kind has two tracts per period strip, toward Re exp(z) = +/-inf, so
-    inner = 1 where sign(Re exp(zk)) = sign(cos Im zk) < 0."""
-    inner = model.kind.two_sided(model) and math.cos(zk.imag) < 0.0
-    return round(zk.imag / TWO_PI), inner
+def _address_key(model: LogLiftModel) -> Callable:
+    """The address kernel of a model: the interned tract address (k, inner)
+    of a domain point zk = z + kappa, with k = round(Im zk / 2 pi); a
+    two-sided kind has two tracts per period strip, toward Re exp(z) =
+    +/-inf, so inner = 1 where sign(Re exp(zk)) = sign(cos Im zk) < 0."""
+    from .tracts import _interned  # tracts imports this module
+
+    if model.kind.two_sided(model):
+        return lambda zk: _interned(round(zk.imag / TWO_PI), math.cos(zk.imag) < 0.0)
+    return lambda zk: _interned(round(zk.imag / TWO_PI), False)
 
 
 def eval_F(model: LogLiftModel, z: complex) -> complex:

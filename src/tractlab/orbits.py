@@ -20,7 +20,7 @@ from .errors import (
     RangeError,
 )
 from .models import LogLiftModel, _member_past_overflow, require_finite
-from .tracts import TractAddress, _address, inverse_branch
+from .tracts import TractAddress, inverse_branch
 
 
 @dataclass
@@ -49,28 +49,33 @@ def iterate(model: LogLiftModel, z: complex, horizon: int, Q: float) -> OrbitRec
     (the orbit is escaping faster than doubles can represent); the
     record is marked saturated.  Every point but the last is proved in
     V, the last too if saturated, and each of those has its address.
+
+    Each step calls the model's value kernel once and compares the image
+    with max(Q, the model's Q), so a domain exit raises nothing; only an
+    image past an exp guard, or where F has no value, raises inside it.
+    The model's address kernel gives the addresses.
     """
     if horizon < 1:
         raise RangeError("horizon must be at least 1")
     z = require_finite(z)
-    F, kappa = model._F, model.kappa
+    value, address, kappa = model._F_value, model._address, model.kappa
+    # an image is kept past both this Q and the model's
+    bar = max(Q, model.half_plane_Q)
     points, addresses = [z], []
     exit_step, saturated = None, False
     for step in range(horizon):
-        cur = points[-1]
-        zk = cur + kappa
+        zk = points[-1] + kappa
         try:
-            w = F(cur)
+            w = value(zk)
         except OverflowError:
-            # the image must be proved past both this Q and the model's
-            saturated = _member_past_overflow(model, zk, max(Q, model.half_plane_Q))
+            saturated = _member_past_overflow(model, zk, bar)
             if saturated:
-                addresses.append(_address(model, zk))
+                addresses.append(address(zk))
         except DomainError:
             pass
         else:
-            if w.real > Q:
-                addresses.append(_address(model, zk))
+            if w.real > bar:
+                addresses.append(address(zk))
                 points.append(w)
                 continue
         exit_step = step

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, RangeError
-from .models import LogLiftModel, _address_key, domain_contains, require_finite
+from .models import LogLiftModel, domain_contains, require_finite
 
 __all__ = [
     "TractAddress",
@@ -30,17 +30,13 @@ def tract_of(model: LogLiftModel, z: complex) -> TractAddress:
     z = require_finite(z)
     if not domain_contains(model, z):
         raise DomainError(f"z = {z!r} is not in the domain")
-    return _address(model, z + model.kappa)
+    return model._address(z + model.kappa)
 
 
 @lru_cache(maxsize=1024)
 def _interned(k: int, inner: bool) -> TractAddress:
-    # one shared instance per address
+    # one shared instance per address, for the models' address kernels
     return TractAddress(k, int(inner))
-
-
-def _address(model: LogLiftModel, zk: complex) -> TractAddress:
-    return _interned(*_address_key(model, zk))
 
 
 def inverse_branch(

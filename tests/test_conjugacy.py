@@ -597,6 +597,19 @@ def test_a_supplied_iterate_record_is_refused_at_once(monkeypatch):
             fn(*args)
 
 
+def test_a_supplied_array_is_the_list_it_holds():
+    # an array converts to the bytes the list does: one value, one memo entry
+    o = _orbit([0, 1], 8)
+    from_list = conjugacy.theta_n(BASE, KAPPA, o[0], 5, Q, o)
+    before = conjugacy._orbit_proof.cache_info()
+    from_array = conjugacy.theta_n(BASE, KAPPA, o[0], 5, Q, np.array(o))
+    after = conjugacy._orbit_proof.cache_info()
+    assert repr(from_array) == repr(from_list)
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    with pytest.raises(RangeError, match="supplied orbit is empty"):
+        conjugacy.theta_n(BASE, KAPPA, o[0], 5, Q, np.array([], complex))
+
+
 def _validate_orbit_reference(base, z, n, Q_, orbit):
     # the supplied-orbit validation as it stood before proofs were
     # remembered: one array pass over the first n steps, every call
@@ -629,7 +642,7 @@ def _validate_orbit_reference(base, z, n, Q_, orbit):
             raise OrbitLeftJQ(f"supplied orbit inconsistent at step {i}")
     if n >= 1 and pts[n].real <= Q_:
         raise OrbitLeftJQ(f"supplied orbit leaves {{Re > {Q_:g}}} at step {n}")
-    return pts, [tracts._address(base, p + base.kappa) for p in pts[:n]]
+    return pts, [base._address(p + base.kappa) for p in pts[:n]]
 
 
 def _proved_upto(base, z, n, Q_, orbit):

@@ -83,11 +83,11 @@ def test_an_image_on_the_half_plane_boundary_leaves_J_Q():
 
 def test_iterate_passes_on_errors_other_than_domain_exits():
     # only a DomainError means "left the domain"; any other error is a bug
-    def broken(z):
+    def broken(zk):
         raise ZeroDivisionError("injected")
 
     model = LogLiftModel("shifted_exp", R=10.0)
-    vars(model)["_F"] = broken  # the F kernel the model builds once
+    vars(model)["_F_value"] = broken  # the value kernel iterate steps on
     with pytest.raises(ZeroDivisionError, match="injected"):
         orbits.iterate(model, 4.0 + 0.0j, 10, Q)
 
@@ -138,18 +138,21 @@ def test_external_address_needs_each_point_proved_in_the_domain():
 def test_iterate_evaluates_the_map_once_per_step():
     # the image of the second point overflows past the plane map's guard;
     # that overflow decides membership without another evaluation
-    model = LogLiftModel("lifted_entire", plane_map=EntireMapSpec.lambda_expm1(0.5))
+    kappa = 0.3 + 0.2j
+    model = LogLiftModel(
+        "lifted_entire", plane_map=EntireMapSpec.lambda_expm1(0.5), kappa=kappa
+    )
     calls = []
-    real = model._F
+    real = model._F_value
 
-    def counted(z):
-        calls.append(z)
-        return real(z)
+    def counted(zk):
+        calls.append(zk)
+        return real(zk)
 
-    vars(model)["_F"] = counted  # the F kernel the model builds once
-    rec = orbits.iterate(model, 5.0 + 0j, 10, Q)
+    vars(model)["_F_value"] = counted  # the value kernel iterate steps on
+    rec = orbits.iterate(model, 4.7 - 0.2j, 10, Q)
     assert rec.saturated and rec.exit_step == 1 and len(rec.points) == 2
-    assert calls == rec.points
+    assert calls == [p + kappa for p in rec.points]
 
 
 def test_expansion_ratios_equal_points_and_mismatch():
