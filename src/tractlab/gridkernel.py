@@ -8,12 +8,25 @@ block's temporaries stay in cache; orbits are independent, so the
 blocking changes no code.  Within a block the values still iterating are
 compacted, with an array of their positions in the block, only on the
 steps where a pixel finishes or crosses the overflow guard.
+
+A window of more than one block is classified by one thread per usable
+CPU: the calling thread and the workers of one module-level thread pool,
+each taking the next block that no thread has taken.  NumPy releases the
+GIL inside its ufuncs, so the blocks' array work runs on every core.
+Each block writes only its own slice of the output, so the codes, and
+the image bytes, are those of one thread.  The pool is built on the
+first call that needs it and again in a forked child; with one block or
+one usable CPU the calling thread classifies every block and no thread
+starts.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
+import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,14 +96,55 @@ def classify_window(
     z = (x[None, :] + 1j * y[:, None]).ravel()
 
     out = np.zeros(z.size, dtype=np.uint8)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, z.size, BLOCK):
-            block = slice(start, start + BLOCK)
-            _classify_block(
-                map_spec.row, map_spec.params, z[block], out[block],
-                escape_radius, horizon,
-            )
+    # the blocks no thread has taken yet; threads may share a deque's popleft
+    pending = deque(slice(start, start + BLOCK) for start in range(0, z.size, BLOCK))
+
+    def drain() -> None:
+        # errstate is a context variable, which pool threads do not inherit
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                try:
+                    block = pending.popleft()
+                except IndexError:
+                    return
+                _classify_block(map_spec.row, map_spec.params, z[block], out[block],
+                                escape_radius, horizon)
+
+    helpers = _start_helpers(drain) if len(pending) > 1 else []
+    drain()
+    for helper in helpers:
+        helper.result()  # raises a helper's error in the caller
     return out.reshape(height, width)
+
+
+_pool = None  # the block pool's submit method, once per worker
+_pool_lock = threading.Lock()
+
+
+def _start_helpers(task) -> list:
+    """Submit task to each worker of the block pool, which has one per
+    usable CPU beside the caller's; start nothing on one usable CPU."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            affinity = getattr(os, "sched_getaffinity", None)
+            workers = (len(affinity(0)) if affinity else os.cpu_count() or 1) - 1
+            if workers:
+                from concurrent.futures import ThreadPoolExecutor
+
+                pool = ThreadPoolExecutor(workers, thread_name_prefix="gridkernel")
+                _pool = [pool.submit] * workers
+        return [submit(task) for submit in _pool or ()]
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool object but none of its threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _classify_block(row, params, z, out, escape_radius, horizon) -> None:

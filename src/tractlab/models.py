@@ -167,8 +167,10 @@ PLANE_FAMILIES: dict[str, PlaneFamily] = {
 }
 
 
-def _guard_error(x: float) -> OverflowError:
-    return OverflowError(f"Re z = {x:g} exceeds the exponent-overflow guard")
+def _guard_error(x: float, real_part: str = "Re z") -> OverflowError:
+    # real_part names x: Re z of the plane map's argument, or Re(z + kappa)
+    # in a model's kernels, whose caller passed z
+    return OverflowError(f"{real_part} = {x:g} exceeds the exponent-overflow guard")
 
 
 @dataclass(frozen=True)
@@ -341,7 +343,7 @@ def _value_kernel(value: Callable) -> Callable:
 
         def guarded(zk):
             if zk.real > EXP_OVERFLOW_GUARD:
-                raise _guard_error(zk.real)
+                raise _guard_error(zk.real, "Re(z + kappa)")
             return v(zk)
 
         return guarded
@@ -374,7 +376,7 @@ def _dF_kernel(derivative: Callable) -> Callable:
                 raise DomainError(f"z = {z!r} is outside the domain")
             zk = z + kappa
             if zk.real > EXP_OVERFLOW_GUARD:
-                raise _guard_error(zk.real)
+                raise _guard_error(zk.real, "Re(z + kappa)")
             return d(cmath.exp(zk))
 
         return dF
@@ -398,7 +400,9 @@ def _lifted_F(model: LogLiftModel) -> Callable:
     def value(zk):
         fv = f(exp(zk))
         if fv == 0:
-            raise DomainError(f"f(exp z) = 0 at z = {zk!r}; log lift undefined")
+            raise DomainError(
+                f"f(exp(z + kappa)) = 0 at z + kappa = {zk!r}; log lift undefined"
+            )
         # + 0j turns a -0.0 imaginary part of the log into +0.0: parameters
         # with signed zeros, as exp_affine(complex(-1, -0.0), complex(100,
         # -0.0)), give f(exp z) = x - 0j, and the reported value keeps +0.0

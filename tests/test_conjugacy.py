@@ -450,18 +450,18 @@ def _rejected_orbits():
                            "53589793j) is outside the domain (Re F = -30.0855 <= 0)"),
         "past_guard": (BASE, None, _ending_at(BASE, 701.0, 2) + [cmath.exp(701) - 10],
                        3, Q, OrbitLeftJQ,
-                       "supplied orbit invalid at step 2: Re z = 701 exceeds the"
-                       " exponent-overflow guard"),
+                       "supplied orbit invalid at step 2: Re(z + kappa) = 701"
+                       " exceeds the exponent-overflow guard"),
         "past_guard_by_rounding": (nudged, None, _ending_at(nudged, 699.7, 1)
                                    + [cmath.exp(700.0) - 10], 2, Q, OrbitLeftJQ,
-                                   "supplied orbit invalid at step 1: Re z = 700"
-                                   " exceeds the exponent-overflow guard"),
+                                   "supplied orbit invalid at step 1: Re(z + kappa) ="
+                                   " 700 exceeds the exponent-overflow guard"),
         "past_two_sided_guard": (sinh, None, [z_sinh, beyond], 1, Q, OrbitLeftJQ,
                                  "supplied orbit invalid at step 0: Re z = -701"
                                  " exceeds the exponent-overflow guard"),
         "f_zero": (zexp, None, [-800.0 + 0j, 5.0 + 0j], 1, Q, OrbitLeftJQ,
-                   "supplied orbit invalid at step 0: f(exp z) = 0 at z = (-800+0j);"
-                   " log lift undefined"),
+                   "supplied orbit invalid at step 0: f(exp(z + kappa)) = 0 at"
+                   " z + kappa = (-800+0j); log lift undefined"),
         "inconsistent": (BASE, None, cyc[:4] + [cyc[4] + 1e-3] + cyc[5:], 7, Q,
                          OrbitLeftJQ, "supplied orbit inconsistent at step 3"),
         # depth 0 checks the orbit too

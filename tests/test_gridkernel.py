@@ -2,7 +2,12 @@
 
 import json
 import math
+import os
+import signal
 import struct
+import sys
+import threading
+import time
 import zlib
 
 import numpy as np
@@ -101,6 +106,136 @@ def test_blocks_change_no_code(monkeypatch, spec):
             grid = gridkernel.classify_window(spec, win, (width, height), radius, horizon)
             # equal to the scalar codes, hence equal to each other
             assert (grid == expected).all(), (win, radius, block)
+
+
+# 300 x 200 pixels in blocks of 4096: fifteen blocks, the last one short
+POOL_CASE = (SPECS[3], WIN, (300, 200), 50.0, 30)
+
+
+# a multiplier of 1e300 overflows a e^z inside the guard, and the kernel
+# ignores that overflow: under filterwarnings = error a pool thread that
+# did not enter the errstate itself raises a RuntimeWarning
+OVERFLOW_CASE = (EntireMapSpec.exp_affine(1e300, 0.0), Window(-4.0, 20.0, -3.0, 3.0),
+                 (300, 200), 50.0, 20)
+
+
+def test_pool_blocks_ignore_overflow_as_one_block_does(monkeypatch):
+    expected = gridkernel.classify_window(*OVERFLOW_CASE)
+    assert set(np.unique(expected)) == {1, 2}
+    monkeypatch.setattr(gridkernel, "BLOCK", 4096)
+    assert (gridkernel.classify_window(*OVERFLOW_CASE) == expected).all()
+
+
+@pytest.mark.parametrize("thread", ["calling", "pool"])
+def test_a_block_error_reaches_the_caller_and_the_pool_survives(monkeypatch, thread):
+    expected = gridkernel.classify_window(*POOL_CASE)  # one block, inline
+    monkeypatch.setattr(gridkernel, "BLOCK", 4096)
+    assert (gridkernel.classify_window(*POOL_CASE) == expected).all()
+    pool = gridkernel._pool
+    if thread == "pool" and pool is None:
+        pytest.skip("one usable CPU: no pool thread")
+    classify_block, caller = gridkernel._classify_block, threading.current_thread()
+    once = threading.Lock()  # the first matching block takes it and fails
+    boom = RuntimeError(f"a block in the {thread} thread failed")
+
+    def failing(*args):
+        in_caller = threading.current_thread() is caller
+        if in_caller == (thread == "calling") and once.acquire(blocking=False):
+            raise boom
+        if in_caller and thread == "pool":
+            time.sleep(0.005)  # leave blocks to the pool
+        classify_block(*args)
+
+    monkeypatch.setattr(gridkernel, "_classify_block", failing)
+    with pytest.raises(RuntimeError) as excinfo:
+        gridkernel.classify_window(*POOL_CASE)
+    assert excinfo.value is boom
+    monkeypatch.setattr(gridkernel, "_classify_block", classify_block)
+    assert (gridkernel.classify_window(*POOL_CASE) == expected).all()
+    assert gridkernel._pool is pool
+
+
+def test_one_usable_cpu_starts_no_thread(monkeypatch):
+    expected = gridkernel.classify_window(*POOL_CASE)
+    monkeypatch.setattr(gridkernel, "BLOCK", 4096)
+    monkeypatch.setattr(gridkernel, "_pool", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+    def no_thread(self):
+        raise AssertionError(f"thread {self.name} started on one usable CPU")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert (gridkernel.classify_window(*POOL_CASE) == expected).all()
+    assert gridkernel._pool is None
+
+
+def test_concurrent_first_calls_build_one_pool(monkeypatch):
+    import concurrent.futures
+
+    case = (SPECS[3], WIN, (16, 16), 50.0, 30)
+    expected = gridkernel.classify_window(*case)
+    monkeypatch.setattr(gridkernel, "BLOCK", 64)
+    monkeypatch.setattr(gridkernel, "_pool", None)
+    built = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for _ in range(20):
+            gridkernel._pool = None
+            built.clear()
+            grids = [None] * 8
+            start = threading.Barrier(len(grids))
+
+            def render(i):
+                start.wait(timeout=60)  # every caller asks for the pool at once
+                grids[i] = gridkernel.classify_window(*case)
+
+            callers = [threading.Thread(target=render, args=(i,)) for i in range(len(grids))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in callers)
+            assert all((grid == expected).all() for grid in grids)
+            assert len(built) == (gridkernel._pool is not None)
+            for pool in built:
+                pool.shutdown()
+    finally:
+        sys.setswitchinterval(switch)
+
+
+# Python 3.12 warns on a fork of a process with threads, as this one is
+@pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_renders_on_its_own_pool(monkeypatch, tmp_path):
+    monkeypatch.setattr(gridkernel, "BLOCK", 4096)
+    expected = gridkernel.classify_window(*POOL_CASE)  # the parent's pool runs
+    codes = tmp_path / "child.codes"
+    pid = os.fork()
+    if pid == 0:  # the child: never return into pytest
+        status = 1
+        try:
+            codes.write_bytes(gridkernel.classify_window(*POOL_CASE).tobytes())
+            status = 0
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 60
+    while (waited := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's render hung")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(waited[1]) == 0
+    assert codes.read_bytes() == expected.tobytes()
 
 
 def test_black_mask_merges_large_codes():

@@ -90,7 +90,8 @@ def _dF_formula(model, z):
         raise DomainError(f"z = {z!r} is outside the domain")
     zk = z + model.kappa
     if zk.real > EXP_OVERFLOW_GUARD:
-        raise OverflowError(f"Re z = {zk.real:g} exceeds the exponent-overflow guard")
+        raise OverflowError(
+            f"Re(z + kappa) = {zk.real:g} exceeds the exponent-overflow guard")
     zeta = cmath.exp(zk)
     pm = model.plane_map
     return pm._df(zeta) * zeta / pm._f(zeta)
@@ -117,7 +118,7 @@ def test_kernels_meet_a_zero_of_f():
     z = -model.kappa
     assert model.plane_map._f(cmath.exp(z + model.kappa)) == 0
     assert _outcome(model._F_value, z + model.kappa) == (
-        "DomainError", "f(exp z) = 0 at z = 0j; log lift undefined")
+        "DomainError", "f(exp(z + kappa)) = 0 at z + kappa = 0j; log lift undefined")
     assert _outcome(model._dF, z) == ("DomainError", f"z = {z!r} is outside the domain")
     rec = orbits.iterate(model, z, 3, 1.0)
     assert (rec.points, rec.addresses, rec.exit_step, rec.saturated) == ([z], [], 0, False)
