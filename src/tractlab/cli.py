@@ -130,17 +130,13 @@ def _cmd_render(args) -> int:
     )
     horizon = _positive(_setting(args.horizon, cfg, "horizon", 30), "horizon", int)
 
-    grid = gridkernel.classify_window(
-        map_spec, window, (width, height), escape_radius, horizon
-    )
+    config = (map_spec, window, (width, height), escape_radius, horizon)
     out = args.out
     if out.lower().endswith(".png"):
-        gridkernel.write_png(out, grid)
+        gridkernel.render_png(out, *config)
     else:
-        gridkernel.write_pgm(out, grid)
-    gridkernel.write_sidecar(
-        out + ".json", map_spec, window, (width, height), escape_radius, horizon
-    )
+        gridkernel.write_pgm(out, gridkernel.classify_window(*config))
+    gridkernel.write_sidecar(out + ".json", *config)
     print(f"wrote {out} and {out}.json")
     return EXIT_OK
 

@@ -18,14 +18,25 @@ the image bytes, are those of one thread.  The pool is built on the
 first call that needs it and again in a forked child; with one block or
 one usable CPU the calling thread classifies every block and no thread
 starts.
+
+``render_png`` deflates the PNG's scanlines on the calling thread, in row
+order, between blocks: as soon as every block under a band of complete
+rows is done, the band goes through one ``zlib.compressobj(9)``; when the
+next band is not ready, the calling thread classifies the next untaken
+block.  zlib releases the GIL while it compresses, so the deflate of the
+top rows overlaps the pool's classification of the rows below.  Fed
+without flushes, the stream gives the bytes of ``zlib.compress(raw, 9)``
+over the whole image, so the file is byte-identical to ``write_png``'s.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import struct
 import sys
 import threading
+import zlib
 from collections import deque
 from dataclasses import dataclass
 
@@ -82,6 +93,30 @@ def classify_window(
 
     Pixel centers are iterated; row 0 is the top of the window.
     """
+    return _classify(map_spec, window, resolution, escape_radius, horizon)
+
+
+def render_png(
+    path,
+    map_spec: EntireMapSpec,
+    window: Window,
+    resolution: tuple[int, int],
+    escape_radius: float,
+    horizon: int,
+) -> np.ndarray:
+    """``classify_window``'s codes, written to path as ``write_png`` writes
+    them; each band of complete rows is deflated while the blocks below it
+    are classified.  The file is opened only after the last band."""
+    png = _PngStream()
+    grid = _classify(map_spec, window, resolution, escape_radius, horizon, png.feed)
+    png.write(path, grid.shape)
+    return grid
+
+
+def _classify(map_spec, window, resolution, escape_radius, horizon, rows=None):
+    """The codes of classify_window; rows, if given, is called on the
+    calling thread with each band of complete rows, top to bottom, as soon
+    as every block under the band is done."""
     width, height = resolution
     if width <= 0 or height <= 0:
         raise RangeError("resolution must be positive")
@@ -96,32 +131,74 @@ def classify_window(
     z = (x[None, :] + 1j * y[:, None]).ravel()
 
     out = np.zeros(z.size, dtype=np.uint8)
+    grid = out.reshape(height, width)
+    blocks = [slice(start, start + BLOCK) for start in range(0, z.size, BLOCK)]
     # the blocks no thread has taken yet; threads may share a deque's popleft
-    pending = deque(slice(start, start + BLOCK) for start in range(0, z.size, BLOCK))
+    pending = deque(enumerate(blocks))
+    done = [False] * len(blocks)
+    # a pool thread's error, which the caller raises; no future is read,
+    # so a helper queued behind another call's blocks delays no caller
+    failed = []
+    finished = threading.Condition()  # signalled by a pool thread's block
+
+    def classify(block) -> None:
+        _classify_block(map_spec.row, map_spec.params, z[block], out[block],
+                        escape_radius, horizon)
 
     def drain() -> None:
         # errstate is a context variable, which pool threads do not inherit
-        with np.errstate(over="ignore", invalid="ignore"):
-            while True:
-                try:
-                    block = pending.popleft()
-                except IndexError:
-                    return
-                _classify_block(map_spec.row, map_spec.params, z[block], out[block],
-                                escape_radius, horizon)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                while True:
+                    try:
+                        i, block = pending.popleft()
+                    except IndexError:
+                        return
+                    classify(block)
+                    with finished:
+                        done[i] = True
+                        finished.notify()
+        except BaseException as exc:
+            pending.clear()
+            with finished:
+                failed.append(exc)
+                finished.notify()
+            raise
 
-    helpers = _start_helpers(drain) if len(pending) > 1 else []
-    drain()
-    for helper in helpers:
-        helper.result()  # raises a helper's error in the caller
-    return out.reshape(height, width)
+    if len(blocks) > 1:
+        _start_helpers(drain)
+    fed = 0  # rows handed to rows
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, block in enumerate(blocks):
+                # until block i is done, classify the next untaken block,
+                # or wait for the pool thread that took block i
+                while not done[i]:
+                    try:
+                        j, taken = pending.popleft()
+                    except IndexError:
+                        with finished:
+                            finished.wait_for(lambda: done[i] or failed)
+                        if failed:
+                            raise failed[0]
+                        continue
+                    classify(taken)
+                    done[j] = True
+                complete = min(block.stop, z.size) // width
+                if rows is not None and complete > fed:
+                    rows(grid[fed:complete])
+                    fed = complete
+    except BaseException:
+        pending.clear()  # the pool threads stop after their current block
+        raise
+    return grid
 
 
 _pool = None  # the block pool's submit method, once per worker
 _pool_lock = threading.Lock()
 
 
-def _start_helpers(task) -> list:
+def _start_helpers(task) -> None:
     """Submit task to each worker of the block pool, which has one per
     usable CPU beside the caller's; start nothing on one usable CPU."""
     global _pool
@@ -134,7 +211,8 @@ def _start_helpers(task) -> list:
 
                 pool = ThreadPoolExecutor(workers, thread_name_prefix="gridkernel")
                 _pool = [pool.submit] * workers
-        return [submit(task) for submit in _pool or ()]
+        for submit in _pool or ():
+            submit(task)
 
 
 def _forget_pool() -> None:
@@ -205,27 +283,41 @@ def write_pgm(path, grid: np.ndarray) -> None:
 
 def write_png(path, grid: np.ndarray) -> None:
     """Minimal grayscale PNG writer (no external imaging dependency)."""
-    import struct
-    import zlib
+    png = _PngStream()
+    png.feed(grid)
+    png.write(path, grid.shape)
 
-    height, width = grid.shape
-    # each scanline is filter byte 0 followed by its pixels
-    raw = np.pad(_pixels(grid), ((0, 0), (1, 0))).tobytes()
 
-    def chunk(tag: bytes, data: bytes) -> bytes:
-        return (
-            struct.pack(">I", len(data))
-            + tag
-            + data
-            + struct.pack(">I", zlib.crc32(tag + data))
-        )
+class _PngStream:
+    """The IDAT of a grayscale PNG, deflated band by band of rows.
 
-    ihdr = struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0)
-    with open(path, "wb") as fh:
-        fh.write(b"\x89PNG\r\n\x1a\n")
-        fh.write(chunk(b"IHDR", ihdr))
-        fh.write(chunk(b"IDAT", zlib.compress(raw, 9)))
-        fh.write(chunk(b"IEND", b""))
+    One ``compressobj(9)`` fed without flushes gives the bytes of
+    ``zlib.compress`` over all the scanlines at once; only the compressed
+    bytes are kept.
+    """
+
+    def __init__(self):
+        self._deflate = zlib.compressobj(9)
+        self._idat = []
+
+    def feed(self, codes: np.ndarray) -> None:
+        # each scanline is filter byte 0 followed by its pixels
+        raw = np.pad(_pixels(codes), ((0, 0), (1, 0))).tobytes()
+        self._idat.append(self._deflate.compress(raw))
+
+    def write(self, path, shape: tuple[int, int]) -> None:
+        height, width = shape
+        self._idat.append(self._deflate.flush())
+        ihdr = struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0)
+        with open(path, "wb") as fh:
+            fh.write(b"\x89PNG\r\n\x1a\n")
+            fh.write(_chunk(b"IHDR", ihdr))
+            fh.write(_chunk(b"IDAT", b"".join(self._idat)))
+            fh.write(_chunk(b"IEND", b""))
+
+
+def _chunk(tag: bytes, data: bytes) -> bytes:
+    return struct.pack(">I", len(data)) + tag + data + struct.pack(">I", zlib.crc32(tag + data))
 
 
 def write_sidecar(

@@ -748,7 +748,8 @@ def model_to_json(model: LogLiftModel) -> dict:
 
 def write_json(path, payload) -> None:
     """Every JSON artifact's encoding: indented strict JSON and a final
-    newline; a NaN or infinity raises ValueError instead of being written."""
+    newline; a NaN or infinity raises ValueError before the file is opened,
+    so a refused payload leaves an existing file as it was."""
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import tempfile
 import traceback
+from pathlib import Path
 
 import numpy as np
 
@@ -235,6 +237,20 @@ def _check_grid_scalar_oracle():
     )
 
 
+def _check_grid_png_stream():
+    # render_png deflates its rows band by band while blocks are classified;
+    # its bytes equal write_png's over the finished codes only if this
+    # zlib's chunked deflate gives the bytes of its one-shot deflate
+    config = (EntireMapSpec.sinh(0.575), gridkernel.Window(-8.0, 8.0, -8.0, 8.0),
+              (300, 300), 50.0, 30)  # six blocks
+    with tempfile.TemporaryDirectory() as tmp:
+        streamed, whole = Path(tmp, "streamed.png"), Path(tmp, "whole.png")
+        gridkernel.write_png(whole, gridkernel.render_png(streamed, *config))
+        assert streamed.read_bytes() == whole.read_bytes(), (
+            "a streamed PNG differs from write_png's bytes"
+        )
+
+
 SUITES: dict[str, list] = {
     "models": [
         _check_models_periodicity,
@@ -264,6 +280,7 @@ SUITES: dict[str, list] = {
     "grid": [
         _check_grid_determinism,
         _check_grid_scalar_oracle,
+        _check_grid_png_stream,
     ],
 }
 

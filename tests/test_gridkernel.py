@@ -13,7 +13,7 @@ import zlib
 import numpy as np
 import pytest
 
-from tractlab import gridkernel
+from tractlab import cli, gridkernel
 from tractlab.errors import RangeError
 from tractlab.gridkernel import Window
 from tractlab.models import EntireMapSpec, plane_map_from_json
@@ -27,6 +27,7 @@ SPECS = [
     EntireMapSpec.exp_plus_kappa(1.0038 + 2.8999j),
 ]
 WIN = Window(-4.0, 4.0, -4.0, 4.0)
+BLOCK_DEFAULT = gridkernel.BLOCK
 
 
 def test_window_validation():
@@ -126,6 +127,41 @@ def test_pool_blocks_ignore_overflow_as_one_block_does(monkeypatch):
     assert (gridkernel.classify_window(*OVERFLOW_CASE) == expected).all()
 
 
+def _raise_in_one_block(monkeypatch, thread, call):
+    """Run call with the first block of the named thread failing; the
+    caller must raise that error within a bounded time.  A pool block fails
+    late, once the caller has taken every other block and waits for it."""
+    classify_block = gridkernel._classify_block
+    once = threading.Lock()  # the first matching block takes it and fails
+    boom = RuntimeError(f"a block in the {thread} thread failed")
+
+    def failing(*args):
+        in_caller = threading.current_thread() is runner
+        if in_caller == (thread == "calling") and once.acquire(blocking=False):
+            if not in_caller:
+                time.sleep(0.2)
+            raise boom
+        if in_caller and thread == "pool":
+            time.sleep(0.005)  # leave blocks to the pool
+        classify_block(*args)
+
+    raised = []
+
+    def run():
+        try:
+            call()
+        except BaseException as exc:
+            raised.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    monkeypatch.setattr(gridkernel, "_classify_block", failing)
+    runner.start()
+    runner.join(timeout=30)
+    assert not runner.is_alive(), "the caller never saw the failed block"
+    monkeypatch.setattr(gridkernel, "_classify_block", classify_block)
+    assert len(raised) == 1 and raised[0] is boom
+
+
 @pytest.mark.parametrize("thread", ["calling", "pool"])
 def test_a_block_error_reaches_the_caller_and_the_pool_survives(monkeypatch, thread):
     expected = gridkernel.classify_window(*POOL_CASE)  # one block, inline
@@ -134,30 +170,41 @@ def test_a_block_error_reaches_the_caller_and_the_pool_survives(monkeypatch, thr
     pool = gridkernel._pool
     if thread == "pool" and pool is None:
         pytest.skip("one usable CPU: no pool thread")
-    classify_block, caller = gridkernel._classify_block, threading.current_thread()
-    once = threading.Lock()  # the first matching block takes it and fails
-    boom = RuntimeError(f"a block in the {thread} thread failed")
-
-    def failing(*args):
-        in_caller = threading.current_thread() is caller
-        if in_caller == (thread == "calling") and once.acquire(blocking=False):
-            raise boom
-        if in_caller and thread == "pool":
-            time.sleep(0.005)  # leave blocks to the pool
-        classify_block(*args)
-
-    monkeypatch.setattr(gridkernel, "_classify_block", failing)
-    with pytest.raises(RuntimeError) as excinfo:
-        gridkernel.classify_window(*POOL_CASE)
-    assert excinfo.value is boom
-    monkeypatch.setattr(gridkernel, "_classify_block", classify_block)
+    _raise_in_one_block(monkeypatch, thread, lambda: gridkernel.classify_window(*POOL_CASE))
     assert (gridkernel.classify_window(*POOL_CASE) == expected).all()
     assert gridkernel._pool is pool
 
 
-def test_one_usable_cpu_starts_no_thread(monkeypatch):
-    expected = gridkernel.classify_window(*POOL_CASE)
+SINH = '{"family": "sinh", "lambda": [0.575, 0]}'  # POOL_CASE's map
+
+
+def _render_png(out, resolution):
+    width, height = resolution
+    return cli.main([
+        "render", "--map", SINH, "--window=-4,4,-4,4",
+        "--resolution", f"{width},{height}", "--horizon", "30", "--out", str(out),
+    ])
+
+
+@pytest.mark.parametrize("thread", ["calling", "pool"])
+def test_a_block_error_in_a_png_render_writes_no_file(monkeypatch, tmp_path, thread):
+    resolution = POOL_CASE[2]
+    _old_write_png(tmp_path / "old.png", gridkernel.classify_window(*POOL_CASE))
     monkeypatch.setattr(gridkernel, "BLOCK", 4096)
+    out = tmp_path / "x.png"
+    assert _render_png(out, resolution) == cli.EXIT_OK
+    out.unlink()
+    pool = gridkernel._pool
+    if thread == "pool" and pool is None:
+        pytest.skip("one usable CPU: no pool thread")
+    _raise_in_one_block(monkeypatch, thread, lambda: _render_png(out, resolution))
+    assert not out.exists()
+    assert _render_png(out, resolution) == cli.EXIT_OK
+    assert out.read_bytes() == (tmp_path / "old.png").read_bytes()
+    assert gridkernel._pool is pool
+
+
+def _one_usable_cpu(monkeypatch):
     monkeypatch.setattr(gridkernel, "_pool", None)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -166,6 +213,12 @@ def test_one_usable_cpu_starts_no_thread(monkeypatch):
         raise AssertionError(f"thread {self.name} started on one usable CPU")
 
     monkeypatch.setattr(threading.Thread, "start", no_thread)
+
+
+def test_one_usable_cpu_starts_no_thread(monkeypatch):
+    expected = gridkernel.classify_window(*POOL_CASE)
+    monkeypatch.setattr(gridkernel, "BLOCK", 4096)
+    _one_usable_cpu(monkeypatch)
     assert (gridkernel.classify_window(*POOL_CASE) == expected).all()
     assert gridkernel._pool is None
 
@@ -317,6 +370,40 @@ def test_writer_bytes_are_pinned(tmp_path, shape, write, old_write):
     write(tmp_path / "new", grid)
     old_write(tmp_path / "old", grid)
     assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+
+
+# (BLOCK, resolution): a row longer than a block; blocks that end mid-row,
+# the last one short; every block but the last ends mid-row; one block
+STREAM_CASES = [(64, (100, 30)), (700, (30, 50)), (70, (30, 14)), (BLOCK_DEFAULT, (40, 25))]
+
+
+@pytest.mark.parametrize("cpus", ["all", "one"])
+@pytest.mark.parametrize("block, resolution", STREAM_CASES)
+def test_streamed_png_bytes_equal_the_oracle(monkeypatch, tmp_path, block, resolution, cpus):
+    spec, win, _, radius, horizon = POOL_CASE
+    _old_write_png(
+        tmp_path / "old.png", gridkernel.classify_window(spec, win, resolution, radius, horizon)
+    )
+    if cpus == "one":
+        _one_usable_cpu(monkeypatch)
+    monkeypatch.setattr(gridkernel, "BLOCK", block)
+    assert _render_png(tmp_path / "x.png", resolution) == cli.EXIT_OK
+    assert (tmp_path / "x.png").read_bytes() == (tmp_path / "old.png").read_bytes()
+
+
+@pytest.mark.parametrize("block", [64, 700, 4096, BLOCK_DEFAULT])
+def test_bands_are_final_rows_fed_in_order(monkeypatch, block):
+    width, height = POOL_CASE[2]
+    expected = gridkernel.classify_window(*POOL_CASE)
+    monkeypatch.setattr(gridkernel, "BLOCK", block)
+    bands = []
+    grid = gridkernel._classify(*POOL_CASE, rows=lambda band: bands.append(band.copy()))
+    # copies taken when each band was fed: its codes were already final
+    assert (np.concatenate(bands) == expected).all() and (grid == expected).all()
+    # each block that completes a row feeds those rows at once
+    size = width * height
+    ends = {min(stop, size) // width for stop in range(block, size + block, block)}
+    assert [len(band) for band in bands] == np.diff([0, *sorted(ends - {0})]).tolist()
 
 
 def test_sidecar_roundtrip(tmp_path):

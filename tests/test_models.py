@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -344,6 +345,23 @@ def test_require_finite_rejects_nonfinite():
         require_finite(complex(math.nan, 0.0))
     with pytest.raises(DomainError):
         require_finite(complex(0.0, math.inf))
+
+
+def test_write_json_keeps_the_old_file_when_it_refuses_a_payload(tmp_path):
+    path = tmp_path / "artifact.json"
+    path.write_text("OLD CONTENT")
+    with pytest.raises(ValueError):
+        models.write_json(path, {"a": 1, "b": [1.0, math.nan]})
+    assert path.read_text() == "OLD CONTENT"
+
+
+def test_write_json_bytes_are_json_dump_and_a_newline(tmp_path):
+    payload = {"summary": {"x": [1.5, -0.0, 1e300], "s": "\u00e9"}, "n": None}
+    models.write_json(tmp_path / "new.json", payload)
+    with open(tmp_path / "old.json", "w") as fh:
+        json.dump(payload, fh, indent=2, allow_nan=False)
+        fh.write("\n")
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
 
 def test_sample_domain_points_deterministic_and_valid():
