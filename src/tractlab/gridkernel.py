@@ -7,7 +7,20 @@ flat pixel array is iterated in blocks of ``BLOCK`` pixels, so that a
 block's temporaries stay in cache; orbits are independent, so the
 blocking changes no code.  Within a block the values still iterating are
 compacted, with an array of their positions in the block, only on the
-steps where a pixel finishes or crosses the overflow guard.
+steps where a pixel finishes or crosses the overflow guard.  Each block
+builds its own pixel centres, by the whole grid's expression over the
+rows it spans, so no array of the whole window's centres exists.
+
+Before f, a step finishes every pixel whose modulus ceiling, the row's
+``abs_ceiling``, lies below the smaller of the escape radius and
+``_HUGE``: such a pixel is ``ESCAPED_SMALL`` without a complex exp.  The
+ceiling bounds the |f| that the kernel would compute, not only the exact
+one: f's rounding is a few units in the last place of the ceiling's
+terms, far inside the ceiling's relative slack of ``LOG_FLOOR_SLACK``,
+so where the ceiling is below the threshold so is ``np.abs(f(z))``, and
+the code is the one f would give.  The ``_HUGE`` in the threshold keeps
+a pixel with 1e300 < |f| < radius overflowed.  Where a huge parameter
+makes the ceiling inf, the comparison fails and f runs.
 
 A window of more than one block is classified by one thread per usable
 CPU: the calling thread and the workers of one module-level thread pool,
@@ -124,15 +137,11 @@ def _classify(map_spec, window, resolution, escape_radius, horizon, rows=None):
         raise RangeError("horizon must be at least 1")
     if not escape_radius > 0:
         raise RangeError("escape_radius must be positive")
-    dx = (window.xmax - window.xmin) / width
-    dy = (window.ymax - window.ymin) / height
-    x = window.xmin + (np.arange(width) + 0.5) * dx
-    y = window.ymax - (np.arange(height) + 0.5) * dy  # row 0 is the top
-    z = (x[None, :] + 1j * y[:, None]).ravel()
-
-    out = np.zeros(z.size, dtype=np.uint8)
+    x, y = _axes(window, width, height)
+    size = width * height
+    out = np.zeros(size, dtype=np.uint8)
     grid = out.reshape(height, width)
-    blocks = [slice(start, start + BLOCK) for start in range(0, z.size, BLOCK)]
+    blocks = [slice(start, min(start + BLOCK, size)) for start in range(0, size, BLOCK)]
     # the blocks no thread has taken yet; threads may share a deque's popleft
     pending = deque(enumerate(blocks))
     done = [False] * len(blocks)
@@ -142,8 +151,8 @@ def _classify(map_spec, window, resolution, escape_radius, horizon, rows=None):
     finished = threading.Condition()  # signalled by a pool thread's block
 
     def classify(block) -> None:
-        _classify_block(map_spec.row, map_spec.params, z[block], out[block],
-                        escape_radius, horizon)
+        _classify_block(map_spec.row, map_spec.params, _centres(x, y, block),
+                        out[block], escape_radius, horizon)
 
     def drain() -> None:
         # errstate is a context variable, which pool threads do not inherit
@@ -184,7 +193,7 @@ def _classify(map_spec, window, resolution, escape_radius, horizon, rows=None):
                         continue
                     classify(taken)
                     done[j] = True
-                complete = min(block.stop, z.size) // width
+                complete = block.stop // width
                 if rows is not None and complete > fed:
                     rows(grid[fed:complete])
                     fed = complete
@@ -192,6 +201,30 @@ def _classify(map_spec, window, resolution, escape_radius, horizon, rows=None):
         pending.clear()  # the pool threads stop after their current block
         raise
     return grid
+
+
+def _axes(window: Window, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real parts of the pixel centres of each column and their
+    imaginary parts on each row; row 0 is the top."""
+    dx = (window.xmax - window.xmin) / width
+    dy = (window.ymax - window.ymin) / height
+    x = window.xmin + (np.arange(width) + 0.5) * dx
+    y = window.ymax - (np.arange(height) + 0.5) * dy
+    return x, y
+
+
+def _centres(x, y, block: slice) -> np.ndarray:
+    """The pixel centres of the flat pixels in block, row-major over the
+    centres x of the columns and y of the rows; built from the rows the
+    block spans, or from its columns when it lies in one row, by the
+    expression ``x[None, :] + 1j * y[:, None]`` over the whole grid."""
+    width = x.size
+    first, last = block.start // width, (block.stop - 1) // width
+    if first == last:
+        cols = slice(block.start - first * width, block.stop - first * width)
+        return (x[None, cols] + 1j * y[first:first + 1, None]).ravel()
+    z = (x[None, :] + 1j * y[first:last + 1, None]).ravel()
+    return z[block.start - first * width:block.stop - first * width]
 
 
 _pool = None  # the block pool's submit method, once per worker
@@ -228,15 +261,18 @@ if hasattr(os, "register_at_fork"):
 def _classify_block(row, params, z, out, escape_radius, horizon) -> None:
     """Write the code of every orbit starting at z into out (a view)."""
     idx = None  # position in the block of each value in z; None: all, in order
+    # a modulus ceiling below this proves |f(z)| < escape_radius and |f(z)| <= _HUGE
+    small_below = min(escape_radius, _HUGE)
     for _ in range(horizon):
         re = np.abs(z.real) if row.two_sided else z.real
         guarded = re > EXP_OVERFLOW_GUARD
         if guarded.any():
-            if idx is None:
-                idx = np.arange(z.size)
-            out[idx[guarded]] = OVERFLOWED_LARGE
-            live = ~guarded
-            z, idx = z[live], idx[live]
+            z, idx = _finish(z, idx, out, guarded, OVERFLOWED_LARGE)
+            if idx.size == 0:
+                return
+        small = row.abs_ceiling(params, z) < small_below
+        if small.any():
+            z, idx = _finish(z, idx, out, small, ESCAPED_SMALL)
             if idx.size == 0:
                 return
         w = row.f(np, params, z)
@@ -246,16 +282,22 @@ def _classify_block(row, params, z, out, escape_radius, horizon) -> None:
         if keep.all():
             z = w
             continue
-        if idx is None:
-            idx = np.arange(z.size)
         done = ~keep
         m = mag[done]
-        out[idx[done]] = np.where(
-            (m < escape_radius) & (m <= _HUGE), ESCAPED_SMALL, OVERFLOWED_LARGE
-        )
-        z, idx = w[keep], idx[keep]
+        code = np.where((m < escape_radius) & (m <= _HUGE), ESCAPED_SMALL, OVERFLOWED_LARGE)
+        z, idx = _finish(w, idx, out, done, code)
         if idx.size == 0:
             return
+
+
+def _finish(z, idx, out, done, code):
+    """Write code at the block positions of the values marked done; return
+    the other values and their positions."""
+    if idx is None:
+        idx = np.arange(z.size)
+    out[idx[done]] = code
+    live = ~done
+    return z[live], idx[live]
 
 
 def _select(_backend=None):

@@ -19,8 +19,8 @@ address kernel, built by ``_address_key``, is the one home of the
 address rule.
 The plane maps form one table, ``PLANE_FAMILIES``: every per-family
 formula (scalar and grid evaluation, derivative, asymptotic value,
-Newton seed, lower bound for log|f|, JSON parameter names) lives there
-and nowhere else.
+Newton seed, lower bound for log|f|, upper bound for |f| over a grid,
+JSON parameter names) lives there and nowhere else.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import cmath
 import json
 import math
 import struct
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -64,12 +65,19 @@ class PlaneFamily:
     p, is a lower bound for log|f(zeta)| that holds under rounding at
     every finite zeta, also where f(zeta) itself overflows; it is -inf
     where the bound proves nothing.
+    ``abs_ceiling(params, z)``, over an array z, is an upper bound for
+    |f(z)| at every point, also for the |f(z)| that ``f`` computes in
+    doubles; it is inf where a term overflows.  Its few real operations
+    and ``f``'s own rounding err by a few units in the last place of the
+    bound's terms, not of |f|, and the bound is raised past both
+    (``_ceiling``).
     """
 
     param_names: tuple[str, ...]
     f: Callable
     df: Callable
     log_abs_floor: Callable[[tuple, complex], float]
+    abs_ceiling: Callable[[tuple, np.ndarray], np.ndarray]
     # limit of f(w) as Re w -> -infinity, or None where there is none
     asymptotic_value: Callable[[tuple], complex | None]
     newton_seed: Callable[[tuple, complex, int], complex]
@@ -78,9 +86,17 @@ class PlaneFamily:
     two_sided: bool = False
 
 
-# relative slack for the rounding of the few operations in _log_floor,
-# far above their error of a few units in the last place
+# relative slack for the rounding of the few operations in _log_floor and
+# _ceiling, far above their error of a few units in the last place
 LOG_FLOOR_SLACK = 1e-12
+
+
+def _ceiling(bound: np.ndarray) -> np.ndarray:
+    """bound, raised past a relative error of LOG_FLOOR_SLACK, far above
+    the few units in the last place of its terms that the rounding of the
+    bound and of f cost, and past the smallest normal double, far above
+    the few subnormal units they cost where the terms underflow."""
+    return bound * (1.0 + LOG_FLOOR_SLACK) + sys.float_info.min
 
 
 def _log_abs(c: complex) -> float:
@@ -126,6 +142,7 @@ PLANE_FAMILIES: dict[str, PlaneFamily] = {
         f=lambda m, p, z: p[0] * m.exp(z) + p[1],
         df=lambda m, p, z: p[0] * m.exp(z),
         log_abs_floor=lambda lp, zeta: _log_floor(lp[0] + zeta.real, lp[1]),
+        abs_ceiling=lambda p, z: _ceiling(abs(p[0]) * np.exp(z.real) + abs(p[1])),
         asymptotic_value=lambda p: p[1],
         newton_seed=lambda p, ws, inner: ws - cmath.log(p[0]),
     ),
@@ -134,6 +151,7 @@ PLANE_FAMILIES: dict[str, PlaneFamily] = {
         f=lambda m, p, z: p[0] * (m.exp(z) - 1.0),
         df=lambda m, p, z: p[0] * m.exp(z),
         log_abs_floor=lambda lp, zeta: _log_floor(lp[0] + zeta.real, lp[0]),
+        abs_ceiling=lambda p, z: _ceiling(abs(p[0]) * (np.exp(z.real) + 1.0)),
         asymptotic_value=lambda p: -p[0],
         newton_seed=lambda p, ws, inner: ws - cmath.log(p[0]),
     ),
@@ -144,6 +162,7 @@ PLANE_FAMILIES: dict[str, PlaneFamily] = {
         log_abs_floor=lambda lp, zeta: _log_floor(
             _log_abs(zeta + 1.0) + zeta.real, 0.0
         ),
+        abs_ceiling=lambda p, z: _ceiling(np.abs(z + 1.0) * np.exp(z.real) + 1.0),
         asymptotic_value=lambda p: -1.0 + 0.0j,
         newton_seed=lambda p, ws, inner: (ws - cmath.log(ws)) if ws != 0 else ws,
     ),
@@ -152,6 +171,7 @@ PLANE_FAMILIES: dict[str, PlaneFamily] = {
         f=lambda m, p, z: p[0] * m.sinh(z),
         df=lambda m, p, z: p[0] * m.cosh(z),
         log_abs_floor=_sinh_floor,
+        abs_ceiling=lambda p, z: _ceiling(abs(p[0]) * np.cosh(z.real)),
         asymptotic_value=lambda p: None,
         newton_seed=_sinh_seed,
         two_sided=True,
@@ -161,6 +181,7 @@ PLANE_FAMILIES: dict[str, PlaneFamily] = {
         f=lambda m, p, z: m.exp(z) + p[0],
         df=lambda m, p, z: m.exp(z),
         log_abs_floor=lambda lp, zeta: _log_floor(zeta.real, lp[0]),
+        abs_ceiling=lambda p, z: _ceiling(np.exp(z.real) + abs(p[0])),
         asymptotic_value=lambda p: p[0],
         newton_seed=lambda p, ws, inner: ws,
     ),

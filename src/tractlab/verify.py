@@ -183,30 +183,37 @@ _ORACLE_CASES = [
     (gridkernel.Window(680.0, 705.0, -2.0, 3.0), (7, 5), 50.0, 12),
     # pixels whose first image lands in the band, so |F| > 1e300 one step later
     (gridkernel.Window(4.5, 8.0, -0.3, 0.3), (401, 3), 50.0, 12),
+    # a radius of 1 near the zeros of f: small pixels that only the computed
+    # |f| finishes, because the modulus ceiling is 1 or more there
+    (gridkernel.Window(-3.0, 2.5, -3.5, 3.0), (11, 13), 1.0, 12),
 ]
 
 
 def _scalar_exit(
     spec: EntireMapSpec, z: complex, radius: float, horizon: int
-) -> tuple[int, str, int]:
-    """(code, exit, step) of one orbit, iterated with the scalar map."""
+) -> tuple[int, str, int, complex]:
+    """(code, exit, step, z) of one orbit, iterated with the scalar map;
+    z is the orbit's point at that step."""
     for step in range(horizon):
         try:
             w = spec.eval(z)  # raises past the overflow guard or on overflow
         except OverflowError:
-            return gridkernel.OVERFLOWED_LARGE, "guard", step
+            return gridkernel.OVERFLOWED_LARGE, "guard", step, z
         mag = abs(w)
         if not mag <= 1e300:  # also true for inf and nan
-            return gridkernel.OVERFLOWED_LARGE, "huge", step
+            return gridkernel.OVERFLOWED_LARGE, "huge", step, z
         if mag < radius:
-            return gridkernel.ESCAPED_SMALL, "small", step
+            return gridkernel.ESCAPED_SMALL, "small", step, z
         z = w
-    return gridkernel.IN_JR_HORIZON, "horizon", horizon
+    return gridkernel.IN_JR_HORIZON, "horizon", horizon, z
 
 
 def _grid_exit_steps(spec: EntireMapSpec) -> dict[str, set[int]]:
-    """Steps of each exit over the oracle cases; every pixel must match."""
+    """Steps of each exit over the oracle cases; every pixel must match,
+    and the kernel must finish small pixels both through the modulus
+    ceiling and through the |f| it computes."""
     exit_steps: dict[str, set[int]] = {}
+    small_by = set()  # whether the ceiling proved a small pixel's exit
     for win, (width, height), radius, horizon in _ORACLE_CASES:
         grid = gridkernel.classify_window(spec, win, (width, height), radius, horizon)
         dx = (win.xmax - win.xmin) / width
@@ -214,12 +221,20 @@ def _grid_exit_steps(spec: EntireMapSpec) -> dict[str, set[int]]:
         for row, col in np.ndindex(height, width):
             # pixel centers, row 0 at the top of the window
             z = complex(win.xmin + (col + 0.5) * dx, win.ymax - (row + 0.5) * dy)
-            code, exit_, step = _scalar_exit(spec, z, radius, horizon)
+            code, exit_, step, last = _scalar_exit(spec, z, radius, horizon)
             exit_steps.setdefault(exit_, set()).add(step)
             assert grid[row, col] == code, (
                 f"{spec.family} grid disagrees with scalar iteration "
                 f"on {win} at pixel ({row}, {col})"
             )
+            if exit_ == "small":
+                ceiling = spec.row.abs_ceiling(spec.params, np.array([last]))[0]
+                small_by.add(bool(ceiling < min(radius, gridkernel._HUGE)))
+    assert small_by == {True, False}, (
+        f"{spec.family}: the modulus ceiling proves "
+        f"{'every' if small_by == {True} else 'no'} small exit of the oracle "
+        f"cases; it must prove some and not others"
+    )
     return exit_steps
 
 

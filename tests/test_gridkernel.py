@@ -75,16 +75,36 @@ def test_pixel_centers_and_row_order(spec):
     assert all(len(steps) >= 2 for steps in exit_steps.values()), exit_steps
 
 
-# the oracle cases, plus a radius past 1e300: where 1e300 < |F| < radius
-# the pixel still overflows, it does not escape
-BLOCK_CASES = [*_ORACLE_CASES, (Window(689.0, 695.0, -2.0, 3.0), (13, 5), 1e301, 12)]
+# exp_affine(1, 0) has |f| = e^x, on which the modulus ceiling is exact:
+# on columns within 1e-13 of log 50 it proves nothing and the computed |f|
+# decides, on either side of 50; about 1e-11 below, it decides every pixel
+EXACT_CEILING = EntireMapSpec.exp_affine(1.0, 0.0)
+LOG_50 = math.log(50.0)
+THRESHOLD_CASES = [
+    (Window(LOG_50 - 1e-13, LOG_50 + 1e-13, -3.0, 3.0), (9, 7), 50.0, 3),
+    (Window(LOG_50 - 1.1e-11, LOG_50 - 0.9e-11, -3.0, 3.0), (9, 7), 50.0, 3),
+]
+
+# the oracle cases, a radius past 1e300 (where 1e300 < |F| < radius the
+# pixel still overflows, it does not escape) and the ceiling's threshold
+BLOCK_CASES = [
+    *_ORACLE_CASES,
+    (Window(689.0, 695.0, -2.0, 3.0), (13, 5), 1e301, 12),
+    *THRESHOLD_CASES,
+]
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
-def test_blocks_change_no_code(monkeypatch, spec):
-    # every oracle grid fits in one block of the default size, so shrink it:
+def _grid_centres(win, resolution):
+    # every pixel centre at once, as the kernel built them before its
+    # blocks built their own
+    x, y = gridkernel._axes(win, *resolution)
+    return (x[None, :] + 1j * y[:, None]).ravel()
+
+
+def _assert_blocks_give_scalar_codes(monkeypatch, spec, cases):
+    # every case fits in one block of the default size, so shrink it:
     # blocks of one pixel, blocks that end mid-row, and one block per grid
-    for win, (width, height), radius, horizon in BLOCK_CASES:
+    for win, (width, height), radius, horizon in cases:
         dx = (win.xmax - win.xmin) / width
         dy = (win.ymax - win.ymin) / height
         expected = np.array(
@@ -107,6 +127,39 @@ def test_blocks_change_no_code(monkeypatch, spec):
             grid = gridkernel.classify_window(spec, win, (width, height), radius, horizon)
             # equal to the scalar codes, hence equal to each other
             assert (grid == expected).all(), (win, radius, block)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
+def test_blocks_change_no_code(monkeypatch, spec):
+    _assert_blocks_give_scalar_codes(monkeypatch, spec, BLOCK_CASES)
+
+
+def test_codes_at_the_ceiling_threshold(monkeypatch):
+    params, row = EXACT_CEILING.params, EXACT_CEILING.row
+    z_near, z_below = (_grid_centres(win, res) for win, res, *_ in THRESHOLD_CASES)
+    assert (row.abs_ceiling(params, z_near) >= 50.0).all()
+    mag = np.abs(row.f(np, params, z_near))
+    assert (mag < 50.0).any() and (mag >= 50.0).any()
+    assert (row.abs_ceiling(params, z_below) < 50.0).all()
+    _assert_blocks_give_scalar_codes(monkeypatch, EXACT_CEILING, THRESHOLD_CASES)
+
+
+def test_block_centres_are_the_whole_grid_centres_byte_for_byte():
+    # windows whose middle column and row are zero, so the products with 1j
+    # and the sums meet zeros of both signs
+    for win, (width, height) in [
+        (Window(-1.5, 1.5, -1.5, 1.5), (3, 3)),
+        (Window(-2.0, 2.0, -1.0, 1.0), (5, 7)),
+        (Window(-200.5, 200.5, -1.5, 1.5), (401, 3)),
+    ]:
+        x, y = gridkernel._axes(win, width, height)
+        whole = _grid_centres(win, (width, height))
+        assert (whole.real == 0).any() and (whole.imag == 0).any()
+        for block in (1, 7, width - 1, width, width + 3, 2 * width, whole.size, BLOCK_DEFAULT):
+            starts = range(0, whole.size, block)
+            parts = [gridkernel._centres(x, y, slice(s, min(s + block, whole.size)))
+                     for s in starts]
+            assert np.concatenate(parts).tobytes() == whole.tobytes(), (win, block)
 
 
 # 300 x 200 pixels in blocks of 4096: fifteen blocks, the last one short

@@ -295,8 +295,8 @@ def test_membership_inside_the_guard_needs_a_proved_modulus():
         assert domain_contains(model, z) is member
 
 
-def _mp_log_abs_f(spec, zeta):
-    # log|f(zeta)| in 50-digit arithmetic, where doubles overflow
+def _mp_abs_f(spec, zeta):
+    # |f(zeta)| in 50-digit arithmetic, where doubles overflow
     import mpmath
 
     with mpmath.workdps(50):
@@ -310,7 +310,14 @@ def _mp_log_abs_f(spec, zeta):
             "sinh": lambda: p[0] * mpmath.sinh(z),
             "exp_plus_kappa": lambda: e + p[0],
         }[spec.family]()
-        return float(mpmath.log(abs(value)))
+        return abs(value)
+
+
+def _mp_log_abs_f(spec, zeta):
+    import mpmath
+
+    with mpmath.workdps(50):
+        return float(mpmath.log(_mp_abs_f(spec, zeta)))
 
 
 FLOOR_SPECS = ALL_SPECS + [
@@ -333,6 +340,25 @@ def test_log_abs_floor_bounds_the_modulus(spec):
             if abs(x) >= 60.0 and (x > 0.0 or spec.row.two_sided):
                 # far out the leading term dominates: the floor is tight
                 assert bound >= exact - 1e-9 * (1.0 + abs(exact)), (zeta, bound)
+
+
+@pytest.mark.parametrize("spec", FLOOR_SPECS, ids=lambda s: f"{s.family}{s.params}")
+def test_abs_ceiling_bounds_the_modulus(spec):
+    # the grid kernel finishes a pixel as small where the ceiling is below
+    # the escape radius, so it must bound both the exact |f| and the |f|
+    # that the row's f computes in doubles
+    xs = [-800.0, -60.0, -1.0, 0.0, 0.5, 3.0, math.log(50.0), 60.0, 700.0]
+    ys = [0.0, 1.0, math.pi / 2, 3.0, -2.0, math.pi, 1e3, -1e3]
+    z = np.array([complex(x, y) for x in xs for y in ys])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ceiling = spec.row.abs_ceiling(spec.params, z)
+        computed = np.abs(spec.row.f(np, spec.params, z))
+    for zeta, c in zip(z, ceiling):
+        assert c >= _mp_abs_f(spec, complex(zeta)), (zeta, c)
+    # a nan |f| fails the kernel's comparison, and only an inf ceiling may
+    # stand over it
+    bounded = (ceiling >= computed) | (np.isnan(computed) & (ceiling == math.inf))
+    assert bounded.all(), z[~bounded]
 
 
 def test_overflow_guard():
