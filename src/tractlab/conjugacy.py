@@ -64,6 +64,7 @@ from .errors import (
 from .models import (
     LogLiftModel,
     _eval_F_array,
+    _F_kernel,
     eval_F,
     require_finite,
     write_json,
@@ -393,7 +394,7 @@ def theta_limit(
             # start at it
             fz = proof.points[1] if orbit is None else base._F(z)
             _prove(base, fz, depth, Q, proof.tail()).upto(depth)
-            residual = abs(above - base._member_F(kappa)(theta))
+            residual = abs(above - _F_kernel(base, base.kappa + kappa)(theta))
         else:
             residual = conjugacy_residual(base, kappa, z, depth, Q, proof)
     except (OverflowError, OrbitLeftJQ, RangeError):
@@ -428,7 +429,7 @@ def conjugacy_residual(
     fz = eval_F(base, z)
     proof = _prove(base, z, n + 1, Q, orbit)
     lhs = theta_n(base, kappa, fz, n, Q, proof.tail())
-    rhs = base._member_F(kappa)(theta_n(base, kappa, z, n + 1, Q, proof))
+    rhs = _F_kernel(base, base.kappa + kappa)(theta_n(base, kappa, z, n + 1, Q, proof))
     return abs(lhs - rhs)
 
 

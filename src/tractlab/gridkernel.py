@@ -3,13 +3,14 @@
 ``classify_window`` iterates every pixel center of a window under a plane
 map, evaluated through its ``PLANE_FAMILIES`` row with ``m = numpy``; the
 scalar ``EntireMapSpec`` path over the same row is its reference.  The
-flat pixel array is iterated in blocks of ``BLOCK`` pixels, so that a
-block's temporaries stay in cache; orbits are independent, so the
-blocking changes no code.  Within a block the values still iterating are
-compacted, with an array of their positions in the block, only on the
-steps where a pixel finishes or crosses the overflow guard.  Each block
-builds its own pixel centres, by the whole grid's expression over the
-rows it spans, so no array of the whole window's centres exists.
+grid is iterated in bands of whole rows, ``max(1, BLOCK // width)`` rows
+to a band, so that a band's temporaries stay in cache; orbits are
+independent, so the banding changes no code.  Within a band the values
+still iterating are compacted, with an array of their positions in the
+band, only on the steps where a pixel finishes or crosses the overflow
+guard.  Each band builds its own pixel centres, by the whole grid's
+expression over its rows, so no array of the whole window's centres
+exists.
 
 Before f, a step finishes every pixel whose modulus ceiling, the row's
 ``abs_ceiling``, lies below the smaller of the escape radius and
@@ -22,24 +23,24 @@ the code is the one f would give.  The ``_HUGE`` in the threshold keeps
 a pixel with 1e300 < |f| < radius overflowed.  Where a huge parameter
 makes the ceiling inf, the comparison fails and f runs.
 
-A window of more than one block is classified by one thread per usable
+A window of more than one band is classified by one thread per usable
 CPU: the calling thread and the workers of one module-level thread pool,
-each taking the next block that no thread has taken.  NumPy releases the
-GIL inside its ufuncs, so the blocks' array work runs on every core.
-Each block writes only its own slice of the output, so the codes, and
-the image bytes, are those of one thread.  The pool is built on the
-first call that needs it and again in a forked child; with one block or
-one usable CPU the calling thread classifies every block and no thread
+each taking the next band that no thread has taken.  NumPy releases the
+GIL inside its ufuncs, so the bands' array work runs on every core.
+Each band writes only its own rows of the output, so the codes, and the
+image bytes, are those of one thread.  The pool is built on the first
+call that needs it and again in a forked child; with one band or one
+usable CPU the calling thread classifies every band and no thread
 starts.
 
 ``render_png`` deflates the PNG's scanlines on the calling thread, in row
-order, between blocks: as soon as every block under a band of complete
-rows is done, the band goes through one ``zlib.compressobj(9)``; when the
-next band is not ready, the calling thread classifies the next untaken
-block.  zlib releases the GIL while it compresses, so the deflate of the
-top rows overlaps the pool's classification of the rows below.  Fed
-without flushes, the stream gives the bytes of ``zlib.compress(raw, 9)``
-over the whole image, so the file is byte-identical to ``write_png``'s.
+order, between bands: as soon as a band is done, it goes through one
+``zlib.compressobj(9)``; when the next band is not ready, the calling
+thread classifies the next untaken band.  zlib releases the GIL while it
+compresses, so the deflate of the top rows overlaps the pool's
+classification of the rows below.  Fed without flushes, the stream gives
+the bytes of ``zlib.compress(raw, 9)`` over the whole image, so the file
+is byte-identical to ``write_png``'s.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ OVERFLOWED_LARGE = 2
 
 _HUGE = 1e300
 
-# pixels per block: 256 KiB of complex128, so a block's temporaries stay in L2
+# pixels per band, at least one row: 256 KiB of complex128, so a band's
+# temporaries stay in L2
 BLOCK = 16384
 
 
@@ -118,8 +120,8 @@ def render_png(
     horizon: int,
 ) -> np.ndarray:
     """``classify_window``'s codes, written to path as ``write_png`` writes
-    them; each band of complete rows is deflated while the blocks below it
-    are classified.  The file is opened only after the last band."""
+    them; each band of rows is deflated while the bands below it are
+    classified.  The file is opened only after the last band."""
     png = _PngStream()
     grid = _classify(map_spec, window, resolution, escape_radius, horizon, png.feed)
     png.write(path, grid.shape)
@@ -128,8 +130,8 @@ def render_png(
 
 def _classify(map_spec, window, resolution, escape_radius, horizon, rows=None):
     """The codes of classify_window; rows, if given, is called on the
-    calling thread with each band of complete rows, top to bottom, as soon
-    as every block under the band is done."""
+    calling thread with each band of rows, top to bottom, as soon as the
+    band is done."""
     width, height = resolution
     if width <= 0 or height <= 0:
         raise RangeError("resolution must be positive")
@@ -138,21 +140,22 @@ def _classify(map_spec, window, resolution, escape_radius, horizon, rows=None):
     if not escape_radius > 0:
         raise RangeError("escape_radius must be positive")
     x, y = _axes(window, width, height)
-    size = width * height
-    out = np.zeros(size, dtype=np.uint8)
-    grid = out.reshape(height, width)
-    blocks = [slice(start, min(start + BLOCK, size)) for start in range(0, size, BLOCK)]
-    # the blocks no thread has taken yet; threads may share a deque's popleft
-    pending = deque(enumerate(blocks))
-    done = [False] * len(blocks)
+    grid = np.zeros((height, width), dtype=np.uint8)
+    step = max(1, BLOCK // width)
+    bands = [slice(top, min(top + step, height)) for top in range(0, height, step)]
+    # the bands no thread has taken yet; threads may share a deque's popleft
+    pending = deque(enumerate(bands))
+    done = [False] * len(bands)
     # a pool thread's error, which the caller raises; no future is read,
-    # so a helper queued behind another call's blocks delays no caller
+    # so a helper queued behind another call's bands delays no caller
     failed = []
-    finished = threading.Condition()  # signalled by a pool thread's block
+    finished = threading.Condition()  # signalled by a pool thread's band
 
-    def classify(block) -> None:
-        _classify_block(map_spec.row, map_spec.params, _centres(x, y, block),
-                        out[block], escape_radius, horizon)
+    def classify(band) -> None:
+        # the whole grid's centres x[None, :] + 1j * y[:, None] on the
+        # band's rows, written into the band's rows of grid through a view
+        _classify_band(map_spec.row, map_spec.params, (x + 1j * y[band, None]).ravel(),
+                       grid[band].reshape(-1), escape_radius, horizon)
 
     def drain() -> None:
         # errstate is a context variable, which pool threads do not inherit
@@ -160,10 +163,10 @@ def _classify(map_spec, window, resolution, escape_radius, horizon, rows=None):
             with np.errstate(over="ignore", invalid="ignore"):
                 while True:
                     try:
-                        i, block = pending.popleft()
+                        i, band = pending.popleft()
                     except IndexError:
                         return
-                    classify(block)
+                    classify(band)
                     with finished:
                         done[i] = True
                         finished.notify()
@@ -174,14 +177,13 @@ def _classify(map_spec, window, resolution, escape_radius, horizon, rows=None):
                 finished.notify()
             raise
 
-    if len(blocks) > 1:
+    if len(bands) > 1:
         _start_helpers(drain)
-    fed = 0  # rows handed to rows
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, block in enumerate(blocks):
-                # until block i is done, classify the next untaken block,
-                # or wait for the pool thread that took block i
+            for i, band in enumerate(bands):
+                # until band i is done, classify the next untaken band,
+                # or wait for the pool thread that took band i
                 while not done[i]:
                     try:
                         j, taken = pending.popleft()
@@ -193,12 +195,10 @@ def _classify(map_spec, window, resolution, escape_radius, horizon, rows=None):
                         continue
                     classify(taken)
                     done[j] = True
-                complete = block.stop // width
-                if rows is not None and complete > fed:
-                    rows(grid[fed:complete])
-                    fed = complete
+                if rows is not None:
+                    rows(grid[band])
     except BaseException:
-        pending.clear()  # the pool threads stop after their current block
+        pending.clear()  # the pool threads stop after their current band
         raise
     return grid
 
@@ -213,26 +213,12 @@ def _axes(window: Window, width: int, height: int) -> tuple[np.ndarray, np.ndarr
     return x, y
 
 
-def _centres(x, y, block: slice) -> np.ndarray:
-    """The pixel centres of the flat pixels in block, row-major over the
-    centres x of the columns and y of the rows; built from the rows the
-    block spans, or from its columns when it lies in one row, by the
-    expression ``x[None, :] + 1j * y[:, None]`` over the whole grid."""
-    width = x.size
-    first, last = block.start // width, (block.stop - 1) // width
-    if first == last:
-        cols = slice(block.start - first * width, block.stop - first * width)
-        return (x[None, cols] + 1j * y[first:first + 1, None]).ravel()
-    z = (x[None, :] + 1j * y[first:last + 1, None]).ravel()
-    return z[block.start - first * width:block.stop - first * width]
-
-
-_pool = None  # the block pool's submit method, once per worker
+_pool = None  # the band pool's submit method, once per worker
 _pool_lock = threading.Lock()
 
 
 def _start_helpers(task) -> None:
-    """Submit task to each worker of the block pool, which has one per
+    """Submit task to each worker of the band pool, which has one per
     usable CPU beside the caller's; start nothing on one usable CPU."""
     global _pool
     with _pool_lock:
@@ -258,9 +244,9 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _classify_block(row, params, z, out, escape_radius, horizon) -> None:
+def _classify_band(row, params, z, out, escape_radius, horizon) -> None:
     """Write the code of every orbit starting at z into out (a view)."""
-    idx = None  # position in the block of each value in z; None: all, in order
+    idx = None  # position in the band of each value in z; None: all, in order
     # a modulus ceiling below this proves |f(z)| < escape_radius and |f(z)| <= _HUGE
     small_below = min(escape_radius, _HUGE)
     for _ in range(horizon):
@@ -291,7 +277,7 @@ def _classify_block(row, params, z, out, escape_radius, horizon) -> None:
 
 
 def _finish(z, idx, out, done, code):
-    """Write code at the block positions of the values marked done; return
+    """Write code at the band positions of the values marked done; return
     the other values and their positions."""
     if idx is None:
         idx = np.arange(z.size)

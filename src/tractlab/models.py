@@ -28,11 +28,10 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import struct
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -42,8 +41,6 @@ TWO_PI = 2.0 * math.pi
 
 # double-precision exp overflows near Re z = 709; stay clear of it
 EXP_OVERFLOW_GUARD = 700.0
-# the bytes of a complex number's two doubles, signed zeros included
-_DOUBLES = struct.Struct("2d")
 
 
 def require_finite(z: complex, name: str = "z") -> complex:
@@ -307,19 +304,10 @@ class LogLiftModel:
     # without the Q rule; eval_F and eval_dF at a finite z; the address of
     # a domain point zk; and the inverse-branch solve
     _F_value = cached_property(lambda self: self.kind.value_kernel(self))
-    _F = cached_property(lambda self: _F_kernel(self))
+    _F = cached_property(lambda self: _F_kernel(self, self.kappa))
     _dF = cached_property(lambda self: self.kind.dF_kernel(self))
     _address = cached_property(lambda self: _address_key(self))
     _inverse = cached_property(lambda self: self.kind.inverse_kernel(self))
-
-    def _member_F(self, kappa: complex) -> Callable:
-        """The F kernel of ``translated(kappa)``.  The model keeps the last
-        one, as every caller uses one kappa per base, keyed on the bytes of
-        kappa's two doubles so that a zero's sign keeps kappas apart."""
-        return self._members(_DOUBLES.pack(kappa.real, kappa.imag))
-
-    _members = cached_property(lambda self: lru_cache(maxsize=1)(
-        lambda key: self.translated(complex(*_DOUBLES.unpack(key)))._F))
 
     def translated(self, kappa: complex) -> "LogLiftModel":
         """The member F(z + kappa) of this model's translation family."""
@@ -372,9 +360,11 @@ def _value_kernel(value: Callable) -> Callable:
     return build
 
 
-def _F_kernel(model: LogLiftModel) -> Callable:
-    # eval_F at a finite z: the value kernel on the domain where Re F > Q
-    value, kappa, Q = model._F_value, model.kappa, model.half_plane_Q
+def _F_kernel(model: LogLiftModel, kappa: complex) -> Callable:
+    # eval_F at a finite z of the member with this kappa, which is model's
+    # own or that of translated(kappa - model.kappa): the value kernel on
+    # the domain where Re F > Q; the value kernel does not read kappa
+    value, Q = model._F_value, model.half_plane_Q
 
     def F(z):
         w = value(z + kappa)

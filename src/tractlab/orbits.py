@@ -151,9 +151,7 @@ def point_with_address(
     has |Im| <= pi; a converged point past that is on no ``eval_F`` cycle
     and raises RangeError.
     """
-    p = len(address)
-    if p < 1:
-        raise RangeError("address must have period at least 1")
+    p = _period(address)
     z = complex(Q + 1.0, 0.0)
     prev_step = math.inf
     for _ in range(BACKWARD_MAX_CYCLES):
@@ -189,6 +187,13 @@ def point_with_address(
     return z
 
 
+def _period(address: ExternalAddress) -> int:
+    p = len(address)
+    if p < 1:
+        raise RangeError("address must have period at least 1")
+    return p
+
+
 def periodic_orbit(
     model: LogLiftModel,
     address: ExternalAddress,
@@ -208,7 +213,7 @@ def periodic_orbit(
     """
     if length < 1:
         raise RangeError("orbit length must be at least 1")
-    p = len(address)
+    p = _period(address)
     entries = list(address.entries)
     cycle = []
     for i in range(p):

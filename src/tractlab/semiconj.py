@@ -495,7 +495,9 @@ def semiconj_limit(
             f"no expansion constant C > 1 available (got {sampled_C!r})"
         )
     mu = mu_constant(setup)
-    depth = max(1, math.ceil(math.log(mu / tol) / math.log(sampled_C)))
+    # mu <= tol needs one level; at tol = inf, mu / tol is 0, whose log
+    # would raise
+    depth = max(1, math.ceil(math.log(max(mu / tol, 1.0)) / math.log(sampled_C)))
     sample = theta_level(setup, z, depth)
     usable = len(sample.thetas) - 1
     sample.sampled_C = sampled_C

@@ -253,11 +253,11 @@ def _check_grid_scalar_oracle():
 
 
 def _check_grid_png_stream():
-    # render_png deflates its rows band by band while blocks are classified;
+    # render_png deflates its rows band by band while bands are classified;
     # its bytes equal write_png's over the finished codes only if this
     # zlib's chunked deflate gives the bytes of its one-shot deflate
     config = (EntireMapSpec.sinh(0.575), gridkernel.Window(-8.0, 8.0, -8.0, 8.0),
-              (300, 300), 50.0, 30)  # six blocks
+              (300, 300), 50.0, 30)  # six bands
     with tempfile.TemporaryDirectory() as tmp:
         streamed, whole = Path(tmp, "streamed.png"), Path(tmp, "whole.png")
         gridkernel.write_png(whole, gridkernel.render_png(streamed, *config))

@@ -1119,26 +1119,22 @@ def test_residual_members_keep_signed_zero_kappas_apart():
                 args = (base, kappa, z, 1e-9, Q)
                 expected = _sample_outcome(_three_tower_theta_limit, *args)
                 assert _sample_outcome(conjugacy.theta_limit, *args) == expected
-        # one member is kept, and the second kappa does not reuse the first's
-        info = base._members.cache_info()
-        assert info.misses == 2 and info.currsize == 1
+        # the second kappa's F is not the first's
         edge = complex(3.0, -0.0)
-        values = [repr(base._member_F(kappa)(edge)) for kappa in order]
+        values = [repr(models._F_kernel(base, base.kappa + kappa)(edge)) for kappa in order]
         assert values == [repr(eval_F(base.translated(kappa), edge)) for kappa in order]
         assert values[0] != values[1]
 
 
 def test_a_kappa_sweep_keeps_one_residual_member():
-    # a fresh model, so its cache starts empty; F(z) is proved, F(F(z))
-    # saturates, so every sample takes the one-chain residual
+    # F(z) is proved, F(F(z)) saturates, so every sample takes the
+    # one-chain residual
     sinh, z = ESCAPING_FAMILIES[2], 3.4045116317306596 + 12.921036882155637j
     base = LogLiftModel(sinh.family, plane_map=sinh.plane_map)
     for i in range(1000):
         kappa = complex(0.3, 0.2 * i / 1000)
         sample = conjugacy.theta_limit(base, kappa, z, 1e-9, Q)
         assert sample.residual == _RESIDUAL(base, kappa, z, sample.depth, Q)
-    info = base._members.cache_info()
-    assert info.misses == 1000 and info.currsize == 1
 
 
 def test_saturated_sample_runs_one_tower(monkeypatch):

@@ -96,14 +96,15 @@ BLOCK_CASES = [
 
 def _grid_centres(win, resolution):
     # every pixel centre at once, as the kernel built them before its
-    # blocks built their own
+    # bands built their own
     x, y = gridkernel._axes(win, *resolution)
     return (x[None, :] + 1j * y[:, None]).ravel()
 
 
 def _assert_blocks_give_scalar_codes(monkeypatch, spec, cases):
-    # every case fits in one block of the default size, so shrink it:
-    # blocks of one pixel, blocks that end mid-row, and one block per grid
+    # every case fits in one band of the default size, so shrink BLOCK:
+    # bands of one row (BLOCK below the width), of two rows, the last one
+    # short where the height is odd, and one band per grid
     for win, (width, height), radius, horizon in cases:
         dx = (win.xmax - win.xmin) / width
         dy = (win.ymax - win.ymin) / height
@@ -122,7 +123,7 @@ def _assert_blocks_give_scalar_codes(monkeypatch, spec, cases):
             ],
             dtype=np.uint8,
         )
-        for block in (1, 7, width * height):
+        for block in (1, 7, 2 * width, width * height):
             monkeypatch.setattr(gridkernel, "BLOCK", block)
             grid = gridkernel.classify_window(spec, win, (width, height), radius, horizon)
             # equal to the scalar codes, hence equal to each other
@@ -144,25 +145,42 @@ def test_codes_at_the_ceiling_threshold(monkeypatch):
     _assert_blocks_give_scalar_codes(monkeypatch, EXACT_CEILING, THRESHOLD_CASES)
 
 
-def test_block_centres_are_the_whole_grid_centres_byte_for_byte():
+def test_block_centres_are_the_whole_grid_centres_byte_for_byte(monkeypatch):
     # windows whose middle column and row are zero, so the products with 1j
-    # and the sums meet zeros of both signs
+    # and the sums meet zeros of both signs; one usable CPU, so the bands
+    # are classified in order on the calling thread
+    _one_usable_cpu(monkeypatch)
+    centres = []
+    classify_band = gridkernel._classify_band
+
+    def recording(row, params, z, *rest):
+        centres.append(z.copy())
+        classify_band(row, params, z, *rest)
+
+    monkeypatch.setattr(gridkernel, "_classify_band", recording)
     for win, (width, height) in [
         (Window(-1.5, 1.5, -1.5, 1.5), (3, 3)),
         (Window(-2.0, 2.0, -1.0, 1.0), (5, 7)),
         (Window(-200.5, 200.5, -1.5, 1.5), (401, 3)),
     ]:
-        x, y = gridkernel._axes(win, width, height)
         whole = _grid_centres(win, (width, height))
         assert (whole.real == 0).any() and (whole.imag == 0).any()
-        for block in (1, 7, width - 1, width, width + 3, 2 * width, whole.size, BLOCK_DEFAULT):
-            starts = range(0, whole.size, block)
-            parts = [gridkernel._centres(x, y, slice(s, min(s + block, whole.size)))
-                     for s in starts]
-            assert np.concatenate(parts).tobytes() == whole.tobytes(), (win, block)
+        # a row wider than BLOCK, one row per band, two and three rows per
+        # band, the last one short where they do not divide the height,
+        # and one band
+        for block in (1, width - 1, width, 2 * width, 3 * width + 1, whole.size, BLOCK_DEFAULT):
+            monkeypatch.setattr(gridkernel, "BLOCK", block)
+            centres.clear()
+            gridkernel.classify_window(SPECS[0], win, (width, height), 50.0, 1)
+            rows = max(1, block // width)
+            assert [z.size for z in centres] == [
+                width * min(rows, height - top) for top in range(0, height, rows)
+            ], (win, block)
+            assert np.concatenate(centres).tobytes() == whole.tobytes(), (win, block)
 
 
-# 300 x 200 pixels in blocks of 4096: fifteen blocks, the last one short
+# 300 x 200 pixels in bands of 4096 // 300 = 13 rows: sixteen bands, the
+# last one short
 POOL_CASE = (SPECS[3], WIN, (300, 200), 50.0, 30)
 
 
@@ -180,13 +198,13 @@ def test_pool_blocks_ignore_overflow_as_one_block_does(monkeypatch):
     assert (gridkernel.classify_window(*OVERFLOW_CASE) == expected).all()
 
 
-def _raise_in_one_block(monkeypatch, thread, call):
-    """Run call with the first block of the named thread failing; the
-    caller must raise that error within a bounded time.  A pool block fails
-    late, once the caller has taken every other block and waits for it."""
-    classify_block = gridkernel._classify_block
-    once = threading.Lock()  # the first matching block takes it and fails
-    boom = RuntimeError(f"a block in the {thread} thread failed")
+def _raise_in_one_band(monkeypatch, thread, call):
+    """Run call with the first band of the named thread failing; the
+    caller must raise that error within a bounded time.  A pool band fails
+    late, once the caller has taken every other band and waits for it."""
+    classify_band = gridkernel._classify_band
+    once = threading.Lock()  # the first matching band takes it and fails
+    boom = RuntimeError(f"a band in the {thread} thread failed")
 
     def failing(*args):
         in_caller = threading.current_thread() is runner
@@ -195,8 +213,8 @@ def _raise_in_one_block(monkeypatch, thread, call):
                 time.sleep(0.2)
             raise boom
         if in_caller and thread == "pool":
-            time.sleep(0.005)  # leave blocks to the pool
-        classify_block(*args)
+            time.sleep(0.005)  # leave bands to the pool
+        classify_band(*args)
 
     raised = []
 
@@ -207,23 +225,23 @@ def _raise_in_one_block(monkeypatch, thread, call):
             raised.append(exc)
 
     runner = threading.Thread(target=run, daemon=True)
-    monkeypatch.setattr(gridkernel, "_classify_block", failing)
+    monkeypatch.setattr(gridkernel, "_classify_band", failing)
     runner.start()
     runner.join(timeout=30)
-    assert not runner.is_alive(), "the caller never saw the failed block"
-    monkeypatch.setattr(gridkernel, "_classify_block", classify_block)
+    assert not runner.is_alive(), "the caller never saw the failed band"
+    monkeypatch.setattr(gridkernel, "_classify_band", classify_band)
     assert len(raised) == 1 and raised[0] is boom
 
 
 @pytest.mark.parametrize("thread", ["calling", "pool"])
 def test_a_block_error_reaches_the_caller_and_the_pool_survives(monkeypatch, thread):
-    expected = gridkernel.classify_window(*POOL_CASE)  # one block, inline
+    expected = gridkernel.classify_window(*POOL_CASE)  # one band, inline
     monkeypatch.setattr(gridkernel, "BLOCK", 4096)
     assert (gridkernel.classify_window(*POOL_CASE) == expected).all()
     pool = gridkernel._pool
     if thread == "pool" and pool is None:
         pytest.skip("one usable CPU: no pool thread")
-    _raise_in_one_block(monkeypatch, thread, lambda: gridkernel.classify_window(*POOL_CASE))
+    _raise_in_one_band(monkeypatch, thread, lambda: gridkernel.classify_window(*POOL_CASE))
     assert (gridkernel.classify_window(*POOL_CASE) == expected).all()
     assert gridkernel._pool is pool
 
@@ -250,7 +268,7 @@ def test_a_block_error_in_a_png_render_writes_no_file(monkeypatch, tmp_path, thr
     pool = gridkernel._pool
     if thread == "pool" and pool is None:
         pytest.skip("one usable CPU: no pool thread")
-    _raise_in_one_block(monkeypatch, thread, lambda: _render_png(out, resolution))
+    _raise_in_one_band(monkeypatch, thread, lambda: _render_png(out, resolution))
     assert not out.exists()
     assert _render_png(out, resolution) == cli.EXIT_OK
     assert out.read_bytes() == (tmp_path / "old.png").read_bytes()
@@ -425,8 +443,8 @@ def test_writer_bytes_are_pinned(tmp_path, shape, write, old_write):
     assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
 
 
-# (BLOCK, resolution): a row longer than a block; blocks that end mid-row,
-# the last one short; every block but the last ends mid-row; one block
+# (BLOCK, resolution): a row longer than BLOCK, so one row per band; bands
+# of 23 rows, the last one short; bands of two rows; one band
 STREAM_CASES = [(64, (100, 30)), (700, (30, 50)), (70, (30, 14)), (BLOCK_DEFAULT, (40, 25))]
 
 
@@ -451,12 +469,15 @@ def test_bands_are_final_rows_fed_in_order(monkeypatch, block):
     monkeypatch.setattr(gridkernel, "BLOCK", block)
     bands = []
     grid = gridkernel._classify(*POOL_CASE, rows=lambda band: bands.append(band.copy()))
-    # copies taken when each band was fed: its codes were already final
-    assert (np.concatenate(bands) == expected).all() and (grid == expected).all()
-    # each block that completes a row feeds those rows at once
-    size = width * height
-    ends = {min(stop, size) // width for stop in range(block, size + block, block)}
-    assert [len(band) for band in bands] == np.diff([0, *sorted(ends - {0})]).tolist()
+    assert (grid == expected).all()
+    # each band is fed once, in order, as max(1, BLOCK // width) whole rows,
+    # the last one short; the copies taken when each band was fed hold its
+    # final codes
+    rows = max(1, block // width)
+    tops = range(0, height, rows)
+    assert len(bands) == len(tops)
+    for top, band in zip(tops, bands):
+        assert np.array_equal(band, expected[top:top + rows]), (block, top)
 
 
 def test_sidecar_roundtrip(tmp_path):

@@ -203,6 +203,15 @@ def test_periodic_orbit_refuses_an_address_no_lifted_cycle_realizes(branches):
         orbits.periodic_orbit(model, addr, Q, 10)
 
 
+def test_periodic_orbit_refuses_an_empty_address_as_point_with_address_does():
+    # an empty address has no cycle: the error is the RangeError of
+    # point_with_address, not a ZeroDivisionError from the cycle's period
+    empty = orbits.ExternalAddress(())
+    for solve in (orbits.point_with_address, lambda *a: orbits.periodic_orbit(*a, 3)):
+        with pytest.raises(RangeError, match="^address must have period at least 1$"):
+            solve(SHIFTED, empty, Q)
+
+
 def test_address_container_protocol():
     addr = orbits.ExternalAddress.periodic([2, -1])
     assert len(addr) == 2

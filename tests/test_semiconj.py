@@ -240,6 +240,18 @@ def test_semiconj_limit_converges_with_tiny_tail():
     assert r <= 1e-9
 
 
+def test_semiconj_limit_at_an_infinite_tol_takes_one_level():
+    # mu / tol is 0 there; every tol of at least mu takes depth 1, as an
+    # infinite tol takes theta_limit's depth-0 sample
+    C = semiconj.expansion_certificate(SETUP)
+    mu = semiconj.mu_constant(SETUP)
+    z = 30.0 + 0.1j
+    s = semiconj.semiconj_limit(SETUP, z, math.inf, C)
+    assert len(s.thetas) == 2 and s.tail_estimate == mu / C
+    same = semiconj.semiconj_limit(SETUP, z, mu, C)
+    assert s.theta == same.theta and s.thetas == same.thetas
+
+
 def test_semiconj_limit_rejects_uncertifiable_orbits():
     C = semiconj.expansion_certificate(SETUP)
     with pytest.raises(HorizonError):
