@@ -8,8 +8,8 @@ Library layout:
   backward-orbit point construction
 - conjugacy: the pullback conjugacy near infinity, its residual and
   the inverse round-trip check
-- semiconj: the hyperbolic-map semiconjugacy by curve lifting, with
-  the package's one curve-lifting routine
+- semiconj: the hyperbolic-map semiconjugacy, one certified
+  closed-form preimage per level and g-orbit position
 - gridkernel: escape-time grid classification (one NumPy kernel over
   the models family table) and image output
 - cli: the `tractlab` command-line entry point

@@ -22,7 +22,8 @@ class NewtonDiverged(TractlabError):
 
 
 class ContinuationError(TractlabError):
-    """Adaptive path refinement could not keep an inverse branch continuous."""
+    """A semiconj level's closed-form preimage is not certified to be the
+    continuous lift: the curve it lifts may come near the asymptotic value."""
 
 
 class AddressUndefined(TractlabError):

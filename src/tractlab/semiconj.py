@@ -1,5 +1,5 @@
 """Semiconjugacy between a hyperbolic exponential-type map and its
-rescaled outside-model, built by iterated curve lifting.
+rescaled outside-model, built by pulling back one point per level.
 
 The default instance is f(z) = lambda (e^z - 1) with |lambda| < 1, an
 attracting fixed point at 0 and the single asymptotic value -lambda.
@@ -11,15 +11,19 @@ levels
     theta_{j+1}(z) = endpoint of the f-lift of gamma_j(g(z))
                      starting at theta_j(z)
 
-converge geometrically; the tower stops early where the g-orbit leaves
-double range.  W is the complement of a closed disk, so its
-hyperbolic density is known in closed form,
+converge geometrically, where gamma_1(w) is the segment w -> w/M and
+gamma_{j+1} is the lift itself.  Only the endpoints are computed: each
+is one closed-form preimage on the branch nearest its start, which a
+half-plane bound certifies to be the continuous lift (``theta_level``).
+The tower stops early where the g-orbit leaves double range.  W is the
+complement of a closed disk, so its hyperbolic density is known in
+closed form,
 
     rho_W(z) = 1 / (|z| log(|z| / r_U)),
 
-via the conformal map z -> r_U/z onto the punctured unit disk; both the
-expansion certificate and the curve-length reports use this exact
-density rather than one-sided estimates.
+via the conformal map z -> r_U/z onto the punctured unit disk; the
+expansion certificate uses this exact density rather than one-sided
+estimates.
 """
 
 from __future__ import annotations
@@ -47,14 +51,6 @@ from .models import (
     write_json,
 )
 
-# polyline resolution of the level-1 segment; lifts refine adaptively
-SEGMENT_SAMPLES = 17
-_SEGMENT_FRACTIONS = tuple(t / (SEGMENT_SAMPLES - 1) for t in range(SEGMENT_SAMPLES))
-# a lift step larger than this forces bisection of the source step, so a
-# branch integer can never silently slip by a full period; a step still
-# too long after MAX_BISECTION_DEPTH halvings raises ContinuationError
-MAX_LIFT_STEP = math.pi / 2
-MAX_BISECTION_DEPTH = 48
 POSTSINGULAR_ITERATES = 100
 # points of the circle |z| = r_U on which f(cl U) inside U is checked
 BOUNDARY_SAMPLES = 256
@@ -67,7 +63,8 @@ CERTIFICATE_BLOCK = 4 * CERTIFICATE_SAMPLES
 CERTIFICATE_MAX_ATTEMPTS = 200 * CERTIFICATE_SAMPLES
 # an array value this close (relative) to a threshold or to the minimum
 # is recomputed in scalar arithmetic, whose result is the one reported;
-# array and scalar |f| differ by up to ~1e-13 at |z| ~ CERTIFICATE_RADIUS
+# array and scalar |f| differ by up to ~1e-13 at |z| ~ CERTIFICATE_RADIUS;
+# theta_level keeps its rounded lift bounds this far above |lambda|
 CONFIRM_MARGIN = 1e-9
 
 
@@ -192,7 +189,6 @@ class SemiconjSample:
     z: complex
     thetas: list[complex]  # thetas[j] = theta_j(z)
     increments: list[float] = field(default_factory=list)
-    gamma_lengths: list[float] = field(default_factory=list)  # hyp length in W
     theta: complex | None = None
     displacement_bound: float = math.inf
     mu: float = math.nan
@@ -211,7 +207,6 @@ class SemiconjSample:
             else [self.theta.real, self.theta.imag],
             "levels": [[t.real, t.imag] for t in self.thetas],
             "increments": self.increments,
-            "gamma_lengths": self.gamma_lengths,
             "mu": self.mu,
             "displacement_bound": self.displacement_bound,
             "tail_estimate": self.tail_estimate,
@@ -251,120 +246,52 @@ def _g_positions(setup: HyperbolicSetup, z: complex, needed: int) -> list[comple
     return pos
 
 
-def _lift_polyline(
-    setup: HyperbolicSetup, start: complex, path: list[complex]
-) -> list[complex]:
-    """Continuous f-preimage of a polyline, starting at the known
-    preimage ``start`` of path[0].
-
-    Each step takes the closed-form preimage on the branch nearest the
-    current sample.  A step that would move by more than MAX_LIFT_STEP
-    goes to ``_bisected_step``; a step onto the asymptotic value raises
-    ``inverse_branch_f``'s RangeError.
-    """
-    f0 = setup.f(start)
-    if abs(f0 - path[0]) > 1e-6 * (1.0 + abs(path[0])):
-        raise ContinuationError(
-            f"start {start!r} is not a preimage of the path head {path[0]!r}"
-        )
-    inv = setup.inverse_branch_f
-    period = TWO_PI * 1j
-    samples = [start]
-    z_cur = start
-    for w_prev, w in zip(path, path[1:]):
-        base = inv(w, 0)
-        z_next = base + period * round((z_cur.imag - base.imag) / TWO_PI)
-        if abs(z_next - z_cur) <= MAX_LIFT_STEP:
-            samples.append(z_next)
-        else:
-            z_next = _bisected_step(
-                inv, samples, z_cur, complex(w_prev), complex(w), 0
-            )
-        z_cur = z_next
-    return samples
-
-
-def _bisected_step(
-    inv: Callable[[complex, int], complex],
-    samples: list[complex],
-    z_cur: complex,
-    w_from: complex,
-    w_to: complex,
-    depth: int,
-) -> complex:
-    """Lift of the source step w_from -> w_to from z_cur, by the rule of
-    ``_lift_polyline``: a lift step that moves by more than MAX_LIFT_STEP
-    is split at its midpoint, first half first, at most
-    MAX_BISECTION_DEPTH times.  Appends the lifted samples and returns
-    the last."""
-    base = inv(w_to, 0)
-    z_next = base + TWO_PI * 1j * round((z_cur.imag - base.imag) / TWO_PI)
-    if abs(z_next - z_cur) <= MAX_LIFT_STEP:
-        samples.append(z_next)
-        return z_next
-    if depth >= MAX_BISECTION_DEPTH:
-        raise ContinuationError(
-            f"cannot keep the branch continuous near w = {w_to!r}"
-        )
-    mid = 0.5 * (w_from + w_to)
-    z_mid = _bisected_step(inv, samples, z_cur, w_from, mid, depth + 1)
-    return _bisected_step(inv, samples, z_mid, mid, w_to, depth + 1)
-
-
-def _polyline_hyp_length(setup: HyperbolicSetup, path: list[complex]) -> float:
-    """Midpoint-quadrature hyperbolic length of a polyline in W.
-
-    The density is ``rho_W``'s formula inline; a midpoint outside its
-    range goes to ``rho_W`` itself, which raises.
-    """
-    r_U, log, inf = setup.r_U, math.log, math.inf
-    total = 0.0
-    for a, b in zip(path, path[1:]):
-        seg = abs(b - a)
-        if seg == 0.0:
-            continue
-        mid = 0.5 * (a + b)
-        r = abs(mid)
-        if r_U < r < inf:
-            total += seg * (1.0 / (r * log(r / r_U)))
-        else:
-            total += seg * rho_W(setup, mid)
-    return total
-
-
 def theta_level(setup: HyperbolicSetup, z: complex, k: int) -> SemiconjSample:
-    """Levels theta_0 .. theta_j at z via the triangular curve tower, with
-    j = min(k, number of g-orbit positions inside double range)."""
+    """Levels theta_0 .. theta_j at z via the triangular tower, with
+    j = min(k, number of g-orbit positions inside double range).
+
+    Level 1 at position p is the endpoint of the segment p -> p/M.  Level
+    j+1 at position i is the endpoint of the continuous f-lift of level
+    j's curve at position i+1 from level j at i: the closed-form preimage
+    ``inverse_branch_f(w, 0)`` moved by the whole periods 2 pi i that
+    bring it nearest its start.  That is the continuous lift wherever
+    arg(w + lambda) turns by less than pi along the curve, which a lower
+    bound ``low`` per position certifies: the segment lies in
+    |w| >= |p|/M, and a lift of a curve in |w| >= m lies in
+    Re >= log(m/|lambda| - 1).  A curve whose bound is not above
+    |lambda| raises ContinuationError; at level 2, |p|/M > K > 2|lambda|
+    for every setup that ``build_setup`` accepts.
+    """
     if k < 0:
         raise RangeError("level must be nonnegative")
     z = require_finite(z)
     if k == 0:
         return SemiconjSample(z, [z], mu=mu_constant(setup))
     pos = _g_positions(setup, z, k)
-    M = setup.M
-    # level 1: straight segments from each position to its rescale
-    curves = []
-    for p in pos:
-        d = p / M - p
-        curves.append([p + d * t for t in _SEGMENT_FRACTIONS])
+    M, lam = setup.M, abs(setup.lam)
+    # tops[i] is the deepest level at position i, and low[i] the bound
+    # on the curve that ends there; both are updated in place, from
+    # position 0 up, so tops[i + 1] and low[i + 1] are still one level
+    # down when position i reads them.  Level 1 is the segment's point at
+    # parameter 1, not p / M: the two differ in the last bit, which moves
+    # level 2 and the tails
+    tops = [p + (p / M - p) * 1.0 for p in pos]
+    low = [abs(p) / M for p in pos]
     thetas = [z, z / M]
     increments = [abs(z / M - z)]
-    lengths = [_polyline_hyp_length(setup, curves[0])]
-    tops = [c[-1] for c in curves]
     for level in range(2, min(k, len(pos)) + 1):
-        lifted = [
-            _lift_polyline(setup, curves[i][-1], curves[i + 1])
-            for i in range(len(curves) - 1)
-        ]
-        curves = lifted
-        for i, c in enumerate(curves):
-            tops[i] = c[-1]
-        thetas.append(curves[0][-1])
+        for i in range(len(pos) - level + 1):
+            if not low[i + 1] > lam * (1.0 + CONFIRM_MARGIN):
+                raise ContinuationError(
+                    f"level {level}, position {i}: the curve to lift is only "
+                    f"bounded by {low[i + 1]:g}, not above |lambda| = {lam:g}"
+                )
+            base = setup.inverse_branch_f(tops[i + 1], 0)
+            tops[i] = base + TWO_PI * 1j * round((tops[i].imag - base.imag) / TWO_PI)
+            low[i] = math.log(low[i + 1] / lam - 1.0)
+        thetas.append(tops[0])
         increments.append(abs(thetas[-1] - thetas[-2]))
-        lengths.append(_polyline_hyp_length(setup, curves[0]))
-    return SemiconjSample(
-        z, thetas, increments, lengths, mu=mu_constant(setup), tops=tops
-    )
+    return SemiconjSample(z, thetas, increments, mu=mu_constant(setup), tops=tops)
 
 
 def _certificate_point(

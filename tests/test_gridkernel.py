@@ -146,9 +146,10 @@ def test_codes_at_the_ceiling_threshold(monkeypatch):
 
 
 def test_block_centres_are_the_whole_grid_centres_byte_for_byte(monkeypatch):
-    # windows whose middle column and row are zero, so the products with 1j
-    # and the sums meet zeros of both signs; one usable CPU, so the bands
-    # are classified in order on the calling thread
+    # windows whose middle column and row are zero.  The intermediate
+    # 1j * y holds -0.0 in its real part where y < 0, but no centre can:
+    # x + (-0.0) is x, and an axis's zero is a sum a + (-a) = +0.0.  One
+    # usable CPU, so the bands are classified in order on the calling thread
     _one_usable_cpu(monkeypatch)
     centres = []
     classify_band = gridkernel._classify_band
@@ -165,6 +166,8 @@ def test_block_centres_are_the_whole_grid_centres_byte_for_byte(monkeypatch):
     ]:
         whole = _grid_centres(win, (width, height))
         assert (whole.real == 0).any() and (whole.imag == 0).any()
+        zeros = np.concatenate([whole.real[whole.real == 0], whole.imag[whole.imag == 0]])
+        assert not np.signbit(zeros).any()
         # a row wider than BLOCK, one row per band, two and three rows per
         # band, the last one short where they do not divide the height,
         # and one band

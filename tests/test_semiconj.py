@@ -60,10 +60,27 @@ def test_density_outside_disk():
         assert semiconj.rho_W(SETUP, z) == pytest.approx(expect)
 
 
+@pytest.mark.parametrize("z, error", [
+    (complex(math.inf, 0.0), DomainError),
+    (complex(math.nan, 0.0), DomainError),
+    (complex(0.0, math.inf), DomainError),
+    (0j, RangeError),
+    (0.7 + 0j, RangeError),  # |z| = r_U exactly
+], ids=["inf", "nan", "inf_imag", "inside_U", "on_the_circle"])
+def test_rho_W_refuses_outside_W(z, error):
+    with pytest.raises(error):
+        semiconj.rho_W(SETUP, z)
+
+
 def test_inverse_branch_f_roundtrip():
     for b in (-1, 0, 2):
         z = SETUP.inverse_branch_f(9.0 + 2.0j, b)
         assert SETUP.f(z) == pytest.approx(9.0 + 2.0j, rel=1e-12)
+
+
+def test_inverse_branch_f_refuses_the_asymptotic_value():
+    with pytest.raises(RangeError, match="asymptotic value"):
+        SETUP.inverse_branch_f(-SETUP.lam, 0)
 
 
 def test_level_one_is_exact_rescaling():
@@ -73,19 +90,66 @@ def test_level_one_is_exact_rescaling():
 
 
 def test_functional_equation_links_levels():
-    z = 25.0 + 0j
-    s2 = semiconj.theta_level(SETUP, z, 2)
-    s1 = semiconj.theta_level(SETUP, SETUP.g(z), 1)
-    assert abs(SETUP.f(s2.thetas[2]) - s1.thetas[1]) <= 1e-9 * (
-        1.0 + abs(s1.thetas[1])
+    # f(theta_L(z)) = theta_{L-1}(g(z)) at every level the orbit reaches;
+    # level 3 is the first that lifts a lifted curve, not a segment
+    checked = set()
+    for z in (22.0 + 0j, 24.0 - 1.0j, 25.0 + 0j, 30.0 + 0.1j, 40.0 + 0j):
+        s = semiconj.theta_level(SETUP, z, 4)
+        s_g = semiconj.theta_level(SETUP, SETUP.g(z), 3)
+        for level in range(2, len(s.thetas)):
+            want = s_g.thetas[level - 1]
+            assert abs(SETUP.f(s.thetas[level]) - want) <= 1e-12 * abs(want), (z, level)
+            checked.add(level)
+    assert checked == {2, 3, 4}
+
+
+def test_each_level_solves_once_per_position(monkeypatch):
+    # level L lifts one point at each of the positions 0 .. n - L
+    solve = semiconj.HyperbolicSetup.inverse_branch_f
+    calls = []
+
+    def counted(setup, w, branch):
+        calls.append(w)
+        return solve(setup, w, branch)
+
+    monkeypatch.setattr(semiconj.HyperbolicSetup, "inverse_branch_f", counted)
+    n = len(semiconj._g_positions(SETUP, 25.0 + 0j, 30))
+    s = semiconj.theta_level(SETUP, 25.0 + 0j, 30)
+    assert len(s.thetas) == n + 1
+    assert len(calls) == sum(n - level + 1 for level in range(2, n + 1))
+
+
+def _d_W(setup, a, b):
+    # the exact distance of W: w -> r_U / w maps W onto the punctured unit
+    # disk, tau = -i log lifts that to the upper half-plane, and the deck
+    # shifts 2 pi k identify the lifts of one point
+    ta = -1j * cmath.log(setup.r_U / a)
+    tb = -1j * cmath.log(setup.r_U / b)
+    return min(
+        math.acosh(1.0 + abs(ta - tb - TWO_PI * k) ** 2 / (2.0 * ta.imag * tb.imag))
+        for k in (-1, 0, 1)
     )
 
 
-def test_curve_lengths_contract_geometrically():
-    s = semiconj.theta_level(SETUP, 25.0 + 0j, 4)
-    lengths = [g for g in s.gamma_lengths if g > 0.0]
-    for a, b in zip(lengths[1:], lengths[:-1]):
-        assert a < b
+def test_d_W_is_the_distance_of_rho_W():
+    # near the diagonal d_W is rho_W times the Euclidean distance, also
+    # across the negative axis, where a deck shift takes the short way
+    for a, b in [(25.0 + 0j, 25.0 + 0.01j), (-25.0 + 0.005j, -25.0 - 0.005j)]:
+        expect = semiconj.rho_W(SETUP, a) * abs(a - b)
+        assert _d_W(SETUP, a, b) == pytest.approx(expect, rel=1e-3)
+
+
+def test_level_steps_contract_geometrically_in_W():
+    C = semiconj.expansion_certificate(SETUP)
+    mu = semiconj.mu_constant(SETUP)
+    for z in (25.0 + 0j, 40.0 + 0j, 30.0 + 0.1j, 35.0 - 0.05j):
+        s = semiconj.semiconj_limit(SETUP, z, 1e-6, C)
+        steps = [_d_W(SETUP, a, b) for a, b in zip(s.thetas, s.thetas[1:])]
+        assert len(steps) >= 2
+        for j, d in enumerate(steps):
+            assert d <= mu / C**j, (z, j)
+        for a, b in zip(steps, steps[1:]):
+            assert b < a, z
 
 
 def test_expansion_certificate_exceeds_one_and_is_deterministic():
@@ -292,11 +356,11 @@ def test_semiconj_limit_computes_each_g_orbit_once(monkeypatch):
 def test_displacement_stays_below_mu_geometric_bound():
     C = semiconj.expansion_certificate(SETUP)
     mu = semiconj.mu_constant(SETUP)
-    for z in (25.0 + 0j, 40.0 + 0j, 30.0 + 0.1j):
+    for z in (25.0 + 0j, 40.0 + 0j, 30.0 + 0.1j, 35.0 - 0.05j):
         s = semiconj.semiconj_limit(SETUP, z, 1e-6, C)
-        # the hyperbolic curve lengths (not the Euclidean increments)
-        # telescope below the geometric-series ceiling
-        total = sum(s.gamma_lengths)
+        # the hyperbolic distances between levels (not the Euclidean
+        # increments) telescope below the geometric-series ceiling
+        total = sum(_d_W(SETUP, a, b) for a, b in zip(s.thetas, s.thetas[1:]))
         assert total <= mu * C / (C - 1.0) + 1e-9
         assert s.displacement_bound == pytest.approx(mu * C / (C - 1.0))
 
@@ -314,7 +378,15 @@ def test_write_report(tmp_path):
     assert s.sampled_C == C
 
 
-# -- the lift and length kernels against their plain definitions ---------
+# -- theta_level against the curve tower it replaced -----------------------
+
+# the curve tower's resolution: samples of each level-1 segment, the
+# largest lift step before the source step is halved, and the halvings
+# allowed before it gives up
+SEGMENT_SAMPLES = 17
+MAX_LIFT_STEP = math.pi / 2
+MAX_BISECTION_DEPTH = 48
+
 
 def _continuous_lift(step, z0, path):
     # recursive bisection over a per-step closure: a step whose lift moves
@@ -323,10 +395,10 @@ def _continuous_lift(step, z0, path):
 
     def advance(z_cur, w_from, w_to, depth):
         z_next = step(z_cur, w_to)
-        if abs(z_next - z_cur) <= semiconj.MAX_LIFT_STEP:
+        if abs(z_next - z_cur) <= MAX_LIFT_STEP:
             samples.append(z_next)
             return z_next
-        if depth >= semiconj.MAX_BISECTION_DEPTH:
+        if depth >= MAX_BISECTION_DEPTH:
             raise ContinuationError(
                 f"cannot keep the branch continuous near w = {w_to!r}"
             )
@@ -355,14 +427,26 @@ def _reference_lift(setup, start, path):
     return _continuous_lift(step, start, path)
 
 
-def _reference_length(setup, path):
-    total = 0.0
-    for a, b in zip(path, path[1:]):
-        seg = abs(b - a)
-        if seg == 0.0:
-            continue
-        total += seg * semiconj.rho_W(setup, 0.5 * (a + b))
-    return total
+def _curve_tower(setup, z, k):
+    # theta_level's thetas, increments and tops, k >= 1, by lifting whole
+    # polylines: level 1 samples each segment p -> p/M, and level L + 1 at
+    # position i lifts level L's curve at i + 1 from its endpoint at i
+    pos = semiconj._g_positions(setup, z, k)
+    M = setup.M
+    fractions = [t / (SEGMENT_SAMPLES - 1) for t in range(SEGMENT_SAMPLES)]
+    curves = [[p + (p / M - p) * t for t in fractions] for p in pos]
+    thetas, increments = [z, z / M], [abs(z / M - z)]
+    tops = [c[-1] for c in curves]
+    for _ in range(2, min(k, len(pos)) + 1):
+        curves = [
+            _reference_lift(setup, curves[i][-1], curves[i + 1])
+            for i in range(len(curves) - 1)
+        ]
+        for i, c in enumerate(curves):
+            tops[i] = c[-1]
+        thetas.append(curves[0][-1])
+        increments.append(abs(thetas[-1] - thetas[-2]))
+    return thetas, increments, tops
 
 
 def _outcome(fn, *args):
@@ -372,131 +456,56 @@ def _outcome(fn, *args):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _workload_calls(monkeypatch):
-    """Every lift and length of the semiconj benchmark's reference jobs,
-    with the inverse_branch_f calls each lift made."""
-    lifts, lengths = [], []
-    lift, length = semiconj._lift_polyline, semiconj._polyline_hyp_length
-    solve = semiconj.HyperbolicSetup.inverse_branch_f
-    solves = []
+def _levels(setup, z, k):
+    s = semiconj.theta_level(setup, z, k)
+    return s.thetas, s.increments, s.tops
 
-    def counted_solve(setup, w, branch):
-        solves.append(w)
-        return solve(setup, w, branch)
 
-    def recorded_lift(setup, start, path):
-        solves.clear()
-        out = lift(setup, start, path)
-        lifts.append((setup, start, path, out, len(solves)))
-        return out
-
-    def recorded_length(setup, path):
-        out = length(setup, path)
-        lengths.append((setup, path, out))
-        return out
-
-    monkeypatch.setattr(semiconj.HyperbolicSetup, "inverse_branch_f", counted_solve)
-    monkeypatch.setattr(semiconj, "_lift_polyline", recorded_lift)
-    monkeypatch.setattr(semiconj, "_polyline_hyp_length", recorded_length)
+def _oracle_cases(name):
+    # (setup, points) pairs: the semiconj benchmark's reference jobs and 24
+    # jobs of its seed-101 stream, the CLI's default points on the default
+    # setup, and seeded points on every ORACLE_LAMBDAS setup
     workload = workloads.WORKLOADS["semiconj"]()
-    for job in workload.reference_jobs():
-        workload.run(job)
-    monkeypatch.undo()
-    assert len(lifts) > 200 and len(lengths) > 200
-    return lifts, lengths
 
+    def setup_of(lam):
+        return semiconj.build_setup(lam, workload.r_U, workload.K, workload.R)
 
-def test_lift_kernel_matches_continuous_lift_on_the_workload(monkeypatch):
-    lifts, _ = _workload_calls(monkeypatch)
-    for setup, start, path, out, _solves in lifts:
-        assert repr(out) == repr(_reference_lift(setup, start, path))
-
-
-def test_lift_kernel_solves_once_per_sample_step(monkeypatch):
-    # no workload step bisects, so each step is one closed-form solve
-    lifts, _ = _workload_calls(monkeypatch)
-    for _setup, _start, path, out, solves in lifts:
-        assert len(out) == len(path)
-        assert solves == len(path) - 1
-
-
-def _lift_case(name):
-    start = SETUP.inverse_branch_f(20.0, 0)
-    if name == "bisects":
-        # around the origin: the step from 20i to -20 moves the lift by
-        # more than pi/2, after one step the kernel accepted itself
-        return start, [20.0 + 0j, 20.0 + 1j, 20j, -20.0 + 0j, -20.0 - 1j]
-    if name == "asymptotic_value":
-        # the kernel's own solve meets -lambda
-        return start, [20.0 + 0j, 19.0 + 0j, -SETUP.lam]
-    if name == "asymptotic_value_at_a_midpoint":
-        # inside the bisection: 1 -> -2 moves the lift by pi, and its
-        # first midpoint is -lambda
-        return start, [20.0 + 0j, 1.0 + 0j, -2.0 + 0j]
-    assert name == "not_a_preimage"
-    return start + 0.5, [20.0 + 0j, 21.0 + 0j]
+    if name == "cli_defaults":
+        return [(SETUP, [25.0 + 0j, 40.0 + 0j, 30.0 + 0.1j, 35.0 - 0.05j])]
+    if name == "oracle_lambdas":
+        rng = np.random.default_rng(34)
+        radii = np.exp(rng.uniform(math.log(12.0), math.log(400.0), 8))
+        points = [complex(cmath.rect(r, a)) for r, a in zip(radii, rng.uniform(-0.3, 0.3, 8))]
+        return [(setup_of(lam), points) for lam in ORACLE_LAMBDAS]
+    if name == "reference_jobs":
+        jobs = workload.reference_jobs()
+    else:
+        stream = workload.jobs(101)
+        jobs = [next(stream) for _ in range(24)]
+    return [(setup_of(workload.lambdas[i]), points) for i, points in jobs]
 
 
 @pytest.mark.parametrize(
-    "name", ["bisects", "asymptotic_value", "asymptotic_value_at_a_midpoint", "not_a_preimage"]
+    "name", ["reference_jobs", "seed_101", "cli_defaults", "oracle_lambdas"]
 )
-def test_lift_kernel_falls_back_like_continuous_lift(name):
-    start, path = _lift_case(name)
-    got = _outcome(semiconj._lift_polyline, SETUP, start, path)
-    assert got == _outcome(_reference_lift, SETUP, start, path)
-    expected = {
-        "bisects": "[",
-        "asymptotic_value": "RangeError: w is the asymptotic value",
-        "asymptotic_value_at_a_midpoint": "RangeError: w is the asymptotic value",
-        "not_a_preimage": "ContinuationError: start",
-    }[name]
-    assert got.startswith(expected)
-    if name == "bisects":
-        assert len(semiconj._lift_polyline(SETUP, start, path)) > len(path)
+def test_theta_level_matches_the_curve_tower(name):
+    outcomes = []
+    for setup, points in _oracle_cases(name):
+        for z in points:
+            for k in (1, 2, 5, 12, 25):
+                got = _outcome(_levels, setup, z, k)
+                assert got == _outcome(_curve_tower, setup, z, k), (setup.lam, z, k)
+                outcomes.append(got)
+    # deep levels are compared, not only refusals
+    assert sum(o.startswith("(") for o in outcomes) >= len(outcomes) // 3
 
 
-def test_lift_kernel_gives_up_at_the_bisection_depth(monkeypatch):
-    # 1e-20 from the asymptotic value -lambda = -0.5 the lift moves by
-    # more than MAX_LIFT_STEP on any step longer than ~1e-20, which
-    # MAX_BISECTION_DEPTH halvings of a step of length 3 cannot reach
-    path = [1.0 + 1e-20j, -2.0 + 1e-20j]
-    start = SETUP.inverse_branch_f(path[0], 0)
-    got = _outcome(semiconj._lift_polyline, SETUP, start, path)
-    assert got == _outcome(_reference_lift, SETUP, start, path)
-    assert got == (
-        "ContinuationError: cannot keep the branch continuous near w = (-0.5+1e-20j)"
-    )
-    # with no halving allowed, the first step that needs one gives up
-    monkeypatch.setattr(semiconj, "MAX_BISECTION_DEPTH", 0)
-    start, path = _lift_case("bisects")
-    got = _outcome(semiconj._lift_polyline, SETUP, start, path)
-    assert got == _outcome(_reference_lift, SETUP, start, path)
-    assert got.startswith(
-        "ContinuationError: cannot keep the branch continuous near w = "
-    )
-
-
-def test_length_kernel_matches_the_rho_W_sum(monkeypatch):
-    _, lengths = _workload_calls(monkeypatch)
-    for setup, path, out in lengths:
-        assert repr(out) == repr(_reference_length(setup, path))
-    # a repeated sample adds nothing
-    path = [25.0 + 0j, 25.0 + 0j, 20.0 + 1j]
-    assert repr(semiconj._polyline_hyp_length(SETUP, path)) == repr(
-        _reference_length(SETUP, path)
-    )
-
-
-@pytest.mark.parametrize("path, error", [
-    ([complex(math.inf, 0.0), 5.0 + 0j], DomainError),
-    ([complex(math.nan, 0.0), 5.0 + 0j], DomainError),
-    ([5.0 + 0j, complex(0.0, math.inf)], DomainError),
-    ([0.5 + 0j, -0.5 + 0j], RangeError),
-    ([0.7 - 0.1j, 0.7 + 0.1j], RangeError),  # |mid| = r_U exactly
-], ids=["inf", "nan", "inf_imag", "inside_U", "on_the_circle"])
-def test_length_kernel_refuses_like_rho_W(path, error):
-    with pytest.raises(error) as exc:
-        semiconj._polyline_hyp_length(SETUP, path)
-    with pytest.raises(error) as ref:
-        _reference_length(SETUP, path)
-    assert str(exc.value) == str(ref.value)
+def test_theta_level_refuses_a_lift_it_cannot_certify():
+    # |lambda| = 0.99: build_setup refuses it, and the level-2 curve at
+    # position 1 is only known to lie right of 0.34, short of |lambda|
+    setup = semiconj.HyperbolicSetup(0.99, 0.7, 1.0, 3.0)
+    with pytest.raises(SetupInvalid):
+        semiconj.build_setup(0.99, 0.7, 1.0, 3.0)
+    assert len(semiconj.theta_level(setup, 6.0 + 0j, 2).thetas) == 3
+    with pytest.raises(ContinuationError, match=r"^level 3, position 0: "):
+        semiconj.theta_level(setup, 6.0 + 0j, 5)
