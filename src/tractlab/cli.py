@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 
 from . import conjugacy, gridkernel, semiconj, verify
-from .errors import ConfigError, TractlabError
+from .errors import ConfigError, RangeError, TractlabError
 from .gridkernel import Window
 from .models import (
     _complex,
@@ -56,6 +56,8 @@ def _window(raw) -> Window:
         raw = [_real(v, "window") for v in raw.split(",")]
     try:
         return Window.from_json(raw)
+    except RangeError as exc:  # four numbers; Window names the rule they break
+        raise ConfigError(f"window: {exc}, got {raw!r}") from exc
     except (KeyError, TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(

@@ -2,15 +2,7 @@
 
 ``classify_window`` iterates every pixel center of a window under a plane
 map, evaluated through its ``PLANE_FAMILIES`` row with ``m = numpy``; the
-scalar ``EntireMapSpec`` path over the same row is its reference.  The
-grid is iterated in bands of whole rows, ``max(1, BLOCK // width)`` rows
-to a band, so that a band's temporaries stay in cache; orbits are
-independent, so the banding changes no code.  Within a band the values
-still iterating are compacted, with an array of their positions in the
-band, only on the steps where a pixel finishes or crosses the overflow
-guard.  Each band builds its own pixel centres, by the whole grid's
-expression over its rows, so no array of the whole window's centres
-exists.
+scalar ``EntireMapSpec`` path over the same row is its reference.
 
 Before f, a step finishes every pixel whose modulus ceiling, the row's
 ``abs_ceiling``, lies below the smaller of the escape radius and
@@ -23,6 +15,23 @@ the code is the one f would give.  The ``_HUGE`` in the threshold keeps
 a pixel with 1e300 < |f| < radius overflowed.  Where a huge parameter
 makes the ceiling inf, the comparison fails and f runs.
 
+Step 1's overflow guard and ceiling test run once per column, before any
+band starts (``_first_step_columns``).  The guard and four rows'
+ceilings read only Re z, which a column's pixels share bit for bit;
+zexp's ceiling does not decrease as |Im z| grows, so its value at the
+row farthest from the real axis bounds the whole column.  A column that
+these tests finish is written at once, and only the other, live columns
+are iterated, in bands of whole rows, ``max(1, BLOCK // live)`` rows to
+a band for ``live`` live columns, so that a band's temporaries stay in
+cache; orbits are independent, so the banding changes no code.  A band
+still runs step 1's tests on each of its pixels.  Within a band the
+values still iterating are compacted, with an array of their positions
+in the band, only on the steps where a pixel finishes or crosses the
+overflow guard.  Each band builds its own pixel centres, by the whole
+grid's expression over its rows and live columns, and writes their codes
+at their positions in its rows of the grid, so no array of the whole
+window's centres exists.
+
 A window of more than one band is classified by one thread per usable
 CPU: the calling thread and the workers of one module-level thread pool,
 each taking the next band that no thread has taken.  NumPy releases the
@@ -31,7 +40,7 @@ Each band writes only its own rows of the output, so the codes, and the
 image bytes, are those of one thread.  The pool is built on the first
 call that needs it and again in a forked child; with one band or one
 usable CPU the calling thread classifies every band and no thread
-starts.
+starts, and a window without live columns has no band at all.
 
 ``render_png`` deflates the PNG's scanlines on the calling thread, in row
 order, between bands: as soon as a band is done, it goes through one
@@ -141,8 +150,17 @@ def _classify(map_spec, window, resolution, escape_radius, horizon, rows=None):
         raise RangeError("escape_radius must be positive")
     x, y = _axes(window, width, height)
     grid = np.zeros((height, width), dtype=np.uint8)
-    step = max(1, BLOCK // width)
+    live = _first_step_columns(map_spec, x, y, escape_radius, grid)
+    if not live.size:
+        if rows is not None:
+            rows(grid)
+        return grid
+    x = x[live]
+    step = max(1, BLOCK // live.size)
     bands = [slice(top, min(top + step, height)) for top in range(0, height, step)]
+    # the positions of a full band's live pixels in its rows of grid; a
+    # short last band takes the first of them
+    at = (np.arange(step)[:, None] * width + live).ravel()
     # the bands no thread has taken yet; threads may share a deque's popleft
     pending = deque(enumerate(bands))
     done = [False] * len(bands)
@@ -153,9 +171,11 @@ def _classify(map_spec, window, resolution, escape_radius, horizon, rows=None):
 
     def classify(band) -> None:
         # the whole grid's centres x[None, :] + 1j * y[:, None] on the
-        # band's rows, written into the band's rows of grid through a view
+        # band's rows and live columns; no name here holds them, so the
+        # band frees them as soon as its first step is done
         _classify_band(map_spec.row, map_spec.params, (x + 1j * y[band, None]).ravel(),
-                       grid[band].reshape(-1), escape_radius, horizon)
+                       grid[band].reshape(-1), at[:(band.stop - band.start) * x.size],
+                       escape_radius, horizon)
 
     def drain() -> None:
         # errstate is a context variable, which pool threads do not inherit
@@ -203,6 +223,21 @@ def _classify(map_spec, window, resolution, escape_radius, horizon, rows=None):
     return grid
 
 
+def _first_step_columns(map_spec, x, y, escape_radius, grid) -> np.ndarray:
+    """Step 1's tests before f, once per column, with the ceiling taken at
+    the row farthest from the real axis: write the code of every column
+    they finish into grid and return the indices of the others."""
+    row = map_spec.row
+    far = max(y[0], y[-1], key=abs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ceiling = row.abs_ceiling(map_spec.params, x + 1j * far)
+    guarded = (np.abs(x) if row.two_sided else x) > EXP_OVERFLOW_GUARD
+    small = ~guarded & (ceiling < min(escape_radius, _HUGE))
+    grid[:, guarded] = OVERFLOWED_LARGE
+    grid[:, small] = ESCAPED_SMALL
+    return np.flatnonzero(~(guarded | small))
+
+
 def _axes(window: Window, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
     """The real parts of the pixel centres of each column and their
     imaginary parts on each row; row 0 is the top."""
@@ -244,9 +279,9 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _classify_band(row, params, z, out, escape_radius, horizon) -> None:
-    """Write the code of every orbit starting at z into out (a view)."""
-    idx = None  # position in the band of each value in z; None: all, in order
+def _classify_band(row, params, z, out, idx, escape_radius, horizon) -> None:
+    """Write the code of every orbit starting at z into out (a view), at
+    the positions idx."""
     # a modulus ceiling below this proves |f(z)| < escape_radius and |f(z)| <= _HUGE
     small_below = min(escape_radius, _HUGE)
     for _ in range(horizon):
@@ -279,8 +314,6 @@ def _classify_band(row, params, z, out, escape_radius, horizon) -> None:
 def _finish(z, idx, out, done, code):
     """Write code at the band positions of the values marked done; return
     the other values and their positions."""
-    if idx is None:
-        idx = np.arange(z.size)
     out[idx[done]] = code
     live = ~done
     return z[live], idx[live]

@@ -67,7 +67,9 @@ class PlaneFamily:
     doubles; it is inf where a term overflows.  Its few real operations
     and ``f``'s own rounding err by a few units in the last place of the
     bound's terms, not of |f|, and the bound is raised past both
-    (``_ceiling``).
+    (``_ceiling``).  At a fixed Re z it does not decrease as |Im z| grows,
+    so its value at the pixel of a column farthest from the real axis
+    bounds |f| on the whole column (``gridkernel._first_step_columns``).
     """
 
     param_names: tuple[str, ...]
@@ -94,6 +96,13 @@ def _ceiling(bound: np.ndarray) -> np.ndarray:
     bound and of f cost, and past the smallest normal double, far above
     the few subnormal units they cost where the terms underflow."""
     return bound * (1.0 + LOG_FLOOR_SLACK) + sys.float_info.min
+
+
+def _exp_ceiling(x: np.ndarray) -> np.ndarray:
+    """An upper bound for e^x, e^-700 where x < -700, which keeps np.exp
+    off its slow subnormal and underflow paths."""
+    clipped = np.maximum(x, -700.0)
+    return np.exp(clipped, out=clipped)
 
 
 def _log_abs(c: complex) -> float:
@@ -139,7 +148,7 @@ PLANE_FAMILIES: dict[str, PlaneFamily] = {
         f=lambda m, p, z: p[0] * m.exp(z) + p[1],
         df=lambda m, p, z: p[0] * m.exp(z),
         log_abs_floor=lambda lp, zeta: _log_floor(lp[0] + zeta.real, lp[1]),
-        abs_ceiling=lambda p, z: _ceiling(abs(p[0]) * np.exp(z.real) + abs(p[1])),
+        abs_ceiling=lambda p, z: _ceiling(abs(p[0]) * _exp_ceiling(z.real) + abs(p[1])),
         asymptotic_value=lambda p: p[1],
         newton_seed=lambda p, ws, inner: ws - cmath.log(p[0]),
     ),
@@ -148,7 +157,7 @@ PLANE_FAMILIES: dict[str, PlaneFamily] = {
         f=lambda m, p, z: p[0] * (m.exp(z) - 1.0),
         df=lambda m, p, z: p[0] * m.exp(z),
         log_abs_floor=lambda lp, zeta: _log_floor(lp[0] + zeta.real, lp[0]),
-        abs_ceiling=lambda p, z: _ceiling(abs(p[0]) * (np.exp(z.real) + 1.0)),
+        abs_ceiling=lambda p, z: _ceiling(abs(p[0]) * (_exp_ceiling(z.real) + 1.0)),
         asymptotic_value=lambda p: -p[0],
         newton_seed=lambda p, ws, inner: ws - cmath.log(p[0]),
     ),
@@ -159,7 +168,7 @@ PLANE_FAMILIES: dict[str, PlaneFamily] = {
         log_abs_floor=lambda lp, zeta: _log_floor(
             _log_abs(zeta + 1.0) + zeta.real, 0.0
         ),
-        abs_ceiling=lambda p, z: _ceiling(np.abs(z + 1.0) * np.exp(z.real) + 1.0),
+        abs_ceiling=lambda p, z: _ceiling(np.abs(z + 1.0) * _exp_ceiling(z.real) + 1.0),
         asymptotic_value=lambda p: -1.0 + 0.0j,
         newton_seed=lambda p, ws, inner: (ws - cmath.log(ws)) if ws != 0 else ws,
     ),
@@ -178,7 +187,7 @@ PLANE_FAMILIES: dict[str, PlaneFamily] = {
         f=lambda m, p, z: m.exp(z) + p[0],
         df=lambda m, p, z: m.exp(z),
         log_abs_floor=lambda lp, zeta: _log_floor(zeta.real, lp[0]),
-        abs_ceiling=lambda p, z: _ceiling(np.exp(z.real) + abs(p[0])),
+        abs_ceiling=lambda p, z: _ceiling(_exp_ceiling(z.real) + abs(p[0])),
         asymptotic_value=lambda p: p[0],
         newton_seed=lambda p, ws, inner: ws,
     ),

@@ -256,8 +256,9 @@ def _check_grid_png_stream():
     # render_png deflates its rows band by band while bands are classified;
     # its bytes equal write_png's over the finished codes only if this
     # zlib's chunked deflate gives the bytes of its one-shot deflate
-    config = (EntireMapSpec.sinh(0.575), gridkernel.Window(-8.0, 8.0, -8.0, 8.0),
-              (300, 300), 50.0, 30)  # six bands
+    # six bands: 0.575 cosh(Re z) > 50 on the window, so every column is live
+    config = (EntireMapSpec.sinh(0.575), gridkernel.Window(5.5, 12.0, -3.0, 3.0),
+              (300, 300), 50.0, 30)
     with tempfile.TemporaryDirectory() as tmp:
         streamed, whole = Path(tmp, "streamed.png"), Path(tmp, "whole.png")
         gridkernel.write_png(whole, gridkernel.render_png(streamed, *config))

@@ -514,6 +514,17 @@ def test_config_errors_name_the_field(tmp_path, capsys, argv, field):
     assert f"config error: {field}: " in capsys.readouterr().err
 
 
+def test_a_window_error_names_the_rule_the_window_breaks(tmp_path, capsys):
+    # xmin < xmax and ymin < ymax hold; the extent 2e308 is infinite
+    out = ["--out", str(tmp_path / "x.pgm")]
+    assert main(["render", "--map", ZEXP, "--window=0,1e308,-1e308,1e308"] + out) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error: window: ")
+    assert "finite" in err and "xmin < xmax" not in err
+    assert main(["render", "--map", ZEXP, "--window=1,0,0,1"] + out) == EXIT_CONFIG
+    assert "positive extent" in capsys.readouterr().err
+
+
 def test_complex_errors_name_the_forms_of_their_input(tmp_path, capsys):
     # text takes a+bi or a number, never [re, im]; a JSON value takes all
     points = tmp_path / "points.json"

@@ -135,6 +135,50 @@ def test_blocks_change_no_code(monkeypatch, spec):
     _assert_blocks_give_scalar_codes(monkeypatch, spec, BLOCK_CASES)
 
 
+# every family has dead and live columns here: step 1's column test
+# finishes a column where the row's ceiling at the bottom row, the one
+# farthest from the real axis, is below 50; zexp's ceiling grows with
+# |Im z|, so some pixels of its live columns have their own ceiling below
+# 50 and step 1 in the band finishes them
+DEAD_COLUMNS_CASE = (Window(-8.0, 8.5, -9.0, 2.0), (23, 12), 50.0, 12)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
+def test_a_window_with_dead_columns_gives_the_scalar_codes(monkeypatch, spec):
+    win, resolution, radius, _ = DEAD_COLUMNS_CASE
+    x, y = gridkernel._axes(win, *resolution)
+    dead = spec.row.abs_ceiling(spec.params, x + 1j * y[-1]) < radius
+    assert dead.any() and not dead.all()
+    if spec.family == "zexp":
+        pixels = x[~dead] + 1j * y[:, None]
+        assert (spec.row.abs_ceiling(spec.params, pixels) < radius).any()
+    _assert_blocks_give_scalar_codes(monkeypatch, spec, [DEAD_COLUMNS_CASE])
+
+
+def test_a_guarded_column_overflows_where_its_ceiling_is_small(monkeypatch):
+    # |1e-305 e^z| < 50 up to Re z = 708, past the guard at 700: step 1
+    # tests the guard first, so the columns right of 700 overflow and the
+    # others escape, all without a band
+    spec = EntireMapSpec.exp_affine(1e-305, 0.0)
+    case = (Window(694.0, 706.0, -1.0, 1.0), (6, 3), 50.0, 5)
+    grid = gridkernel.classify_window(spec, *case)
+    assert (grid[:, :3] == gridkernel.ESCAPED_SMALL).all()
+    assert (grid[:, 3:] == gridkernel.OVERFLOWED_LARGE).all()
+    _assert_blocks_give_scalar_codes(monkeypatch, spec, [case])
+
+
+def test_orbits_through_underflowing_exps_keep_their_codes(monkeypatch):
+    # e^z + kappa sends pixels near Im z = pi to Re z < -700, where the
+    # ceiling's e^Re z would underflow; it is taken at Re z = -700 there
+    spec = SPECS[4]
+    case = (Window(4.5, 8.0, -3.0, 3.0), (24, 18), 50.0, 40)
+    win, resolution, radius, horizon = case
+    x, y = gridkernel._axes(win, *resolution)
+    exits = [_scalar_exit(spec, complex(a, b), radius, horizon) for b in y for a in x]
+    assert min(last.real for _, exit_, _, last in exits if exit_ == "small") < -700.0
+    _assert_blocks_give_scalar_codes(monkeypatch, spec, [case])
+
+
 def test_codes_at_the_ceiling_threshold(monkeypatch):
     params, row = EXACT_CEILING.params, EXACT_CEILING.row
     z_near, z_below = (_grid_centres(win, res) for win, res, *_ in THRESHOLD_CASES)
@@ -148,8 +192,11 @@ def test_codes_at_the_ceiling_threshold(monkeypatch):
 def test_block_centres_are_the_whole_grid_centres_byte_for_byte(monkeypatch):
     # windows whose middle column and row are zero.  The intermediate
     # 1j * y holds -0.0 in its real part where y < 0, but no centre can:
-    # x + (-0.0) is x, and an axis's zero is a sum a + (-a) = +0.0.  One
-    # usable CPU, so the bands are classified in order on the calling thread
+    # x + (-0.0) is x, and an axis's zero is a sum a + (-a) = +0.0.  With
+    # |f| = e^x and a radius of 1/2, step 1's column test finishes the
+    # columns left of log(1/2) and the bands carry the others, the zero
+    # column among them.  One usable CPU, so the bands are classified in
+    # order on the calling thread
     _one_usable_cpu(monkeypatch)
     centres = []
     classify_band = gridkernel._classify_band
@@ -164,27 +211,33 @@ def test_block_centres_are_the_whole_grid_centres_byte_for_byte(monkeypatch):
         (Window(-2.0, 2.0, -1.0, 1.0), (5, 7)),
         (Window(-200.5, 200.5, -1.5, 1.5), (401, 3)),
     ]:
-        whole = _grid_centres(win, (width, height))
-        assert (whole.real == 0).any() and (whole.imag == 0).any()
+        whole = _grid_centres(win, (width, height)).reshape(height, width)
+        live = whole[0].real >= math.log(0.5)
+        assert not live.all() and (whole[:, live].real == 0).any()
+        whole = whole[:, live].ravel()
+        assert (whole.imag == 0).any()
         zeros = np.concatenate([whole.real[whole.real == 0], whole.imag[whole.imag == 0]])
         assert not np.signbit(zeros).any()
-        # a row wider than BLOCK, one row per band, two and three rows per
-        # band, the last one short where they do not divide the height,
-        # and one band
-        for block in (1, width - 1, width, 2 * width, 3 * width + 1, whole.size, BLOCK_DEFAULT):
+        # a live row wider than BLOCK, one row per band, two and three rows
+        # per band, the last one short where they do not divide the
+        # height, and one band
+        cols = int(live.sum())
+        for block in (1, cols - 1, cols, 2 * cols, 3 * cols + 1, whole.size, BLOCK_DEFAULT):
             monkeypatch.setattr(gridkernel, "BLOCK", block)
             centres.clear()
-            gridkernel.classify_window(SPECS[0], win, (width, height), 50.0, 1)
-            rows = max(1, block // width)
+            gridkernel.classify_window(EXACT_CEILING, win, (width, height), 0.5, 1)
+            rows = max(1, block // cols)
             assert [z.size for z in centres] == [
-                width * min(rows, height - top) for top in range(0, height, rows)
+                cols * min(rows, height - top) for top in range(0, height, rows)
             ], (win, block)
             assert np.concatenate(centres).tobytes() == whole.tobytes(), (win, block)
 
 
-# 300 x 200 pixels in bands of 4096 // 300 = 13 rows: sixteen bands, the
-# last one short
-POOL_CASE = (SPECS[3], WIN, (300, 200), 50.0, 30)
+# 300 x 200 pixels, of which step 1's column test finishes the columns
+# with 0.575 cosh(Re z) < 50, |Re z| < 5.16 (no centre is near it): the
+# other 153 are classified in bands of 4096 // 153 = 26 rows, eight
+# bands, the last one short
+POOL_CASE = (SPECS[3], Window(-9.0, 12.0, -2.0, 3.0), (300, 200), 50.0, 30)
 
 
 # a multiplier of 1e300 overflows a e^z inside the guard, and the kernel
@@ -238,7 +291,7 @@ def _raise_in_one_band(monkeypatch, thread, call):
 
 @pytest.mark.parametrize("thread", ["calling", "pool"])
 def test_a_block_error_reaches_the_caller_and_the_pool_survives(monkeypatch, thread):
-    expected = gridkernel.classify_window(*POOL_CASE)  # one band, inline
+    expected = gridkernel.classify_window(*POOL_CASE)
     monkeypatch.setattr(gridkernel, "BLOCK", 4096)
     assert (gridkernel.classify_window(*POOL_CASE) == expected).all()
     pool = gridkernel._pool
@@ -252,10 +305,10 @@ def test_a_block_error_reaches_the_caller_and_the_pool_survives(monkeypatch, thr
 SINH = '{"family": "sinh", "lambda": [0.575, 0]}'  # POOL_CASE's map
 
 
-def _render_png(out, resolution):
+def _render_png(out, resolution, window="-9,12,-2,3"):  # POOL_CASE's window
     width, height = resolution
     return cli.main([
-        "render", "--map", SINH, "--window=-4,4,-4,4",
+        "render", "--map", SINH, f"--window={window}",
         "--resolution", f"{width},{height}", "--horizon", "30", "--out", str(out),
     ])
 
@@ -276,6 +329,28 @@ def test_a_block_error_in_a_png_render_writes_no_file(monkeypatch, tmp_path, thr
     assert _render_png(out, resolution) == cli.EXIT_OK
     assert out.read_bytes() == (tmp_path / "old.png").read_bytes()
     assert gridkernel._pool is pool
+
+
+# the README window: sinh's ceiling 0.575 cosh(Re z) is below 50 on every
+# column, so step 1's column test finishes every pixel
+DEAD_CASE = (SPECS[3], WIN, (300, 200), 50.0, 30)
+
+
+def test_an_all_dead_window_classifies_no_band_and_starts_no_thread(monkeypatch, tmp_path):
+    def no_band(*args):
+        raise AssertionError("a band was classified")
+
+    def no_thread(task):
+        raise AssertionError("the band pool was asked for threads")
+
+    monkeypatch.setattr(gridkernel, "BLOCK", 64)  # 200 bands of whole rows
+    monkeypatch.setattr(gridkernel, "_classify_band", no_band)
+    monkeypatch.setattr(gridkernel, "_start_helpers", no_thread)
+    grid = gridkernel.classify_window(*DEAD_CASE)
+    assert (grid == gridkernel.ESCAPED_SMALL).all()
+    gridkernel.write_png(tmp_path / "whole.png", grid)
+    assert _render_png(tmp_path / "x.png", DEAD_CASE[2], window="-4,4,-4,4") == cli.EXIT_OK
+    assert (tmp_path / "x.png").read_bytes() == (tmp_path / "whole.png").read_bytes()
 
 
 def _one_usable_cpu(monkeypatch):
@@ -300,7 +375,7 @@ def test_one_usable_cpu_starts_no_thread(monkeypatch):
 def test_concurrent_first_calls_build_one_pool(monkeypatch):
     import concurrent.futures
 
-    case = (SPECS[3], WIN, (16, 16), 50.0, 30)
+    case = (SPECS[3], POOL_CASE[1], (16, 16), 50.0, 30)  # 8 live columns
     expected = gridkernel.classify_window(*case)
     monkeypatch.setattr(gridkernel, "BLOCK", 64)
     monkeypatch.setattr(gridkernel, "_pool", None)
@@ -446,9 +521,10 @@ def test_writer_bytes_are_pinned(tmp_path, shape, write, old_write):
     assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
 
 
-# (BLOCK, resolution): a row longer than BLOCK, so one row per band; bands
-# of 23 rows, the last one short; bands of two rows; one band
-STREAM_CASES = [(64, (100, 30)), (700, (30, 50)), (70, (30, 14)), (BLOCK_DEFAULT, (40, 25))]
+# (BLOCK, resolution) on POOL_CASE's window: 102 live columns, more than
+# BLOCK, so one row per band; 15 live columns in bands of 46 rows, the
+# last one short; 29 in bands of two rows; one band
+STREAM_CASES = [(64, (200, 30)), (700, (30, 50)), (70, (60, 14)), (BLOCK_DEFAULT, (40, 25))]
 
 
 @pytest.mark.parametrize("cpus", ["all", "one"])
@@ -473,10 +549,14 @@ def test_bands_are_final_rows_fed_in_order(monkeypatch, block):
     bands = []
     grid = gridkernel._classify(*POOL_CASE, rows=lambda band: bands.append(band.copy()))
     assert (grid == expected).all()
-    # each band is fed once, in order, as max(1, BLOCK // width) whole rows,
-    # the last one short; the copies taken when each band was fed hold its
-    # final codes
-    rows = max(1, block // width)
+    # each band is fed once, in order, as max(1, BLOCK // live) whole rows,
+    # the last one short, where live counts the columns that step 1's
+    # column test leaves to the bands; the copies taken when each band was
+    # fed hold its final codes
+    x, _ = gridkernel._axes(POOL_CASE[1], width, height)
+    live = np.count_nonzero(0.575 * np.cosh(x) >= 50.0)
+    assert live == 153
+    rows = max(1, block // live)
     tops = range(0, height, rows)
     assert len(bands) == len(tops)
     for top, band in zip(tops, bands):

@@ -361,6 +361,37 @@ def test_abs_ceiling_bounds_the_modulus(spec):
     assert bounded.all(), z[~bounded]
 
 
+@pytest.mark.parametrize("spec", FLOOR_SPECS, ids=lambda s: f"{s.family}{s.params}")
+def test_abs_ceiling_bounds_the_modulus_where_exp_underflows(spec):
+    # the ceilings take e^Re z at Re z = -700 below it, off np.exp's
+    # subnormal and underflow paths; they must still bound the computed |f|
+    z = np.linspace(-3000.0, -700.0, 47)[:, None] + 1j * np.array([0.0, 1.0, math.pi, -2.5])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ceiling = spec.row.abs_ceiling(spec.params, z)
+        computed = np.abs(spec.row.f(np, spec.params, z))
+    bounded = (ceiling >= computed) | (np.isnan(computed) & (ceiling == math.inf))
+    assert bounded.all(), z[~bounded]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    spec=st.sampled_from(FLOOR_SPECS),
+    x=st.floats(-3000.0, 820.0),
+    y=st.floats(-1e6, 1e6),
+    t=st.floats(-1.0, 1.0),
+)
+def test_abs_ceiling_of_a_column_peaks_farthest_from_the_axis(spec, x, y, t):
+    # the grid kernel tests step 1 once per column, at the row with the
+    # largest |Im z|: there the ceiling bounds every pixel of the column
+    near, far = complex(x, y * t), complex(x, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_near, c_far = spec.row.abs_ceiling(spec.params, np.array([near, far]))
+        computed = abs(spec.row.f(np, spec.params, np.array([near]))[0])
+    assert c_far >= c_near, (near, far, c_near, c_far)
+    if math.isfinite(c_far) and math.isfinite(computed):
+        assert c_far >= computed, (near, far, c_far, computed)
+
+
 def test_overflow_guard():
     with pytest.raises(OverflowError):
         eval_F(SHIFTED, 701.0 + 0.0j)
