@@ -10,7 +10,7 @@ provided |F_0'| >= 2 wherever the tower pulls back.  No code checks that
 for a lifted model, so there the rate is an estimate, not a proof;
 ``displacement_bound`` proves it for shifted_exp and reports nothing
 otherwise.  Depth is always selected from that explicit rate, never
-adaptively.  Every tower runs one loop, ``_pullback_tower``; the
+adaptively.  Every tower runs one chain, ``_pullback_tower``; the
 residual and the inverse round-trip check complete the module.
 
 Every tower pulls back through one proof of the forward orbit of z,
@@ -37,15 +37,15 @@ call, and None becomes nan, which fails the step that reaches it.  An
 ``iterate`` record is not an orbit argument; it is refused at once.
 
 The pullback levels then use those addresses and prove no membership
-again.  Each level calls the ``inverse_kernel`` of the model's row of
-``models.MODEL_KINDS`` (the closed form for shifted_exp, the seeded
-Newton solve for a lifted map), which the model builds once, after the
-checks ``inverse_branch`` makes on its argument, with the same errors.
+again.  A tower's levels run in one call of the ``chain_kernel`` of the
+model's row of ``models.MODEL_KINDS`` (the closed form inlined for
+shifted_exp, the seeded Newton solve for a lifted map), which the model
+builds once; each level makes the checks ``inverse_branch`` makes on its
+argument, with the same errors.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -70,7 +70,7 @@ from .models import (
     write_json,
 )
 from .orbits import ExternalAddress, OrbitRecord, iterate, periodic_orbit
-from .tracts import TractAddress, _require_target, tract_of
+from .tracts import TractAddress, tract_of
 
 # theta_limit refuses a tolerance that needs a deeper tower
 DEFAULT_MAX_DEPTH = 400
@@ -264,24 +264,14 @@ def _pullback_tower(
     itself on a one-point list).
 
     Level j inverts ``model`` on tract j from the Newton seed
-    ``orbit[j]``, then subtracts kappa.  When the orbit list stops short
-    of depth n the top levels are taken as the identity; the induced
-    error starts at 2|kappa| and shrinks by the inverse-branch
-    derivative 1/|F'| at every pullback level.
+    ``orbit[j]``, then subtracts kappa; the model's chain kernel runs
+    every level.  When the orbit list stops short of depth n the top
+    levels are taken as the identity; the induced error starts at
+    2|kappa| and shrinks by the inverse-branch derivative 1/|F'| at
+    every pullback level.
     """
-    m = len(orbit) - 1
-    theta = above = orbit[m]
-    err = 0.0 if m >= n else 2.0 * abs(kappa)
-    solve, dF, Q = model._inverse, model._dF, model.half_plane_Q
-    for j in range(m - 1, -1, -1):
-        if not (theta.real > Q and cmath.isfinite(theta)):
-            _require_target(model, theta)  # raises what inverse_branch raises
-        above = theta
-        pre = solve(tracts[j], theta, orbit[j])
-        if err > 0.0:
-            err /= max(abs(dF(pre)), 1.0)
-        theta = pre - kappa
-    return theta, err, above
+    err = 0.0 if len(orbit) > n else 2.0 * abs(kappa)
+    return model._chain(kappa, orbit, tracts, err)
 
 
 def theta_n(

@@ -7,9 +7,12 @@ disjoint type for ``R >= 2``) and lifts of entire plane maps, evaluated
 through the principal logarithm; inverse branches carry their tract
 integers explicitly (see ``tracts``).  Every rule that depends on the
 kind is a column of that table, and no other module branches on it.
-Three columns build kernels: ``value_kernel``, ``dF_kernel`` and
-``inverse_kernel`` return closures over one model, which a model builds
-once, as it builds its F kernel and its address kernel.  The value
+Four columns build kernels: ``value_kernel``, ``dF_kernel``,
+``inverse_kernel`` and ``chain_kernel`` return closures over one model,
+which a model builds once, as it builds its F kernel and its address
+kernel.  The chain kernel runs every level of a pullback tower in one
+call: the closed form inlined for shifted_exp, the seeded Newton solve
+at each level for a lifted map.  The value
 kernel is F at z + kappa inside the exp guard, without the rule Re F > Q;
 ``orbits.iterate`` steps on it and compares with its own threshold, so a
 domain exit raises nothing.  The F kernel adds that rule, and ``eval_F``
@@ -35,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NewtonDiverged, SearchFailed
+from .errors import ConfigError, DomainError, NewtonDiverged, RangeError, SearchFailed
 
 TWO_PI = 2.0 * math.pi
 
@@ -311,12 +314,13 @@ class LogLiftModel:
 
     # the kernels, built once: F at zk = z + kappa inside the exp guard,
     # without the Q rule; eval_F and eval_dF at a finite z; the address of
-    # a domain point zk; and the inverse-branch solve
+    # a domain point zk; the inverse-branch solve; and the tower chain
     _F_value = cached_property(lambda self: self.kind.value_kernel(self))
     _F = cached_property(lambda self: _F_kernel(self, self.kappa))
     _dF = cached_property(lambda self: self.kind.dF_kernel(self))
     _address = cached_property(lambda self: _address_key(self))
     _inverse = cached_property(lambda self: self.kind.inverse_kernel(self))
+    _chain = cached_property(lambda self: self.kind.chain_kernel(self))
 
     def translated(self, kappa: complex) -> "LogLiftModel":
         """The member F(z + kappa) of this model's translation family."""
@@ -347,6 +351,9 @@ class ModelKind:
     asymptotic_value: Callable  # m -> a, Re F -> log|a| as Re zeta -> -inf
     two_sided: Callable  # m -> whether also Re F -> +inf as Re zeta -> -inf
     inverse_kernel: Callable  # m -> solve(tract, w, seed), see tracts
+    # m -> chain(kappa, orbit, tracts, err) -> (theta, err, above), every
+    # level of a pullback tower, see conjugacy._pullback_tower
+    chain_kernel: Callable
     dF_floor: Callable  # (m, q) -> a floor for |F'| on F^-1({Re > q}), or 0
     principal_log: bool  # F takes the principal log, so |Im F| <= pi
     to_json: Callable  # m -> the descriptor entries between family and Q
@@ -404,14 +411,51 @@ def _dF_kernel(derivative: Callable) -> Callable:
     return build
 
 
+def _require_target(model: LogLiftModel, w: complex) -> complex:
+    """w as ``tracts.inverse_branch`` accepts it: finite, with Re w > Q."""
+    w = require_finite(w, "w")
+    if w.real <= model.half_plane_Q:
+        raise RangeError(
+            f"Re w = {w.real:g} is not inside the half-plane "
+            f"{{Re > {model.half_plane_Q:g}}}"
+        )
+    return w
+
+
 def _closed_form_kernel(model: LogLiftModel) -> Callable:
     # log(w + R) + 2 pi i k - kappa, which needs no seed
-    log, R, period, kappa = cmath.log, model.R, TWO_PI * 1j, model.kappa
+    log, R, kappa = cmath.log, model.R, model.kappa
 
     def solve(tract, w, seed=None):
-        return log(w + R) + period * tract.branch_index - kappa
+        return log(w + R) + tract._shift - kappa
 
     return solve
+
+
+def _closed_form_chain(model: LogLiftModel) -> Callable:
+    # the closed-form solve inlined at every level, as (log(theta + R) +
+    # 2 pi i k - model kappa) - kappa; a level checks Re theta > Q, and
+    # finiteness is checked once, on the top: log(theta + R) is finite
+    # for every finite theta other than -R
+    log, R, kappa_m, Q = cmath.log, model.R, model.kappa, model.half_plane_Q
+    dF, isfinite = model._dF, cmath.isfinite
+
+    def chain(kappa, orbit, tracts, err):
+        m = len(orbit) - 1
+        theta = above = orbit[m]
+        if m and not isfinite(theta):
+            _require_target(model, theta)  # raises what inverse_branch raises
+        for j in range(m - 1, -1, -1):
+            if not theta.real > Q:
+                _require_target(model, theta)
+            above = theta
+            pre = log(theta + R) + tracts[j]._shift - kappa_m
+            if err > 0.0:
+                err /= max(abs(dF(pre)), 1.0)
+            theta = pre - kappa
+        return theta, err, above
+
+    return chain
 
 
 def _lifted_F(model: LogLiftModel) -> Callable:
@@ -508,7 +552,7 @@ def _newton_inverse(
     pm, z = model.plane_map, seed
     if z is None:  # from the exponential-dominated asymptotics
         u = pm.row.newton_seed(pm.params, ws, tract.inner_branch)
-        z = cmath.log(u if u != 0 else 1.0) + TWO_PI * 1j * tract.branch_index
+        z = cmath.log(u if u != 0 else 1.0) + tract._shift
     tol = NEWTON_TOL * (1.0 + abs(target))
     for _ in range(NEWTON_MAX_ITER):
         zeta = cmath.exp(z)
@@ -528,6 +572,28 @@ def _newton_inverse(
     )
 
 
+def _newton_chain(model: LogLiftModel) -> Callable:
+    # the seeded Newton solve at every level, from the orbit point below
+    # it, after the checks inverse_branch makes on its argument
+    solve, dF, Q = model._inverse, model._dF, model.half_plane_Q
+    isfinite = cmath.isfinite
+
+    def chain(kappa, orbit, tracts, err):
+        m = len(orbit) - 1
+        theta = above = orbit[m]
+        for j in range(m - 1, -1, -1):
+            if not (theta.real > Q and isfinite(theta)):
+                _require_target(model, theta)  # raises what inverse_branch raises
+            above = theta
+            pre = solve(tracts[j], theta, orbit[j])
+            if err > 0.0:
+                err /= max(abs(dF(pre)), 1.0)
+            theta = pre - kappa
+        return theta, err, above
+
+    return chain
+
+
 MODEL_KINDS: dict[str, ModelKind] = {
     # F(z) = e^z - R
     "shifted_exp": ModelKind(
@@ -540,6 +606,7 @@ MODEL_KINDS: dict[str, ModelKind] = {
         asymptotic_value=lambda m: None,
         two_sided=lambda m: False,
         inverse_kernel=_closed_form_kernel,
+        chain_kernel=_closed_form_chain,
         # |F'| = |w + R| >= Re w + R
         dF_floor=lambda m, q: q + m.R,
         principal_log=False,
@@ -558,6 +625,7 @@ MODEL_KINDS: dict[str, ModelKind] = {
         asymptotic_value=lambda m: m.plane_map.asymptotic_value(),
         two_sided=lambda m: m.plane_map.row.two_sided,
         inverse_kernel=_newton_kernel,
+        chain_kernel=_newton_chain,
         dF_floor=lambda m, q: 0.0,
         principal_log=True,
         to_json=lambda m: {"map": plane_map_to_json(m.plane_map)},

@@ -7,10 +7,16 @@ they are never inferred from the principal argument after the fact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .errors import DomainError, RangeError
-from .models import LogLiftModel, domain_contains, require_finite
+from .errors import DomainError
+from .models import (
+    TWO_PI,
+    LogLiftModel,
+    _require_target,
+    domain_contains,
+    require_finite,
+)
 
 __all__ = [
     "TractAddress",
@@ -23,6 +29,11 @@ __all__ = [
 class TractAddress:
     branch_index: int
     inner_branch: int = 0
+
+    # 2 pi i k, formed on first use, which a huge k fails with
+    # OverflowError; the inverse kernels read it, the closed-form tower
+    # chain at every level
+    _shift = cached_property(lambda self: TWO_PI * 1j * self.branch_index)
 
 
 def tract_of(model: LogLiftModel, z: complex) -> TractAddress:
@@ -54,15 +65,4 @@ def inverse_branch(
     a Newton solution outside the tract raises NewtonDiverged.
     """
     return model._inverse(tract, _require_target(model, w), seed)
-
-
-def _require_target(model: LogLiftModel, w: complex) -> complex:
-    """w as ``inverse_branch`` accepts it: finite, with Re w > Q."""
-    w = require_finite(w, "w")
-    if w.real <= model.half_plane_Q:
-        raise RangeError(
-            f"Re w = {w.real:g} is not inside the half-plane "
-            f"{{Re > {model.half_plane_Q:g}}}"
-        )
-    return w
 

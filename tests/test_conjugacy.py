@@ -25,6 +25,7 @@ from tractlab.models import (
     TWO_PI,
     EntireMapSpec,
     LogLiftModel,
+    eval_dF,
     eval_F,
 )
 from tractlab.tracts import TractAddress, inverse_branch, tract_of
@@ -722,13 +723,30 @@ def test_every_kind_of_point_meets_the_validation_it_replaces(kind):
 
 
 def _inverse_branch_chain(base, kappa, z, n, Q_, orbit=None):
-    """theta_n as the chain inverse_branch(base, tract, theta, seed) - kappa,
-    one call per level: the reference for the tower's level kernel."""
+    """(theta_n, truncation error, above) as the chain inverse_branch(base,
+    tract, theta, seed) - kappa, one call per level, with the error 2|kappa|
+    of an orbit that stops short of depth n divided by max(|F'(pre)|, 1)
+    at every level: the reference for the tower's level kernel."""
     pts, addresses = conjugacy._prove(base, z, n, Q_, orbit).upto(n)
-    theta = pts[-1]
+    theta = above = pts[-1]
+    err = 0.0 if len(pts) > n else 2.0 * abs(kappa)
     for j in range(len(pts) - 2, -1, -1):
-        theta = inverse_branch(base, addresses[j], theta, seed=pts[j]) - kappa
-    return theta
+        above = theta
+        pre = inverse_branch(base, addresses[j], theta, seed=pts[j])
+        if err:
+            err /= max(abs(eval_dF(base, pre)), 1.0)
+        theta = pre - kappa
+    return theta, err, above
+
+
+def _tower(base, kappa, z, n, Q_, orbit=None):
+    # the whole (theta, err, above) of the tower theta_n runs at depth n
+    pts, addresses = conjugacy._prove(base, z, n, Q_, orbit).upto(n)
+    return conjugacy._pullback_tower(base, kappa, pts, addresses, n)
+
+
+def _chain_theta(*args):
+    return _inverse_branch_chain(*args)[0]
 
 
 def _lifted_escaping_points():
@@ -759,20 +777,30 @@ def test_level_kernel_matches_the_inverse_branch_chain():
             for n in range(43):
                 got = conjugacy.theta_n(base, KAPPA, orb[0], n, Q, orb)
                 expected = _inverse_branch_chain(base, KAPPA, orb[0], n, Q, orb)
+                assert repr(got) == repr(expected[0]), (base, branches, n)
+                got = _tower(base, KAPPA, orb[0], n, Q, orb)
                 assert repr(got) == repr(expected), (base, branches, n)
-    # saturating orbits: the truncated path, closed form and Newton
+    # saturating orbits: the truncated path, closed form and Newton, where
+    # the kernel's error bookkeeping becomes tail_bound and the residual
     sinh, zexp = _lifted(EntireMapSpec.sinh(0.575)), _lifted(EntireMapSpec.zexp())
+    truncated = 0
     for base, z in ((BASE, 4.5 + 0j), (BASE, 3.5 + 0.2j), (BASE, 5.0 - 0.4j),
-                    (sinh, 3.186 - 1.722j), (zexp, 3.35 - 1.6j)):
+                    (member, 4.0 - 0.2j), (sinh, 3.186 - 1.722j), (zexp, 3.35 - 1.6j)):
         assert 2 <= len(conjugacy._prove(base, z, 12, Q).upto(12)[0]) < 13
         for n in range(13):
             got = conjugacy.theta_n(base, KAPPA, z, n, Q)
             expected = _inverse_branch_chain(base, KAPPA, z, n, Q)
-            assert repr(got) == repr(expected), (base, z, n)
+            assert repr(got) == repr(expected[0]), (base, z, n)
+            assert repr(_tower(base, KAPPA, z, n, Q)) == repr(expected), (base, z, n)
+            truncated += expected[1] > 0.0
+    assert truncated >= 40, truncated
     values = 0
     for base, z in _lifted_escaping_points():
         for n in range(7):
             expected = _value_or_error_type(_inverse_branch_chain, base, KAPPA, z, n, Q)
+            got = _value_or_error_type(_tower, base, KAPPA, z, n, Q)
+            assert got == expected, (base, z, n)
+            expected = _value_or_error_type(_chain_theta, base, KAPPA, z, n, Q)
             got = _value_or_error_type(conjugacy.theta_n, base, KAPPA, z, n, Q)
             assert got == expected, (base, z, n)
             values += isinstance(got, str)
@@ -796,17 +824,38 @@ def test_every_tower_level_keeps_the_inverse_branch_checks():
     assert min(p.real for p in orb) > 2.4
     refused = 0
     for n in list(range(13)) * 2:  # each depth again, against a warm memo
-        expected = _level_check_outcome(_inverse_branch_chain, high, KAPPA, orb[0], n, Q, orb)
+        expected = _level_check_outcome(_chain_theta, high, KAPPA, orb[0], n, Q, orb)
         got = _level_check_outcome(conjugacy.theta_n, high, KAPPA, orb[0], n, Q, orb)
         assert got == expected, n
         refused += got[0] is RangeError
     assert refused == 2 * 11  # every depth from 2 on
     depth = conjugacy.depth_for_tolerance(KAPPA, 1e-3)
-    expected = _level_check_outcome(_inverse_branch_chain, high, KAPPA, orb[0], depth, Q, orb)
+    expected = _level_check_outcome(_chain_theta, high, KAPPA, orb[0], depth, Q, orb)
     assert expected[0] is RangeError
     assert _level_check_outcome(
         conjugacy.theta_limit, high, KAPPA, orb[0], 1e-3, Q, orb
     ) == expected
+
+
+def _error(fn, *args):
+    with pytest.raises((DomainError, RangeError)) as info:
+        fn(*args)
+    return info.type, str(info.value)
+
+
+def test_a_tower_top_is_refused_as_inverse_branch_refuses_it():
+    # the closed-form chain checks finiteness on the top only, and Re > Q
+    # at every level; both kinds refuse a top as inverse_branch does
+    inf, nan = math.inf, math.nan
+    tops = (complex(inf, 0.0), complex(nan, 0.0), complex(5.0, inf),
+            complex(5.0, nan), complex(-inf, 0.0), -0.5 + 0j)
+    for base in (BASE, _lifted(EntireMapSpec.sinh(0.575))):
+        z = 5.0 + 0.1j
+        address = tract_of(base, z)
+        for top in tops:
+            expected = _error(inverse_branch, base, address, top, z)
+            got = _error(conjugacy._pullback_tower, base, KAPPA, [z, top], [address], 1)
+            assert got == expected, (base, top)
 
 
 def test_depth_sweep_proves_each_supplied_orbit_once(monkeypatch):

@@ -1,6 +1,7 @@
 """Unit tests for tract addressing and inverse branches."""
 
 import cmath
+import dataclasses
 import math
 
 import pytest
@@ -14,6 +15,7 @@ from tractlab.models import (
     LogLiftModel,
     eval_F,
 )
+from tractlab import tracts
 from tractlab.tracts import TractAddress, inverse_branch, tract_of
 
 SHIFTED = LogLiftModel("shifted_exp", R=10.0)
@@ -132,3 +134,35 @@ def test_inverse_branch_roundtrip_property(re, im, k):
     z = inverse_branch(SHIFTED, TractAddress(k), w)
     assert abs(eval_F(SHIFTED, z) - w) <= 1e-9 * (1.0 + abs(w))
     assert round(z.imag / TWO_PI) == k
+
+
+def test_a_huge_branch_index_fails_only_where_a_shift_is_formed():
+    # 2 pi i k is formed on first use: the address constructs, compares
+    # and prints; an inverse over it raises OverflowError after the check
+    # of its argument, in the closed form and in either Newton seed
+    huge = TractAddress(10**400)
+    assert huge == TractAddress(10**400) and hash(huge) == hash(TractAddress(10**400))
+    assert repr(huge) == f"TractAddress(branch_index={10**400}, inner_branch=0)"
+    lifted = LogLiftModel("lifted_entire", plane_map=EntireMapSpec.lambda_expm1(0.5))
+    for model, seed in ((SHIFTED, None), (lifted, None), (lifted, 3.0 + 0.01j)):
+        with pytest.raises(RangeError):
+            inverse_branch(model, huge, -1.0 + 0.0j, seed)
+        with pytest.raises(OverflowError):
+            inverse_branch(model, huge, 8.0 + 0.5j, seed)
+
+
+def test_an_address_keeps_its_eq_hash_and_repr_after_its_shift_is_read():
+    w = 7.5 + 1.25j
+    for k, inner in ((3, 0), (-2, 1), (0, 0)):
+        interned = tracts._interned(k, bool(inner))
+        inverse_branch(SHIFTED, interned, w)  # reads and keeps the shift
+        fresh = TractAddress(k, inner)
+        assert interned == fresh and hash(interned) == hash(fresh)
+        assert repr(interned) == repr(fresh) == (
+            f"TractAddress(branch_index={k}, inner_branch={inner})"
+        )
+        assert [f.name for f in dataclasses.fields(interned)] == [
+            "branch_index", "inner_branch"
+        ]
+        assert interned._shift == TWO_PI * 1j * k
+    assert tracts._interned(3, False) is tracts._interned(3, False)
