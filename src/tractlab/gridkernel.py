@@ -32,24 +32,26 @@ grid's expression over its rows and live columns, and writes their codes
 at their positions in its rows of the grid, so no array of the whole
 window's centres exists.
 
-A window of more than one band is classified by one thread per usable
-CPU: the calling thread and the workers of one module-level thread pool,
-each taking the next band that no thread has taken.  NumPy releases the
-GIL inside its ufuncs, so the bands' array work runs on every core.
+A window of more than one band is classified on one module-level thread
+pool with one worker per usable CPU (``os.sched_getaffinity``), through
+its in-order ``map`` (``_in_order``); the calling thread classifies no
+band of its own and only reads the bands in row order.  NumPy releases
+the GIL inside its ufuncs, so the bands' array work runs on every core.
 Each band writes only its own rows of the output, so the codes, and the
 image bytes, are those of one thread.  The pool is built on the first
 call that needs it and again in a forked child; with one band or one
 usable CPU the calling thread classifies every band and no thread
 starts, and a window without live columns has no band at all.
+Concurrent callers in one process share the pool's first-in first-out
+queue, so one call's bands can wait behind another's.
 
 ``render_png`` deflates the PNG's scanlines on the calling thread, in row
-order, between bands: as soon as a band is done, it goes through one
-``zlib.compressobj(9)``; when the next band is not ready, the calling
-thread classifies the next untaken band.  zlib releases the GIL while it
-compresses, so the deflate of the top rows overlaps the pool's
-classification of the rows below.  Fed without flushes, the stream gives
-the bytes of ``zlib.compress(raw, 9)`` over the whole image, so the file
-is byte-identical to ``write_png``'s.
+order: as soon as a band is done, it goes through one
+``zlib.compressobj(9)`` while the pool classifies the bands below.  zlib
+releases the GIL while it compresses, so the deflate of the top rows
+overlaps the classification of the rows below.  Fed without flushes, the
+stream gives the bytes of ``zlib.compress(raw, 9)`` over the whole image,
+so the file is byte-identical to ``write_png``'s.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ import struct
 import sys
 import threading
 import zlib
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,69 +158,25 @@ def _classify(map_spec, window, resolution, escape_radius, horizon, rows=None):
         return grid
     x = x[live]
     step = max(1, BLOCK // live.size)
-    bands = [slice(top, min(top + step, height)) for top in range(0, height, step)]
     # the positions of a full band's live pixels in its rows of grid; a
     # short last band takes the first of them
     at = (np.arange(step)[:, None] * width + live).ravel()
-    # the bands no thread has taken yet; threads may share a deque's popleft
-    pending = deque(enumerate(bands))
-    done = [False] * len(bands)
-    # a pool thread's error, which the caller raises; no future is read,
-    # so a helper queued behind another call's bands delays no caller
-    failed = []
-    finished = threading.Condition()  # signalled by a pool thread's band
 
-    def classify(band) -> None:
-        # the whole grid's centres x[None, :] + 1j * y[:, None] on the
-        # band's rows and live columns; no name here holds them, so the
-        # band frees them as soon as its first step is done
-        _classify_band(map_spec.row, map_spec.params, (x + 1j * y[band, None]).ravel(),
-                       grid[band].reshape(-1), at[:(band.stop - band.start) * x.size],
-                       escape_radius, horizon)
-
-    def drain() -> None:
+    def classify(top: int) -> np.ndarray:
+        band = slice(top, top + step)
+        out = grid[band]
         # errstate is a context variable, which pool threads do not inherit
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                while True:
-                    try:
-                        i, band = pending.popleft()
-                    except IndexError:
-                        return
-                    classify(band)
-                    with finished:
-                        done[i] = True
-                        finished.notify()
-        except BaseException as exc:
-            pending.clear()
-            with finished:
-                failed.append(exc)
-                finished.notify()
-            raise
-
-    if len(bands) > 1:
-        _start_helpers(drain)
-    try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, band in enumerate(bands):
-                # until band i is done, classify the next untaken band,
-                # or wait for the pool thread that took band i
-                while not done[i]:
-                    try:
-                        j, taken = pending.popleft()
-                    except IndexError:
-                        with finished:
-                            finished.wait_for(lambda: done[i] or failed)
-                        if failed:
-                            raise failed[0]
-                        continue
-                    classify(taken)
-                    done[j] = True
-                if rows is not None:
-                    rows(grid[band])
-    except BaseException:
-        pending.clear()  # the pool threads stop after their current band
-        raise
+            # the whole grid's centres x[None, :] + 1j * y[:, None] on the
+            # band's rows and live columns; no name here holds them, so the
+            # band frees them as soon as its first step is done
+            _classify_band(map_spec.row, map_spec.params, (x + 1j * y[band, None]).ravel(),
+                           out.reshape(-1), at[:len(out) * x.size], escape_radius, horizon)
+        return out
+
+    for band in _in_order(classify, range(0, height, step)):
+        if rows is not None:
+            rows(band)
     return grid
 
 
@@ -248,25 +205,31 @@ def _axes(window: Window, width: int, height: int) -> tuple[np.ndarray, np.ndarr
     return x, y
 
 
-_pool = None  # the band pool's submit method, once per worker
+_pool = None  # the band pool, a ThreadPoolExecutor once built
 _pool_lock = threading.Lock()
 
 
-def _start_helpers(task) -> None:
-    """Submit task to each worker of the band pool, which has one per
-    usable CPU beside the caller's; start nothing on one usable CPU."""
+def _in_order(fn, items):
+    """fn over items, its results in input order.  More than one item runs
+    on the band pool, one worker per usable CPU, built on first use; one
+    item, or one usable CPU, runs on the calling thread as the results are
+    read, and no thread starts.  A failing item's exception reaches the
+    reader, and the items not yet started are cancelled after it, or when
+    the reader stops early."""
     global _pool
-    with _pool_lock:
-        if _pool is None:
-            affinity = getattr(os, "sched_getaffinity", None)
-            workers = (len(affinity(0)) if affinity else os.cpu_count() or 1) - 1
-            if workers:
-                from concurrent.futures import ThreadPoolExecutor
+    if len(items) > 1:
+        with _pool_lock:
+            if _pool is None:
+                affinity = getattr(os, "sched_getaffinity", None)
+                workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+                if workers > 1:
+                    from concurrent.futures import ThreadPoolExecutor
 
-                pool = ThreadPoolExecutor(workers, thread_name_prefix="gridkernel")
-                _pool = [pool.submit] * workers
-        for submit in _pool or ():
-            submit(task)
+                    _pool = ThreadPoolExecutor(workers, thread_name_prefix="gridkernel")
+            pool = _pool
+        if pool is not None:
+            return pool.map(fn, items)
+    return map(fn, items)
 
 
 def _forget_pool() -> None:

@@ -240,7 +240,7 @@ def _pullback_cases():
             yield F, G, z, 6, None
 
 
-def test_general_pullback_matches_the_two_loop_version():
+def test_two_map_tower_matches_the_two_loop_version():
     checked = 0
     for F, G, z, depth, orb in _pullback_cases():
         try:
@@ -273,7 +273,7 @@ def _conjugacy_defect(F, G, z, n, orbit=None):
     [(EntireMapSpec.lambda_expm1, 0.5), (EntireMapSpec.sinh, 0.575)],
     ids=["lambda_expm1", "sinh"],
 )
-def test_general_pullback_conjugates_a_post_translated_pair(make, lam):
+def test_two_map_tower_conjugates_a_post_translated_pair(make, lam):
     # G = lambda e^sigma (...) is F plus sigma in log coordinates, not a
     # translation F(. + kappa); the tower still satisfies
     # G o Theta_6 = Theta_5 o F up to rounding, on points of the
@@ -293,7 +293,7 @@ def test_general_pullback_conjugates_a_post_translated_pair(make, lam):
     assert checked >= 50, checked
 
 
-def test_general_pullback_conjugates_shifted_exp_of_another_r():
+def test_two_map_tower_conjugates_shifted_exp_of_another_r():
     # e^z - 10.5 is e^z - 10 post-translated by -0.5; deep towers on exact
     # cycles conjugate the two, and have converged
     G = LogLiftModel("shifted_exp", R=10.5)

@@ -256,8 +256,9 @@ def test_pool_blocks_ignore_overflow_as_one_block_does(monkeypatch):
 
 def _raise_in_one_band(monkeypatch, thread, call):
     """Run call with the first band of the named thread failing; the
-    caller must raise that error within a bounded time.  A pool band fails
-    late, once the caller has taken every other band and waits for it."""
+    caller must raise that error within a bounded time.  The calling
+    thread runs bands only on the inline path; a pool band fails late,
+    once the caller waits for it."""
     classify_band = gridkernel._classify_band
     once = threading.Lock()  # the first matching band takes it and fails
     boom = RuntimeError(f"a band in the {thread} thread failed")
@@ -268,8 +269,6 @@ def _raise_in_one_band(monkeypatch, thread, call):
             if not in_caller:
                 time.sleep(0.2)
             raise boom
-        if in_caller and thread == "pool":
-            time.sleep(0.005)  # leave bands to the pool
         classify_band(*args)
 
     raised = []
@@ -293,6 +292,8 @@ def _raise_in_one_band(monkeypatch, thread, call):
 def test_a_block_error_reaches_the_caller_and_the_pool_survives(monkeypatch, thread):
     expected = gridkernel.classify_window(*POOL_CASE)
     monkeypatch.setattr(gridkernel, "BLOCK", 4096)
+    if thread == "calling":
+        _usable_cpus(monkeypatch, 1)  # the inline path: the caller runs every band
     assert (gridkernel.classify_window(*POOL_CASE) == expected).all()
     pool = gridkernel._pool
     if thread == "pool" and pool is None:
@@ -318,6 +319,8 @@ def test_a_block_error_in_a_png_render_writes_no_file(monkeypatch, tmp_path, thr
     resolution = POOL_CASE[2]
     _old_write_png(tmp_path / "old.png", gridkernel.classify_window(*POOL_CASE))
     monkeypatch.setattr(gridkernel, "BLOCK", 4096)
+    if thread == "calling":
+        _usable_cpus(monkeypatch, 1)  # the inline path: the caller runs every band
     out = tmp_path / "x.png"
     assert _render_png(out, resolution) == cli.EXIT_OK
     out.unlink()
@@ -340,12 +343,12 @@ def test_an_all_dead_window_classifies_no_band_and_starts_no_thread(monkeypatch,
     def no_band(*args):
         raise AssertionError("a band was classified")
 
-    def no_thread(task):
-        raise AssertionError("the band pool was asked for threads")
+    def no_thread(fn, items):
+        raise AssertionError("the band scheduler was given bands")
 
     monkeypatch.setattr(gridkernel, "BLOCK", 64)  # 200 bands of whole rows
     monkeypatch.setattr(gridkernel, "_classify_band", no_band)
-    monkeypatch.setattr(gridkernel, "_start_helpers", no_thread)
+    monkeypatch.setattr(gridkernel, "_in_order", no_thread)
     grid = gridkernel.classify_window(*DEAD_CASE)
     assert (grid == gridkernel.ESCAPED_SMALL).all()
     gridkernel.write_png(tmp_path / "whole.png", grid)
@@ -353,15 +356,33 @@ def test_an_all_dead_window_classifies_no_band_and_starts_no_thread(monkeypatch,
     assert (tmp_path / "x.png").read_bytes() == (tmp_path / "whole.png").read_bytes()
 
 
-def _one_usable_cpu(monkeypatch):
+def _usable_cpus(monkeypatch, cpus):
+    """Build the band pool anew, for this many usable CPUs."""
     monkeypatch.setattr(gridkernel, "_pool", None)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
 
+
+def _no_thread_starts(monkeypatch):
     def no_thread(self):
-        raise AssertionError(f"thread {self.name} started on one usable CPU")
+        raise AssertionError(f"thread {self.name} started")
 
     monkeypatch.setattr(threading.Thread, "start", no_thread)
+
+
+def _one_usable_cpu(monkeypatch):
+    _usable_cpus(monkeypatch, 1)
+    _no_thread_starts(monkeypatch)
+
+
+@pytest.fixture(params=[2])
+def cpus(request, monkeypatch):
+    """A band pool built anew for request.param usable CPUs, shut down
+    after the test."""
+    _usable_cpus(monkeypatch, request.param)
+    yield request.param
+    if gridkernel._pool is not None:
+        gridkernel._pool.shutdown()
 
 
 def test_one_usable_cpu_starts_no_thread(monkeypatch):
@@ -370,6 +391,122 @@ def test_one_usable_cpu_starts_no_thread(monkeypatch):
     _one_usable_cpu(monkeypatch)
     assert (gridkernel.classify_window(*POOL_CASE) == expected).all()
     assert gridkernel._pool is None
+
+
+def test_a_one_band_window_starts_no_thread_on_two_cpus(monkeypatch, tmp_path):
+    # 40 x 25 pixels of POOL_CASE's window have live and dead columns, and
+    # the live ones fit one band of BLOCK pixels
+    spec, win, _, radius, horizon = POOL_CASE
+    case = (spec, win, (40, 25), radius, horizon)
+    expected = gridkernel.classify_window(*case)
+    _old_write_png(tmp_path / "old.png", expected)
+    _usable_cpus(monkeypatch, 2)
+    _no_thread_starts(monkeypatch)
+    classify_band = gridkernel._classify_band
+    sizes = []
+
+    def counted(row, params, z, *rest):
+        sizes.append(z.size)
+        classify_band(row, params, z, *rest)
+
+    monkeypatch.setattr(gridkernel, "_classify_band", counted)
+    assert (gridkernel.classify_window(*case) == expected).all()
+    assert _render_png(tmp_path / "x.png", case[2]) == cli.EXIT_OK
+    assert (tmp_path / "x.png").read_bytes() == (tmp_path / "old.png").read_bytes()
+    assert len(sizes) == 2 and sizes[0] == sizes[1]  # one band per call
+    assert 0 < sizes[0] < 40 * 25
+    assert gridkernel._pool is None
+
+
+# the scheduler alone, over trivial functions
+
+
+def test_in_order_keeps_the_input_order_on_the_pool(cpus):
+    caller = threading.current_thread()
+
+    def later_first(i):
+        time.sleep(0.002 * (8 - i))  # the later items finish first
+        return i * i, threading.current_thread()
+
+    results = list(gridkernel._in_order(later_first, range(8)))
+    assert [value for value, _ in results] == [i * i for i in range(8)]
+    assert all(thread is not caller for _, thread in results)
+    assert gridkernel._pool._max_workers == cpus
+
+
+@pytest.mark.parametrize("cpus, items", [(2, [7]), (1, range(6))], indirect=["cpus"])
+def test_one_item_or_one_usable_cpu_runs_inline(monkeypatch, cpus, items):
+    _no_thread_starts(monkeypatch)
+    caller = threading.current_thread()
+
+    def square(i):
+        assert threading.current_thread() is caller
+        return i * i
+
+    assert list(gridkernel._in_order(square, items)) == [i * i for i in items]
+    assert gridkernel._pool is None
+
+
+@pytest.mark.parametrize("cpus", [1, 2], indirect=True)
+def test_a_failing_items_own_error_reaches_the_reader(cpus):
+    boom = RuntimeError("item 3 failed")
+
+    def fail_third(i):
+        if i == 3:
+            raise boom
+        return i
+
+    with pytest.raises(RuntimeError) as failed:
+        list(gridkernel._in_order(fail_third, range(8)))
+    assert failed.value is boom
+    assert (gridkernel._pool is None) == (cpus == 1)
+
+
+class _StopReading(Exception):
+    pass
+
+
+def test_items_not_started_are_cancelled_and_the_pool_is_reused(cpus):
+    # each worker holds one item until the gate opens, so at most the
+    # first item and one item per worker start before the reader stops
+    gate = threading.Event()
+    ran = []
+    boom = RuntimeError("item 0 failed")
+
+    def fail_first(i):
+        ran.append(i)
+        if i == 0:
+            raise boom
+        gate.wait(timeout=30)
+        return i
+
+    with pytest.raises(RuntimeError) as failed:
+        list(gridkernel._in_order(fail_first, range(20)))
+    assert failed.value is boom
+    pool = gridkernel._pool
+    gate.set()
+    # the pool runs its queue in order, so this map's items run after
+    # every item of the first one has started or been cancelled
+    assert list(gridkernel._in_order(str, range(4))) == ["0", "1", "2", "3"]
+    assert 0 in ran and set(ran) <= set(range(1 + cpus))
+
+    def first_free(i):
+        ran.append(i)
+        if i:
+            gate.wait(timeout=30)
+        return i
+
+    gate.clear()
+    ran.clear()
+    # a reader that stops as _classify's loop does, by an exception
+    with pytest.raises(_StopReading):
+        for i in gridkernel._in_order(first_free, range(20)):
+            assert i == 0
+            raise _StopReading
+    gate.set()
+    assert list(gridkernel._in_order(str, range(4))) == ["0", "1", "2", "3"]
+    assert 0 in ran and set(ran) <= set(range(1 + cpus))
+    assert gridkernel._pool is pool
 
 
 def test_concurrent_first_calls_build_one_pool(monkeypatch):
